@@ -32,15 +32,16 @@ from .noise import (
     OUParams,
     StochasticLoadSpec,
     build_noise_path,
+    load_schedule,
     ou_closed_form,
+    ou_em_step,
     ou_exact_step,
-    sample_load_path,
     stationary_variance,
 )
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .trajectory import Trajectory
-from .sas import SolverConfig, SASWindow, derive_window, evaluate_sas, simulate_sas
-from .em import EMConfig, em_sde_step, euler_det_step, simulate_em
+from .sas import SolverConfig, simulate_sas, window_coefficients
+from .em import EMConfig, euler_det_step, simulate_em
 from .ensemble import (
     Ensemble,
     StabilityCriterion,

@@ -16,7 +16,7 @@ import numpy as np
 from .case import SystemCase
 from .dynamics import MachineSet, rhs
 from .network import ReducedNetwork
-from .noise import NoisePath, OUParams
+from .noise import NoisePath
 from .scenario import Scenario, SimulationSetup, run_simulation
 from .trajectory import Trajectory
 
@@ -33,19 +33,6 @@ class EMConfig:
             raise ValueError("dt must be positive")
         if self.mode not in EM_MODES:
             raise ValueError(f"mode must be one of {EM_MODES}")
-
-
-def em_sde_step(
-    eps: float | np.ndarray, p: OUParams, dt: float, dw: float | np.ndarray
-) -> float | np.ndarray:
-    """One Euler-Maruyama step of d(eps) = -a eps dt + b dW.
-
-    ``dw`` is a Brownian increment with variance dt. ``eps`` and ``dw`` may
-    be arrays of independent paths; the update applies element by element.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return eps - p.a * eps * dt + p.b * dw
 
 
 def euler_det_step(
@@ -75,7 +62,7 @@ def simulate_em(
     machines = setup.machines
 
     def stepper(x, net, dt):
-        return x + rhs(x, net, machines) * dt
+        return euler_det_step(x, net, machines, dt)
 
     return run_simulation(
         setup,

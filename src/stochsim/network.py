@@ -120,6 +120,27 @@ def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.nda
     return y
 
 
+def augmented_matrix(case: SystemCase, y_bus: np.ndarray) -> np.ndarray:
+    """A bus matrix extended by the generator internal nodes.
+
+    The (n+K) matrix orders the n network buses first and the K internal
+    nodes after; each internal node connects to its terminal bus through
+    the branch admittance 1/(Rs + j xdp).
+    """
+    n, k = case.n_bus, case.n_gen
+    y = np.zeros((n + k, n + k), dtype=complex)
+    y[:n, :n] = y_bus
+    for g_idx, gen in enumerate(case.generators):
+        i = case.bus_index(gen.bus)
+        m = n + g_idx
+        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
+        y[m, m] += ys
+        y[i, i] += ys
+        y[m, i] -= ys
+        y[i, m] -= ys
+    return y
+
+
 def kron_reduce(y_full: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur-complement elimination of all nodes not in ``keep``.
 
@@ -152,28 +173,20 @@ def build_reduced_network(
 
     ``loads`` maps bus id to the current (P, Q) values; it must cover exactly
     the case's load buses.  ``profile`` is the pre-fault solved voltage
-    profile at which load impedances are fixed.  Generator internal branches
-    1/(Rs + j xdp) are appended and every network bus is eliminated.
+    profile at which load impedances are fixed.  The generator internal
+    nodes are appended after the load shunts and every network bus is
+    eliminated.
     """
     condition.validate_against(case)
     if set(loads) != {ld.bus for ld in case.loads}:
         raise ValueError("loads must cover exactly the case's load buses")
 
     n, k = case.n_bus, case.n_gen
-    y = np.zeros((n + k, n + k), dtype=complex)
-    y[:n, :n] = assemble_bus_matrix(case, condition)
+    y_bus = assemble_bus_matrix(case, condition)
     for bus_id, (p, q) in loads.items():
         i = case.bus_index(bus_id)
-        y[i, i] += load_to_admittance(p, q, profile[i])
-    for g_idx, gen in enumerate(case.generators):
-        i = case.bus_index(gen.bus)
-        m = n + g_idx
-        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
-        y[m, m] += ys
-        y[i, i] += ys
-        y[m, i] -= ys
-        y[i, m] -= ys
-
+        y_bus[i, i] += load_to_admittance(p, q, profile[i])
+    y = augmented_matrix(case, y_bus)
     y_red, recovery = kron_reduce(y, np.arange(n, n + k))
     return ReducedNetwork(
         y=y_red,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ArrayLike = float | np.ndarray  # one variable, or an array of variables or paths
+
 
 @dataclass(frozen=True)
 class OUParams:
@@ -33,17 +35,33 @@ def stationary_variance(p: OUParams) -> float:
     return p.b * p.b / (2.0 * p.a)
 
 
-def ou_exact_step(eps: float, p: OUParams, dt: float, xi: float) -> float:
-    """Advance an OU variable by ``dt`` using the exact transition law.
+def ou_exact_step(
+    eps: ArrayLike, a: ArrayLike, b: ArrayLike, dt: float, xi: ArrayLike
+) -> ArrayLike:
+    """Advance OU variables by ``dt`` using the exact transition law.
 
     eps' = eps * exp(-a dt) + b * sqrt((1 - exp(-2 a dt)) / (2a)) * xi
-    with ``xi`` a standard-normal draw.  Distributionally exact for any step.
+    with ``xi`` standard-normal draws.  Distributionally exact for any step;
+    the update applies element by element.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    decay = math.exp(-p.a * dt)
-    std = p.b * math.sqrt(-math.expm1(-2.0 * p.a * dt) / (2.0 * p.a))
+    decay = np.exp(-a * dt)
+    std = b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
     return eps * decay + std * xi
+
+
+def ou_em_step(
+    eps: ArrayLike, a: ArrayLike, b: ArrayLike, dt: float, dw: ArrayLike
+) -> ArrayLike:
+    """One Euler-Maruyama step of d(eps) = -a eps dt + b dW.
+
+    ``dw`` holds Brownian increments with variance dt; the update applies
+    element by element.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    return eps + (-a * eps * dt + b * dw)
 
 
 def ou_closed_form(eps0: float, p: OUParams, t: float, db: np.ndarray) -> float:
@@ -126,47 +144,30 @@ def build_noise_path(seed, n_vars: int, horizon: float, dt: float = 0.1) -> Nois
     return NoisePath(seed=entropy, dt=dt, xi=xi)
 
 
-def sample_load_path(
-    spec: StochasticLoadSpec, path: NoisePath, var_index: int, component: str = "p"
-) -> np.ndarray:
-    """Piecewise-constant load values over the path's resample intervals.
+def ou_coefficients(specs: list[StochasticLoadSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-variable OU drift a and diffusion b in noise-grid order.
 
-    The OU variable starts at zero (load at its mean over the first
-    interval) and advances by the exact transition at each resample
-    boundary; entry k is the value held on [k*dt, (k+1)*dt).
+    Entry 2*i belongs to the P variable of spec i, entry 2*i+1 to its Q.
     """
-    ou = spec.ou_p if component == "p" else spec.ou_q
-    mean = spec.p_mean if component == "p" else spec.q_mean
-    eps = ou_eps_path(ou, path, var_index)
-    return mean + eps
-
-
-def ou_eps_path(ou: OUParams, path: NoisePath, var_index: int) -> np.ndarray:
-    """Deviation series for one stochastic variable: eps(0)=0, exact steps."""
-    n = path.n_steps
-    eps = np.empty(n)
-    eps[0] = 0.0
-    decay = math.exp(-ou.a * path.dt)
-    std = ou.b * math.sqrt(-math.expm1(-2.0 * ou.a * path.dt) / (2.0 * ou.a))
-    draws = path.xi[var_index]
-    for k in range(1, n):
-        eps[k] = eps[k - 1] * decay + std * draws[k - 1]
-    return eps
+    ous = [ou for spec in specs for ou in (spec.ou_p, spec.ou_q)]
+    return np.array([ou.a for ou in ous]), np.array([ou.b for ou in ous])
 
 
 def load_schedule(specs: list[StochasticLoadSpec], path: NoisePath) -> np.ndarray:
     """Stacked (n_steps, 2*len(specs)) array of piecewise-constant load values.
 
     Column 2*i is the P series of spec i, column 2*i+1 its Q series; the
-    variable index into the noise grid follows the same ordering.
+    variable index into the noise grid follows the same ordering.  Each OU
+    deviation starts at zero (load at its mean over the first interval) and
+    advances by the exact transition at each resample boundary; row k is the
+    value held on [k*dt, (k+1)*dt).
     """
-    cols = []
-    for i, spec in enumerate(specs):
-        cols.append(sample_load_path(spec, path, 2 * i, "p"))
-        cols.append(sample_load_path(spec, path, 2 * i + 1, "q"))
-    if not cols:
-        return np.zeros((path.n_steps, 0))
-    return np.column_stack(cols)
+    a, b = ou_coefficients(specs)
+    mean = np.array([m for spec in specs for m in (spec.p_mean, spec.q_mean)])
+    eps = np.zeros((path.n_steps, a.shape[0]))
+    for k in range(1, path.n_steps):
+        eps[k] = ou_exact_step(eps[k - 1], a, b, path.dt, path.xi[:, k - 1])
+    return mean + eps
 
 
 def path_to_csv(path: NoisePath) -> str:

@@ -11,7 +11,7 @@ partial sum across the window reproduces the semi-analytical solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .dynamics import MachineSet
 from .network import ReducedNetwork
 from .noise import NoisePath
 from .scenario import Scenario, SimulationSetup, run_simulation
-from .series import series_eval
+from .series import cauchy_coeff, sin_cos_coeff, series_eval
 from .trajectory import Trajectory
 
 
@@ -43,52 +43,6 @@ class SolverConfig:
             raise ValueError("window length must be positive")
 
 
-@dataclass(frozen=True)
-class SASWindow:
-    """Series coefficients of every state variable on one window.
-
-    ``coeffs`` is (4K, N+1) in the packed state layout; the local clock runs
-    from 0 at ``t0`` to ``length``.  ``loads`` are the stochastic values the
-    window was derived with.
-    """
-
-    t0: float
-    length: float
-    coeffs: np.ndarray
-    loads: dict = field(compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-
-def taylor_window(f_series, x0, order: int) -> np.ndarray:
-    """Series coefficients for a generic ODE xdot = f(x) on one window.
-
-    ``f_series`` maps an (M, order+1) coefficient stack to the coefficient
-    stack of the right-hand side (built from the series primitives).  Only
-    the order-n output column is consumed when forming the order-(n+1)
-    state column, matching the term-by-term decomposition recursion.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    c = np.zeros((x0.shape[0], order + 1))
-    c[:, 0] = x0
-    for n in range(order):
-        fc = np.atleast_2d(f_series(c))
-        c[:, n + 1] = fc[:, n] / (n + 1)
-    return c
-
-
-def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Order-n Cauchy coefficient of a*b for (K, N+1) stacks."""
-    if n == 0:
-        return a[:, 0] * b[:, 0]
-    return np.einsum("km,km->k", a[:, : n + 1], b[:, n::-1])
-
-
 def window_coefficients(
     state0: np.ndarray, net: ReducedNetwork, machines: MachineSet, order: int
 ) -> np.ndarray:
@@ -97,7 +51,8 @@ def window_coefficients(
     Order-incremental evaluation of the model through series arithmetic:
     trigonometric recurrences for sin/cos of the rotor angles, Cauchy
     products for the frame rotations and powers, one complex matrix-vector
-    product per order for the network coupling.
+    product per order for the network coupling.  Returns the (4K, N+1)
+    stack in the packed state layout, on a local clock that starts at 0.
     """
     k = machines.n_gen
     n1 = order + 1
@@ -128,24 +83,17 @@ def window_coefficients(
     dx_q = machines.xq - machines.xqp
 
     for n in range(order):
-        if n == 0:
-            s[:, 0] = np.sin(d[:, 0])
-            c[:, 0] = np.cos(d[:, 0])
-        else:
-            m = np.arange(1, n + 1)
-            md = m * d[:, 1 : n + 1]
-            s[:, n] = np.einsum("km,km->k", md, c[:, n - 1 :: -1][:, :n]) / n
-            c[:, n] = -np.einsum("km,km->k", md, s[:, n - 1 :: -1][:, :n]) / n
-        ere[:, n] = _conv(ed, s, n) + _conv(eq, c, n)
-        eim[:, n] = _conv(eq, s, n) - _conv(ed, c, n)
+        s[:, n], c[:, n] = sin_cos_coeff(d, s, c, n)
+        ere[:, n] = cauchy_coeff(ed, s, n) + cauchy_coeff(eq, c, n)
+        eim[:, n] = cauchy_coeff(eq, s, n) - cauchy_coeff(ed, c, n)
         it = net.y @ (ere[:, n] + 1j * eim[:, n])
         i_r[:, n] = it.real
         i_i[:, n] = it.imag
-        i_q[:, n] = _conv(i_i, s, n) + _conv(i_r, c, n)
-        i_d[:, n] = _conv(i_r, s, n) - _conv(i_i, c, n)
+        i_q[:, n] = cauchy_coeff(i_i, s, n) + cauchy_coeff(i_r, c, n)
+        i_d[:, n] = cauchy_coeff(i_r, s, n) - cauchy_coeff(i_i, c, n)
         e_qt[:, n] = eq[:, n] - machines.xdp * i_d[:, n]
         e_dt[:, n] = ed[:, n] + machines.xqp * i_q[:, n]
-        p_e[:, n] = _conv(e_qt, i_q, n) + _conv(e_dt, i_d, n)
+        p_e[:, n] = cauchy_coeff(e_qt, i_q, n) + cauchy_coeff(e_dt, i_d, n)
 
         if n == 0:
             f_d = w[:, 0] - w_r
@@ -164,28 +112,6 @@ def window_coefficients(
         ed[:, n + 1] = f_ed * inv
 
     return np.concatenate([d, w, eq, ed], axis=0)
-
-
-def derive_window(
-    state0: np.ndarray,
-    net: ReducedNetwork,
-    machines: MachineSet,
-    order: int = 2,
-    t0: float = 0.0,
-    length: float = 1e-3,
-) -> SASWindow:
-    """Build the series window for one propagation step."""
-    coeffs = window_coefficients(state0, net, machines, order)
-    return SASWindow(t0=t0, length=length, coeffs=coeffs, loads=dict(net.loads))
-
-
-def evaluate_sas(window: SASWindow, t_local: float) -> np.ndarray:
-    """Evaluate the window series at a local time in [0, length]."""
-    if not (0.0 <= t_local <= window.length):
-        raise ValueError(
-            f"t_local {t_local} outside the window [0, {window.length}]"
-        )
-    return series_eval(window.coeffs, t_local)
 
 
 def simulate_sas(

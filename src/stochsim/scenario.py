@@ -17,8 +17,14 @@ import numpy as np
 
 from .case import SystemCase
 from .dynamics import MachineSet, init_dynamic_state, split_state
-from .network import NetworkCondition, assemble_bus_matrix, kron_reduce, ReducedNetwork
-from .noise import NoisePath, StochasticLoadSpec, load_schedule
+from .network import (
+    NetworkCondition,
+    ReducedNetwork,
+    assemble_bus_matrix,
+    augmented_matrix,
+    kron_reduce,
+)
+from .noise import NoisePath, StochasticLoadSpec, load_schedule, ou_coefficients, ou_em_step
 from .powerflow import solve_power_flow
 from .trajectory import Trajectory
 
@@ -159,7 +165,6 @@ class SimulationSetup:
             )
         mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
 
-        n, k = case.n_bus, case.n_gen
         conditions = {"pre-fault": NetworkCondition("pre-fault")}
         if scenario.fault_bus is not None:
             conditions["fault-on"] = NetworkCondition(
@@ -168,19 +173,10 @@ class SimulationSetup:
             conditions["post-fault"] = NetworkCondition(
                 "post-fault", removed_branches=scenario.trip_branches
             )
-        stage_matrices = {}
-        for stage, cond in conditions.items():
-            y = np.zeros((n + k, n + k), dtype=complex)
-            y[:n, :n] = assemble_bus_matrix(case, cond)
-            for g_idx, gen in enumerate(case.generators):
-                i = case.bus_index(gen.bus)
-                m = n + g_idx
-                ys = 1.0 / (gen.Rs + 1j * gen.xdp)
-                y[m, m] += ys
-                y[i, i] += ys
-                y[m, i] -= ys
-                y[i, m] -= ys
-            stage_matrices[stage] = y
+        stage_matrices = {
+            stage: augmented_matrix(case, assemble_bus_matrix(case, cond))
+            for stage, cond in conditions.items()
+        }
 
         load_buses = sorted(mean_loads)
         load_rows = np.array([case.bus_index(b) for b in load_buses], dtype=int)
@@ -290,11 +286,7 @@ def run_simulation(
             raise ValueError("noise path does not cover this scenario")
         if abs(path.dt - h) > 1e-12:
             raise ValueError("continuous mode expects a noise path sampled at dt")
-        a_vec = np.empty(2 * len(specs))
-        b_vec = np.empty(2 * len(specs))
-        for i, spec in enumerate(specs):
-            a_vec[2 * i], b_vec[2 * i] = spec.ou_p.a, spec.ou_p.b
-            a_vec[2 * i + 1], b_vec[2 * i + 1] = spec.ou_q.a, spec.ou_q.b
+        a_vec, b_vec = ou_coefficients(specs)
         eps = np.zeros(2 * len(specs))
 
     events: list[tuple[float, str]] = []
@@ -339,7 +331,7 @@ def run_simulation(
             rebuilt = True
         elif em_continuous and specs:
             if k > 0:
-                eps += -a_vec * eps * h + b_vec * (sqrt_h * path.xi[:, k - 1])
+                eps = ou_em_step(eps, a_vec, b_vec, h, sqrt_h * path.xi[:, k - 1])
                 for i, spec in enumerate(specs):
                     loads[spec.bus] = (
                         spec.p_mean + eps[2 * i],

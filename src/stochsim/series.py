@@ -1,9 +1,10 @@
-"""Truncated power-series arithmetic on a local window clock.
+"""Truncated power-series kernels on a local window clock.
 
-A series is a 1-D coefficient array c[0..N] representing sum(c_n * t^n).
-All operations return the degree-N truncation of the exact composition:
-products by Cauchy convolution, sin/cos by the coupled recurrences, and
-reciprocals by the standard division recurrence.
+A series stack is a (K, N+1) coefficient array whose row k represents
+sum(c[k, n] * t^n).  The solver builds its series one order at a time, so
+the kernels return the order-n coefficient of a composition from the
+coefficients of orders below n (or up to n for products): Cauchy products
+for multiplications and the coupled recurrences for sin/cos.
 """
 
 from __future__ import annotations
@@ -11,105 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 
-class SingularityError(ArithmeticError):
-    """A series operation hit a vanishing denominator."""
+def cauchy_coeff(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Order-n Cauchy coefficient of a*b for (K, N+1) stacks."""
+    if n == 0:
+        return a[:, 0] * b[:, 0]
+    return np.einsum("km,km->k", a[:, : n + 1], b[:, n::-1])
 
 
-def _as_series(c, order: int | None = None) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if order is not None:
-        if c.shape[0] > order + 1:
-            c = c[: order + 1]
-        elif c.shape[0] < order + 1:
-            c = np.concatenate([c, np.zeros(order + 1 - c.shape[0])])
-    return c
+def sin_cos_coeff(
+    x: np.ndarray, s: np.ndarray, c: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order-n coefficients of sin(x) and cos(x) for (K, N+1) stacks.
 
-
-def _common_order(*ops, order=None) -> int:
-    if order is not None:
-        return order
-    return max(op.shape[0] for op in map(np.atleast_1d, ops)) - 1
-
-
-def series_add(a, b, order: int | None = None) -> np.ndarray:
-    n = _common_order(a, b, order=order)
-    return _as_series(a, n) + _as_series(b, n)
-
-
-def series_sub(a, b, order: int | None = None) -> np.ndarray:
-    n = _common_order(a, b, order=order)
-    return _as_series(a, n) - _as_series(b, n)
-
-
-def series_scale(a, factor: float, order: int | None = None) -> np.ndarray:
-    return factor * _as_series(a, _common_order(a, order=order))
-
-
-def series_mul(a, b, order: int | None = None) -> np.ndarray:
-    """Cauchy product truncated at the common order."""
-    n = _common_order(a, b, order=order)
-    a = _as_series(a, n)
-    b = _as_series(b, n)
-    out = np.zeros(n + 1)
-    for k in range(n + 1):
-        out[k] = np.dot(a[: k + 1], b[k::-1])
-    return out
-
-
-def series_sin_cos(a, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sine and cosine of a series via the coupled first-order recurrences."""
-    n = _common_order(a, order=order)
-    a = _as_series(a, n)
-    s = np.zeros(n + 1)
-    c = np.zeros(n + 1)
-    s[0] = np.sin(a[0])
-    c[0] = np.cos(a[0])
-    for k in range(1, n + 1):
-        m = np.arange(1, k + 1)
-        s[k] = np.dot(m * a[1 : k + 1], c[k - 1 :: -1][: k]) / k
-        c[k] = -np.dot(m * a[1 : k + 1], s[k - 1 :: -1][: k]) / k
-    return s, c
-
-
-def series_sin(a, order: int | None = None) -> np.ndarray:
-    return series_sin_cos(a, order)[0]
-
-
-def series_cos(a, order: int | None = None) -> np.ndarray:
-    return series_sin_cos(a, order)[1]
-
-
-def series_reciprocal(a, order: int | None = None) -> np.ndarray:
-    """Multiplicative inverse; requires a nonzero constant term."""
-    n = _common_order(a, order=order)
-    a = _as_series(a, n)
-    if a[0] == 0.0:
-        raise SingularityError("reciprocal of a series with zero constant term")
-    r = np.zeros(n + 1)
-    r[0] = 1.0 / a[0]
-    for k in range(1, n + 1):
-        r[k] = -np.dot(a[1 : k + 1], r[k - 1 :: -1][: k]) / a[0]
-    return r
-
-
-_OPS = {
-    "add": series_add,
-    "sub": series_sub,
-    "scale": series_scale,
-    "mul": series_mul,
-    "sin": series_sin,
-    "cos": series_cos,
-    "reciprocal": series_reciprocal,
-}
-
-
-def series_lift(op: str, *operands, order: int | None = None):
-    """Apply a named series operation to the operands at a given order."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown series operation {op!r}") from None
-    return fn(*operands, order=order)
+    ``s`` and ``c`` must hold the sin/cos coefficients of orders below n;
+    with m x_m the derivative terms, s_n = sum(m x_m c_{n-m}) / n and
+    c_n = -sum(m x_m s_{n-m}) / n.
+    """
+    if n == 0:
+        return np.sin(x[:, 0]), np.cos(x[:, 0])
+    m = np.arange(1, n + 1)
+    mx = m * x[:, 1 : n + 1]
+    s_n = np.einsum("km,km->k", mx, c[:, n - 1 :: -1][:, :n]) / n
+    c_n = -np.einsum("km,km->k", mx, s[:, n - 1 :: -1][:, :n]) / n
+    return s_n, c_n
 
 
 def series_eval(c: np.ndarray, t: float):

@@ -19,7 +19,10 @@ import numpy as np
 from .dynamics import MachineSet, pack_state
 from .network import ReducedNetwork, kron_reduce
 from .noise import OUParams
-from .series import SingularityError
+
+
+class SingularityError(ArithmeticError):
+    """A circuit quantity the closed forms divide by vanishes."""
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,14 @@ def smib_window_coefficients(p: SMIBParams, delta0: float, omega0: float):
                  + 2H (w0-wR) C (k4 sin d0 - k5 cos d0) ]
 
     and the angle terms follow by one time integration.  The order-2
-    bracket is the corrected transcription; see
-    ``smib_omega_sas_printed`` and tests/fixtures/smib/README.md for the
-    verbatim variant it replaces and the recorded differences.
+    bracket is re-derived by hand and agrees with the series engine to
+    rounding.  It differs from the published expression in three places:
+    the published cosine/sine pair C k4 cos d0 + C k5 sin d0 lacks the
+    damping factor D; its frame-rotation pair carries the rated speed,
+    2H wR C (k5 cos d0 - k4 sin d0), where the speed deviation belongs,
+    2H (w0-wR) C (k4 sin d0 - k5 cos d0); and it has an extra term
+    -2H (w0-wR) C cos d0 without an admittance coefficient.  On the
+    increment scale the published form is off by more than 100%.
     """
     k1, k2, k3, k4, k5 = k_coefficients(p)
     w_r = p.omega_r
@@ -149,36 +157,6 @@ def smib_omega_sas(p: SMIBParams, delta0: float, omega0: float, t: float) -> flo
     """Order-2 semi-analytical rotor speed: w0 + w1(t) + w2(t)."""
     _, omega_coeffs = smib_window_coefficients(p, delta0, omega0)
     return float(omega_coeffs[0] + omega_coeffs[1] * t + omega_coeffs[2] * t * t)
-
-
-def smib_omega_sas_printed(
-    p: SMIBParams, delta0: float, omega0: float, t: float
-) -> float:
-    """Verbatim transcription of the published order-2 rotor-speed expression.
-
-    Kept for documentation only: its order-2 bracket disagrees with both the
-    hand re-derivation and the independent series engine (missing damping
-    factors on the cosine/sine pair, a rated-speed factor where the speed
-    deviation belongs, and a dangling term without an admittance
-    coefficient).  See tests/fixtures/smib/README.md.
-    """
-    k1, k2, k3, k4, k5 = k_coefficients(p)
-    w_r = p.omega_r
-    c = p.ep * p.v / (k1 * k2)
-    cosd, sind = math.cos(delta0), math.sin(delta0)
-    b1 = p.D * (omega0 - w_r) / w_r - p.pm + k3 + c * k4 * cosd + c * k5 * sind
-    w1 = -(t * w_r / (2.0 * p.H)) * b1
-    bracket = (
-        p.D**2 * (omega0 - w_r) / w_r
-        + p.D * (-p.pm + k3)
-        + c * k4 * cosd
-        + c * k5 * sind
-        + 2.0 * p.H * w_r * c * k5 * cosd
-        - 2.0 * p.H * w_r * c * k4 * sind
-        - 2.0 * p.H * (omega0 - w_r) * c * cosd
-    )
-    w2 = (t * t * w_r / (8.0 * p.H**2)) * bracket
-    return float(omega0 + w1 + w2)
 
 
 def smib_embedding(p: SMIBParams):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import smib
 from .em import EMConfig, simulate_em
-from .noise import OUParams, build_noise_path, ou_closed_form, ou_exact_step
+from .noise import OUParams, ou_closed_form, ou_exact_step
 from .sas import SolverConfig, simulate_sas, window_coefficients
 from .scenario import Scenario, SimulationSetup
 from .case import SystemCase
@@ -76,7 +76,7 @@ def check_ou_moments(quick: bool = False, seed: int = 5) -> list[CheckResult]:
     eps = 0.0
     samples = np.empty(n)
     for i in range(n):
-        eps = ou_exact_step(eps, p, 4.0, rng.standard_normal())
+        eps = ou_exact_step(eps, p.a, p.b, 4.0, rng.standard_normal())
         samples[i] = eps
     err = abs(np.var(samples) / (p.b**2 / (2 * p.a)) - 1.0)
     out.append(CheckResult("ou-stationary-variance", err < tol, err, tol))
@@ -87,18 +87,23 @@ def check_ou_moments(quick: bool = False, seed: int = 5) -> list[CheckResult]:
     x = np.empty(n)
     eps = 0.0
     for i in range(n):
-        eps = ou_exact_step(eps, p, dt, rng.standard_normal())
+        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
         x[i] = eps
     corr = np.corrcoef(x[:-lag], x[lag:])[0, 1]
     err = abs(corr - math.exp(-p.a * lag * dt))
     out.append(CheckResult("ou-autocorrelation", err < tol, err, tol))
 
-    n_paths = 1_000 if quick else 10_000
+    # the left-endpoint sum has mean eps0 e^{-at} and variance
+    # b^2 sum_i e^{-2a(t - s_i)} dt; at 60k paths the relative SEs are 0.34%
+    # (mean) and 0.58% (variance), so 3% spans 8.7 and 5.2 SE
+    n_paths = 1_000 if quick else 60_000
     tol = 0.10 if quick else 0.03
-    t, m, eps0 = 2.0, 200, 1.2
+    t, m, eps0 = 2.0, 200, 3.0
     db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
     vals = np.array([ou_closed_form(eps0, p, t, db[i]) for i in range(n_paths)])
-    mean_ref, var_ref = smib.ou_moments(p, eps0, t)
+    mean_ref = smib.ou_moments(p, eps0, t)[0]
+    s = np.arange(m) * (t / m)
+    var_ref = p.b**2 * np.sum(np.exp(-2 * p.a * (t - s))) * (t / m)
     err = max(abs(vals.mean() / mean_ref - 1.0), abs(vals.var() / var_ref - 1.0))
     out.append(CheckResult("ou-closed-form-moments", err < tol, err, tol))
     return out

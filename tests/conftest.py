@@ -4,9 +4,6 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-# acceptance-criterion results registered by tests/test_acceptance.py
-ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
-
 
 @pytest.fixture(scope="session")
 def repo_root() -> pathlib.Path:
@@ -26,11 +23,3 @@ def ieee39_case():
 
     return load_case(REPO / "cases" / "ieee39.json")
 
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_LOG:
-        return
-    terminalreporter.section("acceptance criteria")
-    for name, passed, detail in ACCEPTANCE_LOG:
-        status = "PASS" if passed else "FAIL"
-        terminalreporter.write_line(f"[{status}] {name}: {detail}")

@@ -9,11 +9,10 @@ from stochsim.noise import (
     OUParams,
     StochasticLoadSpec,
     build_noise_path,
+    load_schedule,
     ou_closed_form,
-    ou_eps_path,
     ou_exact_step,
     path_to_csv,
-    sample_load_path,
     stationary_variance,
 )
 
@@ -35,7 +34,7 @@ def test_ou_params_domain():
 
 def test_exact_step_deterministic_decay():
     p = OUParams(0.5, 0.0)
-    out = ou_exact_step(2.0, p, 0.3, 1.234)
+    out = ou_exact_step(2.0, p.a, p.b, 0.3, 1.234)
     assert out == pytest.approx(2.0 * math.exp(-0.15))
 
 
@@ -43,7 +42,7 @@ def test_exact_step_brownian_limit():
     # a -> 0 reduces to a plain Brownian increment
     p = OUParams(1e-12, 0.7)
     dt, xi = 0.25, -1.1
-    out = ou_exact_step(0.4, p, dt, xi)
+    out = ou_exact_step(0.4, p.a, p.b, dt, xi)
     assert out == pytest.approx(0.4 + 0.7 * math.sqrt(dt) * xi, rel=1e-6)
 
 
@@ -57,7 +56,7 @@ def test_exact_step_stationary_variance_monte_carlo():
     eps = 0.0
     samples = np.empty(n)
     for i in range(n):
-        eps = ou_exact_step(eps, p, dt, rng.standard_normal())
+        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
         samples[i] = eps
     assert np.var(samples) == pytest.approx(stationary_variance(p), rel=0.02)
 
@@ -84,7 +83,7 @@ def test_autocorrelation_decay():
     x = np.empty(n)
     eps = 0.0
     for i in range(n):
-        eps = ou_exact_step(eps, p, dt, rng.standard_normal())
+        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
         x[i] = eps
     x = x[1000:]
     corr = np.corrcoef(x[:-lag], x[lag:])[0, 1]
@@ -114,45 +113,66 @@ def test_noise_path_seed_sequence_form():
     assert a.seed == (11, 3)
 
 
-def test_sample_load_path_zero_sigma_constant():
+def test_load_schedule_zero_sigma_constant():
     spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=3.22, q_mean=0.024, sigma_rel=0.0)
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = sample_load_path(spec, path, 0, "p")
-    assert np.all(vals == 3.22)
+    vals = load_schedule([spec], path)
+    assert np.all(vals[:, 0] == 3.22)
+    assert np.all(vals[:, 1] == 0.024)
 
 
-def test_sample_load_path_first_interval_is_mean():
+def test_load_schedule_first_interval_is_mean():
     spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=3.22, q_mean=0.024, sigma_rel=0.05)
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = sample_load_path(spec, path, 0, "p")
-    assert vals[0] == 3.22
-    assert vals[1] != 3.22
+    vals = load_schedule([spec], path)
+    assert vals.shape == (path.n_steps, 2)
+    assert vals[0, 0] == 3.22
+    assert vals[1, 0] != 3.22
 
 
-def test_sample_load_path_pooled_std():
+def test_load_schedule_pooled_std():
     spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=2.0, q_mean=0.0, sigma_rel=0.02)
     pooled = []
     for seed in range(40):
         path = build_noise_path(seed, 2, 100.0, 0.1)
-        pooled.append(sample_load_path(spec, path, 0, "p")[200:])
+        pooled.append(load_schedule([spec], path)[200:, 0])
     pooled = np.concatenate(pooled)
     assert pooled.std() == pytest.approx(0.02 * 2.0, rel=0.05)
+
+
+def test_load_schedule_columns_follow_noise_grid_order():
+    # column j is the scalar exact-step recursion driven by noise row j:
+    # P of spec i at 2i, Q at 2i+1
+    specs = [
+        StochasticLoadSpec.from_sigma(bus=3, p_mean=3.2, q_mean=0.4, sigma_rel=0.05),
+        StochasticLoadSpec.from_sigma(bus=4, p_mean=5.0, q_mean=1.8, sigma_rel=0.02),
+    ]
+    path = build_noise_path(2, 4, 3.0, 0.1)
+    vals = load_schedule(specs, path)
+    for j, (ou, mean) in enumerate(
+        (ou, mean)
+        for spec in specs
+        for ou, mean in ((spec.ou_p, spec.p_mean), (spec.ou_q, spec.q_mean))
+    ):
+        eps = 0.0
+        for k in range(path.n_steps):
+            assert vals[k, j] == pytest.approx(mean + eps, rel=1e-14, abs=1e-15)
+            eps = ou_exact_step(eps, ou.a, ou.b, path.dt, path.xi[j, k])
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
 @settings(max_examples=30, deadline=None)
 def test_affine_shift_independent_of_mean(m1, m2):
-    # identical OU parameters, different means: deviations are bitwise equal
+    # identical OU parameters, different means: the deviations agree with
+    # the mean-zero schedule
     ou = OUParams(0.5, 0.03)
-    s1 = StochasticLoadSpec(3, m1, 0.0, ou, OUParams(0.5, 0.0), 0.02)
-    s2 = StochasticLoadSpec(3, m2, 0.0, ou, OUParams(0.5, 0.0), 0.02)
+    q_ou = OUParams(0.5, 0.0)
     path = build_noise_path(5, 2, 3.0, 0.1)
-    eps1 = sample_load_path(s1, path, 0, "p") - np.float64(m1)
-    eps2 = sample_load_path(s2, path, 0, "p") - np.float64(m2)
-    assert np.array_equal(ou_eps_path(ou, path, 0), ou_eps_path(ou, path, 0))
-    # the underlying deviation series is the mean-independent object
-    base = ou_eps_path(ou, path, 0)
-    assert np.allclose(eps1, base, atol=1e-12) and np.allclose(eps2, base, atol=1e-12)
+    base = load_schedule([StochasticLoadSpec(3, 0.0, 0.0, ou, q_ou, 0.02)], path)[:, 0]
+    for m in (m1, m2):
+        spec = StochasticLoadSpec(3, m, 0.0, ou, q_ou, 0.02)
+        eps = load_schedule([spec], path)[:, 0] - np.float64(m)
+        assert np.allclose(eps, base, atol=1e-12)
 
 
 def test_ou_closed_form_deterministic():

@@ -1,101 +1,59 @@
-import math
-
 import numpy as np
 import pytest
 
-from stochsim.sas import (
-    SASWindow,
-    SolverConfig,
-    derive_window,
-    evaluate_sas,
-    simulate_sas,
-    taylor_window,
-    window_coefficients,
-)
+from stochsim.sas import SolverConfig, simulate_sas, window_coefficients
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
-from stochsim.series import series_mul
+from stochsim.series import series_eval
 from stochsim import smib as sm
 
 
-def decay_rhs(a):
-    # series form of xdot = -a x
-    def f(c):
-        return -a * c
-
-    return f
-
-
-def test_taylor_window_exponential_series():
-    a, x0, order = 0.7, 2.0, 5
-    c = taylor_window(decay_rhs(a), x0, order)
-    expected = [x0 * (-a) ** n / math.factorial(n) for n in range(order + 1)]
-    assert np.allclose(c[0], expected, rtol=1e-13)
-
-
-def test_taylor_window_coupled_oscillator():
-    # xdot = y, ydot = -x from (1, 0): cosine and negative sine series
-    def f(c):
-        return np.array([c[1], -c[0]])
-
-    c = taylor_window(f, [1.0, 0.0], 6)
-    assert np.allclose(c[0], [1, 0, -0.5, 0, 1 / 24, 0, -1 / 720], atol=1e-14)
-    assert np.allclose(c[1], [0, -1, 0, 1 / 6, 0, -1 / 120, 0], atol=1e-14)
-
-
-def test_taylor_window_nonlinear_product():
-    # xdot = x^2 from x0: geometric series x0^(n+1)
-    def f(c):
-        return series_mul(c[0], c[0], order=c.shape[1] - 1)[None, :]
-
-    x0 = 0.5
-    c = taylor_window(f, [x0], 4)
-    assert np.allclose(c[0], [x0**(n + 1) for n in range(5)], rtol=1e-13)
-
-
-def test_evaluate_sas_endpoints_and_range():
-    w = SASWindow(t0=0.0, length=1e-3, coeffs=np.array([[1.0, -1.0, 0.5]]))
-    assert evaluate_sas(w, 0.0) == pytest.approx(1.0)
-    assert evaluate_sas(w, 1e-3) == pytest.approx(1.0 - 1e-3 + 5e-7)
-    with pytest.raises(ValueError):
-        evaluate_sas(w, 2e-3)
-    with pytest.raises(ValueError):
-        evaluate_sas(w, -1e-6)
-
-
-def test_constant_series_static_state():
-    w = SASWindow(t0=0.0, length=0.5, coeffs=np.array([[2.0, 0.0, 0.0]]))
+def test_constant_series_static_state(smib_case):
+    # at the pre-fault equilibrium every derivative vanishes, so the window
+    # series is constant and evaluates to the initial state anywhere
+    setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
+    net = setup.build_net("pre-fault", setup.mean_loads)
+    c = window_coefficients(setup.x0, net, setup.machines, order=4)
+    assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
-        assert evaluate_sas(w, t) == pytest.approx(2.0)
+        assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
 
 
 def test_local_error_order_scaling():
-    # one window of xdot = -x: error vs exp(-h) scales as h^(N+1)
-    for order in (1, 2, 3):
-        errs = []
-        for h in (0.2, 0.1):
-            c = taylor_window(decay_rhs(1.0), 1.0, order)
-            approx = float(np.polyval(c[0][::-1], h))
-            errs.append(abs(approx - math.exp(-h)))
-        measured = math.log2(errs[0] / errs[1])
+    # one window on the SMIB embedding: the order-N partial sum differs from
+    # an order-16 reference by O(h^(N+1)), so halving h divides the error by
+    # 2^(N+1)
+    p = sm.SMIBParams()
+    net, machines = sm.smib_embedding(p)
+    state = sm.smib_state(p, 0.7, p.omega_r + 1.0)
+    ref = window_coefficients(state, net, machines, 16)
+    for order in (1, 2, 3, 4):
+        c = window_coefficients(state, net, machines, order)
+        errs = [
+            np.max(np.abs(series_eval(c, h) - series_eval(ref, h)))
+            for h in (0.01, 0.005)
+        ]
+        measured = np.log2(errs[0] / errs[1])
         assert measured == pytest.approx(order + 1, abs=0.3)
 
 
-def test_derive_window_matches_oracle():
+def test_window_coefficients_match_oracle():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    w = derive_window(sm.smib_state(p, 0.7, p.omega_r + 1.0), net, machines, order=2)
+    c = window_coefficients(
+        sm.smib_state(p, 0.7, p.omega_r + 1.0), net, machines, order=2
+    )
     d_hand, w_hand = sm.smib_window_coefficients(p, 0.7, p.omega_r + 1.0)
-    assert np.allclose(w.coeffs[0], d_hand, rtol=1e-10)
-    assert np.allclose(w.coeffs[2], w_hand, rtol=1e-10)
-    assert w.order == 2
+    assert c.shape == (4 * machines.n_gen, 3)
+    assert np.allclose(c[0], d_hand, rtol=1e-10)
+    assert np.allclose(c[2], w_hand, rtol=1e-10)
 
 
 def test_window_evaluation_restores_initial_state():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     state = sm.smib_state(p, 0.3, p.omega_r - 0.5)
-    w = derive_window(state, net, machines, order=2)
-    assert np.allclose(evaluate_sas(w, 0.0), state, atol=0)
+    c = window_coefficients(state, net, machines, order=2)
+    assert np.array_equal(series_eval(c, 0.0), state)
 
 
 def test_simulate_equilibrium_preserved(smib_case):
@@ -137,7 +95,9 @@ def test_simulate_stochastic_repeatability(smib_case, repo_root):
 
 
 def test_simulate_converges_to_reference_on_fault(smib_case):
-    # shrinking-window exactness: h = 1e-3 tracks a fine RK4 reference
+    # shrinking-window exactness: h = 1e-3 tracks a fine RK4 reference, whose
+    # own error at h = 5e-4 is far below the gap (the gap is 9.38e-5 both at
+    # this step and at 1e-4)
     sc = Scenario(
         horizon_s=2.0, fault_bus=1, fault_start_s=0.25, fault_duration_cycles=6
     )
@@ -147,7 +107,7 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     # independent reference: classic fixed-step RK4 on the same staged system
     from stochsim.dynamics import rhs
 
-    h = 1e-4
+    h = 5e-4
     n = round(sc.horizon_s / h)
     t_fault, t_clear = sc.fault_times(smib_case)
     nets = {
@@ -175,7 +135,7 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     # compare rotor angles on the coarse grid; the reference's stage
     # boundaries are aligned to its own fine grid, giving O(h_ref) offsets
     k = smib_case.n_gen
-    coarse = ref[::10, :k]
+    coarse = ref[::2, :k]
     err = np.max(np.abs(tr.states[:, :k] - coarse))
     assert err < 1e-3
 

@@ -2,59 +2,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochsim.series import (
-    SingularityError,
-    series_add,
-    series_cos,
-    series_eval,
-    series_lift,
-    series_mul,
-    series_reciprocal,
-    series_sin,
-    series_sin_cos,
-)
+from stochsim.series import cauchy_coeff, series_eval, sin_cos_coeff
+
+
+def stack(a, order: int) -> np.ndarray:
+    """(1, order+1) stack of the coefficient list ``a``, truncated or zero-padded."""
+    a = np.asarray(a, dtype=float)[: order + 1]
+    c = np.zeros((1, order + 1))
+    c[0, : a.shape[0]] = a
+    return c
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two stacks, built one order at a time."""
+    return np.stack([cauchy_coeff(a, b, n) for n in range(a.shape[1])], axis=1)
+
+
+def sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated sine and cosine of a stack, built one order at a time."""
+    s = np.zeros_like(x)
+    c = np.zeros_like(x)
+    for n in range(x.shape[1]):
+        s[:, n], c[:, n] = sin_cos_coeff(x, s, c, n)
+    return s, c
 
 
 def test_mul_one_plus_t_times_one_minus_t():
-    assert np.allclose(series_mul([1, 1], [1, -1], order=2), [1, 0, -1])
+    assert np.allclose(mul(stack([1, 1], 2), stack([1, -1], 2)), [[1, 0, -1]])
 
 
 def test_sin_of_t_taylor():
-    assert np.allclose(series_sin([0, 1, 0], order=3), [0, 1, 0, -1 / 6])
+    assert np.allclose(sin_cos(stack([0, 1, 0], 3))[0], [[0, 1, 0, -1 / 6]])
 
 
 def test_trig_of_constant_series():
     c0 = 0.83
-    s = series_sin([c0], order=2)
-    c = series_cos([c0], order=2)
-    assert np.allclose(s, [np.sin(c0), 0, 0])
-    assert np.allclose(c, [np.cos(c0), 0, 0])
+    s, c = sin_cos(stack([c0], 2))
+    assert np.allclose(s, [[np.sin(c0), 0, 0]])
+    assert np.allclose(c, [[np.cos(c0), 0, 0]])
 
 
 def test_cos_of_t():
-    assert np.allclose(series_cos([0, 1], order=4), [1, 0, -0.5, 0, 1 / 24])
+    assert np.allclose(sin_cos(stack([0, 1], 4))[1], [[1, 0, -0.5, 0, 1 / 24]])
 
 
-def test_reciprocal_geometric_series():
-    # 1/(1+t) = 1 - t + t^2 - t^3 ...
-    assert np.allclose(series_reciprocal([1, 1], order=3), [1, -1, 1, -1])
-
-
-def test_reciprocal_times_original_is_one():
-    a = np.array([2.0, -0.3, 0.7, 0.1])
-    r = series_reciprocal(a)
-    assert np.allclose(series_mul(a, r), [1, 0, 0, 0], atol=1e-14)
-
-
-def test_reciprocal_zero_constant_term():
-    with pytest.raises(SingularityError):
-        series_reciprocal([0.0, 1.0])
-
-
-def test_lift_dispatch_and_unknown_op():
-    assert np.allclose(series_lift("add", [1, 2], [3, 4]), [4, 6])
-    with pytest.raises(ValueError):
-        series_lift("integrate", [1.0])
+def test_kernels_read_only_the_orders_they_need():
+    # the solver fills column n after calling the kernels at order n, so the
+    # kernels must not read later columns: NaN there must not leak
+    rng = np.random.default_rng(0)
+    a, b, x = rng.standard_normal((3, 2, 5))
+    s, c = sin_cos(x)
+    for n in range(5):
+        a_n, b_n, x_n = a.copy(), b.copy(), x.copy()
+        a_n[:, n + 1 :] = b_n[:, n + 1 :] = x_n[:, n + 1 :] = np.nan
+        s_n, c_n = s.copy(), c.copy()
+        s_n[:, n:] = c_n[:, n:] = np.nan
+        assert np.array_equal(cauchy_coeff(a_n, b_n, n), mul(a, b)[:, n])
+        sin_n, cos_n = sin_cos_coeff(x_n, s_n, c_n, n)
+        assert np.array_equal(sin_n, s[:, n]) and np.array_equal(cos_n, c[:, n])
 
 
 def test_eval_horner_matches_polyval():
@@ -78,8 +83,8 @@ coeffs = st.lists(
 @settings(max_examples=100, deadline=None)
 def test_mul_commutes(a, b):
     n = max(len(a), len(b)) - 1
-    ab = series_mul(a, b, order=n)
-    ba = series_mul(b, a, order=n)
+    ab = mul(stack(a, n), stack(b, n))
+    ba = mul(stack(b, n), stack(a, n))
     assert np.allclose(ab, ba, atol=1e-12)
 
 
@@ -87,20 +92,18 @@ def test_mul_commutes(a, b):
 @settings(max_examples=100, deadline=None)
 def test_mul_distributes_over_add(a, b, c):
     n = max(len(a), len(b), len(c)) - 1
-    left = series_mul(a, series_add(b, c, order=n), order=n)
-    right = series_add(series_mul(a, b, order=n), series_mul(a, c, order=n))
-    assert np.allclose(left, right, atol=1e-10)
+    a, b, c = stack(a, n), stack(b, n), stack(c, n)
+    assert np.allclose(mul(a, b + c), mul(a, b) + mul(a, c), atol=1e-10)
 
 
 @given(coeffs)
 @settings(max_examples=100, deadline=None)
 def test_sin_cos_pythagoras(a):
     n = len(a) - 1
-    s, c = series_sin_cos(a, order=n)
-    one = series_add(series_mul(s, s, order=n), series_mul(c, c, order=n))
-    expected = np.zeros(n + 1)
-    expected[0] = 1.0
-    assert np.allclose(one, expected, atol=1e-9)
+    s, c = sin_cos(stack(a, n))
+    expected = np.zeros((1, n + 1))
+    expected[0, 0] = 1.0
+    assert np.allclose(mul(s, s) + mul(c, c), expected, atol=1e-9)
 
 
 @given(coeffs, st.floats(min_value=-0.01, max_value=0.01))
@@ -109,6 +112,6 @@ def test_truncated_product_evaluates_consistently(a, t):
     # the truncated square tracks the squared evaluation up to the dropped
     # tail, which is bounded by (sum|a_i|)^2 * t^(n+1) for |t| < 1
     n = len(a) - 1
-    sq = series_mul(a, a, order=n)
+    sq = mul(stack(a, n), stack(a, n))
     bound = (np.sum(np.abs(a)) ** 2 + 1.0) * abs(t) ** (n + 1) + 1e-12
-    assert abs(series_eval(sq, t) - series_eval(np.array(a), t) ** 2) <= bound
+    assert abs(series_eval(sq, t)[0] - series_eval(np.array(a), t) ** 2) <= bound
