@@ -25,6 +25,7 @@ from .ensemble import (
     StabilityCriterion,
     confidence_envelope,
     ensemble_stats,
+    noise_grid,
     pdf_evolution,
     run_ensemble,
     stability_report,
@@ -140,9 +141,15 @@ def cmd_run(args) -> int:
         )
         total = time.perf_counter() - t0
         manifest["run_seeds"] = [list(s) for s in ensemble.run_seeds]
+        # run_seconds[i] is run i's share of its batch's wall time
         manifest["run_seconds"] = ensemble.run_seconds
+        manifest["batch_sizes"] = ensemble.batch_sizes
         manifest["total_seconds"] = total
         manifest["diverged"] = [tr.diverged for tr in ensemble.trajectories]
+        manifest["t_diverged"] = [tr.t_diverged for tr in ensemble.trajectories]
+        manifest["diverged_column"] = [
+            tr.diverged_column for tr in ensemble.trajectories
+        ]
 
         artifacts = []
         if args.runs == 1:
@@ -176,15 +183,9 @@ def cmd_run(args) -> int:
                 _write_atomic(path, tr.to_csv())
                 artifacts.append(path)
         if args.dump_noise:
+            horizon, dt = noise_grid(scenario, args.solver, config)
             for i, seed in enumerate(ensemble.run_seeds):
-                dt = (
-                    scenario.resample_dt
-                    if args.solver == "sas" or config.mode == "shared-path"
-                    else config.dt
-                )
-                path_obj = build_noise_path(
-                    seed, setup.n_noise_vars(), scenario.horizon_s, dt
-                )
+                path_obj = build_noise_path(seed, setup.n_noise_vars(), horizon, dt)
                 path = os.path.join(args.out, f"noise_{i:03d}.csv")
                 _write_atomic(path, path_to_csv(path_obj))
                 artifacts.append(path)

@@ -74,12 +74,18 @@ class MachineSet:
 
 
 def pack_state(delta, omega, eqp, edp) -> np.ndarray:
-    return np.concatenate([delta, omega, eqp, edp])
+    return np.concatenate([delta, omega, eqp, edp], axis=-1)
 
 
 def split_state(state: np.ndarray):
-    k = state.shape[0] // 4
-    return state[:k], state[k : 2 * k], state[2 * k : 3 * k], state[3 * k :]
+    """The delta, omega, eqp and edp blocks of (..., 4K) packed states."""
+    k = state.shape[-1] // 4
+    return (
+        state[..., :k],
+        state[..., k : 2 * k],
+        state[..., 2 * k : 3 * k],
+        state[..., 3 * k :],
+    )
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,13 @@ def compute_injections(
 
     EMF from (e'_d, e'_q, delta); terminal currents I = Y E; dq currents by
     rotation; stator voltages e_q = e'_q - x'_d i_d and e_d = e'_d + x'_q i_q;
-    electric power P_e = e_q i_q + e_d i_d.
+    electric power P_e = e_q i_q + e_d i_d.  ``state`` may be (4K,) with a
+    (K, K) ``net.y``, or an (R, 4K) stack of runs with an (R, K, K) one.
     """
     delta, _, eqp, edp = split_state(state)
     sin_d, cos_d = np.sin(delta), np.cos(delta)
     emf = (edp * sin_d + eqp * cos_d) + 1j * (eqp * sin_d - edp * cos_d)
-    it = net.y @ emf
+    it = (net.y @ emf[..., None])[..., 0]
     i_r, i_i = it.real, it.imag
     i_q = i_i * sin_d + i_r * cos_d
     i_d = i_r * sin_d - i_i * cos_d

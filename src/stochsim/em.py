@@ -9,6 +9,7 @@ each step, and is the benchmark configuration for timing comparisons.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,41 @@ class EMConfig:
 def euler_det_step(
     state: np.ndarray, net: ReducedNetwork, machines: MachineSet, dt: float
 ) -> np.ndarray:
-    """Forward-Euler step of the deterministic machine dynamics."""
+    """Forward-Euler step of the deterministic machine dynamics.
+
+    Works on one (4K,) state or an (R, 4K) stack with a matching network.
+    """
     return state + rhs(state, net, machines) * dt
+
+
+def simulate_em_batch(
+    setup: SimulationSetup,
+    config: EMConfig,
+    paths: Iterable[NoisePath | None],
+    out_stride: int = 1,
+    horizon: float | None = None,
+) -> list[Trajectory]:
+    """Integrate a batch of runs, one per noise path, at the configured step.
+
+    Stage scheduling, resampling and divergence handling match the series
+    solver exactly; in shared-path mode the identical piecewise-constant
+    load series is consumed, enabling pathwise comparison.
+    """
+    machines = setup.machines
+
+    def stepper(x, net, dt):
+        return euler_det_step(x, net, machines, dt)
+
+    return run_simulation(
+        setup,
+        config.dt,
+        stepper,
+        solver="em",
+        paths=paths,
+        em_continuous=(config.mode == "paper-sde"),
+        out_stride=out_stride,
+        horizon=horizon,
+    )
 
 
 def simulate_em(
@@ -51,26 +85,7 @@ def simulate_em(
     out_stride: int = 1,
     horizon: float | None = None,
 ) -> Trajectory:
-    """Integrate one run with the Euler scheme at the configured step.
-
-    Stage scheduling, resampling and divergence handling match the series
-    solver exactly; in shared-path mode the identical piecewise-constant
-    load series is consumed, enabling pathwise comparison.
-    """
+    """Integrate one run: a batch of one through :func:`simulate_em_batch`."""
     if setup is None:
         setup = SimulationSetup.build(case, scenario)
-    machines = setup.machines
-
-    def stepper(x, net, dt):
-        return euler_det_step(x, net, machines, dt)
-
-    return run_simulation(
-        setup,
-        config.dt,
-        stepper,
-        solver="em",
-        path=path,
-        em_continuous=(config.mode == "paper-sde"),
-        out_stride=out_stride,
-        horizon=horizon,
-    )
+    return simulate_em_batch(setup, config, [path], out_stride, horizon)[0]

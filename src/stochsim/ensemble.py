@@ -9,6 +9,7 @@ trajectories changes nothing, bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -16,16 +17,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .case import SystemCase
-from .em import EMConfig, simulate_em
+from .em import EMConfig, simulate_em_batch
 from .noise import build_noise_path
-from .sas import SolverConfig, simulate_sas
-from .scenario import Scenario, SimulationSetup, run_simulation
+from .sas import SolverConfig, simulate_sas_batch
+from .scenario import Scenario, SimulationSetup
 from .trajectory import Trajectory
+
+# Byte budget for the noise input of the runs of one batch, which stays
+# alive until the batch ends: 8 * n_vars * n_steps per run (see
+# batch_size).  A caseC SAS run's input is 67 KB, so a batch holds up to
+# 15 of them; a caseC paper-sde grid at dt=1e-3 is 336 KB per second of
+# horizon, so those runs go one at a time from a 1.6 s horizon up.  Chosen
+# from the measurement in CHANGES.md.
+BATCH_NOISE_BYTES = 2**20
 
 
 @dataclass
 class Ensemble:
-    """Aligned trajectories from repeated runs of one scenario."""
+    """Aligned trajectories from repeated runs of one scenario.
+
+    Runs are simulated in batches of consecutive run indices
+    (``batch_sizes``, in run order).  ``run_seconds[i]`` is run i's share of
+    its batch's wall time, the batch time divided by the batch size, so the
+    entries add up to the time spent simulating the ensemble.
+    """
 
     trajectories: list[Trajectory]
     master_seed: int
@@ -33,6 +48,7 @@ class Ensemble:
     solver: str
     scenario: Scenario
     run_seconds: list[float] = field(default_factory=list)
+    batch_sizes: list[int] = field(default_factory=list)
 
     @property
     def n_runs(self) -> int:
@@ -100,34 +116,60 @@ def _run_seed(master_seed: int, run_index: int) -> tuple:
     return (master_seed, run_index)
 
 
-def _single_run(setup, solver, config, master_seed, run_index):
-    scenario = setup.scenario
-    seed = _run_seed(master_seed, run_index)
-    n_vars = setup.n_noise_vars()
-    t0 = time.perf_counter()
+def noise_grid(scenario: Scenario, solver: str, config) -> tuple[float, float]:
+    """(horizon, step) of the noise grid one run of ``solver`` consumes."""
     if solver == "sas":
         horizon = config.horizon if config.horizon is not None else scenario.horizon_s
-        path = build_noise_path(seed, n_vars, horizon, scenario.resample_dt)
-        traj = simulate_sas(setup.case, scenario, config, path, setup=setup)
-    elif solver == "em":
+        return horizon, scenario.resample_dt
+    if solver == "em":
         dt = scenario.resample_dt if config.mode == "shared-path" else config.dt
-        path = build_noise_path(seed, n_vars, scenario.horizon_s, dt)
-        traj = simulate_em(setup.case, scenario, config, path, setup=setup)
+        return scenario.horizon_s, dt
+    raise ValueError(f"unknown solver {solver!r}")
+
+
+def batch_size(setup: SimulationSetup, solver: str, config) -> int:
+    """Runs per batch: as many as keep their noise input within BATCH_NOISE_BYTES.
+
+    A run holds its noise grid (paper-sde Euler) or its load schedule,
+    which has the grid's size, for the whole batch.
+    """
+    horizon, dt = noise_grid(setup.scenario, solver, config)
+    grid_bytes = 8 * setup.n_noise_vars() * math.ceil(horizon / dt - 1e-12)
+    return max(1, BATCH_NOISE_BYTES // max(grid_bytes, 1))
+
+
+def _run_batch(setup, solver, config, master_seed, runs: range):
+    """Simulate ``runs`` as one batch: their trajectories and its wall time."""
+    horizon, dt = noise_grid(setup.scenario, solver, config)
+    n_vars = setup.n_noise_vars()
+    t0 = time.perf_counter()
+    paths = (
+        build_noise_path(_run_seed(master_seed, i), n_vars, horizon, dt) for i in runs
+    )
+    if solver == "sas":
+        trajectories = simulate_sas_batch(setup, config, paths)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return traj, time.perf_counter() - t0
+        trajectories = simulate_em_batch(setup, config, paths)
+    return trajectories, time.perf_counter() - t0
+
+
+def _batches(runs: range, size: int) -> list[range]:
+    return [runs[i : i + size] for i in range(0, len(runs), size)]
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(setup, solver, config, master_seed):
-    _WORKER_STATE["args"] = (setup, solver, config, master_seed)
+def _worker_init(setup, solver, config, master_seed, size):
+    _WORKER_STATE["args"] = (setup, solver, config, master_seed, size)
 
 
-def _worker_run(run_index):
-    setup, solver, config, master_seed = _WORKER_STATE["args"]
-    return _single_run(setup, solver, config, master_seed, run_index)
+def _worker_run(block: range):
+    setup, solver, config, master_seed, size = _WORKER_STATE["args"]
+    return [
+        _run_batch(setup, solver, config, master_seed, runs)
+        for runs in _batches(block, size)
+    ]
 
 
 def run_ensemble(
@@ -143,42 +185,52 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate ``n_runs`` independently seeded runs of one scenario.
 
-    Diverged runs are kept (they count as unstable later).  With ``jobs`` >
-    1 the runs execute in worker processes; results are assembled in run
-    order, so the ensemble is identical whatever the parallelism.
+    The runs go in batches of consecutive indices (see :func:`batch_size`).
+    With ``jobs`` > 1 the run indices are split into ``jobs`` contiguous
+    blocks, each batched in its own worker process.  A run's trajectory does
+    not depend on the batch it shares, and results are assembled in run
+    order, so the ensemble is identical whatever the parallelism.  Diverged
+    runs are kept (they count as unstable later).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     if setup is None:
         setup = SimulationSetup.build(case, scenario)
+    size = batch_size(setup, solver, config)
 
-    results: list = [None] * n_runs
+    batches: list[tuple[list[Trajectory], float]] = []
+
+    def collect(done) -> None:
+        batches.extend(done)
+        if progress:
+            progress(sum(len(b[0]) for b in batches), n_runs)
+
     if jobs > 1 and n_runs > 1:
         import multiprocessing as mp
 
+        n_blocks = min(jobs, n_runs)
+        edges = [n_runs * j // n_blocks for j in range(n_blocks + 1)]
         ctx = mp.get_context("spawn")
         with ctx.Pool(
-            processes=min(jobs, n_runs),
+            processes=n_blocks,
             initializer=_worker_init,
-            initargs=(setup, solver, config, master_seed),
+            initargs=(setup, solver, config, master_seed, size),
         ) as pool:
-            for i, res in enumerate(pool.map(_worker_run, range(n_runs))):
-                results[i] = res
-                if progress:
-                    progress(i + 1, n_runs)
+            blocks = [range(edges[j], edges[j + 1]) for j in range(n_blocks)]
+            for done in pool.imap(_worker_run, blocks):
+                collect(done)
     else:
-        for i in range(n_runs):
-            results[i] = _single_run(setup, solver, config, master_seed, i)
-            if progress:
-                progress(i + 1, n_runs)
+        for runs in _batches(range(n_runs), size):
+            collect([_run_batch(setup, solver, config, master_seed, runs)])
 
     return Ensemble(
-        trajectories=[r[0] for r in results],
+        trajectories=[tr for trs, _ in batches for tr in trs],
         master_seed=master_seed,
         run_seeds=[_run_seed(master_seed, i) for i in range(n_runs)],
         solver=solver,
         scenario=scenario,
-        run_seconds=[r[1] for r in results],
+        run_seconds=[sec / len(trs) for trs, sec in batches for _ in trs],
+        batch_sizes=[len(trs) for trs, _ in batches],
     )
 
 

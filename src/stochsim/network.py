@@ -8,7 +8,7 @@ at the faulted bus; clearing removes the tripped branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +56,16 @@ class NetworkCondition:
 class ReducedNetwork:
     """Admittance over generator internal nodes plus the bus-voltage recovery map.
 
-    ``y`` is K x K complex; ``recovery`` maps internal EMFs to the n bus
-    voltages (V_bus = recovery @ E).  ``stage`` and ``loads`` record what the
-    matrix was built from.  Instances are immutable and safe to share.
+    ``y`` is (..., K, K) complex; ``recovery`` (..., n, K) maps internal EMFs
+    to the n bus voltages (V_bus = recovery @ E).  Leading axes, when
+    present, index runs that share a stage but not their load values.
+    ``stage`` records the topology the matrices were built for.  Instances
+    are immutable and safe to share.
     """
 
     y: np.ndarray
     recovery: np.ndarray
-    gen_buses: tuple[int, ...]
-    bus_ids: tuple[int, ...]
     stage: str
-    loads: dict = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.y.setflags(write=False)
@@ -74,11 +73,14 @@ class ReducedNetwork:
 
     @property
     def n_gen(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
-    def bus_voltages(self, emf: np.ndarray) -> np.ndarray:
-        """Complex voltages of all (eliminated) network buses for internal EMFs."""
-        return self.recovery @ emf
+    def bus_voltages(self, emf: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Complex voltages of the network buses at ``rows`` (default: all).
+
+        ``emf`` is (..., K), with the same leading axes as ``recovery``.
+        """
+        return (self.recovery[..., rows, :] @ emf[..., None])[..., 0]
 
 
 def load_to_admittance(p: float, q: float, v: complex) -> complex:
@@ -141,26 +143,47 @@ def augmented_matrix(case: SystemCase, y_bus: np.ndarray) -> np.ndarray:
     return y
 
 
+def kron_blocks(y_full: np.ndarray, keep: np.ndarray):
+    """Blocks of ``y_full`` for eliminating every node not in ``keep``.
+
+    Returns contiguous copies of the kept/kept, kept/eliminated,
+    eliminated/kept and eliminated/eliminated blocks, in that order.
+    """
+    keep = np.asarray(keep, dtype=int)
+    elim_mask = np.ones(y_full.shape[0], dtype=bool)
+    elim_mask[keep] = False
+    elim = np.flatnonzero(elim_mask)
+    k, e = keep[:, None], elim[:, None]
+    return y_full[k, keep], y_full[k, elim], y_full[e, keep], y_full[e, elim]
+
+
+def schur_complement(
+    y_aa: np.ndarray, y_ab: np.ndarray, y_ba: np.ndarray, y_bb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the b nodes: y_aa - y_ab y_bb^-1 y_ba and the recovery -y_bb^-1 y_ba.
+
+    Any block may carry leading stack axes; each stacked matrix is solved
+    on its own, so its result does not depend on the rest of the stack.
+    ``y_ba`` gets as many axes as ``y_bb`` before the solve: numpy 1.x
+    reads a right-hand side with one axis fewer as a stack of vectors.
+    """
+    lead = (None,) * max(y_bb.ndim - y_ba.ndim, 0)
+    try:
+        x = np.linalg.solve(y_bb, y_ba[lead])
+    except np.linalg.LinAlgError as exc:
+        raise ReductionError("interior admittance block is singular") from exc
+    return y_aa - y_ab @ x, -x
+
+
 def kron_reduce(y_full: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur-complement elimination of all nodes not in ``keep``.
 
     Returns the reduced matrix over the kept nodes and the recovery matrix
     that reconstructs eliminated-node voltages from kept-node voltages.
     """
-    n = y_full.shape[0]
-    keep = np.asarray(keep, dtype=int)
-    elim = np.setdiff1d(np.arange(n), keep)
-    if elim.size == 0:
-        return y_full.copy(), np.zeros((0, keep.size), dtype=complex)
-    y_aa = y_full[np.ix_(keep, keep)]
-    y_ab = y_full[np.ix_(keep, elim)]
-    y_ba = y_full[np.ix_(elim, keep)]
-    y_bb = y_full[np.ix_(elim, elim)]
-    try:
-        x = np.linalg.solve(y_bb, y_ba)
-    except np.linalg.LinAlgError as exc:
-        raise ReductionError("interior admittance block is singular") from exc
-    return y_aa - y_ab @ x, -x
+    if len(keep) == y_full.shape[0]:
+        return y_full.copy(), np.zeros((0, len(keep)), dtype=complex)
+    return schur_complement(*kron_blocks(y_full, keep))
 
 
 def build_reduced_network(
@@ -188,11 +211,4 @@ def build_reduced_network(
         y_bus[i, i] += load_to_admittance(p, q, profile[i])
     y = augmented_matrix(case, y_bus)
     y_red, recovery = kron_reduce(y, np.arange(n, n + k))
-    return ReducedNetwork(
-        y=y_red,
-        recovery=recovery,
-        gen_buses=tuple(g.bus for g in case.generators),
-        bus_ids=tuple(b.id for b in case.buses),
-        stage=condition.stage,
-        loads=dict(loads),
-    )
+    return ReducedNetwork(y=y_red, recovery=recovery, stage=condition.stage)

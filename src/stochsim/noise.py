@@ -64,19 +64,20 @@ def ou_em_step(
     return eps + (-a * eps * dt + b * dw)
 
 
-def ou_closed_form(eps0: float, p: OUParams, t: float, db: np.ndarray) -> float:
-    """Evaluate the closed-form OU solution on a discretized Brownian path.
+def ou_closed_form(eps0: float, p: OUParams, t: float, db: np.ndarray) -> ArrayLike:
+    """Evaluate the closed-form OU solution on discretized Brownian paths.
 
-    ``db`` holds Brownian increments over a uniform partition of [0, t]; the
-    stochastic integral uses left endpoints:
+    ``db`` holds Brownian increments over a uniform partition of [0, t]
+    along its last axis, one path per leading index; the stochastic
+    integral uses left endpoints:
     eps(t) = exp(-a t) * (eps0 + b * sum_i exp(a s_i) dB_i).
     """
     db = np.asarray(db, dtype=float)
-    m = db.shape[0]
+    m = db.shape[-1]
     if m == 0:
         return eps0 * math.exp(-p.a * t)
     s = np.arange(m) * (t / m)
-    integral = float(np.sum(np.exp(p.a * s) * db))
+    integral = np.sum(np.exp(p.a * s) * db, axis=-1)
     return math.exp(-p.a * t) * (eps0 + p.b * integral)
 
 

@@ -11,6 +11,7 @@ partial sum across the window reproduces the semi-analytical solution.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,31 +52,33 @@ def window_coefficients(
     Order-incremental evaluation of the model through series arithmetic:
     trigonometric recurrences for sin/cos of the rotor angles, Cauchy
     products for the frame rotations and powers, one complex matrix-vector
-    product per order for the network coupling.  Returns the (4K, N+1)
-    stack in the packed state layout, on a local clock that starts at 0.
+    product per order for the network coupling.  ``state0`` is (..., 4K)
+    and ``net.y`` (..., K, K), one leading entry per run; runs do not mix.
+    Returns the (..., 4K, N+1) stack in the packed state layout, on a local
+    clock that starts at 0.
     """
     k = machines.n_gen
-    n1 = order + 1
-    d = np.zeros((k, n1))
-    w = np.zeros((k, n1))
-    eq = np.zeros((k, n1))
-    ed = np.zeros((k, n1))
-    d[:, 0] = state0[:k]
-    w[:, 0] = state0[k : 2 * k]
-    eq[:, 0] = state0[2 * k : 3 * k]
-    ed[:, 0] = state0[3 * k :]
+    shape = state0.shape[:-1] + (k, order + 1)
+    d = np.zeros(shape)
+    w = np.zeros(shape)
+    eq = np.zeros(shape)
+    ed = np.zeros(shape)
+    d[..., 0] = state0[..., :k]
+    w[..., 0] = state0[..., k : 2 * k]
+    eq[..., 0] = state0[..., 2 * k : 3 * k]
+    ed[..., 0] = state0[..., 3 * k :]
 
-    s = np.zeros((k, n1))
-    c = np.zeros((k, n1))
-    ere = np.zeros((k, n1))
-    eim = np.zeros((k, n1))
-    i_r = np.zeros((k, n1))
-    i_i = np.zeros((k, n1))
-    i_d = np.zeros((k, n1))
-    i_q = np.zeros((k, n1))
-    e_qt = np.zeros((k, n1))
-    e_dt = np.zeros((k, n1))
-    p_e = np.zeros((k, n1))
+    s = np.zeros(shape)
+    c = np.zeros(shape)
+    ere = np.zeros(shape)
+    eim = np.zeros(shape)
+    i_r = np.zeros(shape)
+    i_i = np.zeros(shape)
+    i_d = np.zeros(shape)
+    i_q = np.zeros(shape)
+    e_qt = np.zeros(shape)
+    e_dt = np.zeros(shape)
+    p_e = np.zeros(shape)
 
     w_r = machines.omega_r
     half_h = w_r / (2.0 * machines.H)
@@ -83,53 +86,52 @@ def window_coefficients(
     dx_q = machines.xq - machines.xqp
 
     for n in range(order):
-        s[:, n], c[:, n] = sin_cos_coeff(d, s, c, n)
-        ere[:, n] = cauchy_coeff(ed, s, n) + cauchy_coeff(eq, c, n)
-        eim[:, n] = cauchy_coeff(eq, s, n) - cauchy_coeff(ed, c, n)
-        it = net.y @ (ere[:, n] + 1j * eim[:, n])
-        i_r[:, n] = it.real
-        i_i[:, n] = it.imag
-        i_q[:, n] = cauchy_coeff(i_i, s, n) + cauchy_coeff(i_r, c, n)
-        i_d[:, n] = cauchy_coeff(i_r, s, n) - cauchy_coeff(i_i, c, n)
-        e_qt[:, n] = eq[:, n] - machines.xdp * i_d[:, n]
-        e_dt[:, n] = ed[:, n] + machines.xqp * i_q[:, n]
-        p_e[:, n] = cauchy_coeff(e_qt, i_q, n) + cauchy_coeff(e_dt, i_d, n)
+        s[..., n], c[..., n] = sin_cos_coeff(d, s, c, n)
+        ere[..., n] = cauchy_coeff(ed, s, n) + cauchy_coeff(eq, c, n)
+        eim[..., n] = cauchy_coeff(eq, s, n) - cauchy_coeff(ed, c, n)
+        it = (net.y @ (ere[..., n] + 1j * eim[..., n])[..., None])[..., 0]
+        i_r[..., n] = it.real
+        i_i[..., n] = it.imag
+        i_q[..., n] = cauchy_coeff(i_i, s, n) + cauchy_coeff(i_r, c, n)
+        i_d[..., n] = cauchy_coeff(i_r, s, n) - cauchy_coeff(i_i, c, n)
+        e_qt[..., n] = eq[..., n] - machines.xdp * i_d[..., n]
+        e_dt[..., n] = ed[..., n] + machines.xqp * i_q[..., n]
+        p_e[..., n] = cauchy_coeff(e_qt, i_q, n) + cauchy_coeff(e_dt, i_d, n)
 
         if n == 0:
-            f_d = w[:, 0] - w_r
-            f_w = half_h * (machines.pm - p_e[:, 0] - machines.D * (w[:, 0] - w_r) / w_r)
-            f_eq = (machines.efd - eq[:, 0] - dx_d * i_d[:, 0]) / machines.Td0p
+            f_d = w[..., 0] - w_r
+            f_w = half_h * (machines.pm - p_e[..., 0] - machines.D * (w[..., 0] - w_r) / w_r)
+            f_eq = (machines.efd - eq[..., 0] - dx_d * i_d[..., 0]) / machines.Td0p
         else:
-            f_d = w[:, n]
-            f_w = half_h * (-p_e[:, n] - machines.D * w[:, n] / w_r)
-            f_eq = (-eq[:, n] - dx_d * i_d[:, n]) / machines.Td0p
-        f_ed = (-ed[:, n] + dx_q * i_q[:, n]) / machines.Tq0p
+            f_d = w[..., n]
+            f_w = half_h * (-p_e[..., n] - machines.D * w[..., n] / w_r)
+            f_eq = (-eq[..., n] - dx_d * i_d[..., n]) / machines.Td0p
+        f_ed = (-ed[..., n] + dx_q * i_q[..., n]) / machines.Tq0p
 
         inv = 1.0 / (n + 1)
-        d[:, n + 1] = f_d * inv
-        w[:, n + 1] = f_w * inv
-        eq[:, n + 1] = f_eq * inv
-        ed[:, n + 1] = f_ed * inv
+        d[..., n + 1] = f_d * inv
+        w[..., n + 1] = f_w * inv
+        eq[..., n + 1] = f_eq * inv
+        ed[..., n + 1] = f_ed * inv
 
-    return np.concatenate([d, w, eq, ed], axis=0)
+    return np.concatenate([d, w, eq, ed], axis=-2)
 
 
-def simulate_sas(
-    case: SystemCase,
-    scenario: Scenario,
+def simulate_sas_batch(
+    setup: SimulationSetup,
     config: SolverConfig,
-    path: NoisePath | None = None,
-    setup: SimulationSetup | None = None,
+    paths: Iterable[NoisePath | None],
     out_stride: int = 1,
-) -> Trajectory:
-    """Propagate one run with consecutive series windows of fixed length.
+) -> list[Trajectory]:
+    """Propagate a batch of runs, one per noise path, with series windows.
 
-    Stage boundaries split the enclosing window exactly; stochastic loads
-    are advanced and the network rebuilt at every resample boundary.  The
+    The windows have a fixed length and all runs take the same windows, so
+    one coefficient recursion advances the whole (R, 4K) stack.  Stage
+    boundaries split the enclosing window exactly; stochastic loads are
+    advanced and the networks rebuilt at every resample boundary.  The
     output is sampled at the window length.
     """
-    if setup is None:
-        setup = SimulationSetup.build(case, scenario)
+    scenario = setup.scenario
     machines = setup.machines
     order = config.order
     if config.resample_dt is not None and setup.specs:
@@ -147,7 +149,21 @@ def simulate_sas(
         config.window,
         stepper,
         solver="sas",
-        path=path,
+        paths=paths,
         out_stride=out_stride,
         horizon=config.horizon,
     )
+
+
+def simulate_sas(
+    case: SystemCase,
+    scenario: Scenario,
+    config: SolverConfig,
+    path: NoisePath | None = None,
+    setup: SimulationSetup | None = None,
+    out_stride: int = 1,
+) -> Trajectory:
+    """Propagate one run: a batch of one through :func:`simulate_sas_batch`."""
+    if setup is None:
+        setup = SimulationSetup.build(case, scenario)
+    return simulate_sas_batch(setup, config, [path], out_stride)[0]

@@ -3,15 +3,17 @@
 The driver owns everything both solvers have in common: the stage schedule
 (pre-fault / fault-on / post-fault with exact event times, splitting steps
 at stage boundaries), resampling of the stochastic loads, network rebuilds,
-divergence detection and output recording.  Solvers plug in a stepper that
-advances the state across one segment under a frozen network.
+divergence detection and output recording, for a batch of runs at once.
+Solvers plug in a stepper that advances a stack of run states across one
+segment under a frozen stack of networks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +24,12 @@ from .network import (
     ReducedNetwork,
     assemble_bus_matrix,
     augmented_matrix,
-    kron_reduce,
+    kron_blocks,
+    schur_complement,
 )
 from .noise import NoisePath, StochasticLoadSpec, load_schedule, ou_coefficients, ou_em_step
 from .powerflow import solve_power_flow
-from .trajectory import Trajectory
+from .trajectory import Trajectory, packed_column
 
 DIVERGENCE_LIMIT = 1e6  # any state beyond this magnitude marks the run unstable
 
@@ -131,7 +134,7 @@ def load_scenario(path) -> Scenario:
 
 @dataclass
 class SimulationSetup:
-    """Pre-fault solution and cached stage matrices shared by all runs.
+    """Pre-fault solution and cached stage blocks shared by all runs.
 
     Immutable after construction; safe to share across concurrent workers.
     """
@@ -143,9 +146,13 @@ class SimulationSetup:
     x0: np.ndarray
     specs: list[StochasticLoadSpec]
     mean_loads: dict[int, tuple[float, float]]
-    stage_matrices: dict[str, np.ndarray]  # augmented (n+K) base, loads excluded
-    load_rows: np.ndarray  # positions of load buses in the augmented matrix
+    # per stage, the (internal/internal, internal/bus, bus/internal, bus/bus)
+    # blocks of the augmented (n+K) matrix, loads excluded
+    stage_blocks: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    load_rows: np.ndarray  # bus positions of the load buses, in sorted load-bus order
     load_vm2: np.ndarray  # |V|^2 at load buses from the pre-fault profile
+    mean_pq: np.ndarray  # (L, 2) mean P and Q of the load buses
+    spec_rows: np.ndarray  # position of each stochastic spec among the load buses
     monitor_rows: np.ndarray  # recovery-row positions of monitored buses
 
     @classmethod
@@ -173,8 +180,11 @@ class SimulationSetup:
             conditions["post-fault"] = NetworkCondition(
                 "post-fault", removed_branches=scenario.trip_branches
             )
-        stage_matrices = {
-            stage: augmented_matrix(case, assemble_bus_matrix(case, cond))
+        internal = np.arange(case.n_bus, case.n_bus + case.n_gen)
+        stage_blocks = {
+            stage: kron_blocks(
+                augmented_matrix(case, assemble_bus_matrix(case, cond)), internal
+            )
             for stage, cond in conditions.items()
         }
 
@@ -192,31 +202,28 @@ class SimulationSetup:
             x0=init.state,
             specs=specs,
             mean_loads=mean_loads,
-            stage_matrices=stage_matrices,
+            stage_blocks=stage_blocks,
             load_rows=load_rows,
             load_vm2=load_vm2,
+            mean_pq=np.array([mean_loads[b] for b in load_buses], dtype=float),
+            spec_rows=np.array([load_buses.index(sp.bus) for sp in specs], dtype=int),
             monitor_rows=monitor_rows,
         )
 
-    @property
-    def load_buses(self) -> list[int]:
-        return sorted(self.mean_loads)
+    def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
+        """Reduced networks of one stage for a stack of load values.
 
-    def build_net(self, stage: str, loads: dict[int, tuple[float, float]]) -> ReducedNetwork:
-        """Reduced network for a stage with the current load values."""
-        n, k = self.case.n_bus, self.case.n_gen
-        y = self.stage_matrices[stage].copy()
-        pq = np.array([loads[b] for b in self.load_buses], dtype=float)
-        y[self.load_rows, self.load_rows] += (pq[:, 0] - 1j * pq[:, 1]) / self.load_vm2
-        y_red, recovery = kron_reduce(y, np.arange(n, n + k))
-        return ReducedNetwork(
-            y=y_red,
-            recovery=recovery,
-            gen_buses=tuple(g.bus for g in self.case.generators),
-            bus_ids=tuple(b.id for b in self.case.buses),
-            stage=stage,
-            loads=loads,
-        )
+        ``pq`` is (R, L, 2): the P and Q of every load bus, in sorted
+        load-bus order, for each of R runs.  The load shunts join the diagonal of a
+        copy of the stage's bus/bus block and one stacked solve eliminates
+        the buses, so ``y`` is (R, K, K) and ``recovery`` (R, n, K).
+        """
+        y_aa, y_ab, y_ba, y_bb = self.stage_blocks[stage]
+        y = np.repeat(y_bb[None], pq.shape[0], axis=0)
+        rows = self.load_rows
+        y[:, rows, rows] += (pq[..., 0] - 1j * pq[..., 1]) / self.load_vm2
+        y_red, recovery = schur_complement(y_aa, y_ab, y_ba, y)
+        return ReducedNetwork(y=y_red, recovery=recovery, stage=stage)
 
     def n_noise_vars(self) -> int:
         return 2 * len(self.specs)
@@ -247,19 +254,29 @@ def run_simulation(
     h: float,
     step_fn,
     solver: str,
-    path: NoisePath | None = None,
+    paths: Iterable[NoisePath | None],
     em_continuous: bool = False,
     out_stride: int = 1,
     horizon: float | None = None,
-) -> Trajectory:
-    """Drive one simulation run on the output grid of step ``h``.
+) -> list[Trajectory]:
+    """Drive a batch of runs, one per noise path, on the output grid of step ``h``.
 
-    ``step_fn(state, net, dt)`` advances the state across one segment with a
-    frozen network.  Stage boundaries are honored exactly by splitting the
-    enclosing step; stochastic loads advance at resample boundaries (or at
-    every step when ``em_continuous``), after which the reduced network is
-    rebuilt.  A non-finite or huge state marks the trajectory diverged; the
-    remaining rows stay NaN.
+    The runs share the stage schedule, the step grid and the resample
+    instants; only their load values differ, so they advance together as an
+    (R, 4K) stack.  ``step_fn(states, net, dt)`` advances the stack across
+    one segment with a frozen (R, K, K) stack of networks.  Stage
+    boundaries are honored exactly by splitting the enclosing step;
+    stochastic loads advance at resample boundaries (or at every step when
+    ``em_continuous``), after which the reduced networks are rebuilt.  A run
+    whose state turns non-finite or huge is marked diverged, with the time
+    and the first packed-state column past ``DIVERGENCE_LIMIT``, and leaves
+    the stack; its remaining rows stay NaN.  Every operation treats each
+    run's row on its own, so a run's trajectory is bit-identical alone and
+    in any batch.
+
+    ``paths`` holds one entry per run (None serves a deterministic scenario)
+    and is iterated once: a run's noise path is released as soon as its load
+    schedule is built.  Returns the trajectories in the order of ``paths``.
     """
     sc = setup.scenario
     case = setup.case
@@ -268,26 +285,37 @@ def run_simulation(
     n_steps = _grid_steps(horizon, h)
     specs = setup.specs
 
-    schedule = None
     spr = None
+    need = n_steps
     if specs and not em_continuous:
         spr = _exact_multiple(sc.resample_dt, h)
+        need = int(math.ceil(n_steps / spr - 1e-12))
+    # per run: its (2S, steps) noise grid when em_continuous, else its load
+    # schedule in the same layout
+    noise = []
+    for path in paths:
+        if not specs:
+            noise.append(None)
+            continue
         if path is None:
             raise ValueError("a noise path is required for stochastic runs")
-        need = int(math.ceil(n_steps / spr - 1e-12))
         if path.n_vars != setup.n_noise_vars() or path.n_steps < need:
             raise ValueError("noise path does not cover this scenario")
-        schedule = load_schedule(specs, path)
-    a_vec = b_vec = eps = None
-    if specs and em_continuous:
-        if path is None:
-            raise ValueError("a noise path is required for stochastic runs")
-        if path.n_vars != setup.n_noise_vars() or path.n_steps < n_steps:
-            raise ValueError("noise path does not cover this scenario")
-        if abs(path.dt - h) > 1e-12:
+        if not em_continuous:
+            noise.append(load_schedule(specs, path).T)
+        elif abs(path.dt - h) > 1e-12:
             raise ValueError("continuous mode expects a noise path sampled at dt")
+        else:
+            noise.append(path.xi)
+    r = len(noise)
+    if r == 0:
+        raise ValueError("a batch needs at least one run")
+    eps = None
+    if specs and em_continuous:
         a_vec, b_vec = ou_coefficients(specs)
-        eps = np.zeros(2 * len(specs))
+        eps = np.zeros((r, 2 * len(specs)))
+    spec_rows = setup.spec_rows
+    spec_mean = setup.mean_pq[spec_rows]
 
     events: list[tuple[float, str]] = []
     ft = sc.fault_times(case)
@@ -295,28 +323,33 @@ def run_simulation(
         events = [(ft[0], "fault-on"), (ft[1], "post-fault")]
 
     stage = "pre-fault"
-    loads = dict(setup.mean_loads)
-    net = setup.build_net(stage, loads)
+    pq = np.repeat(setup.mean_pq[None], r, axis=0)
+    net = setup.build_net(stage, pq)
 
     n_rec = n_steps // out_stride + 1
     k4 = setup.x0.shape[0]
     times = np.arange(n_rec) * (out_stride * h)
-    states = np.full((n_rec, k4), np.nan)
+    states = np.full((r, n_rec, k4), np.nan)
     n_mon = setup.monitor_rows.shape[0]
-    volts = np.full((n_rec, n_mon), np.nan)
+    volts = np.full((r, n_rec, n_mon), np.nan)
+    active = np.arange(r)  # batch positions of the runs still integrating
+    t_div: list[float | None] = [None] * r
+    div_col: list[str | None] = [None] * r
+    gen_buses = tuple(g.bus for g in case.generators)
+
+    def column(j: int) -> np.ndarray:
+        """Column j of the noise input of every running run, (runs, 2S)."""
+        return np.stack([noise[i][:, j] for i in active])
 
     def record(i: int, x: np.ndarray, current_net: ReducedNetwork) -> None:
-        states[i] = x
+        states[active, i] = x
         if n_mon:
-            volts[i] = np.abs(
-                current_net.recovery[setup.monitor_rows] @ _emf(x)
-            )
+            v = current_net.bus_voltages(_emf(x), setup.monitor_rows)
+            volts[active, i] = np.abs(v)
 
-    x = setup.x0.copy()
+    x = np.repeat(setup.x0[None], r, axis=0)
     record(0, x, net)
     sqrt_h = math.sqrt(h)
-    diverged = False
-    t_div = None
     ev_idx = 0
     tol = 1e-9
 
@@ -325,25 +358,18 @@ def run_simulation(
         t1 = (k + 1) * h
         rebuilt = False
         if spr is not None and k > 0 and k % spr == 0:
-            row = schedule[k // spr]
-            for i, spec in enumerate(specs):
-                loads[spec.bus] = (row[2 * i], row[2 * i + 1])
+            pq[:, spec_rows] = column(k // spr).reshape(active.size, -1, 2)
             rebuilt = True
-        elif em_continuous and specs:
-            if k > 0:
-                eps = ou_em_step(eps, a_vec, b_vec, h, sqrt_h * path.xi[:, k - 1])
-                for i, spec in enumerate(specs):
-                    loads[spec.bus] = (
-                        spec.p_mean + eps[2 * i],
-                        spec.q_mean + eps[2 * i + 1],
-                    )
-                rebuilt = True
+        elif eps is not None and k > 0:
+            eps = ou_em_step(eps, a_vec, b_vec, h, sqrt_h * column(k - 1))
+            pq[:, spec_rows] = spec_mean + eps.reshape(active.size, -1, 2)
+            rebuilt = True
         while ev_idx < len(events) and events[ev_idx][0] <= t0 + tol:
             stage = events[ev_idx][1]
             ev_idx += 1
             rebuilt = True
         if rebuilt:
-            net = setup.build_net(stage, loads)
+            net = setup.build_net(stage, pq)
 
         if ev_idx < len(events) and events[ev_idx][0] < t1 - tol:
             a = t0
@@ -352,27 +378,38 @@ def run_simulation(
                 ev_idx += 1
                 x = step_fn(x, net, tb - a)
                 stage = new_stage
-                net = setup.build_net(stage, loads)
+                net = setup.build_net(stage, pq)
                 a = tb
             x = step_fn(x, net, t1 - a)
         else:
             x = step_fn(x, net, h)
 
-        peak = np.abs(x).max()
-        if not (peak < DIVERGENCE_LIMIT):  # catches NaN as well
-            diverged = True
-            t_div = t1
-            break
+        ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT  # False for NaN as well
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                t_div[active[j]] = t1
+                bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
+                div_col[active[j]] = packed_column(gen_buses, bad)
+            active, x, pq = active[ok], x[ok], pq[ok]
+            if eps is not None:
+                eps = eps[ok]
+            if not active.size:
+                break
+            net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
         if (k + 1) % out_stride == 0:
             record((k + 1) // out_stride, x, net)
 
-    return Trajectory(
-        times=times,
-        states=states,
-        gen_buses=tuple(g.bus for g in case.generators),
-        solver=solver,
-        monitor_buses=tuple(sc.monitor_buses),
-        voltages=volts,
-        diverged=diverged,
-        t_diverged=t_div,
-    )
+    return [
+        Trajectory(
+            times=times,
+            states=states[i],
+            gen_buses=gen_buses,
+            solver=solver,
+            monitor_buses=tuple(sc.monitor_buses),
+            voltages=volts[i],
+            diverged=t_div[i] is not None,
+            t_diverged=t_div[i],
+            diverged_column=div_col[i],
+        )
+        for i in range(r)
+    ]

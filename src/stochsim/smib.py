@@ -180,13 +180,7 @@ def smib_embedding(p: SMIBParams):
         dtype=complex,
     )
     y_red, recovery = kron_reduce(y_full, np.array([0, 2]))
-    net = ReducedNetwork(
-        y=y_red,
-        recovery=recovery,
-        gen_buses=(1, 2),
-        bus_ids=(1, 2),
-        stage="pre-fault",
-    )
+    net = ReducedNetwork(y=y_red, recovery=recovery, stage="pre-fault")
     machines = MachineSet(
         bus=np.array([1, 2]),
         H=np.array([p.H, 1e12]),
@@ -255,14 +249,15 @@ def xl_sas_terms(
 
 def rl_closed_form(
     p: SMIBParams, rl0: float, t: float, times: np.ndarray, bvals: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """Exact solution R_L(t) = e^{-a1 t} [R_L(0) + b1 int_0^t e^{a1 s} dB(s)].
 
-    The stochastic integral is discretized at the left endpoints of the
-    supplied path.
+    ``bvals`` samples the Brownian path at ``times`` along its last axis,
+    one path per leading index.  The stochastic integral is discretized at
+    the left endpoints of the supplied path.
     """
-    db = np.diff(bvals)
-    integral = float(np.sum(np.exp(p.a1 * times[:-1]) * db))
+    db = np.diff(bvals, axis=-1)
+    integral = np.sum(np.exp(p.a1 * times[:-1]) * db, axis=-1)
     return math.exp(-p.a1 * t) * (rl0 + p.b1 * integral)
 
 

@@ -7,12 +7,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+FIELDS = ("delta", "omega", "eqp", "edp")  # per-generator variables, in block order
+
+
 def state_columns(gen_buses) -> list[str]:
     """Per-generator column names in file order: delta, omega, eqp, edp."""
-    cols = []
-    for bus in gen_buses:
-        cols += [f"g{bus}.delta", f"g{bus}.omega", f"g{bus}.eqp", f"g{bus}.edp"]
-    return cols
+    return [f"g{bus}.{name}" for bus in gen_buses for name in FIELDS]
+
+
+def packed_column(gen_buses, index: int) -> str:
+    """Column name of entry ``index`` of a packed [delta | omega | eqp | edp] state."""
+    k = len(gen_buses)
+    return f"g{gen_buses[index % k]}.{FIELDS[index // k]}"
 
 
 @dataclass
@@ -21,7 +27,9 @@ class Trajectory:
 
     ``states`` is (T, 4K) in block layout [delta | omega | eqp | edp];
     ``voltages`` holds |V| of the monitored buses, (T, n_mon).  A diverged
-    run keeps NaN rows from the divergence time onward.
+    run keeps NaN rows from the divergence time onward; ``diverged_column``
+    names the first packed-state entry that reached the divergence limit or
+    turned non-finite.
     """
 
     times: np.ndarray
@@ -32,6 +40,7 @@ class Trajectory:
     voltages: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     diverged: bool = False
     t_diverged: float | None = None
+    diverged_column: str | None = None
 
     @property
     def n_gen(self) -> int:
@@ -54,14 +63,13 @@ class Trajectory:
                     raise KeyError(f"bus {bus} was not monitored")
                 return self.voltages[:, self.monitor_buses.index(bus)]
         name, _, fldname = column.partition(".")
-        block = {"delta": 0, "omega": 1, "eqp": 2, "edp": 3}.get(fldname)
-        if not name.startswith("g") or block is None:
+        if not name.startswith("g") or fldname not in FIELDS:
             raise KeyError(f"unknown column {column!r}")
         bus = int(name[1:])
         if bus not in self.gen_buses:
             raise KeyError(f"no generator at bus {bus}")
         g = self.gen_buses.index(bus)
-        return self.states[:, block * k + g]
+        return self.states[:, FIELDS.index(fldname) * k + g]
 
     def to_csv(self) -> str:
         """Fixed 17-significant-digit CSV, one row per output step."""

@@ -100,7 +100,7 @@ def check_ou_moments(quick: bool = False, seed: int = 5) -> list[CheckResult]:
     tol = 0.10 if quick else 0.03
     t, m, eps0 = 2.0, 200, 3.0
     db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
-    vals = np.array([ou_closed_form(eps0, p, t, db[i]) for i in range(n_paths)])
+    vals = ou_closed_form(eps0, p, t, db)
     mean_ref = smib.ou_moments(p, eps0, t)[0]
     s = np.arange(m) * (t / m)
     var_ref = p.b**2 * np.sum(np.exp(-2 * p.a * (t - s))) * (t / m)

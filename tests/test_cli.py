@@ -28,6 +28,37 @@ def test_run_succeeds_with_exit_0(repo_root, tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").is_file()
 
 
+def test_repeated_runs_write_identical_files(repo_root, tmp_path):
+    # a stochastic fault ensemble written twice at --jobs 1 and once at
+    # --jobs 2 gives the same bytes
+    scenario = write_scenario(
+        tmp_path,
+        {
+            "horizon_s": 2.0,
+            "fault_bus": 1,
+            "fault_start_s": 0.2,
+            "fault_duration_cycles": 3,
+            "stochastic_buses": [1],
+            "sigma_rel": 0.02,
+        },
+    )
+    flags = ("--runs", "3", "--order", "4", "--window", "0.01", "--ts", "1.0")
+    outs = [tmp_path / name for name in ("a", "b", "parallel")]
+    for out, jobs in zip(outs, ("1", "1", "2")):
+        argv = run_argv(repo_root, scenario, out, *flags, "--jobs", jobs)
+        assert cli.main(argv) == 0
+    for name in ("stats.csv", "pdf.csv", "stability.json"):
+        first = (outs[0] / name).read_bytes()
+        assert first
+        assert all((out / name).read_bytes() == first for out in outs[1:])
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    assert [m["batch_sizes"] for m in manifests] == [[3], [3], [1, 2]]
+    for m in manifests:
+        assert m["t_diverged"] == [None] * 3
+        assert m["diverged_column"] == [None] * 3
+        assert len(m["run_seconds"]) == 3
+
+
 def test_scenario_without_horizon_exits_2(repo_root, tmp_path):
     scenario = write_scenario(tmp_path, {"fault_bus": 1})
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2

@@ -72,8 +72,6 @@ def test_single_machine_diagonal_network_scalar_check():
     net = ReducedNetwork(
         y=np.array([[y11]]),
         recovery=np.zeros((0, 1), dtype=complex),
-        gen_buses=(1,),
-        bus_ids=(1,),
         stage="pre-fault",
     )
     from stochsim.dynamics import MachineSet, pack_state
@@ -108,8 +106,6 @@ def test_emf_at_quarter_turn():
     net = ReducedNetwork(
         y=np.eye(1, dtype=complex),
         recovery=np.zeros((0, 1), dtype=complex),
-        gen_buses=(1,),
-        bus_ids=(1,),
         stage="pre-fault",
     )
     m = MachineSet(

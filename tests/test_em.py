@@ -45,8 +45,6 @@ def test_euler_det_step_scalar_decay():
     net = ReducedNetwork(
         y=np.zeros((1, 1), dtype=complex),
         recovery=np.zeros((0, 1), dtype=complex),
-        gen_buses=(1,),
-        bus_ids=(1,),
         stage="pre-fault",
     )
     m = MachineSet(

@@ -1,8 +1,27 @@
+import functools
+
 import numpy as np
 
+from stochsim import ensemble as ensemble_mod
+from stochsim import scenario as scenario_mod
 from stochsim.ensemble import run_ensemble
-from stochsim.sas import SolverConfig
+from stochsim.noise import build_noise_path
+from stochsim.sas import SolverConfig, simulate_sas
 from stochsim.scenario import Scenario, SimulationSetup
+
+from test_batch import SCENARIO, assert_same_run
+
+_WORKER_INIT = ensemble_mod._worker_init
+
+
+def _worker_init_with_limit(limit, *args):
+    """Pool initializer that applies a patched divergence limit in the worker.
+
+    Worker processes start from a fresh import, so a limit patched in the
+    test process does not reach them by itself.
+    """
+    scenario_mod.DIVERGENCE_LIMIT = limit
+    _WORKER_INIT(*args)
 
 
 def test_ensemble_identical_whatever_jobs(smib_case):
@@ -33,3 +52,46 @@ def test_ensemble_identical_whatever_jobs(smib_case):
     assert not np.array_equal(
         serial.trajectories[0].states, serial.trajectories[1].states
     )
+
+
+def test_divergence_inside_a_batch(smib_case, monkeypatch):
+    # a limit between the runs' peak |state| trips some runs of a batch and
+    # not others; every run must match its solo run, whatever the batch
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config = SolverConfig(order=4, window=0.01)
+    n_runs, seed = 6, 11
+    free = run_ensemble(smib_case, SCENARIO, "sas", config, n_runs, seed, setup=setup)
+    assert free.batch_sizes == [n_runs]
+    peaks = sorted(np.abs(tr.states).max() for tr in free.trajectories)
+    assert peaks[2] < peaks[3]
+    limit = 0.5 * (peaks[2] + peaks[3])
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", limit)
+    monkeypatch.setattr(
+        ensemble_mod, "_worker_init", functools.partial(_worker_init_with_limit, limit)
+    )
+    serial, parallel = (
+        run_ensemble(smib_case, SCENARIO, "sas", config, n_runs, seed, jobs=j, setup=setup)
+        for j in (1, 2)
+    )
+    assert serial.batch_sizes == [n_runs] and parallel.batch_sizes == [3, 3]
+    assert [tr.diverged for tr in serial.trajectories] == [
+        tr.diverged for tr in parallel.trajectories
+    ]
+    assert sum(tr.diverged for tr in serial.trajectories) == 3
+    h = config.window
+    for i, (tr, ref) in enumerate(zip(serial.trajectories, free.trajectories)):
+        path = build_noise_path((seed, i), setup.n_noise_vars(), 1.0, SCENARIO.resample_dt)
+        alone = simulate_sas(smib_case, SCENARIO, config, path, setup=setup)
+        assert_same_run(alone, tr)
+        assert_same_run(alone, parallel.trajectories[i])
+        if not tr.diverged:
+            assert np.array_equal(tr.states, ref.states)
+            continue
+        # NaN from the first output time at or past the limit; the same
+        # states as without a limit before it
+        row = round(tr.t_diverged / h)
+        assert np.abs(ref.states[row]).max() >= limit
+        assert np.abs(ref.states[:row]).max() < limit
+        assert np.isnan(tr.states[row:]).all() and np.isnan(tr.voltages[row:]).all()
+        assert np.array_equal(tr.states[:row], ref.states[:row])
+        assert tr.diverged_column == "g1.omega"  # the rotor speed is the largest entry

@@ -3,11 +3,13 @@ import pytest
 
 from stochsim.network import (
     NetworkCondition,
+    ReducedNetwork,
     ReductionError,
     assemble_bus_matrix,
     build_reduced_network,
     kron_reduce,
     load_to_admittance,
+    schur_complement,
 )
 from stochsim.powerflow import solve_power_flow
 from stochsim import smib as sm
@@ -84,6 +86,41 @@ def test_kron_exactness_on_random_networks():
         v_int = np.linalg.solve(y[np.ix_(elim, elim)], -y[np.ix_(elim, keep)] @ e)
         i_full = y[np.ix_(keep, keep)] @ e + y[np.ix_(keep, elim)] @ v_int
         assert np.allclose(y_red @ e, i_full, atol=1e-10)
+
+
+def _solve_numpy1(a, b, _solve=np.linalg.solve):
+    # numpy < 2 reads b as a stack of vectors whenever b.ndim == a.ndim - 1
+    if b.ndim == a.ndim - 1:
+        return _solve(a, b[..., None])[..., 0]
+    return _solve(a, b)
+
+
+@pytest.mark.parametrize("solve", [np.linalg.solve, _solve_numpy1])
+def test_schur_complement_of_a_stack_matches_each_matrix(monkeypatch, solve):
+    # unstacked outer blocks under a stacked y_bb, with as many runs as
+    # columns, so that either reading of solve's right-hand side is shape-valid
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    rng = np.random.default_rng(3)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    r = m = k = 3
+    y_aa, y_ab, y_ba = cplx(k, k), cplx(k, m), cplx(m, k)
+    y_bb = cplx(r, m, m) + 4 * np.eye(m)
+    y_red, rec = schur_complement(y_aa, y_ab, y_ba, y_bb)
+    assert y_red.shape == (r, k, k) and rec.shape == (r, m, k)
+    for i in range(r):
+        y_i, rec_i = schur_complement(y_aa, y_ab, y_ba, y_bb[i])
+        assert np.array_equal(y_red[i], y_i) and np.array_equal(rec[i], rec_i)
+
+    net = ReducedNetwork(y=y_red, recovery=rec, stage="pre-fault")
+    e = cplx(r, k)
+    v = net.bus_voltages(e)
+    assert v.shape == (r, m)
+    for i in range(r):
+        np.testing.assert_allclose(v[i], rec[i] @ e[i], rtol=1e-13)
+    np.testing.assert_allclose(net.bus_voltages(e, [2, 0]), v[:, [2, 0]], rtol=1e-13)
 
 
 def test_kron_singular_interior_raises():

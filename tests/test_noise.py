@@ -202,7 +202,7 @@ def test_ou_closed_form_moments():
     rng = np.random.default_rng(17)
     db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
     eps0 = 3.0
-    vals = np.array([ou_closed_form(eps0, p, t, db[i]) for i in range(n_paths)])
+    vals = ou_closed_form(eps0, p, t, db)
     s = np.arange(m) * (t / m)
     var_ref = p.b**2 * np.sum(np.exp(-2 * p.a * (t - s))) * (t / m)
     assert vals.mean() == pytest.approx(eps0 * math.exp(-p.a * t), rel=0.03)

@@ -11,8 +11,8 @@ def test_constant_series_static_state(smib_case):
     # at the pre-fault equilibrium every derivative vanishes, so the window
     # series is constant and evaluates to the initial state anywhere
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
-    net = setup.build_net("pre-fault", setup.mean_loads)
-    c = window_coefficients(setup.x0, net, setup.machines, order=4)
+    net = setup.build_net("pre-fault", setup.mean_pq[None])
+    c = window_coefficients(setup.x0[None], net, setup.machines, order=4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
         assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
@@ -111,12 +111,11 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     n = round(sc.horizon_s / h)
     t_fault, t_clear = sc.fault_times(smib_case)
     nets = {
-        "pre-fault": setup.build_net("pre-fault", setup.mean_loads),
-        "fault-on": setup.build_net("fault-on", setup.mean_loads),
-        "post-fault": setup.build_net("post-fault", setup.mean_loads),
+        stage: setup.build_net(stage, setup.mean_pq[None])
+        for stage in ("pre-fault", "fault-on", "post-fault")
     }
-    x = setup.x0.copy()
-    ref = [x.copy()]
+    x = setup.x0[None].copy()
+    ref = [x[0].copy()]
     for i in range(n):
         t = i * h
         stage = (
@@ -130,7 +129,7 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
         k3 = rhs(x + 0.5 * h * k2, net, setup.machines)
         k4 = rhs(x + h * k3, net, setup.machines)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ref.append(x.copy())
+        ref.append(x[0].copy())
     ref = np.array(ref)
     # compare rotor angles on the coarse grid; the reference's stage
     # boundaries are aligned to its own fine grid, giving O(h_ref) offsets

@@ -169,10 +169,11 @@ def test_rl_closed_form_moments():
     rng = np.random.default_rng(8)
     t, m, n_paths = 2.0, 200, 60_000
     rl0 = 3.0
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        times, b = brownian(rng, t, m)
-        vals[i] = sm.rl_closed_form(p, rl0, t, times, b)
+    # one row per path: the same draws as n_paths calls of brownian()
+    db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
+    times = np.linspace(0.0, t, m + 1)
+    b = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(db, axis=1)], axis=1)
+    vals = sm.rl_closed_form(p, rl0, t, times, b)
     mean_ref, var_ref = sm.ou_moments(OUParams(p.a1, p.b1), rl0, t)
     x = 2.0 * p.a1 * t / m
     assert vals.mean() == pytest.approx(mean_ref, rel=0.03)
