@@ -13,9 +13,7 @@ from .network import (
     NetworkCondition,
     ReducedNetwork,
     ReductionError,
-    load_to_admittance,
     build_reduced_network,
-    kron_reduce,
 )
 from .powerflow import PowerFlowError, solve_power_flow
 from .dynamics import (
@@ -50,5 +48,4 @@ from .ensemble import (
     ensemble_stats,
     pdf_evolution,
     run_ensemble,
-    stability_probability,
 )

@@ -2,8 +2,9 @@
 
 Artifacts are written atomically into the output directory; repeated
 invocations with the same flags and seed produce byte-identical CSV files.
-Exit codes: 0 success, 1 oracle/validation failure, 2 usage error, 3 I/O
-error.
+Exit codes: 0 success, 1 oracle/validation failure, 2 usage error or
+invalid input (including a power flow that does not converge and a network
+that cannot be reduced), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .ensemble import (
     run_ensemble,
     stability_report,
 )
-from .network import NetworkCondition
+from .network import NetworkCondition, ReductionError
 from .noise import build_noise_path, path_to_csv
+from .powerflow import PowerFlowError
 from .sas import SolverConfig
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .validate import run_all
@@ -347,7 +349,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except (CaseError, ScenarioError, ValueError, EquilibriumError) as exc:
+    except (
+        CaseError,
+        ScenarioError,
+        ValueError,
+        EquilibriumError,
+        PowerFlowError,
+        ReductionError,
+    ) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -51,7 +51,6 @@ def simulate_em_batch(
     config: EMConfig,
     paths: Iterable[NoisePath | None],
     out_stride: int = 1,
-    horizon: float | None = None,
 ) -> list[Trajectory]:
     """Integrate a batch of runs, one per noise path, at the configured step.
 
@@ -72,7 +71,6 @@ def simulate_em_batch(
         paths=paths,
         em_continuous=(config.mode == "paper-sde"),
         out_stride=out_stride,
-        horizon=horizon,
     )
 
 
@@ -83,9 +81,8 @@ def simulate_em(
     path: NoisePath | None = None,
     setup: SimulationSetup | None = None,
     out_stride: int = 1,
-    horizon: float | None = None,
 ) -> Trajectory:
     """Integrate one run: a batch of one through :func:`simulate_em_batch`."""
     if setup is None:
         setup = SimulationSetup.build(case, scenario)
-    return simulate_em_batch(setup, config, [path], out_stride, horizon)[0]
+    return simulate_em_batch(setup, config, [path], out_stride)[0]

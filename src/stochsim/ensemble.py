@@ -119,8 +119,7 @@ def _run_seed(master_seed: int, run_index: int) -> tuple:
 def noise_grid(scenario: Scenario, solver: str, config) -> tuple[float, float]:
     """(horizon, step) of the noise grid one run of ``solver`` consumes."""
     if solver == "sas":
-        horizon = config.horizon if config.horizon is not None else scenario.horizon_s
-        return horizon, scenario.resample_dt
+        return scenario.horizon_s, scenario.resample_dt
     if solver == "em":
         dt = scenario.resample_dt if config.mode == "shared-path" else config.dt
         return scenario.horizon_s, dt
@@ -303,12 +302,6 @@ def run_passes(trajectory: Trajectory, crit: StabilityCriterion) -> bool:
     else:
         raise ValueError(f"unknown norm {crit.norm!r}")
     return bool(np.all(norms < crit.r0))
-
-
-def stability_probability(ensemble: Ensemble, crit: StabilityCriterion) -> float:
-    """Fraction of runs that stay within r0 of the equilibrium after t_s."""
-    passes = [run_passes(tr, crit) for tr in ensemble.trajectories]
-    return sum(passes) / len(passes)
 
 
 def stability_report(ensemble: Ensemble, crit: StabilityCriterion) -> dict:

@@ -1,4 +1,4 @@
-"""Bus admittance assembly, load folding and Kron reduction.
+"""Bus admittance assembly, load shunts and Kron reduction.
 
 The dynamic model sees the network as a reduced admittance matrix over the
 generator internal nodes.  Loads enter as constant shunt impedances computed
@@ -83,17 +83,6 @@ class ReducedNetwork:
         return (self.recovery[..., rows, :] @ emf[..., None])[..., 0]
 
 
-def load_to_admittance(p: float, q: float, v: complex) -> complex:
-    """Constant-impedance equivalent of a (P, Q) load at bus voltage ``v``.
-
-    Returns (P - jQ) / |V|^2.
-    """
-    vm2 = abs(v) ** 2
-    if vm2 == 0.0:
-        raise ValueError("load bus voltage magnitude must be nonzero")
-    return (p - 1j * q) / vm2
-
-
 def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.ndarray:
     """Dense bus admittance matrix for a network condition, without loads.
 
@@ -175,15 +164,38 @@ def schur_complement(
     return y_aa - y_ab @ x, -x
 
 
-def kron_reduce(y_full: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-complement elimination of all nodes not in ``keep``.
+def stage_blocks(case: SystemCase, condition: NetworkCondition):
+    """Kron blocks of a stage's network, loads excluded.
 
-    Returns the reduced matrix over the kept nodes and the recovery matrix
-    that reconstructs eliminated-node voltages from kept-node voltages.
+    The blocks of ``augmented_matrix(case, assemble_bus_matrix(...))`` that
+    eliminate every network bus and keep the generator internal nodes, in
+    :func:`kron_blocks` order.
     """
-    if len(keep) == y_full.shape[0]:
-        return y_full.copy(), np.zeros((0, len(keep)), dtype=complex)
-    return schur_complement(*kron_blocks(y_full, keep))
+    condition.validate_against(case)
+    n, k = case.n_bus, case.n_gen
+    y = augmented_matrix(case, assemble_bus_matrix(case, condition))
+    return kron_blocks(y, np.arange(n, n + k))
+
+
+def reduce_with_loads(
+    blocks, rows: np.ndarray, vm2: np.ndarray, pq: np.ndarray, stage: str
+) -> ReducedNetwork:
+    """Reduce a stage's network plus load shunts to the generator internal nodes.
+
+    ``blocks`` come from :func:`stage_blocks`; ``pq`` is (..., L, 2), the P
+    and Q of the L load buses at bus positions ``rows`` for each leading
+    index.  Each load becomes the constant-impedance shunt (P - jQ) / |V|^2,
+    with ``vm2`` the |V|^2 at which the impedances are fixed; the shunts join
+    the diagonal of a copy of the bus/bus block and one stacked
+    :func:`schur_complement` eliminates the buses, so ``y`` is (..., K, K)
+    and ``recovery`` (..., n, K).
+    """
+    y_aa, y_ab, y_ba, y_bb = blocks
+    y = np.empty(pq.shape[:-2] + y_bb.shape, dtype=y_bb.dtype)
+    y[...] = y_bb
+    y[..., rows, rows] += (pq[..., 0] - 1j * pq[..., 1]) / vm2
+    y_red, recovery = schur_complement(y_aa, y_ab, y_ba, y)
+    return ReducedNetwork(y=y_red, recovery=recovery, stage=stage)
 
 
 def build_reduced_network(
@@ -192,23 +204,21 @@ def build_reduced_network(
     loads: dict[int, tuple[float, float]],
     profile: np.ndarray,
 ) -> ReducedNetwork:
-    """Reduce the stage network plus load shunts to the generator internal nodes.
+    """The reduced network of one stage at one set of load values.
 
     ``loads`` maps bus id to the current (P, Q) values; it must cover exactly
     the case's load buses.  ``profile`` is the pre-fault solved voltage
-    profile at which load impedances are fixed.  The generator internal
-    nodes are appended after the load shunts and every network bus is
-    eliminated.
+    profile at which load impedances are fixed.  Fresh
+    :func:`stage_blocks` go through :func:`reduce_with_loads`.
     """
-    condition.validate_against(case)
     if set(loads) != {ld.bus for ld in case.loads}:
         raise ValueError("loads must cover exactly the case's load buses")
-
-    n, k = case.n_bus, case.n_gen
-    y_bus = assemble_bus_matrix(case, condition)
-    for bus_id, (p, q) in loads.items():
-        i = case.bus_index(bus_id)
-        y_bus[i, i] += load_to_admittance(p, q, profile[i])
-    y = augmented_matrix(case, y_bus)
-    y_red, recovery = kron_reduce(y, np.arange(n, n + k))
-    return ReducedNetwork(y=y_red, recovery=recovery, stage=condition.stage)
+    buses = sorted(loads)
+    rows = np.array([case.bus_index(b) for b in buses], dtype=int)
+    vm2 = np.abs(profile[rows]) ** 2
+    if not np.all(vm2 > 0.0):
+        raise ValueError("load bus voltage magnitude must be nonzero")
+    pq = np.array([loads[b] for b in buses], dtype=float).reshape(-1, 2)
+    return reduce_with_loads(
+        stage_blocks(case, condition), rows, vm2, pq, condition.stage
+    )

@@ -154,21 +154,30 @@ def ou_coefficients(specs: list[StochasticLoadSpec]) -> tuple[np.ndarray, np.nda
     return np.array([ou.a for ou in ous]), np.array([ou.b for ou in ous])
 
 
-def load_schedule(specs: list[StochasticLoadSpec], path: NoisePath) -> np.ndarray:
+def load_schedule(
+    specs: list[StochasticLoadSpec], path: NoisePath, euler: bool = False
+) -> np.ndarray:
     """Stacked (n_steps, 2*len(specs)) array of piecewise-constant load values.
 
     Column 2*i is the P series of spec i, column 2*i+1 its Q series; the
     variable index into the noise grid follows the same ordering.  Each OU
     deviation starts at zero (load at its mean over the first interval) and
-    advances by the exact transition at each resample boundary; row k is the
-    value held on [k*dt, (k+1)*dt).
+    row k is the value held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k
+    follows from row k-1 and noise column k-1 by the exact transition, or
+    with ``euler`` by the Euler-Maruyama step with dW = sqrt(dt) * xi, which
+    is the paper's SDE discretized on the integration grid.
     """
     a, b = ou_coefficients(specs)
     mean = np.array([m for spec in specs for m in (spec.p_mean, spec.q_mean)])
     eps = np.zeros((path.n_steps, a.shape[0]))
+    sqrt_dt = math.sqrt(path.dt)
     for k in range(1, path.n_steps):
-        eps[k] = ou_exact_step(eps[k - 1], a, b, path.dt, path.xi[:, k - 1])
-    return mean + eps
+        if euler:
+            eps[k] = ou_em_step(eps[k - 1], a, b, path.dt, sqrt_dt * path.xi[:, k - 1])
+        else:
+            eps[k] = ou_exact_step(eps[k - 1], a, b, path.dt, path.xi[:, k - 1])
+    eps += mean
+    return eps
 
 
 def path_to_csv(path: NoisePath) -> str:

@@ -27,15 +27,10 @@ from .trajectory import Trajectory
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Series order, window length and grid settings for the solver.
-
-    ``horizon`` and ``resample_dt`` default to the scenario's values.
-    """
+    """Series order and window length of the solver."""
 
     order: int = 2
     window: float = 1e-3
-    horizon: float | None = None
-    resample_dt: float | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -134,9 +129,6 @@ def simulate_sas_batch(
     scenario = setup.scenario
     machines = setup.machines
     order = config.order
-    if config.resample_dt is not None and setup.specs:
-        if abs(config.resample_dt - scenario.resample_dt) > 1e-12:
-            raise ValueError("config resample_dt disagrees with the scenario")
     if config.window > scenario.resample_dt + 1e-12 and setup.specs:
         raise ValueError("window must not exceed the resample interval")
 
@@ -151,7 +143,6 @@ def simulate_sas_batch(
         solver="sas",
         paths=paths,
         out_stride=out_stride,
-        horizon=config.horizon,
     )
 
 

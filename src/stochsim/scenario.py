@@ -19,15 +19,8 @@ import numpy as np
 
 from .case import SystemCase
 from .dynamics import MachineSet, init_dynamic_state, split_state
-from .network import (
-    NetworkCondition,
-    ReducedNetwork,
-    assemble_bus_matrix,
-    augmented_matrix,
-    kron_blocks,
-    schur_complement,
-)
-from .noise import NoisePath, StochasticLoadSpec, load_schedule, ou_coefficients, ou_em_step
+from .network import NetworkCondition, ReducedNetwork, reduce_with_loads, stage_blocks
+from .noise import NoisePath, StochasticLoadSpec, load_schedule
 from .powerflow import solve_power_flow
 from .trajectory import Trajectory, packed_column
 
@@ -180,13 +173,7 @@ class SimulationSetup:
             conditions["post-fault"] = NetworkCondition(
                 "post-fault", removed_branches=scenario.trip_branches
             )
-        internal = np.arange(case.n_bus, case.n_bus + case.n_gen)
-        stage_blocks = {
-            stage: kron_blocks(
-                augmented_matrix(case, assemble_bus_matrix(case, cond)), internal
-            )
-            for stage, cond in conditions.items()
-        }
+        blocks = {stage: stage_blocks(case, cond) for stage, cond in conditions.items()}
 
         load_buses = sorted(mean_loads)
         load_rows = np.array([case.bus_index(b) for b in load_buses], dtype=int)
@@ -202,10 +189,12 @@ class SimulationSetup:
             x0=init.state,
             specs=specs,
             mean_loads=mean_loads,
-            stage_blocks=stage_blocks,
+            stage_blocks=blocks,
             load_rows=load_rows,
             load_vm2=load_vm2,
-            mean_pq=np.array([mean_loads[b] for b in load_buses], dtype=float),
+            mean_pq=np.array(
+                [mean_loads[b] for b in load_buses], dtype=float
+            ).reshape(-1, 2),
             spec_rows=np.array([load_buses.index(sp.bus) for sp in specs], dtype=int),
             monitor_rows=monitor_rows,
         )
@@ -214,16 +203,12 @@ class SimulationSetup:
         """Reduced networks of one stage for a stack of load values.
 
         ``pq`` is (R, L, 2): the P and Q of every load bus, in sorted
-        load-bus order, for each of R runs.  The load shunts join the diagonal of a
-        copy of the stage's bus/bus block and one stacked solve eliminates
-        the buses, so ``y`` is (R, K, K) and ``recovery`` (R, n, K).
+        load-bus order, for each of R runs; :func:`reduce_with_loads` on the
+        stage's cached blocks gives (R, K, K) ``y`` and (R, n, K) ``recovery``.
         """
-        y_aa, y_ab, y_ba, y_bb = self.stage_blocks[stage]
-        y = np.repeat(y_bb[None], pq.shape[0], axis=0)
-        rows = self.load_rows
-        y[:, rows, rows] += (pq[..., 0] - 1j * pq[..., 1]) / self.load_vm2
-        y_red, recovery = schur_complement(y_aa, y_ab, y_ba, y)
-        return ReducedNetwork(y=y_red, recovery=recovery, stage=stage)
+        return reduce_with_loads(
+            self.stage_blocks[stage], self.load_rows, self.load_vm2, pq, stage
+        )
 
     def n_noise_vars(self) -> int:
         return 2 * len(self.specs)
@@ -257,65 +242,58 @@ def run_simulation(
     paths: Iterable[NoisePath | None],
     em_continuous: bool = False,
     out_stride: int = 1,
-    horizon: float | None = None,
 ) -> list[Trajectory]:
     """Drive a batch of runs, one per noise path, on the output grid of step ``h``.
 
-    The runs share the stage schedule, the step grid and the resample
-    instants; only their load values differ, so they advance together as an
-    (R, 4K) stack.  ``step_fn(states, net, dt)`` advances the stack across
-    one segment with a frozen (R, K, K) stack of networks.  Stage
-    boundaries are honored exactly by splitting the enclosing step;
-    stochastic loads advance at resample boundaries (or at every step when
-    ``em_continuous``), after which the reduced networks are rebuilt.  A run
-    whose state turns non-finite or huge is marked diverged, with the time
-    and the first packed-state column past ``DIVERGENCE_LIMIT``, and leaves
-    the stack; its remaining rows stay NaN.  Every operation treats each
-    run's row on its own, so a run's trajectory is bit-identical alone and
-    in any batch.
+    The runs share the stage schedule, the step grid and the load instants;
+    only their load values differ, so they advance together as an (R, 4K)
+    stack.  ``step_fn(states, net, dt)`` advances the stack across one
+    segment with a frozen (R, K, K) stack of networks.  Stage boundaries are
+    honored exactly by splitting the enclosing step.  Every run's loads come
+    from its :func:`load_schedule`: held for a resample interval, or with
+    ``em_continuous`` stepped by Euler-Maruyama at every step, and the
+    reduced networks are rebuilt whenever they change.  A run whose state
+    turns non-finite or huge is marked diverged, with the time and the first
+    packed-state column past ``DIVERGENCE_LIMIT``, and leaves the stack; its
+    remaining rows stay NaN.  Every operation treats each run's row on its
+    own, so a run's trajectory is bit-identical alone and in any batch.
 
-    ``paths`` holds one entry per run (None serves a deterministic scenario)
-    and is iterated once: a run's noise path is released as soon as its load
-    schedule is built.  Returns the trajectories in the order of ``paths``.
+    ``paths`` holds one entry per run (None serves a deterministic
+    scenario), each on the load step (``resample_dt``, or ``h`` with
+    ``em_continuous``), and is iterated once: a run's noise path is released
+    as soon as its load schedule is built.  Returns the trajectories in the
+    order of ``paths``.
     """
     sc = setup.scenario
     case = setup.case
-    if horizon is None:
-        horizon = sc.horizon_s
-    n_steps = _grid_steps(horizon, h)
+    n_steps = _grid_steps(sc.horizon_s, h)
     specs = setup.specs
 
-    spr = None
-    need = n_steps
-    if specs and not em_continuous:
-        spr = _exact_multiple(sc.resample_dt, h)
-        need = int(math.ceil(n_steps / spr - 1e-12))
-    # per run: its (2S, steps) noise grid when em_continuous, else its load
-    # schedule in the same layout
-    noise = []
-    for path in paths:
+    spr = None  # steps per load value; None without stochastic loads
+    if specs:
+        spr = 1 if em_continuous else _exact_multiple(sc.resample_dt, h)
+        need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
+        load_dt = h if em_continuous else sc.resample_dt  # the paths' step
+
+    def schedule(path: NoisePath | None) -> np.ndarray | None:
         if not specs:
-            noise.append(None)
-            continue
+            return None
         if path is None:
             raise ValueError("a noise path is required for stochastic runs")
         if path.n_vars != setup.n_noise_vars() or path.n_steps < need:
             raise ValueError("noise path does not cover this scenario")
-        if not em_continuous:
-            noise.append(load_schedule(specs, path).T)
-        elif abs(path.dt - h) > 1e-12:
-            raise ValueError("continuous mode expects a noise path sampled at dt")
-        else:
-            noise.append(path.xi)
-    r = len(noise)
+        if abs(path.dt - load_dt) > 1e-12:
+            raise ValueError(
+                f"noise path step {path.dt} differs from the load step {load_dt}"
+            )
+        return load_schedule(specs, path, euler=em_continuous)
+
+    # per run: its (steps, 2S) load schedule; no path outlives this line
+    loads = [schedule(path) for path in paths]
+    r = len(loads)
     if r == 0:
         raise ValueError("a batch needs at least one run")
-    eps = None
-    if specs and em_continuous:
-        a_vec, b_vec = ou_coefficients(specs)
-        eps = np.zeros((r, 2 * len(specs)))
     spec_rows = setup.spec_rows
-    spec_mean = setup.mean_pq[spec_rows]
 
     events: list[tuple[float, str]] = []
     ft = sc.fault_times(case)
@@ -337,9 +315,9 @@ def run_simulation(
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    def column(j: int) -> np.ndarray:
-        """Column j of the noise input of every running run, (runs, 2S)."""
-        return np.stack([noise[i][:, j] for i in active])
+    def loads_at(j: int) -> np.ndarray:
+        """Row j of the load schedule of every running run, (runs, 2S)."""
+        return np.stack([loads[i][j] for i in active])
 
     def record(i: int, x: np.ndarray, current_net: ReducedNetwork) -> None:
         states[active, i] = x
@@ -349,7 +327,6 @@ def run_simulation(
 
     x = np.repeat(setup.x0[None], r, axis=0)
     record(0, x, net)
-    sqrt_h = math.sqrt(h)
     ev_idx = 0
     tol = 1e-9
 
@@ -358,11 +335,7 @@ def run_simulation(
         t1 = (k + 1) * h
         rebuilt = False
         if spr is not None and k > 0 and k % spr == 0:
-            pq[:, spec_rows] = column(k // spr).reshape(active.size, -1, 2)
-            rebuilt = True
-        elif eps is not None and k > 0:
-            eps = ou_em_step(eps, a_vec, b_vec, h, sqrt_h * column(k - 1))
-            pq[:, spec_rows] = spec_mean + eps.reshape(active.size, -1, 2)
+            pq[:, spec_rows] = loads_at(k // spr).reshape(active.size, -1, 2)
             rebuilt = True
         while ev_idx < len(events) and events[ev_idx][0] <= t0 + tol:
             stage = events[ev_idx][1]
@@ -391,8 +364,6 @@ def run_simulation(
                 bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
             active, x, pq = active[ok], x[ok], pq[ok]
-            if eps is not None:
-                eps = eps[ok]
             if not active.size:
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])

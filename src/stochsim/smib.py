@@ -3,8 +3,14 @@
 Everything here is written out by hand, independently of the generic series
 engine, so the two can check each other: the admittance coefficients of the
 classical machine/tie-line/impedance-load circuit, the order-2 series terms
-of the rotor speed, the Brownian-expansion terms of the stochastic load
-impedance, and the closed-form solution of its mean-reverting SDE.
+of the rotor angle and speed, and the analytic moments of the
+mean-reverting load SDE.
+
+The published series recursion for the stochastic load reactance repeats
+the resistance initial value R_L(0) where X_L(0) belongs, plainly a slip of
+the pen.  The load series are not reproduced here: production loads come
+from :func:`stochsim.noise.load_schedule`, and the closed-form OU solution
+is :func:`stochsim.noise.ou_closed_form`.
 
 Not a production solver; used by the test suite and the validation command.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MachineSet, pack_state
-from .network import ReducedNetwork, kron_reduce
+from .network import ReducedNetwork, kron_blocks, schur_complement
 from .noise import OUParams
 
 
@@ -29,9 +35,7 @@ class SingularityError(ArithmeticError):
 class SMIBParams:
     """Classical machine behind (Rs, xdp), tie line (r, x), impedance load (rl, xl).
 
-    ``ep`` is the internal EMF magnitude, ``v`` the infinite-bus voltage;
-    (a1, b1) and (a2, b2) are the mean-reversion/diffusion parameters of the
-    stochastic load resistance and reactance.
+    ``ep`` is the internal EMF magnitude, ``v`` the infinite-bus voltage.
     """
 
     H: float = 3.5
@@ -46,30 +50,21 @@ class SMIBParams:
     x: float = 0.35
     rl: float = 2.5
     xl: float = 1.8
-    a1: float = 0.5
-    b1: float = 0.0
-    a2: float = 0.5
-    b2: float = 0.0
 
     def __post_init__(self):
         if self.H <= 0:
             raise ValueError("H must be positive")
         if self.rl * self.rl + self.xl * self.xl <= 0:
             raise ValueError("load impedance magnitude must be positive")
-        if self.a1 <= 0 or self.a2 <= 0:
-            raise ValueError("mean-reversion rates must be positive")
 
 
-def k_coefficients(p: SMIBParams, rl: float | None = None, xl: float | None = None):
+def k_coefficients(p: SMIBParams):
     """The five admittance coefficients of the classical SMIB power expression.
 
-    Optional ``rl``/``xl`` override the load impedance (they are the
-    stochastic variables).  Raises :class:`SingularityError` naming the
-    vanishing conductance/susceptance sum.
+    Raises :class:`SingularityError` naming the vanishing
+    conductance/susceptance sum.
     """
-    rl = p.rl if rl is None else rl
-    xl = p.xl if xl is None else xl
-    y_l = 1.0 / complex(rl, xl)
+    y_l = 1.0 / complex(p.rl, p.xl)
     y_s = 1.0 / complex(p.rs, p.xdp)
     y_r = 1.0 / complex(p.r, p.x)
     g_l, b_l = y_l.real, y_l.imag
@@ -94,18 +89,18 @@ def k_coefficients(p: SMIBParams, rl: float | None = None, xl: float | None = No
     return k1, k2, k3, k4, k5
 
 
-def electric_power(p: SMIBParams, delta: float, rl=None, xl=None) -> float:
+def electric_power(p: SMIBParams, delta: float) -> float:
     """P_e(delta) = k3 + (E'V / k1 k2) (k4 cos(delta) + k5 sin(delta))."""
-    k1, k2, k3, k4, k5 = k_coefficients(p, rl, xl)
+    k1, k2, k3, k4, k5 = k_coefficients(p)
     c = p.ep * p.v / (k1 * k2)
     return k3 + c * (k4 * math.cos(delta) + k5 * math.sin(delta))
 
 
-def smib_rhs(p: SMIBParams, delta: float, omega: float, rl=None, xl=None):
+def smib_rhs(p: SMIBParams, delta: float, omega: float):
     """Right-hand side of the classical rotor equations at (delta, omega)."""
     d_delta = omega - p.omega_r
     d_omega = (p.omega_r / (2.0 * p.H)) * (
-        p.pm - electric_power(p, delta, rl, xl) - p.D * (omega - p.omega_r) / p.omega_r
+        p.pm - electric_power(p, delta) - p.D * (omega - p.omega_r) / p.omega_r
     )
     return d_delta, d_omega
 
@@ -153,12 +148,6 @@ def smib_window_coefficients(p: SMIBParams, delta0: float, omega0: float):
     return delta_coeffs, omega_coeffs
 
 
-def smib_omega_sas(p: SMIBParams, delta0: float, omega0: float, t: float) -> float:
-    """Order-2 semi-analytical rotor speed: w0 + w1(t) + w2(t)."""
-    _, omega_coeffs = smib_window_coefficients(p, delta0, omega0)
-    return float(omega_coeffs[0] + omega_coeffs[1] * t + omega_coeffs[2] * t * t)
-
-
 def smib_embedding(p: SMIBParams):
     """The SMIB circuit as a two-node reduced network plus machine set.
 
@@ -179,7 +168,7 @@ def smib_embedding(p: SMIBParams):
         ],
         dtype=complex,
     )
-    y_red, recovery = kron_reduce(y_full, np.array([0, 2]))
+    y_red, recovery = schur_complement(*kron_blocks(y_full, np.array([0, 2])))
     net = ReducedNetwork(y=y_red, recovery=recovery, stage="pre-fault")
     machines = MachineSet(
         bus=np.array([1, 2]),
@@ -207,58 +196,6 @@ def smib_state(p: SMIBParams, delta0: float, omega0: float) -> np.ndarray:
         np.array([p.ep, p.v]),
         np.array([0.0, 0.0]),
     )
-
-
-def _iterated_integral(times: np.ndarray, values: np.ndarray, n: int) -> float:
-    """n-fold iterated time integral of a sampled path, by composite trapezoid."""
-    y = values
-    for _ in range(n):
-        dt = np.diff(times)
-        y = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * dt)])
-    return float(y[-1])
-
-
-def ou_sas_term(
-    a: float, b: float, y0: float, t: float, times: np.ndarray, bvals: np.ndarray, n: int
-) -> float:
-    """Order-n series term of dy = -a y + b W: the decaying monomial plus
-    the n-fold iterated integral of the Brownian path."""
-    det = (-a) ** n * y0 * t**n / math.factorial(n)
-    if b == 0.0:
-        return det
-    return det + (-a) ** n * b * _iterated_integral(times, bvals, n)
-
-
-def rl_sas_terms(
-    p: SMIBParams, rl0: float, t: float, times: np.ndarray, bvals: np.ndarray
-):
-    """Orders 0..2 of the stochastic load resistance series."""
-    return tuple(ou_sas_term(p.a1, p.b1, rl0, t, times, bvals, n) for n in range(3))
-
-
-def xl_sas_terms(
-    p: SMIBParams, xl0: float, t: float, times: np.ndarray, bvals: np.ndarray
-):
-    """Orders 0..2 of the stochastic load reactance series.
-
-    Written with XL(0) throughout (the published recursion repeats the
-    resistance initial value here, plainly a slip of the pen).
-    """
-    return tuple(ou_sas_term(p.a2, p.b2, xl0, t, times, bvals, n) for n in range(3))
-
-
-def rl_closed_form(
-    p: SMIBParams, rl0: float, t: float, times: np.ndarray, bvals: np.ndarray
-) -> float | np.ndarray:
-    """Exact solution R_L(t) = e^{-a1 t} [R_L(0) + b1 int_0^t e^{a1 s} dB(s)].
-
-    ``bvals`` samples the Brownian path at ``times`` along its last axis,
-    one path per leading index.  The stochastic integral is discretized at
-    the left endpoints of the supplied path.
-    """
-    db = np.diff(bvals, axis=-1)
-    integral = np.sum(np.exp(p.a1 * times[:-1]) * db, axis=-1)
-    return math.exp(-p.a1 * t) * (rl0 + p.b1 * integral)
 
 
 def ou_moments(p_ou: OUParams, y0: float, t: float) -> tuple[float, float]:

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from stochsim import cli
+from stochsim.case import load_case
+from stochsim.network import ReductionError
+from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim.validate import CheckResult, check_smib_coefficients
 
 
@@ -10,10 +15,19 @@ def write_scenario(tmp_path, doc) -> str:
     return str(path)
 
 
-def run_argv(repo_root, scenario, out, *extra) -> list[str]:
+def write_smib_case(repo_root, tmp_path, edit) -> str:
+    """The SMIB case file after ``edit`` changed its parsed JSON in place."""
+    doc = json.loads((repo_root / "cases" / "smib.json").read_text())
+    edit(doc)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_argv(repo_root, scenario, out, *extra, case=None) -> list[str]:
     return [
         "run",
-        "--case", str(repo_root / "cases" / "smib.json"),
+        "--case", case or str(repo_root / "cases" / "smib.json"),
         "--scenario", scenario,
         "--out", str(out),
         *extra,
@@ -68,6 +82,36 @@ def test_zero_runs_exits_2(repo_root, tmp_path):
     scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
     argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "0")
     assert cli.main(argv) == 2
+
+
+def test_power_flow_failure_exits_2(repo_root, tmp_path):
+    def overload(doc):  # generation far beyond the tie line's transfer limit
+        next(b for b in doc["buses"] if b["id"] == 1)["p_gen"] = 9.0
+
+    case = write_smib_case(repo_root, tmp_path, overload)
+    with pytest.raises(PowerFlowError):
+        solve_power_flow(load_case(case))
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", case=case)) == 2
+
+
+def test_case_without_loads_runs(repo_root, tmp_path):
+    case = write_smib_case(repo_root, tmp_path, lambda doc: doc.update(loads=[]))
+    scenario = write_scenario(
+        tmp_path,
+        {"horizon_s": 0.5, "fault_bus": 1, "fault_start_s": 0.1, "fault_duration_cycles": 3},
+    )
+    flags = ("--order", "4", "--window", "0.01")
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags, case=case)) == 0
+
+
+def test_reduction_failure_exits_2(repo_root, tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise ReductionError("interior admittance block is singular")
+
+    monkeypatch.setattr(cli.SimulationSetup, "build", singular)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2
 
 
 def test_missing_case_file_exits_3(tmp_path):

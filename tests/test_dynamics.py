@@ -10,7 +10,7 @@ from stochsim.dynamics import (
     split_state,
 )
 from stochsim.network import NetworkCondition, ReducedNetwork, build_reduced_network
-from stochsim.powerflow import solve_power_flow
+from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim import smib as sm
 
 
@@ -164,12 +164,24 @@ def test_solve_equilibrium_smib_balance(smib_case):
 def test_solve_equilibrium_overloaded_fails(smib_case):
     import dataclasses
 
-    # demand beyond the transfer limit: no equilibrium exists
+    # generation beyond the transfer limit: the power flow finds no solution
     bus1 = dataclasses.replace(smib_case.buses[0], p_gen=9.0)
     heavy = dataclasses.replace(smib_case, buses=(bus1, smib_case.buses[1]))
-    with pytest.raises((EquilibriumError, Exception)):
-        # either the power flow or the Newton search must report failure
+    with pytest.raises(PowerFlowError):
         solve_equilibrium(
             heavy, NetworkCondition("pre-fault"),
             {ld.bus: (ld.p, ld.q) for ld in heavy.loads},
         )
+
+
+def test_solve_equilibrium_without_nominal_speed_equilibrium_fails(ieee39_case):
+    # with line 3-4 tripped the post-fault network has no equilibrium at
+    # rated speed for the pre-fault inputs: the Newton search stalls far
+    # above its tolerance. Where it stalls is not asserted: the Jacobian's
+    # condition number is about 1e12, so the last bits of the network move
+    # the stall residual (2.2e-3 or 0.29 for two roundings of the same net).
+    cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
+    loads = {ld.bus: (ld.p, ld.q) for ld in ieee39_case.loads}
+    with pytest.raises(EquilibriumError, match="stalled") as err:
+        solve_equilibrium(ieee39_case, cond, loads)
+    assert err.value.residual > 1e-3

@@ -161,6 +161,25 @@ def test_em_paper_sde_requires_matching_path(smib_case):
         simulate_em(smib_case, sc, cfg, path, setup=setup)
 
 
+def test_sas_requires_path_on_resample_grid(smib_case):
+    # a 0.05 s path covers the 0.1 s scenario with rows to spare, but its
+    # OU steps would run at half the resample interval
+    sc = Scenario(horizon_s=0.5, stochastic_buses=(1,), sigma_rel=0.02)
+    setup = SimulationSetup.build(smib_case, sc)
+    path = build_noise_path((1, 0), setup.n_noise_vars(), 0.5, 0.05)
+    with pytest.raises(ValueError, match="load step"):
+        simulate_sas(smib_case, sc, SolverConfig(window=0.01), path, setup=setup)
+
+
+def test_em_shared_path_requires_path_on_resample_grid(smib_case):
+    sc = Scenario(horizon_s=0.5, stochastic_buses=(1,), sigma_rel=0.02)
+    setup = SimulationSetup.build(smib_case, sc)
+    cfg = EMConfig(dt=1e-3, mode="shared-path")
+    path = build_noise_path((1, 0), setup.n_noise_vars(), 0.5, cfg.dt)
+    with pytest.raises(ValueError, match="load step"):
+        simulate_em(smib_case, sc, cfg, path, setup=setup)
+
+
 def test_em_config_validation():
     with pytest.raises(ValueError):
         EMConfig(dt=0.0)

@@ -7,28 +7,64 @@ from stochsim.network import (
     ReductionError,
     assemble_bus_matrix,
     build_reduced_network,
-    kron_reduce,
-    load_to_admittance,
+    kron_blocks,
+    reduce_with_loads,
     schur_complement,
+    stage_blocks,
 )
 from stochsim.powerflow import solve_power_flow
 from stochsim import smib as sm
 
 
-def test_load_to_admittance_unit_values():
-    assert load_to_admittance(1.0, 0.0, 1.0 + 0j) == pytest.approx(1.0 + 0j)
-    assert load_to_admittance(0.0, 0.0, 0.7 + 0.2j) == 0.0
-    assert load_to_admittance(1.0, 0.5, 2.0 + 0j) == pytest.approx(0.25 - 0.125j)
+def test_load_shunt_unit_values():
+    # one internal node on one bus: the recovery is -y_ba / (y_bb + shunt),
+    # so the shunt (P - jQ) / |V|^2 can be read back from it
+    blocks = tuple(np.array([[v]]) for v in (2 - 1j, -2 + 1j, -2 + 1j, 2 - 1j))
+    y_bb = blocks[3].copy()
+    cases = (
+        (1.0, 0.0, 1.0 + 0j, 1.0 + 0j),
+        (0.0, 0.0, 0.7 + 0.2j, 0.0),
+        (1.0, 0.5, 2.0 + 0j, 0.25 - 0.125j),
+    )
+    for p, q, v, shunt in cases:
+        pq = np.array([[p, q]])
+        net = reduce_with_loads(blocks, np.array([0]), np.abs([v]) ** 2, pq, "pre-fault")
+        got = -blocks[2][0, 0] / net.recovery[0, 0] - y_bb[0, 0]
+        assert got == pytest.approx(shunt, abs=1e-14)
+    assert np.array_equal(blocks[3], y_bb)  # the cached block is left as it was
 
 
-def test_load_to_admittance_zero_voltage():
+def test_build_reduced_network_zero_load_voltage(smib_case):
+    v = solve_power_flow(smib_case)
+    loads = {ld.bus: (ld.p, ld.q) for ld in smib_case.loads}
+    v[smib_case.bus_index(next(iter(loads)))] = 0.0
     with pytest.raises(ValueError):
-        load_to_admittance(1.0, 0.0, 0.0)
+        build_reduced_network(smib_case, NetworkCondition("pre-fault"), loads, v)
+
+
+def test_stacked_loads_match_one_network_each(ieee39_case):
+    # a (R, L, 2) stack of loads gives each run the network that the
+    # single-load build_reduced_network gives it
+    v = solve_power_flow(ieee39_case)
+    buses = sorted(ld.bus for ld in ieee39_case.loads)
+    mean = np.array([(ieee39_case.load_at(b).p, ieee39_case.load_at(b).q) for b in buses])
+    rng = np.random.default_rng(4)
+    pq = mean * (1.0 + 0.05 * rng.standard_normal((3,) + mean.shape))
+    cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
+    rows = np.array([ieee39_case.bus_index(b) for b in buses])
+    stack = reduce_with_loads(
+        stage_blocks(ieee39_case, cond), rows, np.abs(v[rows]) ** 2, pq, cond.stage
+    )
+    assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
+    for i in range(3):
+        one = build_reduced_network(ieee39_case, cond, dict(zip(buses, pq[i])), v)
+        assert np.array_equal(stack.y[i], one.y)
+        assert np.array_equal(stack.recovery[i], one.recovery)
 
 
 def test_kron_noop_when_nothing_to_eliminate():
     y = np.array([[1.0 - 2j, -1.0 + 2j], [-1.0 + 2j, 1.0 - 2j]])
-    y_red, rec = kron_reduce(y, np.array([0, 1]))
+    y_red, rec = schur_complement(*kron_blocks(y, np.array([0, 1])))
     assert np.array_equal(y_red, y)
     assert rec.shape == (0, 2)
 
@@ -47,7 +83,7 @@ def test_kron_three_node_chain_hand_computed():
             [0, -y23, y23],
         ]
     )
-    y_red, rec = kron_reduce(y, np.array([0, 2]))
+    y_red, rec = schur_complement(*kron_blocks(y, np.array([0, 2])))
     assert y_red[0, 0] == pytest.approx(y12 - y12**2 / s, rel=1e-14)
     assert y_red[0, 1] == pytest.approx(-y12 * y23 / s, rel=1e-14)
     assert y_red[1, 1] == pytest.approx(y23 - y23**2 / s, rel=1e-14)
@@ -78,7 +114,7 @@ def test_kron_exactness_on_random_networks():
         for i in range(n):
             y[i, i] += rng.uniform(0.05, 0.3) - 1j * rng.uniform(-0.1, 0.1)
         keep = np.arange(n_keep)
-        y_red, _ = kron_reduce(y, keep)
+        y_red, _ = schur_complement(*kron_blocks(y, keep))
         assert np.allclose(y_red, y_red.T, atol=1e-13)  # symmetry preserved
 
         e = rng.standard_normal(n_keep) + 1j * rng.standard_normal(n_keep)
@@ -127,7 +163,7 @@ def test_kron_singular_interior_raises():
     y = np.zeros((2, 2), dtype=complex)  # isolated interior node
     y[0, 0] = 1.0
     with pytest.raises(ReductionError):
-        kron_reduce(y, np.array([0]))
+        schur_complement(*kron_blocks(y, np.array([0])))
 
 
 def test_fault_stage_grounds_bus(smib_case):

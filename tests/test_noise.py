@@ -11,6 +11,7 @@ from stochsim.noise import (
     build_noise_path,
     load_schedule,
     ou_closed_form,
+    ou_em_step,
     ou_exact_step,
     path_to_csv,
     stationary_variance,
@@ -158,6 +159,32 @@ def test_load_schedule_columns_follow_noise_grid_order():
         for k in range(path.n_steps):
             assert vals[k, j] == pytest.approx(mean + eps, rel=1e-14, abs=1e-15)
             eps = ou_exact_step(eps, ou.a, ou.b, path.dt, path.xi[j, k])
+
+
+def test_euler_load_schedule_follows_em_recursion():
+    # the paper-sde schedule on the integration grid: the mean in row 0,
+    # then row k is one Euler-Maruyama step from row k-1 driven by noise
+    # column k-1, dW = sqrt(dt) xi, with each spec's own (a, b)
+    specs = [
+        StochasticLoadSpec.from_sigma(bus=3, p_mean=3.2, q_mean=0.4, sigma_rel=0.05),
+        StochasticLoadSpec.from_sigma(bus=4, p_mean=5.0, q_mean=1.8, sigma_rel=0.02, a=2.0),
+    ]
+    dt = 1e-3
+    path = build_noise_path(6, 4, 0.5, dt)
+    vals = load_schedule(specs, path, euler=True)
+    ous = [ou for spec in specs for ou in (spec.ou_p, spec.ou_q)]
+    a = np.array([0.5, 0.5, 2.0, 2.0])
+    b = np.array([ou.b for ou in ous])
+    assert [ou.a for ou in ous] == list(a)
+    mean = np.array([3.2, 0.4, 5.0, 1.8])
+    assert vals.shape == (path.n_steps, 4)
+    assert np.array_equal(vals[0], mean)
+    eps = np.zeros(4)
+    for k in range(1, path.n_steps):
+        eps = ou_em_step(eps, a, b, dt, math.sqrt(dt) * path.xi[:, k - 1])
+        assert np.array_equal(vals[k], mean + eps)
+    # not the exact transition: the two schedules differ after row 0
+    assert not np.array_equal(vals[1:], load_schedule(specs, path)[1:])
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
