@@ -112,10 +112,23 @@ class SystemCase:
         return None
 
 
-def _require(record: dict, key: str, where: str):
+def _field(record: dict, key: str, where: str, convert=float, default=None):
+    """``convert(record[key])``; ``default`` when absent, required without one."""
     if key not in record:
-        raise CaseError(f"{where}: missing field '{key}'")
-    return record[key]
+        if default is None:
+            raise CaseError(f"{where}: missing field '{key}'")
+        return default
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError):
+        raise CaseError(f"{where}: field '{key}' is invalid: {record[key]!r}") from None
+
+
+def _records(doc: dict, section: str) -> list[dict]:
+    records = doc[section]
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise CaseError(f"section '{section}' must be a list of JSON objects")
+    return records
 
 
 def parse_case(text: str, name: str = "") -> SystemCase:
@@ -137,69 +150,71 @@ def parse_case(text: str, name: str = "") -> SystemCase:
             raise CaseError(f"missing section '{section}'")
 
     sysrec = doc["system"]
-    freq = float(_require(sysrec, "frequency_hz", "system"))
-    base = float(_require(sysrec, "base_mva", "system"))
+    if not isinstance(sysrec, dict):
+        raise CaseError("section 'system' must be a JSON object")
+    freq = _field(sysrec, "frequency_hz", "system")
+    base = _field(sysrec, "base_mva", "system")
     if freq <= 0 or base <= 0:
         raise CaseError("system: frequency_hz and base_mva must be positive")
     omega_r = 2.0 * math.pi * freq
 
     buses = []
-    for i, rec in enumerate(doc["buses"]):
+    for i, rec in enumerate(_records(doc, "buses")):
         where = f"buses[{i}]"
-        btype = _require(rec, "type", where)
+        btype = _field(rec, "type", where, str)
         if btype not in BUS_TYPES:
             raise CaseError(f"{where}: type must be one of {BUS_TYPES}, got {btype!r}")
         buses.append(
             Bus(
-                id=int(_require(rec, "id", where)),
+                id=_field(rec, "id", where, int),
                 type=btype,
-                v_setpoint=float(rec.get("v_setpoint", 1.0)),
-                angle=float(rec.get("angle", 0.0)),
-                p_gen=float(rec.get("p_gen", 0.0)),
+                v_setpoint=_field(rec, "v_setpoint", where, default=1.0),
+                angle=_field(rec, "angle", where, default=0.0),
+                p_gen=_field(rec, "p_gen", where, default=0.0),
             )
         )
 
     branches = []
-    for i, rec in enumerate(doc["branches"]):
+    for i, rec in enumerate(_records(doc, "branches")):
         where = f"branches[{i}]"
         branches.append(
             Branch(
-                from_bus=int(_require(rec, "from", where)),
-                to_bus=int(_require(rec, "to", where)),
-                r=float(_require(rec, "r", where)),
-                x=float(_require(rec, "x", where)),
-                b=float(rec.get("b", 0.0)),
-                tap=float(rec.get("tap", 0.0)),
+                from_bus=_field(rec, "from", where, int),
+                to_bus=_field(rec, "to", where, int),
+                r=_field(rec, "r", where),
+                x=_field(rec, "x", where),
+                b=_field(rec, "b", where, default=0.0),
+                tap=_field(rec, "tap", where, default=0.0),
             )
         )
 
     gens = []
-    for i, rec in enumerate(doc["generators"]):
+    for i, rec in enumerate(_records(doc, "generators")):
         where = f"generators[{i}]"
         gens.append(
             GeneratorParams(
-                bus=int(_require(rec, "bus", where)),
-                H=float(_require(rec, "H", where)),
-                D=float(rec.get("D", 0.0)),
-                xd=float(_require(rec, "xd", where)),
-                xdp=float(_require(rec, "xdp", where)),
-                xq=float(_require(rec, "xq", where)),
-                xqp=float(_require(rec, "xqp", where)),
-                Td0p=float(_require(rec, "Td0p", where)),
-                Tq0p=float(_require(rec, "Tq0p", where)),
-                Rs=float(rec.get("Rs", 0.0)),
+                bus=_field(rec, "bus", where, int),
+                H=_field(rec, "H", where),
+                D=_field(rec, "D", where, default=0.0),
+                xd=_field(rec, "xd", where),
+                xdp=_field(rec, "xdp", where),
+                xq=_field(rec, "xq", where),
+                xqp=_field(rec, "xqp", where),
+                Td0p=_field(rec, "Td0p", where),
+                Tq0p=_field(rec, "Tq0p", where),
+                Rs=_field(rec, "Rs", where, default=0.0),
                 omega_r=omega_r,
             )
         )
 
     loads = []
-    for i, rec in enumerate(doc["loads"]):
+    for i, rec in enumerate(_records(doc, "loads")):
         where = f"loads[{i}]"
         loads.append(
             Load(
-                bus=int(_require(rec, "bus", where)),
-                p=float(_require(rec, "P", where)),
-                q=float(_require(rec, "Q", where)),
+                bus=_field(rec, "bus", where, int),
+                p=_field(rec, "P", where),
+                q=_field(rec, "Q", where),
             )
         )
 

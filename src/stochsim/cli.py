@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, ensembles, benches and validation.
+"""Command-line front end: single runs, ensembles and validation.
 
 Artifacts are written atomically into the output directory; repeated
 invocations with the same flags and seed produce byte-identical CSV files.
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .case import CaseError, load_case
+from .case import load_case
 from .dynamics import EquilibriumError, solve_equilibrium
 from .em import EMConfig
 from .ensemble import (
@@ -35,7 +35,8 @@ from .network import NetworkCondition, ReductionError
 from .noise import build_noise_path, path_to_csv
 from .powerflow import PowerFlowError
 from .sas import SolverConfig
-from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
+from .scenario import SimulationSetup, load_scenario
+from .trajectory import state_columns
 from .validate import run_all
 
 
@@ -50,22 +51,26 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _solver_config(args, scenario: Scenario):
+def _solver_config(args):
     if args.solver == "sas":
         return SolverConfig(order=args.order, window=args.window)
     return EMConfig(dt=args.dt, mode=args.em_mode)
 
 
-def _stats_variables(args, ensemble: Ensemble) -> list[str]:
-    tr = ensemble.trajectories[0]
-    first = tr.gen_buses[0]
-    base = [f"g{first}.delta", f"g{first}.omega"]
-    base += [f"v{b}" for b in tr.monitor_buses]
+def _stats_variables(args, setup: SimulationSetup) -> list[str]:
+    """Variables of stats.csv and pdf.csv; an unknown name is a usage error."""
+    gen_buses = [g.bus for g in setup.case.generators]
+    volts = [f"v{b}" for b in setup.scenario.monitor_buses]
+    columns = state_columns(gen_buses) + volts
     if args.stats_vars == "all":
-        base = tr.columns
-    elif args.stats_vars:
-        base = [v.strip() for v in args.stats_vars.split(",")]
-    return base
+        return columns
+    if not args.stats_vars:
+        return [f"g{gen_buses[0]}.delta", f"g{gen_buses[0]}.omega"] + volts
+    names = [v.strip() for v in args.stats_vars.split(",")]
+    unknown = [v for v in names if v not in columns]
+    if unknown:
+        raise UsageError(f"--stats-vars: unknown variable(s) {', '.join(unknown)}")
+    return names
 
 
 def _stats_csv(ensemble: Ensemble, variables: list[str]) -> str:
@@ -110,7 +115,7 @@ def cmd_run(args) -> int:
         raise UsageError("--runs must be at least 1")
     case = load_case(args.case)
     scenario = load_scenario(args.scenario)
-    config = _solver_config(args, scenario)
+    config = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
 
     manifest = {
@@ -129,17 +134,10 @@ def cmd_run(args) -> int:
     }
     try:
         setup = SimulationSetup.build(case, scenario)
+        variables = _stats_variables(args, setup)
         t0 = time.perf_counter()
         ensemble = run_ensemble(
-            case,
-            scenario,
-            args.solver,
-            config,
-            args.runs,
-            args.seed,
-            jobs=args.jobs,
-            setup=setup,
-            progress=_progress,
+            setup, config, args.runs, args.seed, jobs=args.jobs, progress=_progress
         )
         total = time.perf_counter() - t0
         manifest["run_seeds"] = [list(s) for s in ensemble.run_seeds]
@@ -159,7 +157,6 @@ def cmd_run(args) -> int:
             _write_atomic(path, ensemble.trajectories[0].to_csv())
             artifacts.append(path)
         else:
-            variables = _stats_variables(args, ensemble)
             path = os.path.join(args.out, "stats.csv")
             _write_atomic(path, _stats_csv(ensemble, variables))
             artifacts.append(path)
@@ -185,7 +182,7 @@ def cmd_run(args) -> int:
                 _write_atomic(path, tr.to_csv())
                 artifacts.append(path)
         if args.dump_noise:
-            horizon, dt = noise_grid(scenario, args.solver, config)
+            horizon, dt = noise_grid(scenario, config)
             for i, seed in enumerate(ensemble.run_seeds):
                 path_obj = build_noise_path(seed, setup.n_noise_vars(), horizon, dt)
                 path = os.path.join(args.out, f"noise_{i:03d}.csv")
@@ -201,68 +198,9 @@ def cmd_run(args) -> int:
         )
 
 
-def cmd_bench(args) -> int:
-    case = load_case(args.case)
-    scenario = load_scenario(args.scenario)
-    if args.horizon is not None:
-        import dataclasses
-
-        scenario = dataclasses.replace(scenario, horizon_s=args.horizon)
-    solvers = [s.strip() for s in args.solvers.split(",")]
-    if not solvers or any(s not in ("sas", "em") for s in solvers):
-        raise UsageError("--solvers must list sas and/or em")
-    os.makedirs(args.out, exist_ok=True)
-
-    setup = SimulationSetup.build(case, scenario)
-    report = {
-        "tool": "stochsim",
-        "version": __version__,
-        "command": "bench",
-        "case": args.case,
-        "scenario": args.scenario,
-        "runs": args.runs,
-        "master_seed": args.seed,
-        "step": args.window,
-        "solvers": {},
-    }
-    timings = []
-    for idx, solver in enumerate(solvers):
-        if solver == "sas":
-            config = SolverConfig(order=args.order, window=args.window)
-        else:
-            # matched step sizes: the EM step equals the window length
-            config = EMConfig(dt=args.window, mode=args.em_mode)
-        t0 = time.perf_counter()
-        ensemble = run_ensemble(
-            case, scenario, solver, config, args.runs, args.seed,
-            jobs=args.jobs, setup=setup, progress=_progress,
-        )
-        total = time.perf_counter() - t0
-        key = solver if solver not in report["solvers"] else f"{solver}#{idx}"
-        report["solvers"][key] = {
-            "config": config.__dict__,
-            "total_seconds": total,
-            "per_run_seconds": ensemble.run_seconds,
-            "mean_run_seconds": float(np.mean(ensemble.run_seconds)),
-        }
-        timings.append((key, total))
-        print(f"{key}: {total:.2f} s total, {total/args.runs:.3f} s per run")
-    if len(timings) == 2:
-        (name_a, t_a), (name_b, t_b) = timings
-        report["ratio"] = {
-            "definition": f"{name_b} / {name_a}",
-            "value": t_b / t_a,
-        }
-        print(f"wall-clock ratio {name_b}/{name_a} = {t_b/t_a:.3f}")
-    _write_atomic(
-        os.path.join(args.out, "bench.json"), json.dumps(report, indent=1) + "\n"
-    )
-    return 0
-
-
 def cmd_validate(args) -> int:
     case = load_case(args.case)
-    results = run_all(case, quick=args.quick, inject_error=args.inject_smib_error)
+    results = run_all(case, quick=args.quick)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -298,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--em-mode", choices=("shared-path", "paper-sde"), default="shared-path"
     )
     run.add_argument("--out", default="out")
-    run.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("STOCHSIM_JOBS", "1"))
-    )
+    run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--ts", type=float, default=15.0, help="stability settling time")
     run.add_argument("--r0", type=float, default=0.05, help="stability radius")
     run.add_argument("--stab-var", choices=("speed", "angle"), default="speed")
@@ -309,31 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-noise", action="store_true")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench", help="time both solvers on identical seeds")
-    bench.add_argument("--case", required=True)
-    bench.add_argument("--scenario", required=True)
-    bench.add_argument("--solvers", default="sas,em")
-    bench.add_argument("--runs", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--order", type=int, default=2)
-    bench.add_argument("--window", type=float, default=1e-3, help="matched step size")
-    bench.add_argument(
-        "--em-mode", choices=("shared-path", "paper-sde"), default="paper-sde"
-    )
-    bench.add_argument("--horizon", type=float, default=None)
-    bench.add_argument("--out", default="out")
-    bench.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("STOCHSIM_JOBS", "1"))
-    )
-    bench.set_defaults(func=cmd_bench)
-
     val = sub.add_parser("validate", help="run the cross-module oracle checks")
     val.add_argument("--case", default="cases/smib.json")
     val.add_argument("--quick", action="store_true")
-    val.add_argument(
-        "--inject-smib-error", type=float, default=0.0,
-        help="test-mode fault injection into the hand coefficients",
-    )
     val.set_defaults(func=cmd_validate)
     return parser
 
@@ -349,14 +263,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except (
-        CaseError,
-        ScenarioError,
-        ValueError,
-        EquilibriumError,
-        PowerFlowError,
-        ReductionError,
-    ) as exc:
+    # CaseError and ScenarioError are ValueErrors
+    except (ValueError, EquilibriumError, PowerFlowError, ReductionError) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

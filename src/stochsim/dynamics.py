@@ -69,9 +69,6 @@ class MachineSet:
     def n_gen(self) -> int:
         return len(self.H)
 
-    def with_inputs(self, efd: np.ndarray, pm: np.ndarray) -> "MachineSet":
-        return replace(self, efd=efd, pm=pm)
-
 
 def pack_state(delta, omega, eqp, edp) -> np.ndarray:
     return np.concatenate([delta, omega, eqp, edp], axis=-1)
@@ -142,23 +139,21 @@ def rhs(state: np.ndarray, net: ReducedNetwork, machines: MachineSet) -> np.ndar
 @dataclass(frozen=True)
 class InitResult:
     state: np.ndarray
-    efd: np.ndarray
-    pm: np.ndarray
     machines: MachineSet  # with efd/pm filled in
 
 
 def init_dynamic_state(
-    case: SystemCase,
-    profile: np.ndarray,
-    net: ReducedNetwork | None = None,
+    case: SystemCase, profile: np.ndarray, net: ReducedNetwork
 ) -> InitResult:
     """Initialize machine states at the pre-fault operating point.
 
-    The rotor angle is placed so the d-axis transient-voltage equation is at
+    ``profile`` is the solved pre-fault voltage profile and ``net`` the
+    pre-fault network reduced at the mean loads for that profile.  The rotor
+    angle is placed so the d-axis transient-voltage equation is at
     equilibrium, the transient voltages follow from network consistency with
     the solved terminal conditions, and E_fd / P_m are back-computed so every
     right-hand side of the dynamic model vanishes at the returned state
-    (residual below 1e-9 against the pre-fault reduced network at mean loads).
+    against ``net`` (residual below 1e-9).
     """
     machines = MachineSet.from_case(case)
     s_net = injected_power(case, profile)
@@ -186,13 +181,9 @@ def init_dynamic_state(
     omega = np.full(machines.n_gen, machines.omega_r)
     state = pack_state(delta, omega, eqp, edp)
 
-    if net is None:
-        loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-        net = build_reduced_network(case, NetworkCondition("pre-fault"), loads, profile)
     out = compute_injections(state, net, machines)
     efd = eqp + (machines.xd - machines.xdp) * out.i_d
-    pm = out.p_e.copy()
-    return InitResult(state, efd, pm, machines.with_inputs(efd, pm))
+    return InitResult(state, replace(machines, efd=efd, pm=out.p_e.copy()))
 
 
 def solve_equilibrium(
@@ -210,7 +201,11 @@ def solve_equilibrium(
     a post-fault network with no stable operating point shows up).
     """
     profile = solve_power_flow(case)
-    init = init_dynamic_state(case, profile)
+    mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
+    pre_fault = build_reduced_network(
+        case, NetworkCondition("pre-fault"), mean_loads, profile
+    )
+    init = init_dynamic_state(case, profile, pre_fault)
     machines = init.machines
     net = build_reduced_network(case, condition, loads, profile)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .case import SystemCase
 from .em import EMConfig, simulate_em_batch
 from .noise import build_noise_path
 from .sas import SolverConfig, simulate_sas_batch
@@ -43,10 +42,7 @@ class Ensemble:
     """
 
     trajectories: list[Trajectory]
-    master_seed: int
     run_seeds: list[tuple]
-    solver: str
-    scenario: Scenario
     run_seconds: list[float] = field(default_factory=list)
     batch_sizes: list[int] = field(default_factory=list)
 
@@ -67,38 +63,22 @@ class Ensemble:
 class StabilityCriterion:
     """Stay-within-a-ball criterion evaluated after a settling time.
 
-    A run passes when the chosen norm of the monitored deviations from the
-    equilibrium stays below ``r0`` at every grid time beyond ``t_s``.
-    ``variables`` is "speed", "angle", or an explicit column list; ``x_eq``
-    is the packed equilibrium state the deviations refer to.
+    A run passes when every generator's speed (``variables="speed"``) or
+    rotor angle (``"angle"``) stays within ``r0`` of its value in the packed
+    equilibrium state ``x_eq`` at every grid time beyond ``t_s``: the
+    inf-norm of the deviations stays below ``r0``.
     """
 
     t_s: float
     r0: float
     x_eq: np.ndarray
-    variables: str | tuple[str, ...] = "speed"
-    norm: str = "inf"
+    variables: str = "speed"
 
     def __post_init__(self):
         if self.r0 <= 0:
             raise ValueError("r0 must be positive")
-
-    def columns(self, trajectory: Trajectory) -> list[str]:
-        if self.variables == "speed":
-            return [f"g{b}.omega" for b in trajectory.gen_buses]
-        if self.variables == "angle":
-            return [f"g{b}.delta" for b in trajectory.gen_buses]
-        return list(self.variables)
-
-    def references(self, trajectory: Trajectory) -> np.ndarray:
-        k = trajectory.n_gen
-        refs = []
-        for col in self.columns(trajectory):
-            name, _, fldname = col.partition(".")
-            block = {"delta": 0, "omega": 1, "eqp": 2, "edp": 3}[fldname]
-            g = trajectory.gen_buses.index(int(name[1:]))
-            refs.append(self.x_eq[block * k + g])
-        return np.array(refs)
+        if self.variables not in ("speed", "angle"):
+            raise ValueError(f"variables must be 'speed' or 'angle', not {self.variables!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +86,6 @@ class PdfSnapshot:
     """Normal fit of one variable's ensemble distribution at one instant."""
 
     time: float
-    variable: str
     mean: float
     std: float
     count: int
@@ -116,39 +95,36 @@ def _run_seed(master_seed: int, run_index: int) -> tuple:
     return (master_seed, run_index)
 
 
-def noise_grid(scenario: Scenario, solver: str, config) -> tuple[float, float]:
-    """(horizon, step) of the noise grid one run of ``solver`` consumes."""
-    if solver == "sas":
-        return scenario.horizon_s, scenario.resample_dt
-    if solver == "em":
-        dt = scenario.resample_dt if config.mode == "shared-path" else config.dt
-        return scenario.horizon_s, dt
-    raise ValueError(f"unknown solver {solver!r}")
+def noise_grid(scenario: Scenario, config) -> tuple[float, float]:
+    """(horizon, step) of the noise grid one run under ``config`` consumes:
+    ``config.dt`` for paper-sde Euler, ``resample_dt`` for every other config.
+    """
+    if isinstance(config, EMConfig) and config.mode == "paper-sde":
+        return scenario.horizon_s, config.dt
+    return scenario.horizon_s, scenario.resample_dt
 
 
-def batch_size(setup: SimulationSetup, solver: str, config) -> int:
+def batch_size(setup: SimulationSetup, config) -> int:
     """Runs per batch: as many as keep their noise input within BATCH_NOISE_BYTES.
 
     A run holds its noise grid (paper-sde Euler) or its load schedule,
     which has the grid's size, for the whole batch.
     """
-    horizon, dt = noise_grid(setup.scenario, solver, config)
+    horizon, dt = noise_grid(setup.scenario, config)
     grid_bytes = 8 * setup.n_noise_vars() * math.ceil(horizon / dt - 1e-12)
     return max(1, BATCH_NOISE_BYTES // max(grid_bytes, 1))
 
 
-def _run_batch(setup, solver, config, master_seed, runs: range):
+def _run_batch(setup, config, master_seed, runs: range):
     """Simulate ``runs`` as one batch: their trajectories and its wall time."""
-    horizon, dt = noise_grid(setup.scenario, solver, config)
+    horizon, dt = noise_grid(setup.scenario, config)
     n_vars = setup.n_noise_vars()
+    simulate = simulate_em_batch if isinstance(config, EMConfig) else simulate_sas_batch
     t0 = time.perf_counter()
     paths = (
         build_noise_path(_run_seed(master_seed, i), n_vars, horizon, dt) for i in runs
     )
-    if solver == "sas":
-        trajectories = simulate_sas_batch(setup, config, paths)
-    else:
-        trajectories = simulate_em_batch(setup, config, paths)
+    trajectories = simulate(setup, config, paths)
     return trajectories, time.perf_counter() - t0
 
 
@@ -159,43 +135,38 @@ def _batches(runs: range, size: int) -> list[range]:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(setup, solver, config, master_seed, size):
-    _WORKER_STATE["args"] = (setup, solver, config, master_seed, size)
+def _worker_init(setup, config, master_seed, size):
+    _WORKER_STATE["args"] = (setup, config, master_seed, size)
 
 
 def _worker_run(block: range):
-    setup, solver, config, master_seed, size = _WORKER_STATE["args"]
-    return [
-        _run_batch(setup, solver, config, master_seed, runs)
-        for runs in _batches(block, size)
-    ]
+    setup, config, master_seed, size = _WORKER_STATE["args"]
+    return [_run_batch(setup, config, master_seed, runs) for runs in _batches(block, size)]
 
 
 def run_ensemble(
-    case: SystemCase,
-    scenario: Scenario,
-    solver: str,
+    setup: SimulationSetup,
     config: SolverConfig | EMConfig,
     n_runs: int,
     master_seed: int,
     jobs: int = 1,
-    setup: SimulationSetup | None = None,
     progress=None,
 ) -> Ensemble:
-    """Simulate ``n_runs`` independently seeded runs of one scenario.
+    """Simulate ``n_runs`` independently seeded runs of ``setup``'s scenario.
 
-    The runs go in batches of consecutive indices (see :func:`batch_size`).
-    With ``jobs`` > 1 the run indices are split into ``jobs`` contiguous
-    blocks, each batched in its own worker process.  A run's trajectory does
-    not depend on the batch it shares, and results are assembled in run
-    order, so the ensemble is identical whatever the parallelism.  Diverged
-    runs are kept (they count as unstable later).
+    The type of ``config`` picks the solver: a :class:`SolverConfig` runs
+    the series solver, an :class:`EMConfig` the Euler reference.  The runs
+    go in batches of consecutive indices (see :func:`batch_size`).  With
+    ``jobs`` > 1 the run indices are split into ``jobs`` contiguous blocks,
+    each batched in its own worker process.  A run's trajectory does not
+    depend on the batch it shares, and results are assembled in run order,
+    so the ensemble is identical whatever the parallelism.  Diverged runs
+    are kept (they count as unstable later).  ``progress(done, total)`` is
+    called after each batch.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    if setup is None:
-        setup = SimulationSetup.build(case, scenario)
-    size = batch_size(setup, solver, config)
+    size = batch_size(setup, config)
 
     batches: list[tuple[list[Trajectory], float]] = []
 
@@ -213,21 +184,18 @@ def run_ensemble(
         with ctx.Pool(
             processes=n_blocks,
             initializer=_worker_init,
-            initargs=(setup, solver, config, master_seed, size),
+            initargs=(setup, config, master_seed, size),
         ) as pool:
             blocks = [range(edges[j], edges[j + 1]) for j in range(n_blocks)]
             for done in pool.imap(_worker_run, blocks):
                 collect(done)
     else:
         for runs in _batches(range(n_runs), size):
-            collect([_run_batch(setup, solver, config, master_seed, runs)])
+            collect([_run_batch(setup, config, master_seed, runs)])
 
     return Ensemble(
         trajectories=[tr for trs, _ in batches for tr in trs],
-        master_seed=master_seed,
         run_seeds=[_run_seed(master_seed, i) for i in range(n_runs)],
-        solver=solver,
-        scenario=scenario,
         run_seconds=[sec / len(trs) for trs, sec in batches for _ in trs],
         batch_sizes=[len(trs) for trs, _ in batches],
     )
@@ -276,7 +244,6 @@ def pdf_evolution(ensemble: Ensemble, variable: str, times) -> list[PdfSnapshot]
         out.append(
             PdfSnapshot(
                 time=float(grid[idx]),
-                variable=variable,
                 mean=float(col.mean()),
                 std=std,
                 count=ensemble.n_runs,
@@ -292,16 +259,11 @@ def run_passes(trajectory: Trajectory, crit: StabilityCriterion) -> bool:
     mask = trajectory.times > crit.t_s
     if not mask.any():
         raise ValueError("no grid times beyond t_s")
-    cols = crit.columns(trajectory)
-    refs = crit.references(trajectory)
-    dev = np.stack([trajectory.value(c)[mask] for c in cols]) - refs[:, None]
-    if crit.norm == "inf":
-        norms = np.abs(dev).max(axis=0)
-    elif crit.norm == "2":
-        norms = np.sqrt((dev * dev).sum(axis=0))
-    else:
-        raise ValueError(f"unknown norm {crit.norm!r}")
-    return bool(np.all(norms < crit.r0))
+    # the delta or the omega block of the packed state
+    k = trajectory.n_gen
+    cols = slice(k, 2 * k) if crit.variables == "speed" else slice(0, k)
+    dev = trajectory.states[mask, cols] - crit.x_eq[cols]
+    return bool(np.all(np.abs(dev) < crit.r0))
 
 
 def stability_report(ensemble: Ensemble, crit: StabilityCriterion) -> dict:
@@ -311,11 +273,9 @@ def stability_report(ensemble: Ensemble, crit: StabilityCriterion) -> dict:
         "criterion": {
             "t_s": crit.t_s,
             "r0": crit.r0,
-            "variables": crit.variables
-            if isinstance(crit.variables, str)
-            else list(crit.variables),
-            "norm": crit.norm,
+            "variables": crit.variables,
+            "norm": "inf",
         },
-        "runs": [bool(p) for p in passes],
+        "runs": passes,
         "probability": sum(passes) / len(passes),
     }

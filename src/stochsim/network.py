@@ -59,21 +59,15 @@ class ReducedNetwork:
     ``y`` is (..., K, K) complex; ``recovery`` (..., n, K) maps internal EMFs
     to the n bus voltages (V_bus = recovery @ E).  Leading axes, when
     present, index runs that share a stage but not their load values.
-    ``stage`` records the topology the matrices were built for.  Instances
-    are immutable and safe to share.
+    Instances are immutable and safe to share.
     """
 
     y: np.ndarray
     recovery: np.ndarray
-    stage: str
 
     def __post_init__(self):
         self.y.setflags(write=False)
         self.recovery.setflags(write=False)
-
-    @property
-    def n_gen(self) -> int:
-        return self.y.shape[-1]
 
     def bus_voltages(self, emf: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Complex voltages of the network buses at ``rows`` (default: all).
@@ -178,7 +172,7 @@ def stage_blocks(case: SystemCase, condition: NetworkCondition):
 
 
 def reduce_with_loads(
-    blocks, rows: np.ndarray, vm2: np.ndarray, pq: np.ndarray, stage: str
+    blocks, rows: np.ndarray, vm2: np.ndarray, pq: np.ndarray
 ) -> ReducedNetwork:
     """Reduce a stage's network plus load shunts to the generator internal nodes.
 
@@ -195,7 +189,7 @@ def reduce_with_loads(
     y[...] = y_bb
     y[..., rows, rows] += (pq[..., 0] - 1j * pq[..., 1]) / vm2
     y_red, recovery = schur_complement(y_aa, y_ab, y_ba, y)
-    return ReducedNetwork(y=y_red, recovery=recovery, stage=stage)
+    return ReducedNetwork(y=y_red, recovery=recovery)
 
 
 def build_reduced_network(
@@ -219,6 +213,4 @@ def build_reduced_network(
     if not np.all(vm2 > 0.0):
         raise ValueError("load bus voltage magnitude must be nonzero")
     pq = np.array([loads[b] for b in buses], dtype=float).reshape(-1, 2)
-    return reduce_with_loads(
-        stage_blocks(case, condition), rows, vm2, pq, condition.stage
-    )
+    return reduce_with_loads(stage_blocks(case, condition), rows, vm2, pq)

@@ -73,6 +73,8 @@ class Scenario:
             raise ScenarioError("horizon_s must be positive")
         if self.fault_bus is not None:
             case.bus_index(self.fault_bus)
+            if self.fault_start_s < 0:
+                raise ScenarioError("fault_start_s must be nonnegative")
             if self.fault_duration_cycles <= 0:
                 raise ScenarioError("fault duration must be positive")
             _, t_clear = self.fault_times(case)
@@ -82,7 +84,10 @@ class Scenario:
                 if not case.has_branch(a, b):
                     raise ScenarioError(f"tripped branch {a}-{b} not in case")
         load_buses = {ld.bus for ld in case.loads}
-        for bus in self.resolve_stochastic_buses(case):
+        stoch = self.resolve_stochastic_buses(case)
+        if len(set(stoch)) != len(stoch):
+            raise ScenarioError(f"stochastic_buses lists a bus twice: {list(stoch)}")
+        for bus in stoch:
             if bus not in load_buses:
                 raise ScenarioError(f"stochastic bus {bus} carries no load")
         for bus in self.monitor_buses:
@@ -93,29 +98,47 @@ class Scenario:
             raise ScenarioError("resample_dt and drift_a must be positive")
 
 
+def _field(doc: dict, key: str, convert, default):
+    """``convert`` of the field's value, or of ``default`` when it is absent."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"field '{key}' is invalid: {value!r}") from None
+
+
+def _bus_ids(value, size: int | None = None) -> tuple[int, ...]:
+    """A list of bus ids, of ``size`` entries if given."""
+    if isinstance(value, (str, dict)) or size not in (None, len(value)):
+        raise ValueError("not a list of bus ids")
+    return tuple(int(b) for b in value)
+
+
 def parse_scenario(text: str, name: str = "") -> Scenario:
+    """Parse a JSON scenario document; a malformed field is a ScenarioError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError("top level must be a JSON object")
     if "horizon_s" not in doc:
         raise ScenarioError("missing field 'horizon_s'")
-    stoch = doc.get("stochastic_buses", [])
-    if not isinstance(stoch, str):
-        stoch = tuple(int(b) for b in stoch)
     return Scenario(
-        horizon_s=float(doc["horizon_s"]),
-        fault_bus=doc.get("fault_bus"),
-        fault_start_s=float(doc.get("fault_start_s", 1.0)),
-        fault_duration_cycles=float(doc.get("fault_duration_cycles", 10.0)),
-        trip_branches=tuple(
-            (int(a), int(b)) for a, b in doc.get("trip_branches", [])
+        horizon_s=_field(doc, "horizon_s", float, None),
+        fault_bus=_field(doc, "fault_bus", lambda v: None if v is None else int(v), None),
+        fault_start_s=_field(doc, "fault_start_s", float, 1.0),
+        fault_duration_cycles=_field(doc, "fault_duration_cycles", float, 10.0),
+        trip_branches=_field(
+            doc, "trip_branches", lambda v: tuple(_bus_ids(pair, 2) for pair in v), []
         ),
-        stochastic_buses=stoch,
-        sigma_rel=float(doc.get("sigma_rel", 0.0)),
-        drift_a=float(doc.get("drift_a", 0.5)),
-        resample_dt=float(doc.get("resample_dt", 0.1)),
-        monitor_buses=tuple(int(b) for b in doc.get("monitor_buses", [])),
+        stochastic_buses=_field(
+            doc, "stochastic_buses", lambda v: v if isinstance(v, str) else _bus_ids(v), []
+        ),
+        sigma_rel=_field(doc, "sigma_rel", float, 0.0),
+        drift_a=_field(doc, "drift_a", float, 0.5),
+        resample_dt=_field(doc, "resample_dt", float, 0.1),
+        monitor_buses=_field(doc, "monitor_buses", _bus_ids, []),
         name=name or doc.get("name", ""),
     )
 
@@ -134,7 +157,6 @@ class SimulationSetup:
 
     case: SystemCase
     scenario: Scenario
-    profile: np.ndarray
     machines: MachineSet  # with efd/pm inputs
     x0: np.ndarray
     specs: list[StochasticLoadSpec]
@@ -152,17 +174,13 @@ class SimulationSetup:
     def build(cls, case: SystemCase, scenario: Scenario) -> "SimulationSetup":
         scenario.validate_against(case)
         profile = solve_power_flow(case)
-        init = init_dynamic_state(case, profile)
 
-        stoch = scenario.resolve_stochastic_buses(case)
-        specs = []
-        for bus in stoch:
-            ld = case.load_at(bus)
-            specs.append(
-                StochasticLoadSpec.from_sigma(
-                    bus, ld.p, ld.q, scenario.sigma_rel, scenario.drift_a
-                )
+        specs = [
+            StochasticLoadSpec.from_sigma(
+                ld.bus, ld.p, ld.q, scenario.sigma_rel, scenario.drift_a
             )
+            for ld in map(case.load_at, scenario.resolve_stochastic_buses(case))
+        ]
         mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
 
         conditions = {"pre-fault": NetworkCondition("pre-fault")}
@@ -178,13 +196,13 @@ class SimulationSetup:
         load_buses = sorted(mean_loads)
         load_rows = np.array([case.bus_index(b) for b in load_buses], dtype=int)
         load_vm2 = np.abs(profile[load_rows]) ** 2
-        monitor_rows = np.array(
-            [case.bus_index(b) for b in scenario.monitor_buses], dtype=int
-        )
+        mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
+        pre_fault = reduce_with_loads(blocks["pre-fault"], load_rows, load_vm2, mean_pq)
+        init = init_dynamic_state(case, profile, pre_fault)
+        monitor_rows = [case.bus_index(b) for b in scenario.monitor_buses]
         return cls(
             case=case,
             scenario=scenario,
-            profile=profile,
             machines=init.machines,
             x0=init.state,
             specs=specs,
@@ -192,11 +210,9 @@ class SimulationSetup:
             stage_blocks=blocks,
             load_rows=load_rows,
             load_vm2=load_vm2,
-            mean_pq=np.array(
-                [mean_loads[b] for b in load_buses], dtype=float
-            ).reshape(-1, 2),
+            mean_pq=mean_pq,
             spec_rows=np.array([load_buses.index(sp.bus) for sp in specs], dtype=int),
-            monitor_rows=monitor_rows,
+            monitor_rows=np.array(monitor_rows, dtype=int),
         )
 
     def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
@@ -207,7 +223,7 @@ class SimulationSetup:
         stage's cached blocks gives (R, K, K) ``y`` and (R, n, K) ``recovery``.
         """
         return reduce_with_loads(
-            self.stage_blocks[stage], self.load_rows, self.load_vm2, pq, stage
+            self.stage_blocks[stage], self.load_rows, self.load_vm2, pq
         )
 
     def n_noise_vars(self) -> int:

@@ -169,7 +169,7 @@ def smib_embedding(p: SMIBParams):
         dtype=complex,
     )
     y_red, recovery = schur_complement(*kron_blocks(y_full, np.array([0, 2])))
-    net = ReducedNetwork(y=y_red, recovery=recovery, stage="pre-fault")
+    net = ReducedNetwork(y=y_red, recovery=recovery)
     machines = MachineSet(
         bus=np.array([1, 2]),
         H=np.array([p.H, 1e12]),

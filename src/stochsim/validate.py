@@ -37,14 +37,8 @@ class CheckResult:
         )
 
 
-def check_smib_coefficients(
-    n_states: int = 100, seed: int = 2024, inject_error: float = 0.0
-) -> CheckResult:
-    """Window coefficients of the series engine vs the hand closed forms.
-
-    ``inject_error`` perturbs the hand k3 coefficient, for exercising the
-    failure path of the harness itself.
-    """
+def check_smib_coefficients(n_states: int = 100, seed: int = 2024) -> CheckResult:
+    """Window coefficients of the series engine vs the hand closed forms."""
     p = smib.SMIBParams()
     net, machines = smib.smib_embedding(p)
     rng = np.random.default_rng(seed)
@@ -54,8 +48,6 @@ def check_smib_coefficients(
         w0 = p.omega_r + rng.uniform(-3.0, 3.0)
         coeffs = window_coefficients(smib.smib_state(p, d0, w0), net, machines, 2)
         d_hand, w_hand = smib.smib_window_coefficients(p, d0, w0)
-        if inject_error:
-            w_hand = w_hand * (1.0 + inject_error)
         for hand, eng in ((d_hand, coeffs[0]), (w_hand, coeffs[2])):
             scale = np.maximum(np.abs(hand), 1e-12)
             worst = max(worst, float(np.max(np.abs(hand - eng) / scale)))
@@ -135,8 +127,8 @@ def check_deterministic_cross_solver(
     )
 
 
-def run_all(case: SystemCase, quick: bool = False, inject_error: float = 0.0):
-    results = [check_smib_coefficients(inject_error=inject_error)]
+def run_all(case: SystemCase, quick: bool = False):
+    results = [check_smib_coefficients()]
     results.extend(check_ou_moments(quick=quick))
     results.append(check_deterministic_cross_solver(case, quick=quick))
     return results

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -98,3 +99,25 @@ def test_missing_field_names_the_field():
 def test_invalid_json_reports_line():
     with pytest.raises(CaseError, match="line"):
         parse_case("{\n  broken\n}")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["branches"][0].update(r=None), "branches[0]: field 'r'"),
+        (lambda d: d["buses"][0].update(p_gen="high"), "buses[0]: field 'p_gen'"),
+        (lambda d: d["generators"][0].update(H=[4.0]), "generators[0]: field 'H'"),
+        (lambda d: d["loads"][0].update(bus=None), "loads[0]: field 'bus'"),
+        (lambda d: d["system"].update(frequency_hz=None), "system: field 'frequency_hz'"),
+        (lambda d: d.update(loads={}), "section 'loads'"),
+        (lambda d: d.update(system=[]), "section 'system'"),
+        (lambda d: d.update(buses=[1, 2]), "section 'buses'"),
+    ],
+    ids=["null-r", "string-p_gen", "list-H", "null-load-bus", "null-frequency",
+         "object-loads", "list-system", "int-bus-records"],
+)
+def test_malformed_value_names_the_field(edit, field):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(CaseError, match=re.escape(field)):
+        parse_case(json.dumps(doc))

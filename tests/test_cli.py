@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stochsim import cli
+from stochsim import cli, smib
 from stochsim.case import load_case
 from stochsim.network import ReductionError
 from stochsim.powerflow import PowerFlowError, solve_power_flow
@@ -135,6 +135,80 @@ def test_failed_validation_exits_1(repo_root, monkeypatch):
     assert cli.main(["validate", "--case", case]) == 0
 
 
-def test_injected_smib_error_fails_its_check():
+def test_injected_smib_error_fails_its_check(monkeypatch):
+    # hand omega terms off by a relative 1e-3 must fail the equivalence check
     assert check_smib_coefficients().passed
-    assert not check_smib_coefficients(inject_error=1e-3).passed
+    exact = smib.smib_window_coefficients
+
+    def perturbed(*args):
+        d_hand, w_hand = exact(*args)
+        return d_hand, w_hand * (1.0 + 1e-3)
+
+    monkeypatch.setattr(smib, "smib_window_coefficients", perturbed)
+    assert not check_smib_coefficients().passed
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"horizon_s": None},
+        [{"horizon_s": 0.2}],
+        {"horizon_s": 0.2, "fault_bus": [1]},
+        {"horizon_s": 0.2, "trip_branches": [1]},
+        {"horizon_s": 0.2, "trip_branches": [[1, 2, 3]]},
+        {"horizon_s": 0.2, "monitor_buses": "1"},
+        {"horizon_s": 0.2, "sigma_rel": {"value": 0.1}},
+    ],
+    ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
+         "triple-branch", "string-monitor-buses", "object-sigma"],
+)
+def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc):
+    scenario = write_scenario(tmp_path, doc)
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2
+    assert "error: invalid-input" in capsys.readouterr().err
+
+
+def test_malformed_case_exits_2(repo_root, tmp_path, capsys):
+    def null_resistance(doc):
+        doc["branches"][0]["r"] = None
+
+    case = write_smib_case(repo_root, tmp_path, null_resistance)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", case=case)) == 2
+    assert "branches[0]: field 'r'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # two OU processes for one bus: both draw noise, one would be dropped
+        ({"stochastic_buses": [1, 1], "sigma_rel": 0.02}, "twice"),
+        # fault-on and clearing both before t = 0: no fault-on stage
+        ({"fault_bus": 1, "fault_start_s": -1.0}, "fault_start_s"),
+    ],
+)
+def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message):
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.5, **doc})
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_stats_variable_exits_2_before_running(repo_root, tmp_path, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_runs)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2, "monitor_buses": [1]})
+    for names in ("g99.omega", "g1.omega,v2", "g1.speed"):
+        argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "2",
+                        "--stats-vars", names)
+        assert cli.main(argv) == 2
+
+
+def test_known_stats_variables_are_written(repo_root, tmp_path):
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2, "monitor_buses": [1]})
+    argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "2",
+                    "--order", "4", "--window", "0.01", "--stats-vars", "g2.eqp, v1")
+    assert cli.main(argv) == 0
+    header = (tmp_path / "out" / "stats.csv").read_text().splitlines()[0]
+    assert header == "t,g2.eqp.mean,g2.eqp.std,v1.mean,v1.std"

@@ -72,7 +72,6 @@ def test_single_machine_diagonal_network_scalar_check():
     net = ReducedNetwork(
         y=np.array([[y11]]),
         recovery=np.zeros((0, 1), dtype=complex),
-        stage="pre-fault",
     )
     from stochsim.dynamics import MachineSet, pack_state
 
@@ -106,7 +105,6 @@ def test_emf_at_quarter_turn():
     net = ReducedNetwork(
         y=np.eye(1, dtype=complex),
         recovery=np.zeros((0, 1), dtype=complex),
-        stage="pre-fault",
     )
     m = MachineSet(
         bus=np.array([1]), H=np.array([4.0]), D=np.array([0.0]),

@@ -45,7 +45,6 @@ def test_euler_det_step_scalar_decay():
     net = ReducedNetwork(
         y=np.zeros((1, 1), dtype=complex),
         recovery=np.zeros((0, 1), dtype=complex),
-        stage="pre-fault",
     )
     m = MachineSet(
         bus=np.array([1]), H=np.array([1.0]), D=np.array([0.0]),

@@ -1,10 +1,12 @@
+import dataclasses
 import functools
 
 import numpy as np
+import pytest
 
 from stochsim import ensemble as ensemble_mod
 from stochsim import scenario as scenario_mod
-from stochsim.ensemble import run_ensemble
+from stochsim.ensemble import StabilityCriterion, run_ensemble, run_passes, stability_report
 from stochsim.noise import build_noise_path
 from stochsim.sas import SolverConfig, simulate_sas
 from stochsim.scenario import Scenario, SimulationSetup
@@ -38,7 +40,7 @@ def test_ensemble_identical_whatever_jobs(smib_case):
     setup = SimulationSetup.build(smib_case, sc)
     config = SolverConfig(order=4, window=0.01)
     serial, parallel = (
-        run_ensemble(smib_case, sc, "sas", config, 4, 7, jobs=jobs, setup=setup)
+        run_ensemble(setup, config, 4, 7, jobs=jobs)
         for jobs in (1, 2)
     )
     assert serial.run_seeds == parallel.run_seeds
@@ -60,7 +62,7 @@ def test_divergence_inside_a_batch(smib_case, monkeypatch):
     setup = SimulationSetup.build(smib_case, SCENARIO)
     config = SolverConfig(order=4, window=0.01)
     n_runs, seed = 6, 11
-    free = run_ensemble(smib_case, SCENARIO, "sas", config, n_runs, seed, setup=setup)
+    free = run_ensemble(setup, config, n_runs, seed)
     assert free.batch_sizes == [n_runs]
     peaks = sorted(np.abs(tr.states).max() for tr in free.trajectories)
     assert peaks[2] < peaks[3]
@@ -70,7 +72,7 @@ def test_divergence_inside_a_batch(smib_case, monkeypatch):
         ensemble_mod, "_worker_init", functools.partial(_worker_init_with_limit, limit)
     )
     serial, parallel = (
-        run_ensemble(smib_case, SCENARIO, "sas", config, n_runs, seed, jobs=j, setup=setup)
+        run_ensemble(setup, config, n_runs, seed, jobs=j)
         for j in (1, 2)
     )
     assert serial.batch_sizes == [n_runs] and parallel.batch_sizes == [3, 3]
@@ -95,3 +97,45 @@ def test_divergence_inside_a_batch(smib_case, monkeypatch):
         assert np.isnan(tr.states[row:]).all() and np.isnan(tr.voltages[row:]).all()
         assert np.array_equal(tr.states[:row], ref.states[:row])
         assert tr.diverged_column == "g1.omega"  # the rotor speed is the largest entry
+
+
+def test_quiet_run_passes_and_diverged_run_fails(smib_case):
+    # no fault and no noise: the run stays at the pre-fault state, so it
+    # passes even a tiny ball, in speed and in angle; marked diverged, the
+    # same states fail
+    setup = SimulationSetup.build(smib_case, Scenario(horizon_s=2.0))
+    quiet = run_ensemble(setup, SolverConfig(order=4, window=0.01), 1, 0)
+    tr = quiet.trajectories[0]
+    for variables in ("speed", "angle"):
+        crit = StabilityCriterion(t_s=1.0, r0=1e-6, x_eq=setup.x0, variables=variables)
+        assert run_passes(tr, crit)
+        report = stability_report(quiet, crit)
+        assert report["runs"] == [True] and report["probability"] == 1.0
+        assert report["criterion"] == {
+            "t_s": 1.0, "r0": 1e-6, "variables": variables, "norm": "inf"
+        }
+        assert not run_passes(dataclasses.replace(tr, diverged=True, t_diverged=1.5), crit)
+
+
+def test_stability_probability_grows_with_radius(smib_case):
+    # load noise alone spreads the runs' largest deviations (speed about
+    # 0.05-0.10 rad/s, angle 0.010-0.019 rad), so the grid crosses them
+    sc = Scenario(horizon_s=1.0, stochastic_buses=(1,), sigma_rel=0.05)
+    setup = SimulationSetup.build(smib_case, sc)
+    ens = run_ensemble(setup, SolverConfig(order=4, window=0.01), 8, 3)
+    radii = np.linspace(0.0025, 0.12, 48)
+    for variables in ("speed", "angle"):
+        probs = [
+            stability_report(
+                ens, StabilityCriterion(t_s=0.5, r0=r0, x_eq=setup.x0, variables=variables)
+            )["probability"]
+            for r0 in radii
+        ]
+        assert all(a <= b for a, b in zip(probs, probs[1:]))
+        assert probs[0] == 0.0 and probs[-1] == 1.0
+        assert len(set(probs)) > 3  # the curve passes through partial values
+
+
+def test_stability_variables_are_speed_or_angle():
+    with pytest.raises(ValueError, match="speed"):
+        StabilityCriterion(t_s=1.0, r0=0.1, x_eq=np.zeros(8), variables="eqp")

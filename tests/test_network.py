@@ -28,7 +28,7 @@ def test_load_shunt_unit_values():
     )
     for p, q, v, shunt in cases:
         pq = np.array([[p, q]])
-        net = reduce_with_loads(blocks, np.array([0]), np.abs([v]) ** 2, pq, "pre-fault")
+        net = reduce_with_loads(blocks, np.array([0]), np.abs([v]) ** 2, pq)
         got = -blocks[2][0, 0] / net.recovery[0, 0] - y_bb[0, 0]
         assert got == pytest.approx(shunt, abs=1e-14)
     assert np.array_equal(blocks[3], y_bb)  # the cached block is left as it was
@@ -52,9 +52,7 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
     pq = mean * (1.0 + 0.05 * rng.standard_normal((3,) + mean.shape))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
     rows = np.array([ieee39_case.bus_index(b) for b in buses])
-    stack = reduce_with_loads(
-        stage_blocks(ieee39_case, cond), rows, np.abs(v[rows]) ** 2, pq, cond.stage
-    )
+    stack = reduce_with_loads(stage_blocks(ieee39_case, cond), rows, np.abs(v[rows]) ** 2, pq)
     assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
     for i in range(3):
         one = build_reduced_network(ieee39_case, cond, dict(zip(buses, pq[i])), v)
@@ -150,7 +148,7 @@ def test_schur_complement_of_a_stack_matches_each_matrix(monkeypatch, solve):
         y_i, rec_i = schur_complement(y_aa, y_ab, y_ba, y_bb[i])
         assert np.array_equal(y_red[i], y_i) and np.array_equal(rec[i], rec_i)
 
-    net = ReducedNetwork(y=y_red, recovery=rec, stage="pre-fault")
+    net = ReducedNetwork(y=y_red, recovery=rec)
     e = cplx(r, k)
     v = net.bus_voltages(e)
     assert v.shape == (r, m)
