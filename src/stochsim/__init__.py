@@ -28,7 +28,6 @@ from .dynamics import (
 from .noise import (
     NoisePath,
     OUParams,
-    StochasticLoadSpec,
     build_noise_path,
     load_schedule,
     ou_closed_form,

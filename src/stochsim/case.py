@@ -78,7 +78,6 @@ class SystemCase:
     generators: tuple[GeneratorParams, ...]
     loads: tuple[Load, ...]
     frequency_hz: float
-    base_mva: float
     name: str = ""
     _bus_pos: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
 
@@ -110,6 +109,13 @@ class SystemCase:
             if ld.bus == bus_id:
                 return ld
         return None
+
+
+def bus_id(value) -> int:
+    """A bus id as read from JSON: an integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"bus id must be an integer, not {value!r}")
+    return value
 
 
 def _field(record: dict, key: str, where: str, convert=float, default=None):
@@ -153,9 +159,8 @@ def parse_case(text: str, name: str = "") -> SystemCase:
     if not isinstance(sysrec, dict):
         raise CaseError("section 'system' must be a JSON object")
     freq = _field(sysrec, "frequency_hz", "system")
-    base = _field(sysrec, "base_mva", "system")
-    if freq <= 0 or base <= 0:
-        raise CaseError("system: frequency_hz and base_mva must be positive")
+    if freq <= 0:
+        raise CaseError("system: frequency_hz must be positive")
     omega_r = 2.0 * math.pi * freq
 
     buses = []
@@ -166,7 +171,7 @@ def parse_case(text: str, name: str = "") -> SystemCase:
             raise CaseError(f"{where}: type must be one of {BUS_TYPES}, got {btype!r}")
         buses.append(
             Bus(
-                id=_field(rec, "id", where, int),
+                id=_field(rec, "id", where, bus_id),
                 type=btype,
                 v_setpoint=_field(rec, "v_setpoint", where, default=1.0),
                 angle=_field(rec, "angle", where, default=0.0),
@@ -179,8 +184,8 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         where = f"branches[{i}]"
         branches.append(
             Branch(
-                from_bus=_field(rec, "from", where, int),
-                to_bus=_field(rec, "to", where, int),
+                from_bus=_field(rec, "from", where, bus_id),
+                to_bus=_field(rec, "to", where, bus_id),
                 r=_field(rec, "r", where),
                 x=_field(rec, "x", where),
                 b=_field(rec, "b", where, default=0.0),
@@ -193,7 +198,7 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         where = f"generators[{i}]"
         gens.append(
             GeneratorParams(
-                bus=_field(rec, "bus", where, int),
+                bus=_field(rec, "bus", where, bus_id),
                 H=_field(rec, "H", where),
                 D=_field(rec, "D", where, default=0.0),
                 xd=_field(rec, "xd", where),
@@ -212,7 +217,7 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         where = f"loads[{i}]"
         loads.append(
             Load(
-                bus=_field(rec, "bus", where, int),
+                bus=_field(rec, "bus", where, bus_id),
                 p=_field(rec, "P", where),
                 q=_field(rec, "Q", where),
             )
@@ -224,7 +229,6 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         generators=tuple(gens),
         loads=tuple(loads),
         frequency_hz=freq,
-        base_mva=base,
         name=name,
     )
     _validate(case)

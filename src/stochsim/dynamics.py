@@ -33,7 +33,6 @@ class MachineSet:
     simulation.
     """
 
-    bus: np.ndarray
     H: np.ndarray
     D: np.ndarray
     xd: np.ndarray
@@ -52,7 +51,6 @@ class MachineSet:
         g = case.generators
         arr = lambda f: np.array([getattr(p, f) for p in g], dtype=float)
         return cls(
-            bus=np.array([p.bus for p in g], dtype=int),
             H=arr("H"),
             D=arr("D"),
             xd=arr("xd"),

@@ -158,11 +158,11 @@ def run_ensemble(
     the series solver, an :class:`EMConfig` the Euler reference.  The runs
     go in batches of consecutive indices (see :func:`batch_size`).  With
     ``jobs`` > 1 the run indices are split into ``jobs`` contiguous blocks,
-    each batched in its own worker process.  A run's trajectory does not
-    depend on the batch it shares, and results are assembled in run order,
-    so the ensemble is identical whatever the parallelism.  Diverged runs
-    are kept (they count as unstable later).  ``progress(done, total)`` is
-    called after each batch.
+    each batched in its own worker process, unless one batch holds them all:
+    then no worker starts.  A run's trajectory does not depend on the batch
+    it shares, and results are assembled in run order, so the ensemble is
+    identical whatever the parallelism.  Diverged runs are kept (they count
+    as unstable later).  ``progress(done, total)`` is called after each batch.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -175,7 +175,7 @@ def run_ensemble(
         if progress:
             progress(sum(len(b[0]) for b in batches), n_runs)
 
-    if jobs > 1 and n_runs > 1:
+    if jobs > 1 and n_runs > size:
         import multiprocessing as mp
 
         n_blocks = min(jobs, n_runs)

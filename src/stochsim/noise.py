@@ -4,6 +4,9 @@ Each stochastic variable follows d(eps) = -a*eps dt + b dW and shifts a load
 around its mean: P_L(t) = P_L0 + eps_P(t), Q_L(t) = Q_L0 + eps_Q(t).  Values
 are resampled on a fixed interval and held constant in between, for every
 solver, so trajectories from different solvers are comparable path by path.
+A study's loads are vectors in noise-grid order: the means, the drift a and
+the diffusion b = sigma_rel * |mean| * sqrt(2a), which makes the stationary
+deviation sigma_rel * |mean| (see ``SimulationSetup``).
 """
 
 from __future__ import annotations
@@ -82,34 +85,6 @@ def ou_closed_form(eps0: float, p: OUParams, t: float, db: np.ndarray) -> ArrayL
 
 
 @dataclass(frozen=True)
-class StochasticLoadSpec:
-    """One stochastic load: mean values plus OU parameters for P and Q.
-
-    ``sigma_rel`` is the relative standard deviation of the load about its
-    mean; the diffusion magnitudes are fixed at construction as
-    b = sigma_rel * |mean| * sqrt(2a) so the stationary deviation equals
-    sigma_rel * |mean|.
-    """
-
-    bus: int
-    p_mean: float
-    q_mean: float
-    ou_p: OUParams
-    ou_q: OUParams
-    sigma_rel: float
-
-    @classmethod
-    def from_sigma(
-        cls, bus: int, p_mean: float, q_mean: float, sigma_rel: float, a: float = 0.5
-    ) -> "StochasticLoadSpec":
-        if sigma_rel < 0.0:
-            raise ValueError("sigma_rel must be nonnegative")
-        b_p = sigma_rel * abs(p_mean) * math.sqrt(2.0 * a)
-        b_q = sigma_rel * abs(q_mean) * math.sqrt(2.0 * a)
-        return cls(bus, p_mean, q_mean, OUParams(a, b_p), OUParams(a, b_q), sigma_rel)
-
-
-@dataclass(frozen=True)
 class NoisePath:
     """Seeded grid of standard-normal draws, indexed by (variable, step).
 
@@ -145,31 +120,21 @@ def build_noise_path(seed, n_vars: int, horizon: float, dt: float = 0.1) -> Nois
     return NoisePath(seed=entropy, dt=dt, xi=xi)
 
 
-def ou_coefficients(specs: list[StochasticLoadSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-variable OU drift a and diffusion b in noise-grid order.
-
-    Entry 2*i belongs to the P variable of spec i, entry 2*i+1 to its Q.
-    """
-    ous = [ou for spec in specs for ou in (spec.ou_p, spec.ou_q)]
-    return np.array([ou.a for ou in ous]), np.array([ou.b for ou in ous])
-
-
 def load_schedule(
-    specs: list[StochasticLoadSpec], path: NoisePath, euler: bool = False
+    mean: np.ndarray, a: ArrayLike, b: np.ndarray, path: NoisePath, euler: bool = False
 ) -> np.ndarray:
-    """Stacked (n_steps, 2*len(specs)) array of piecewise-constant load values.
+    """(n_steps, n_vars) array of piecewise-constant load values.
 
-    Column 2*i is the P series of spec i, column 2*i+1 its Q series; the
-    variable index into the noise grid follows the same ordering.  Each OU
-    deviation starts at zero (load at its mean over the first interval) and
-    row k is the value held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k
-    follows from row k-1 and noise column k-1 by the exact transition, or
-    with ``euler`` by the Euler-Maruyama step with dW = sqrt(dt) * xi, which
-    is the paper's SDE discretized on the integration grid.
+    Column j is variable j of the noise grid: its mean ``mean[j]`` plus an
+    OU deviation with drift ``a`` (one rate, or one per variable) and
+    diffusion ``b[j]``, driven by noise row j.  Each deviation starts at
+    zero (load at its mean over the first interval) and row k is the value
+    held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k follows from row k-1
+    and noise column k-1 by the exact transition, or with ``euler`` by the
+    Euler-Maruyama step with dW = sqrt(dt) * xi, which is the paper's SDE
+    discretized on the integration grid.
     """
-    a, b = ou_coefficients(specs)
-    mean = np.array([m for spec in specs for m in (spec.p_mean, spec.q_mean)])
-    eps = np.zeros((path.n_steps, a.shape[0]))
+    eps = np.zeros((path.n_steps, mean.shape[0]))
     sqrt_dt = math.sqrt(path.dt)
     for k in range(1, path.n_steps):
         if euler:

@@ -123,14 +123,12 @@ def simulate_sas_batch(
     The windows have a fixed length and all runs take the same windows, so
     one coefficient recursion advances the whole (R, 4K) stack.  Stage
     boundaries split the enclosing window exactly; stochastic loads are
-    advanced and the networks rebuilt at every resample boundary.  The
+    advanced and the networks rebuilt at every resample boundary, so the
+    window must divide the resample interval, which the driver checks.  The
     output is sampled at the window length.
     """
-    scenario = setup.scenario
     machines = setup.machines
     order = config.order
-    if config.window > scenario.resample_dt + 1e-12 and setup.specs:
-        raise ValueError("window must not exceed the resample interval")
 
     def stepper(x, net, dt):
         coeffs = window_coefficients(x, net, machines, order)

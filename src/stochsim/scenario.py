@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case import SystemCase
+from .case import SystemCase, bus_id
 from .dynamics import MachineSet, init_dynamic_state, split_state
 from .network import NetworkCondition, ReducedNetwork, reduce_with_loads, stage_blocks
-from .noise import NoisePath, StochasticLoadSpec, load_schedule
+from .noise import NoisePath, load_schedule
 from .powerflow import solve_power_flow
 from .trajectory import Trajectory, packed_column
 
@@ -111,7 +111,7 @@ def _bus_ids(value, size: int | None = None) -> tuple[int, ...]:
     """A list of bus ids, of ``size`` entries if given."""
     if isinstance(value, (str, dict)) or size not in (None, len(value)):
         raise ValueError("not a list of bus ids")
-    return tuple(int(b) for b in value)
+    return tuple(bus_id(b) for b in value)
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -126,7 +126,7 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
         raise ScenarioError("missing field 'horizon_s'")
     return Scenario(
         horizon_s=_field(doc, "horizon_s", float, None),
-        fault_bus=_field(doc, "fault_bus", lambda v: None if v is None else int(v), None),
+        fault_bus=_field(doc, "fault_bus", lambda v: None if v is None else bus_id(v), None),
         fault_start_s=_field(doc, "fault_start_s", float, 1.0),
         fault_duration_cycles=_field(doc, "fault_duration_cycles", float, 10.0),
         trip_branches=_field(
@@ -152,14 +152,16 @@ def load_scenario(path) -> Scenario:
 class SimulationSetup:
     """Pre-fault solution and cached stage blocks shared by all runs.
 
-    Immutable after construction; safe to share across concurrent workers.
+    The stochastic loads are the OU means ``ou_mean``, drift ``ou_a`` and
+    diffusions ``ou_b`` (see :mod:`stochsim.noise`): entry 2*i is the P,
+    entry 2*i+1 the Q of the load at ``spec_rows[i]``.  Immutable after
+    construction; safe to share across concurrent workers.
     """
 
     case: SystemCase
     scenario: Scenario
     machines: MachineSet  # with efd/pm inputs
     x0: np.ndarray
-    specs: list[StochasticLoadSpec]
     mean_loads: dict[int, tuple[float, float]]
     # per stage, the (internal/internal, internal/bus, bus/internal, bus/bus)
     # blocks of the augmented (n+K) matrix, loads excluded
@@ -167,7 +169,10 @@ class SimulationSetup:
     load_rows: np.ndarray  # bus positions of the load buses, in sorted load-bus order
     load_vm2: np.ndarray  # |V|^2 at load buses from the pre-fault profile
     mean_pq: np.ndarray  # (L, 2) mean P and Q of the load buses
-    spec_rows: np.ndarray  # position of each stochastic spec among the load buses
+    spec_rows: np.ndarray  # position of each stochastic bus among the load buses
+    ou_mean: np.ndarray  # mean of each noise variable
+    ou_a: float  # OU drift a, the same for every variable
+    ou_b: np.ndarray  # OU diffusion b of each noise variable
     monitor_rows: np.ndarray  # recovery-row positions of monitored buses
 
     @classmethod
@@ -175,12 +180,6 @@ class SimulationSetup:
         scenario.validate_against(case)
         profile = solve_power_flow(case)
 
-        specs = [
-            StochasticLoadSpec.from_sigma(
-                ld.bus, ld.p, ld.q, scenario.sigma_rel, scenario.drift_a
-            )
-            for ld in map(case.load_at, scenario.resolve_stochastic_buses(case))
-        ]
         mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
 
         conditions = {"pre-fault": NetworkCondition("pre-fault")}
@@ -197,6 +196,10 @@ class SimulationSetup:
         load_rows = np.array([case.bus_index(b) for b in load_buses], dtype=int)
         load_vm2 = np.abs(profile[load_rows]) ** 2
         mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
+        stoch = scenario.resolve_stochastic_buses(case)
+        spec_rows = np.array([load_buses.index(b) for b in stoch], dtype=int)
+        ou_mean = mean_pq[spec_rows].ravel()
+        a = scenario.drift_a
         pre_fault = reduce_with_loads(blocks["pre-fault"], load_rows, load_vm2, mean_pq)
         init = init_dynamic_state(case, profile, pre_fault)
         monitor_rows = [case.bus_index(b) for b in scenario.monitor_buses]
@@ -205,13 +208,15 @@ class SimulationSetup:
             scenario=scenario,
             machines=init.machines,
             x0=init.state,
-            specs=specs,
             mean_loads=mean_loads,
             stage_blocks=blocks,
             load_rows=load_rows,
             load_vm2=load_vm2,
             mean_pq=mean_pq,
-            spec_rows=np.array([load_buses.index(sp.bus) for sp in specs], dtype=int),
+            spec_rows=spec_rows,
+            ou_mean=ou_mean,
+            ou_a=a,
+            ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * a),
             monitor_rows=np.array(monitor_rows, dtype=int),
         )
 
@@ -227,20 +232,14 @@ class SimulationSetup:
         )
 
     def n_noise_vars(self) -> int:
-        return 2 * len(self.specs)
-
-
-def _grid_steps(horizon: float, h: float) -> int:
-    n = round(horizon / h)
-    if n < 1 or abs(n * h - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} is not a multiple of the step {h}")
-    return n
+        return self.ou_mean.size
 
 
 def _exact_multiple(big: float, small: float) -> int:
+    """How many steps ``small`` make up ``big``; ValueError unless a whole number."""
     m = round(big / small)
     if m < 1 or abs(m * small - big) > 1e-9:
-        raise ValueError(f"{big} must be an integer multiple of {small}")
+        raise ValueError(f"{big} is not an integer multiple of the step {small}")
     return m
 
 
@@ -282,17 +281,16 @@ def run_simulation(
     """
     sc = setup.scenario
     case = setup.case
-    n_steps = _grid_steps(sc.horizon_s, h)
-    specs = setup.specs
+    n_steps = _exact_multiple(sc.horizon_s, h)
 
     spr = None  # steps per load value; None without stochastic loads
-    if specs:
+    if setup.n_noise_vars():
         spr = 1 if em_continuous else _exact_multiple(sc.resample_dt, h)
         need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
         load_dt = h if em_continuous else sc.resample_dt  # the paths' step
 
     def schedule(path: NoisePath | None) -> np.ndarray | None:
-        if not specs:
+        if spr is None:
             return None
         if path is None:
             raise ValueError("a noise path is required for stochastic runs")
@@ -302,7 +300,9 @@ def run_simulation(
             raise ValueError(
                 f"noise path step {path.dt} differs from the load step {load_dt}"
             )
-        return load_schedule(specs, path, euler=em_continuous)
+        return load_schedule(
+            setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=em_continuous
+        )
 
     # per run: its (steps, 2S) load schedule; no path outlives this line
     loads = [schedule(path) for path in paths]

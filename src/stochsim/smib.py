@@ -171,7 +171,6 @@ def smib_embedding(p: SMIBParams):
     y_red, recovery = schur_complement(*kron_blocks(y_full, np.array([0, 2])))
     net = ReducedNetwork(y=y_red, recovery=recovery)
     machines = MachineSet(
-        bus=np.array([1, 2]),
         H=np.array([p.H, 1e12]),
         D=np.array([p.D, 0.0]),
         xd=np.array([p.xdp, 1.0]),

@@ -51,25 +51,15 @@ class Trajectory:
         return state_columns(self.gen_buses) + [f"v{b}" for b in self.monitor_buses]
 
     def value(self, column: str) -> np.ndarray:
-        """Series of one named variable."""
+        """Series of one variable named in :attr:`columns`."""
+        try:
+            i = self.columns.index(column)
+        except ValueError:
+            raise KeyError(f"unknown column {column!r}") from None
         k = self.n_gen
-        if column.startswith("v"):
-            try:
-                bus = int(column[1:])
-            except ValueError:
-                bus = None
-            if bus is not None:
-                if bus not in self.monitor_buses:
-                    raise KeyError(f"bus {bus} was not monitored")
-                return self.voltages[:, self.monitor_buses.index(bus)]
-        name, _, fldname = column.partition(".")
-        if not name.startswith("g") or fldname not in FIELDS:
-            raise KeyError(f"unknown column {column!r}")
-        bus = int(name[1:])
-        if bus not in self.gen_buses:
-            raise KeyError(f"no generator at bus {bus}")
-        g = self.gen_buses.index(bus)
-        return self.states[:, FIELDS.index(fldname) * k + g]
+        if i >= 4 * k:
+            return self.voltages[:, i - 4 * k]
+        return self.states[:, (i % 4) * k + i // 4]
 
     def to_csv(self) -> str:
         """Fixed 17-significant-digit CSV, one row per output step."""

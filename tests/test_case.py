@@ -28,6 +28,9 @@ def test_parse_minimal_case():
     assert case.n_gen == 1
     assert case.generators[0].omega_r == pytest.approx(2 * 3.141592653589793 * 60)
     assert case.bus_index(2) == 1
+    doc = minimal_doc()
+    del doc["system"]["base_mva"]  # read by nothing, so not required
+    assert parse_case(json.dumps(doc)) == case
 
 
 def test_smib_case_shape(smib_case):
@@ -112,9 +115,17 @@ def test_invalid_json_reports_line():
         (lambda d: d.update(loads={}), "section 'loads'"),
         (lambda d: d.update(system=[]), "section 'system'"),
         (lambda d: d.update(buses=[1, 2]), "section 'buses'"),
+        (lambda d: d["loads"][0].update(bus=1.7), "loads[0]: field 'bus'"),
+        (lambda d: d["loads"][0].update(bus="1"), "loads[0]: field 'bus'"),
+        (lambda d: d["loads"][0].update(bus=True), "loads[0]: field 'bus'"),
+        (lambda d: d["buses"][1].update(id=2.0), "buses[1]: field 'id'"),
+        (lambda d: d["branches"][0].update({"to": 2.5}), "branches[0]: field 'to'"),
+        (lambda d: d["generators"][0].update(bus=True), "generators[0]: field 'bus'"),
     ],
     ids=["null-r", "string-p_gen", "list-H", "null-load-bus", "null-frequency",
-         "object-loads", "list-system", "int-bus-records"],
+         "object-loads", "list-system", "int-bus-records", "fractional-load-bus",
+         "string-load-bus", "bool-load-bus", "float-bus-id", "fractional-branch-end",
+         "bool-generator-bus"],
 )
 def test_malformed_value_names_the_field(edit, field):
     doc = minimal_doc()

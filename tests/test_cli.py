@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stochsim import cli, smib
+from stochsim import cli, ensemble, smib
 from stochsim.case import load_case
 from stochsim.network import ReductionError
 from stochsim.powerflow import PowerFlowError, solve_power_flow
@@ -60,7 +60,10 @@ def test_repeated_runs_write_identical_files(repo_root, tmp_path):
     outs = [tmp_path / name for name in ("a", "b", "parallel")]
     for out, jobs in zip(outs, ("1", "1", "2")):
         argv = run_argv(repo_root, scenario, out, *flags, "--jobs", jobs)
-        assert cli.main(argv) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            if jobs == "2":  # batches of 2, so the 3 runs need the two workers
+                mp.setattr(ensemble, "batch_size", lambda setup, config: 2)
+            assert cli.main(argv) == 0
     for name in ("stats.csv", "pdf.csv", "stability.json"):
         first = (outs[0] / name).read_bytes()
         assert first
@@ -158,9 +161,17 @@ def test_injected_smib_error_fails_its_check(monkeypatch):
         {"horizon_s": 0.2, "trip_branches": [[1, 2, 3]]},
         {"horizon_s": 0.2, "monitor_buses": "1"},
         {"horizon_s": 0.2, "sigma_rel": {"value": 0.1}},
+        {"horizon_s": 0.2, "monitor_buses": [2.9]},
+        {"horizon_s": 2.0, "fault_bus": 1.5},
+        {"horizon_s": 2.0, "fault_bus": True},
+        {"horizon_s": 2.0, "fault_bus": 1, "trip_branches": [[1.2, 2.8]]},
+        {"horizon_s": 0.2, "stochastic_buses": [1.9], "sigma_rel": 0.02},
+        {"horizon_s": 0.2, "stochastic_buses": ["1"], "sigma_rel": 0.02},
     ],
     ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
-         "triple-branch", "string-monitor-buses", "object-sigma"],
+         "triple-branch", "string-monitor-buses", "object-sigma",
+         "fractional-monitor-bus", "fractional-fault-bus", "bool-fault-bus",
+         "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus"],
 )
 def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc):
     scenario = write_scenario(tmp_path, doc)

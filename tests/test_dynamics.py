@@ -76,7 +76,7 @@ def test_single_machine_diagonal_network_scalar_check():
     from stochsim.dynamics import MachineSet, pack_state
 
     m = MachineSet(
-        bus=np.array([1]), H=np.array([4.0]), D=np.array([1.0]),
+        H=np.array([4.0]), D=np.array([1.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
         Td0p=np.array([5.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),
@@ -107,7 +107,7 @@ def test_emf_at_quarter_turn():
         recovery=np.zeros((0, 1), dtype=complex),
     )
     m = MachineSet(
-        bus=np.array([1]), H=np.array([4.0]), D=np.array([0.0]),
+        H=np.array([4.0]), D=np.array([0.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
         Td0p=np.array([5.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),

@@ -47,7 +47,7 @@ def test_euler_det_step_scalar_decay():
         recovery=np.zeros((0, 1), dtype=complex),
     )
     m = MachineSet(
-        bus=np.array([1]), H=np.array([1.0]), D=np.array([0.0]),
+        H=np.array([1.0]), D=np.array([0.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
         Td0p=np.array([1.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),

@@ -1,12 +1,21 @@
 import dataclasses
 import functools
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from stochsim import ensemble as ensemble_mod
 from stochsim import scenario as scenario_mod
-from stochsim.ensemble import StabilityCriterion, run_ensemble, run_passes, stability_report
+from stochsim.ensemble import (
+    StabilityCriterion,
+    confidence_envelope,
+    ensemble_stats,
+    pdf_evolution,
+    run_ensemble,
+    run_passes,
+    stability_report,
+)
 from stochsim.noise import build_noise_path
 from stochsim.sas import SolverConfig, simulate_sas
 from stochsim.scenario import Scenario, SimulationSetup
@@ -26,7 +35,7 @@ def _worker_init_with_limit(limit, *args):
     _WORKER_INIT(*args)
 
 
-def test_ensemble_identical_whatever_jobs(smib_case):
+def test_ensemble_identical_whatever_jobs(smib_case, monkeypatch):
     # runs are seeded by index and assembled in run order, so worker
     # processes change nothing, bit for bit
     sc = Scenario(
@@ -39,10 +48,11 @@ def test_ensemble_identical_whatever_jobs(smib_case):
     )
     setup = SimulationSetup.build(smib_case, sc)
     config = SolverConfig(order=4, window=0.01)
-    serial, parallel = (
-        run_ensemble(setup, config, 4, 7, jobs=jobs)
-        for jobs in (1, 2)
-    )
+    serial = run_ensemble(setup, config, 4, 7)
+    with monkeypatch.context() as mp:  # batches of 2, so two workers run
+        mp.setattr(ensemble_mod, "batch_size", lambda setup, config: 2)
+        parallel = run_ensemble(setup, config, 4, 7, jobs=2)
+    assert serial.batch_sizes == [4] and parallel.batch_sizes == [2, 2]
     assert serial.run_seeds == parallel.run_seeds
     assert [tr.diverged for tr in serial.trajectories] == [
         tr.diverged for tr in parallel.trajectories
@@ -71,10 +81,10 @@ def test_divergence_inside_a_batch(smib_case, monkeypatch):
     monkeypatch.setattr(
         ensemble_mod, "_worker_init", functools.partial(_worker_init_with_limit, limit)
     )
-    serial, parallel = (
-        run_ensemble(setup, config, n_runs, seed, jobs=j)
-        for j in (1, 2)
-    )
+    serial = run_ensemble(setup, config, n_runs, seed)
+    with monkeypatch.context() as mp:  # batches of 3, so two workers run
+        mp.setattr(ensemble_mod, "batch_size", lambda setup, config: 3)
+        parallel = run_ensemble(setup, config, n_runs, seed, jobs=2)
     assert serial.batch_sizes == [n_runs] and parallel.batch_sizes == [3, 3]
     assert [tr.diverged for tr in serial.trajectories] == [
         tr.diverged for tr in parallel.trajectories
@@ -97,6 +107,22 @@ def test_divergence_inside_a_batch(smib_case, monkeypatch):
         assert np.isnan(tr.states[row:]).all() and np.isnan(tr.voltages[row:]).all()
         assert np.array_equal(tr.states[:row], ref.states[:row])
         assert tr.diverged_column == "g1.omega"  # the rotor speed is the largest entry
+
+
+def test_one_batch_starts_no_workers(smib_case, monkeypatch):
+    # an ensemble that fits in one batch runs in this process at any --jobs
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config = SolverConfig(order=4, window=0.01)
+    serial = run_ensemble(setup, config, 3, 5)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    parallel = run_ensemble(setup, config, 3, 5, jobs=2)
+    assert serial.batch_sizes == parallel.batch_sizes == [3]
+    for a, b in zip(serial.trajectories, parallel.trajectories):
+        assert_same_run(a, b)
 
 
 def test_quiet_run_passes_and_diverged_run_fails(smib_case):
@@ -134,6 +160,45 @@ def test_stability_probability_grows_with_radius(smib_case):
         assert all(a <= b for a, b in zip(probs, probs[1:]))
         assert probs[0] == 0.0 and probs[-1] == 1.0
         assert len(set(probs)) > 3  # the curve passes through partial values
+
+
+def test_statistics_ignore_run_order(smib_case):
+    # every statistic reduces over runs in sorted order, so a permuted
+    # ensemble gives the same bits
+    sc = Scenario(horizon_s=1.0, stochastic_buses=(1,), sigma_rel=0.05)
+    setup = SimulationSetup.build(smib_case, sc)
+    ens = run_ensemble(setup, SolverConfig(order=4, window=0.01), 12, 3)
+    order = np.random.default_rng(0).permutation(ens.n_runs)
+    shuffled = dataclasses.replace(
+        ens,
+        trajectories=[ens.trajectories[i] for i in order],
+        run_seeds=[ens.run_seeds[i] for i in order],
+    )
+    for variable in ("g1.delta", "g1.omega"):
+        for got, want in zip(
+            ensemble_stats(shuffled, variable) + confidence_envelope(shuffled, variable),
+            ensemble_stats(ens, variable) + confidence_envelope(ens, variable),
+        ):
+            assert np.array_equal(got, want)
+        times = [0.0, 0.25, 0.5, 1.0]
+        assert pdf_evolution(shuffled, variable, times) == pdf_evolution(ens, variable, times)
+    crit = StabilityCriterion(t_s=0.5, r0=0.07, x_eq=setup.x0)
+    prob = stability_report(ens, crit)["probability"]
+    assert 0.0 < prob < 1.0  # some runs pass and some fail
+    assert stability_report(shuffled, crit)["probability"] == prob
+
+
+def test_confidence_envelope_domain(smib_case):
+    setup = SimulationSetup.build(smib_case, Scenario(horizon_s=0.2))
+    ens = run_ensemble(setup, SolverConfig(order=4, window=0.01), 10, 0)
+    low, high = confidence_envelope(ens, "g1.delta", 1.0)
+    assert np.array_equal(low, high)  # identical runs: a zero-width band
+    for level in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="level"):
+            confidence_envelope(ens, "g1.delta", level)
+    few = dataclasses.replace(ens, trajectories=ens.trajectories[:9])
+    with pytest.raises(ValueError, match="10 runs"):
+        confidence_envelope(few, "g1.delta")
 
 
 def test_stability_variables_are_speed_or_angle():

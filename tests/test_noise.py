@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stochsim.noise import (
     NoisePath,
     OUParams,
-    StochasticLoadSpec,
     build_noise_path,
     load_schedule,
     ou_closed_form,
@@ -16,6 +15,7 @@ from stochsim.noise import (
     path_to_csv,
     stationary_variance,
 )
+from stochsim.scenario import Scenario, SimulationSetup
 
 
 def test_stationary_variance_values():
@@ -115,68 +115,61 @@ def test_noise_path_seed_sequence_form():
 
 
 def test_load_schedule_zero_sigma_constant():
-    spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=3.22, q_mean=0.024, sigma_rel=0.0)
+    mean = np.array([3.22, 0.024])
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = load_schedule([spec], path)
+    vals = load_schedule(mean, 0.5, np.zeros(2), path)
     assert np.all(vals[:, 0] == 3.22)
     assert np.all(vals[:, 1] == 0.024)
 
 
 def test_load_schedule_first_interval_is_mean():
-    spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=3.22, q_mean=0.024, sigma_rel=0.05)
+    mean = np.array([3.22, 0.024])
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = load_schedule([spec], path)
+    vals = load_schedule(mean, 0.5, 0.05 * mean, path)
     assert vals.shape == (path.n_steps, 2)
     assert vals[0, 0] == 3.22
     assert vals[1, 0] != 3.22
 
 
-def test_load_schedule_pooled_std():
-    spec = StochasticLoadSpec.from_sigma(bus=3, p_mean=2.0, q_mean=0.0, sigma_rel=0.02)
+def test_load_schedule_pooled_std(smib_case):
+    # b as production sets it, sigma_rel * |mean| * sqrt(2a), gives each
+    # load the stationary deviation sigma_rel * |mean|
+    sc = Scenario(horizon_s=1.0, stochastic_buses=(1,), sigma_rel=0.02)
+    setup = SimulationSetup.build(smib_case, sc)
+    assert list(setup.ou_mean) == [0.6, 0.25]
     pooled = []
     for seed in range(40):
         path = build_noise_path(seed, 2, 100.0, 0.1)
-        pooled.append(load_schedule([spec], path)[200:, 0])
+        vals = load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path)
+        pooled.append(vals[200:])
     pooled = np.concatenate(pooled)
-    assert pooled.std() == pytest.approx(0.02 * 2.0, rel=0.05)
+    assert pooled.std(axis=0) == pytest.approx(0.02 * setup.ou_mean, rel=0.05)
 
 
 def test_load_schedule_columns_follow_noise_grid_order():
-    # column j is the scalar exact-step recursion driven by noise row j:
-    # P of spec i at 2i, Q at 2i+1
-    specs = [
-        StochasticLoadSpec.from_sigma(bus=3, p_mean=3.2, q_mean=0.4, sigma_rel=0.05),
-        StochasticLoadSpec.from_sigma(bus=4, p_mean=5.0, q_mean=1.8, sigma_rel=0.02),
-    ]
+    # column j is the scalar exact-step recursion driven by noise row j,
+    # with the mean and the diffusion of variable j
+    mean = np.array([3.2, 0.4, 5.0, 1.8])
+    b = np.array([0.05, 0.05, 0.02, 0.02]) * mean
     path = build_noise_path(2, 4, 3.0, 0.1)
-    vals = load_schedule(specs, path)
-    for j, (ou, mean) in enumerate(
-        (ou, mean)
-        for spec in specs
-        for ou, mean in ((spec.ou_p, spec.p_mean), (spec.ou_q, spec.q_mean))
-    ):
+    vals = load_schedule(mean, 0.5, b, path)
+    for j in range(4):
         eps = 0.0
         for k in range(path.n_steps):
-            assert vals[k, j] == pytest.approx(mean + eps, rel=1e-14, abs=1e-15)
-            eps = ou_exact_step(eps, ou.a, ou.b, path.dt, path.xi[j, k])
+            assert vals[k, j] == pytest.approx(mean[j] + eps, rel=1e-14, abs=1e-15)
+            eps = ou_exact_step(eps, 0.5, b[j], path.dt, path.xi[j, k])
 
 
 def test_euler_load_schedule_follows_em_recursion():
     # the paper-sde schedule on the integration grid: the mean in row 0,
     # then row k is one Euler-Maruyama step from row k-1 driven by noise
-    # column k-1, dW = sqrt(dt) xi, with each spec's own (a, b)
-    specs = [
-        StochasticLoadSpec.from_sigma(bus=3, p_mean=3.2, q_mean=0.4, sigma_rel=0.05),
-        StochasticLoadSpec.from_sigma(bus=4, p_mean=5.0, q_mean=1.8, sigma_rel=0.02, a=2.0),
-    ]
+    # column k-1, dW = sqrt(dt) xi, with each variable's own (a, b)
+    mean = np.array([3.2, 0.4, 5.0, 1.8])
+    a = np.array([0.5, 0.5, 2.0, 2.0])
+    b = np.array([0.05, 0.05, 0.02, 0.02]) * mean * np.sqrt(2.0 * a)
     dt = 1e-3
     path = build_noise_path(6, 4, 0.5, dt)
-    vals = load_schedule(specs, path, euler=True)
-    ous = [ou for spec in specs for ou in (spec.ou_p, spec.ou_q)]
-    a = np.array([0.5, 0.5, 2.0, 2.0])
-    b = np.array([ou.b for ou in ous])
-    assert [ou.a for ou in ous] == list(a)
-    mean = np.array([3.2, 0.4, 5.0, 1.8])
+    vals = load_schedule(mean, a, b, path, euler=True)
     assert vals.shape == (path.n_steps, 4)
     assert np.array_equal(vals[0], mean)
     eps = np.zeros(4)
@@ -184,7 +177,7 @@ def test_euler_load_schedule_follows_em_recursion():
         eps = ou_em_step(eps, a, b, dt, math.sqrt(dt) * path.xi[:, k - 1])
         assert np.array_equal(vals[k], mean + eps)
     # not the exact transition: the two schedules differ after row 0
-    assert not np.array_equal(vals[1:], load_schedule(specs, path)[1:])
+    assert not np.array_equal(vals[1:], load_schedule(mean, a, b, path)[1:])
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
@@ -192,13 +185,11 @@ def test_euler_load_schedule_follows_em_recursion():
 def test_affine_shift_independent_of_mean(m1, m2):
     # identical OU parameters, different means: the deviations agree with
     # the mean-zero schedule
-    ou = OUParams(0.5, 0.03)
-    q_ou = OUParams(0.5, 0.0)
+    b = np.array([0.03, 0.0])
     path = build_noise_path(5, 2, 3.0, 0.1)
-    base = load_schedule([StochasticLoadSpec(3, 0.0, 0.0, ou, q_ou, 0.02)], path)[:, 0]
+    base = load_schedule(np.zeros(2), 0.5, b, path)[:, 0]
     for m in (m1, m2):
-        spec = StochasticLoadSpec(3, m, 0.0, ou, q_ou, 0.02)
-        eps = load_schedule([spec], path)[:, 0] - np.float64(m)
+        eps = load_schedule(np.array([m, 0.0]), 0.5, b, path)[:, 0] - np.float64(m)
         assert np.allclose(eps, base, atol=1e-12)
 
 
