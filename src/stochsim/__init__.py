@@ -37,7 +37,13 @@ from .noise import (
 )
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .trajectory import Trajectory
-from .sas import SolverConfig, simulate_sas, simulate_sas_batch, window_coefficients
+from .sas import (
+    MachineMap,
+    SolverConfig,
+    simulate_sas,
+    simulate_sas_batch,
+    window_coefficients,
+)
 from .em import EMConfig, euler_det_step, simulate_em, simulate_em_batch
 from .ensemble import (
     Ensemble,

@@ -36,7 +36,7 @@ from .noise import build_noise_path, path_to_csv
 from .powerflow import PowerFlowError
 from .sas import SolverConfig
 from .scenario import SimulationSetup, load_scenario
-from .trajectory import state_columns
+from .trajectory import columns
 from .validate import run_all
 
 
@@ -60,14 +60,13 @@ def _solver_config(args):
 def _stats_variables(args, setup: SimulationSetup) -> list[str]:
     """Variables of stats.csv and pdf.csv; an unknown name is a usage error."""
     gen_buses = [g.bus for g in setup.case.generators]
-    volts = [f"v{b}" for b in setup.scenario.monitor_buses]
-    columns = state_columns(gen_buses) + volts
+    known = columns(gen_buses, setup.scenario.monitor_buses)
     if args.stats_vars == "all":
-        return columns
-    if not args.stats_vars:
-        return [f"g{gen_buses[0]}.delta", f"g{gen_buses[0]}.omega"] + volts
+        return known
+    if not args.stats_vars:  # the first generator's delta and omega, and the voltages
+        return known[:2] + known[4 * len(gen_buses) :]
     names = [v.strip() for v in args.stats_vars.split(",")]
-    unknown = [v for v in names if v not in columns]
+    unknown = [v for v in names if v not in known]
     if unknown:
         raise UsageError(f"--stats-vars: unknown variable(s) {', '.join(unknown)}")
     return names
@@ -150,6 +149,8 @@ def cmd_run(args) -> int:
         manifest["diverged_column"] = [
             tr.diverged_column for tr in ensemble.trajectories
         ]
+        manifest["windows"] = [tr.windows for tr in ensemble.trajectories]
+        manifest["rebuilds"] = [tr.rebuilds for tr in ensemble.trajectories]
 
         artifacts = []
         if args.runs == 1:

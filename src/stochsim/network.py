@@ -9,6 +9,7 @@ at the faulted bus; clearing removes the tripped branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,18 @@ class ReducedNetwork:
     def __post_init__(self):
         self.y.setflags(write=False)
         self.recovery.setflags(write=False)
+
+    @cached_property
+    def y_real(self) -> np.ndarray:
+        """``y`` = G + jB in real form, the (..., 2K, 2K) matrix [[G, -B], [B, G]].
+
+        It maps the stacked real and imaginary parts of the EMFs to those of
+        the currents.  Built on first use and kept with this network.
+        """
+        g, b = self.y.real, self.y.imag
+        out = np.block([[g, -b], [b, g]])
+        out.setflags(write=False)
+        return out
 
     def bus_voltages(self, emf: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Complex voltages of the network buses at ``rows`` (default: all).

@@ -7,6 +7,15 @@ values frozen as parameters, yields the order-(n+1) state coefficient after
 time integration.  For the analytic right-hand side used here the terms
 coincide with the decomposition-method terms, so evaluating the order-N
 partial sum across the window reproduces the semi-analytical solution.
+
+The recursion runs on the order-major kernels of :mod:`stochsim.series`:
+one (N+1, ..., 13, K) work array per window holds every series, order
+first, with the fields paired so that each product is one einsum over
+contiguous slices.  The network enters in real form,
+[[G, -B], [B, G]] with G + jB the reduced admittance, so the currents of an
+order are one real matmul; each network builds it once
+(:attr:`ReducedNetwork.y_real`).  The machine equations are a constant
+linear map per generator (:class:`MachineMap`), built once per batch.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .dynamics import MachineSet
 from .network import ReducedNetwork
 from .noise import NoisePath
 from .scenario import Scenario, SimulationSetup, run_simulation
-from .series import cauchy_coeff, sin_cos_coeff, series_eval
+from .series import dot_coeff, product_coeffs, series_eval, sin_cos_coeff
 from .trajectory import Trajectory
 
 
@@ -39,77 +48,103 @@ class SolverConfig:
             raise ValueError("window length must be positive")
 
 
+@dataclass(frozen=True)
+class MachineMap:
+    """The machine equations in the form the window kernel applies them.
+
+    The time derivative of (delta, omega, e'q, e'd) is one linear map per
+    generator, ``lin`` (4, 6, K), over (omega, e'q, e'd, p_e, i_d, i_q),
+    plus ``const`` (4, K) at order 0: -omega_r, (omega_r P_m + D omega_r)/2H,
+    E_fd/T'd0 and 0.  ``x_t`` (2, K) is (x'q, -x'd), which turns
+    (e'd, e'q) and (i_q, i_d) into the stator voltages (e_d, e_q).  Built
+    once per batch from a :class:`MachineSet` with its inputs set.
+    """
+
+    lin: np.ndarray
+    const: np.ndarray
+    x_t: np.ndarray
+
+    @classmethod
+    def from_machines(cls, m: MachineSet) -> "MachineMap":
+        k = m.n_gen
+        w_r = m.omega_r
+        half_h = w_r / (2.0 * m.H)
+        lin = np.zeros((4, 6, k))
+        lin[0, 0] = 1.0
+        lin[1, 0] = -half_h * m.D / w_r
+        lin[1, 3] = -half_h
+        lin[2, 1] = -1.0 / m.Td0p
+        lin[2, 4] = -(m.xd - m.xdp) / m.Td0p
+        lin[3, 2] = -1.0 / m.Tq0p
+        lin[3, 5] = (m.xq - m.xqp) / m.Tq0p
+        const = np.stack(
+            [np.full(k, -w_r), half_h * (m.pm + m.D), m.efd / m.Td0p, np.zeros(k)]
+        )
+        return cls(lin=lin, const=const, x_t=np.stack([m.xqp, -m.xdp]))
+
+
+# Frame rotations by delta: 2x4 maps from the four Cauchy products of a pair
+# with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the rotated
+# pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
+_DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+_NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, i_i
+
+
 def window_coefficients(
-    state0: np.ndarray, net: ReducedNetwork, machines: MachineSet, order: int
+    state0: np.ndarray, net: ReducedNetwork, mmap: MachineMap, order: int
 ) -> np.ndarray:
     """Series coefficients of the machine states about ``state0``.
 
-    Order-incremental evaluation of the model through series arithmetic:
-    trigonometric recurrences for sin/cos of the rotor angles, Cauchy
-    products for the frame rotations and powers, one complex matrix-vector
-    product per order for the network coupling.  ``state0`` is (..., 4K)
-    and ``net.y`` (..., K, K), one leading entry per run; runs do not mix.
-    Returns the (..., 4K, N+1) stack in the packed state layout, on a local
-    clock that starts at 0.
+    Order-incremental evaluation of the model through series arithmetic.
+    All series of the window live in one order-major (N+1, ..., 13, K)
+    array whose fields are ordered so that every pair the recursion
+    multiplies is a contiguous slice: per order, one einsum gives sin/cos of
+    the rotor angles, one einsum and one sign matmul each frame rotation,
+    one real matmul with ``net.y_real`` the network currents, one einsum the
+    electric power and one einsum the linear machine map ``mmap``.
+    ``state0`` is (..., 4K) and ``net.y`` (..., K, K), one leading entry per
+    run; runs do not mix.  Returns the (..., 4K, N+1) stack in the packed
+    state layout, on a local clock that starts at 0.
     """
-    k = machines.n_gen
-    shape = state0.shape[:-1] + (k, order + 1)
-    d = np.zeros(shape)
-    w = np.zeros(shape)
-    eq = np.zeros(shape)
-    ed = np.zeros(shape)
-    d[..., 0] = state0[..., :k]
-    w[..., 0] = state0[..., k : 2 * k]
-    eq[..., 0] = state0[..., 2 * k : 3 * k]
-    ed[..., 0] = state0[..., 3 * k :]
+    lead = state0.shape[:-1]
+    k = mmap.x_t.shape[-1]
+    w = np.zeros((order + 1,) + lead + (_N_FIELDS, k))
+    state = w[..., 0:4, :]  # delta, omega, e'q, e'd
+    state[0] = state0.reshape(lead + (4, k))
+    machine_in = w[..., 1:7, :]  # omega, e'q, e'd, p_e, i_d, i_q
+    eq_ed = w[..., 2:4, :]
+    ed_eq = w[..., 3:1:-1, :]
+    p_e = w[..., 4, :]
+    id_iq = w[..., 5:7, :]
+    iq_id = w[..., 6:4:-1, :]
+    e_t = w[..., 7:9, :]  # e_dt, e_qt
+    sc = w[..., 9:11, :]
+    i_net = w[..., 11:13, :]
+    i_net_col = i_net.reshape((order + 1,) + lead + (2 * k, 1))
+    deriv = np.empty((order,) + lead + (4, k))  # deriv[n] = (n+1) * state[n+1]
+    d_delta = deriv[..., 0, :]  # the coefficients of delta'
+    y_real = net.y_real
 
-    s = np.zeros(shape)
-    c = np.zeros(shape)
-    ere = np.zeros(shape)
-    eim = np.zeros(shape)
-    i_r = np.zeros(shape)
-    i_i = np.zeros(shape)
-    i_d = np.zeros(shape)
-    i_q = np.zeros(shape)
-    e_qt = np.zeros(shape)
-    e_dt = np.zeros(shape)
-    p_e = np.zeros(shape)
-
-    w_r = machines.omega_r
-    half_h = w_r / (2.0 * machines.H)
-    dx_d = machines.xd - machines.xdp
-    dx_q = machines.xq - machines.xqp
-
+    np.sin(state[0, ..., 0, :], out=sc[0, ..., 0, :])
+    np.cos(state[0, ..., 0, :], out=sc[0, ..., 1, :])
     for n in range(order):
-        s[..., n], c[..., n] = sin_cos_coeff(d, s, c, n)
-        ere[..., n] = cauchy_coeff(ed, s, n) + cauchy_coeff(eq, c, n)
-        eim[..., n] = cauchy_coeff(eq, s, n) - cauchy_coeff(ed, c, n)
-        it = (net.y @ (ere[..., n] + 1j * eim[..., n])[..., None])[..., 0]
-        i_r[..., n] = it.real
-        i_i[..., n] = it.imag
-        i_q[..., n] = cauchy_coeff(i_i, s, n) + cauchy_coeff(i_r, c, n)
-        i_d[..., n] = cauchy_coeff(i_r, s, n) - cauchy_coeff(i_i, c, n)
-        e_qt[..., n] = eq[..., n] - machines.xdp * i_d[..., n]
-        e_dt[..., n] = ed[..., n] + machines.xqp * i_q[..., n]
-        p_e[..., n] = cauchy_coeff(e_qt, i_q, n) + cauchy_coeff(e_dt, i_d, n)
-
+        if n:
+            sin_cos_coeff(d_delta, sc, n, out=sc[n])
+        e_net = _DQ_TO_NET @ product_coeffs(eq_ed, sc, n).reshape(lead + (4, k))
+        np.matmul(y_real, e_net.reshape(lead + (2 * k, 1)), out=i_net_col[n])
+        rot = product_coeffs(i_net, sc, n).reshape(lead + (4, k))
+        np.matmul(_NET_TO_DQ, rot, out=id_iq[n])
+        np.multiply(mmap.x_t, iq_id[n], out=e_t[n])
+        np.add(e_t[n], ed_eq[n], out=e_t[n])
+        dot_coeff(e_t, id_iq, n, out=p_e[n])
+        np.einsum("fjk,...jk->...fk", mmap.lin, machine_in[n], out=deriv[n])
         if n == 0:
-            f_d = w[..., 0] - w_r
-            f_w = half_h * (machines.pm - p_e[..., 0] - machines.D * (w[..., 0] - w_r) / w_r)
-            f_eq = (machines.efd - eq[..., 0] - dx_d * i_d[..., 0]) / machines.Td0p
-        else:
-            f_d = w[..., n]
-            f_w = half_h * (-p_e[..., n] - machines.D * w[..., n] / w_r)
-            f_eq = (-eq[..., n] - dx_d * i_d[..., n]) / machines.Td0p
-        f_ed = (-ed[..., n] + dx_q * i_q[..., n]) / machines.Tq0p
+            deriv[0] += mmap.const
+        np.multiply(deriv[n], 1.0 / (n + 1), out=state[n + 1])
 
-        inv = 1.0 / (n + 1)
-        d[..., n + 1] = f_d * inv
-        w[..., n + 1] = f_w * inv
-        eq[..., n + 1] = f_eq * inv
-        ed[..., n + 1] = f_ed * inv
-
-    return np.concatenate([d, w, eq, ed], axis=-2)
+    packed = state.reshape((order + 1,) + lead + (4 * k,))
+    return packed.transpose(tuple(range(1, len(lead) + 2)) + (0,))
 
 
 def simulate_sas_batch(
@@ -127,12 +162,11 @@ def simulate_sas_batch(
     window must divide the resample interval, which the driver checks.  The
     output is sampled at the window length.
     """
-    machines = setup.machines
+    mmap = MachineMap.from_machines(setup.machines)
     order = config.order
 
     def stepper(x, net, dt):
-        coeffs = window_coefficients(x, net, machines, order)
-        return series_eval(coeffs, dt)
+        return series_eval(window_coefficients(x, net, mmap, order), dt)
 
     return run_simulation(
         setup,

@@ -244,9 +244,9 @@ def _exact_multiple(big: float, small: float) -> int:
 
 
 def _emf(state: np.ndarray) -> np.ndarray:
+    """Internal EMFs (e'q - j e'd) exp(j delta) of (..., 4K) packed states."""
     delta, _, eqp, edp = split_state(state)
-    sin_d, cos_d = np.sin(delta), np.cos(delta)
-    return (edp * sin_d + eqp * cos_d) + 1j * (eqp * sin_d - edp * cos_d)
+    return (eqp - 1j * edp) * np.exp(1j * delta)
 
 
 def run_simulation(
@@ -272,6 +272,8 @@ def run_simulation(
     packed-state column past ``DIVERGENCE_LIMIT``, and leaves the stack; its
     remaining rows stay NaN.  Every operation treats each run's row on its
     own, so a run's trajectory is bit-identical alone and in any batch.
+    Each trajectory counts the ``step_fn`` calls (``windows``, split segments
+    included) and the network rebuilds while its run was in the stack.
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
@@ -319,6 +321,8 @@ def run_simulation(
     stage = "pre-fault"
     pq = np.repeat(setup.mean_pq[None], r, axis=0)
     net = setup.build_net(stage, pq)
+    n_windows, n_rebuilds = 0, 1  # step_fn and build_net calls so far
+    counts = [(0, 0)] * r  # per run, (n_windows, n_rebuilds) when it leaves
 
     n_rec = n_steps // out_stride + 1
     k4 = setup.x0.shape[0]
@@ -359,6 +363,7 @@ def run_simulation(
             rebuilt = True
         if rebuilt:
             net = setup.build_net(stage, pq)
+            n_rebuilds += 1
 
         if ev_idx < len(events) and events[ev_idx][0] < t1 - tol:
             a = t0
@@ -368,15 +373,19 @@ def run_simulation(
                 x = step_fn(x, net, tb - a)
                 stage = new_stage
                 net = setup.build_net(stage, pq)
+                n_windows += 1
+                n_rebuilds += 1
                 a = tb
             x = step_fn(x, net, t1 - a)
         else:
             x = step_fn(x, net, h)
+        n_windows += 1
 
         ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT  # False for NaN as well
         if not ok.all():
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = t1
+                counts[active[j]] = (n_windows, n_rebuilds)
                 bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
             active, x, pq = active[ok], x[ok], pq[ok]
@@ -386,6 +395,8 @@ def run_simulation(
         if (k + 1) % out_stride == 0:
             record((k + 1) // out_stride, x, net)
 
+    for i in active:
+        counts[i] = (n_windows, n_rebuilds)
     return [
         Trajectory(
             times=times,
@@ -397,6 +408,8 @@ def run_simulation(
             diverged=t_div[i] is not None,
             t_diverged=t_div[i],
             diverged_column=div_col[i],
+            windows=counts[i][0],
+            rebuilds=counts[i][1],
         )
         for i in range(r)
     ]

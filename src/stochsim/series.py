@@ -1,41 +1,56 @@
 """Truncated power-series kernels on a local window clock.
 
-A series stack is a (..., K, N+1) coefficient array whose entry [..., k, :]
-represents sum(c[..., k, n] * t^n); leading axes index independent runs.
+The kernels work on order-major stacks: a (N+1, ..., K) array whose entry
+[n] holds the order-n coefficients, so that sum(c[n] * t^n) is the series.
+A pair stack (N+1, ..., 2, K) holds two series side by side, such as
+(sin x, cos x); the axes between the order axis and the last one or two
+index independent runs.  Order n is one contiguous slab, so the solver
+reaches it by a plain first-axis index.
+
 The solver builds its series one order at a time, so the kernels return the
 order-n coefficient of a composition from the coefficients of orders below
 n (or up to n for products): Cauchy products for multiplications and the
-coupled recurrences for sin/cos.
+coupled recurrences for sin/cos.  Each is one two-operand einsum.
+:func:`series_eval` takes the other layout, (..., N+1), order last.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def cauchy_coeff(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Order-n Cauchy coefficient of a*b for (..., K, N+1) stacks."""
-    if n == 0:
-        return a[..., 0] * b[..., 0]
-    return np.einsum("...km,...km->...k", a[..., : n + 1], b[..., n::-1])
+_SIN_COS_SIGNS = np.array([[1.0], [-1.0]])  # s' = x' c, c' = -x' s
 
 
-def sin_cos_coeff(
-    x: np.ndarray, s: np.ndarray, c: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order-n coefficients of sin(x) and cos(x) for (..., K, N+1) stacks.
+def product_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Order-n Cauchy coefficients of every product a_i * b_j.
 
-    ``s`` and ``c`` must hold the sin/cos coefficients of orders below n;
-    with m x_m the derivative terms, s_n = sum(m x_m c_{n-m}) / n and
-    c_n = -sum(m x_m s_{n-m}) / n.
+    ``a`` is (N+1, ..., P, K) and ``b`` (N+1, ..., Q, K); the result is
+    (..., P, Q, K), entry [..., i, j, k] the order-n coefficient of
+    a[:, ..., i, k] * b[:, ..., j, k].  Reads orders 0..n of both.
     """
-    if n == 0:
-        return np.sin(x[..., 0]), np.cos(x[..., 0])
-    m = np.arange(1, n + 1)
-    mx = m * x[..., 1 : n + 1]
-    s_n = np.einsum("...km,...km->...k", mx, c[..., n - 1 :: -1][..., :n]) / n
-    c_n = -np.einsum("...km,...km->...k", mx, s[..., n - 1 :: -1][..., :n]) / n
-    return s_n, c_n
+    return np.einsum("m...ak,m...bk->...abk", a[: n + 1], b[n::-1])
+
+
+def dot_coeff(a: np.ndarray, b: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Order-n coefficient of sum_j a_j * b_j for (N+1, ..., P, K) stacks.
+
+    The result is (..., K); reads orders 0..n of both.
+    """
+    return np.einsum("m...jk,m...jk->...k", a[: n + 1], b[n::-1], out=out)
+
+
+def sin_cos_coeff(dx: np.ndarray, sc: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Order-n coefficients (s_n, c_n) of sin x and cos x, for n >= 1.
+
+    ``dx`` holds the coefficients of the derivative x', dx[j] =
+    (j+1) x_{j+1}, order first like ``sc``, the (N+1, ..., 2, K) pair stack
+    of (sin x, cos x).  From s' = x' c and c' = -x' s,
+    s_n = sum(dx_j c_{n-1-j}) / n and c_n = -sum(dx_j s_{n-1-j}) / n over
+    j < n.  Returns the (..., 2, K) pair; reads dx below order n and sc
+    below order n.
+    """
+    t = np.einsum("m...k,m...jk->...jk", dx[:n], sc[n - 1 :: -1])
+    return np.divide(t[..., ::-1, :], _SIN_COS_SIGNS * n, out=out)
 
 
 def series_eval(c: np.ndarray, t: float):

@@ -10,9 +10,14 @@ import numpy as np
 FIELDS = ("delta", "omega", "eqp", "edp")  # per-generator variables, in block order
 
 
-def state_columns(gen_buses) -> list[str]:
-    """Per-generator column names in file order: delta, omega, eqp, edp."""
-    return [f"g{bus}.{name}" for bus in gen_buses for name in FIELDS]
+def columns(gen_buses, monitor_buses) -> list[str]:
+    """Output column names in file order.
+
+    delta, omega, eqp and edp of each generator, then v<bus> of each
+    monitored bus.
+    """
+    gen = [f"g{bus}.{name}" for bus in gen_buses for name in FIELDS]
+    return gen + [f"v{b}" for b in monitor_buses]
 
 
 def packed_column(gen_buses, index: int) -> str:
@@ -29,7 +34,9 @@ class Trajectory:
     ``voltages`` holds |V| of the monitored buses, (T, n_mon).  A diverged
     run keeps NaN rows from the divergence time onward; ``diverged_column``
     names the first packed-state entry that reached the divergence limit or
-    turned non-finite.
+    turned non-finite.  ``windows`` and ``rebuilds`` count the solver
+    steps (a step split at a stage boundary counts each segment) and the
+    network rebuilds the run took part in.
     """
 
     times: np.ndarray
@@ -41,6 +48,8 @@ class Trajectory:
     diverged: bool = False
     t_diverged: float | None = None
     diverged_column: str | None = None
+    windows: int = 0
+    rebuilds: int = 0
 
     @property
     def n_gen(self) -> int:
@@ -48,7 +57,7 @@ class Trajectory:
 
     @property
     def columns(self) -> list[str]:
-        return state_columns(self.gen_buses) + [f"v{b}" for b in self.monitor_buses]
+        return columns(self.gen_buses, self.monitor_buses)
 
     def value(self, column: str) -> np.ndarray:
         """Series of one variable named in :attr:`columns`."""

@@ -16,7 +16,7 @@ import numpy as np
 from . import smib
 from .em import EMConfig, simulate_em
 from .noise import OUParams, ou_closed_form, ou_exact_step
-from .sas import SolverConfig, simulate_sas, window_coefficients
+from .sas import MachineMap, SolverConfig, simulate_sas, window_coefficients
 from .scenario import Scenario, SimulationSetup
 from .case import SystemCase
 
@@ -41,12 +41,13 @@ def check_smib_coefficients(n_states: int = 100, seed: int = 2024) -> CheckResul
     """Window coefficients of the series engine vs the hand closed forms."""
     p = smib.SMIBParams()
     net, machines = smib.smib_embedding(p)
+    mmap = MachineMap.from_machines(machines)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
         d0 = rng.uniform(-1.2, 1.2)
         w0 = p.omega_r + rng.uniform(-3.0, 3.0)
-        coeffs = window_coefficients(smib.smib_state(p, d0, w0), net, machines, 2)
+        coeffs = window_coefficients(smib.smib_state(p, d0, w0), net, mmap, 2)
         d_hand, w_hand = smib.smib_window_coefficients(p, d0, w0)
         for hand, eng in ((d_hand, coeffs[0]), (w_hand, coeffs[2])):
             scale = np.maximum(np.abs(hand), 1e-12)

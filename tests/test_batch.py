@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochsim import scenario as scenario_mod
 from stochsim.em import EMConfig, simulate_em_batch
 from stochsim.noise import build_noise_path
 from stochsim.sas import SolverConfig, simulate_sas_batch
@@ -53,3 +54,30 @@ def test_run_identical_alone_and_in_any_batch(smib_case, solver):
     # the runs differ from each other, so the comparison has teeth
     assert not np.array_equal(batch[0].states, batch[1].states)
     assert not np.array_equal(batch[0].voltages, batch[1].voltages)
+
+
+def test_runs_count_windows_and_rebuilds(smib_case, monkeypatch):
+    # at h = 0.02 the clearing time 0.25 falls inside the step 0.24-0.26,
+    # which runs as two windows; the loads change every 5 steps and the fault
+    # starts on a load instant (k = 10), where one rebuild serves both
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config, h = SolverConfig(order=2, window=0.02), 0.02
+    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
+    free = simulate_sas_batch(setup, config, paths)
+    # 50 steps plus the split; the first build, 9 load changes and the clearing
+    assert [(tr.windows, tr.rebuilds) for tr in free] == [(51, 11)] * 6
+
+    # a limit between the runs' peak |state| stops three runs early
+    peaks = sorted(np.abs(tr.states).max() for tr in free)
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[2] + peaks[3]))
+    limited = simulate_sas_batch(setup, config, paths)
+    assert sum(tr.diverged for tr in limited) == 3
+    for tr, ref in zip(limited, free):
+        if not tr.diverged:
+            assert (tr.windows, tr.rebuilds) == (51, 11)
+            continue
+        steps = round(tr.t_diverged / h)  # the run took steps 0 .. steps-1
+        split = steps > 12
+        assert tr.windows == steps + split < 51
+        assert tr.rebuilds == 1 + (steps - 1) // 5 + split
+        assert np.array_equal(tr.states[:steps], ref.states[:steps])

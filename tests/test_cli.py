@@ -74,6 +74,10 @@ def test_repeated_runs_write_identical_files(repo_root, tmp_path):
         assert m["t_diverged"] == [None] * 3
         assert m["diverged_column"] == [None] * 3
         assert len(m["run_seconds"]) == 3
+        # 200 steps; the first build, 19 load changes and the clearing at
+        # t = 0.25 (the fault starts on the load instant t = 0.2)
+        assert m["windows"] == [200] * 3
+        assert m["rebuilds"] == [21] * 3
 
 
 def test_scenario_without_horizon_exits_2(repo_root, tmp_path):
@@ -152,31 +156,43 @@ def test_injected_smib_error_fails_its_check(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, names",
     [
-        {"horizon_s": None},
-        [{"horizon_s": 0.2}],
-        {"horizon_s": 0.2, "fault_bus": [1]},
-        {"horizon_s": 0.2, "trip_branches": [1]},
-        {"horizon_s": 0.2, "trip_branches": [[1, 2, 3]]},
-        {"horizon_s": 0.2, "monitor_buses": "1"},
-        {"horizon_s": 0.2, "sigma_rel": {"value": 0.1}},
-        {"horizon_s": 0.2, "monitor_buses": [2.9]},
-        {"horizon_s": 2.0, "fault_bus": 1.5},
-        {"horizon_s": 2.0, "fault_bus": True},
-        {"horizon_s": 2.0, "fault_bus": 1, "trip_branches": [[1.2, 2.8]]},
-        {"horizon_s": 0.2, "stochastic_buses": [1.9], "sigma_rel": 0.02},
-        {"horizon_s": 0.2, "stochastic_buses": ["1"], "sigma_rel": 0.02},
+        ({"horizon_s": None}, "field 'horizon_s'"),
+        ([{"horizon_s": 0.2}], "top level"),
+        ({"horizon_s": 0.2, "fault_bus": [1]}, "field 'fault_bus'"),
+        ({"horizon_s": 0.2, "trip_branches": [1]}, "field 'trip_branches'"),
+        ({"horizon_s": 0.2, "trip_branches": [[1, 2, 3]]}, "field 'trip_branches'"),
+        ({"horizon_s": 0.2, "monitor_buses": "1"}, "field 'monitor_buses'"),
+        ({"horizon_s": 0.2, "sigma_rel": {"value": 0.1}}, "field 'sigma_rel'"),
+        ({"horizon_s": 0.2, "monitor_buses": [2.9]}, "field 'monitor_buses'"),
+        ({"horizon_s": 2.0, "fault_bus": 1.5}, "field 'fault_bus'"),
+        ({"horizon_s": 2.0, "fault_bus": True}, "field 'fault_bus'"),
+        (
+            {"horizon_s": 2.0, "fault_bus": 1, "trip_branches": [[1.2, 2.8]]},
+            "field 'trip_branches'",
+        ),
+        (
+            {"horizon_s": 0.2, "stochastic_buses": [1.9], "sigma_rel": 0.02},
+            "field 'stochastic_buses'",
+        ),
+        (
+            {"horizon_s": 0.2, "stochastic_buses": ["1"], "sigma_rel": 0.02},
+            "field 'stochastic_buses'",
+        ),
     ],
     ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
          "triple-branch", "string-monitor-buses", "object-sigma",
          "fractional-monitor-bus", "fractional-fault-bus", "bool-fault-bus",
          "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus"],
 )
-def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc):
+def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc, names):
+    # the message names what is malformed: the field, or the top level
     scenario = write_scenario(tmp_path, doc)
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2
-    assert "error: invalid-input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: invalid-input" in err
+    assert names in err
 
 
 def test_malformed_case_exits_2(repo_root, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from stochsim.sas import SolverConfig, simulate_sas, window_coefficients
+from stochsim.sas import MachineMap, SolverConfig, simulate_sas, window_coefficients
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
 from stochsim.series import series_eval
 from stochsim import smib as sm
+from stochsim.dynamics import rhs
+from stochsim.network import ReducedNetwork
 
 
 def test_constant_series_static_state(smib_case):
@@ -12,7 +14,8 @@ def test_constant_series_static_state(smib_case):
     # series is constant and evaluates to the initial state anywhere
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
     net = setup.build_net("pre-fault", setup.mean_pq[None])
-    c = window_coefficients(setup.x0[None], net, setup.machines, order=4)[0]
+    mmap = MachineMap.from_machines(setup.machines)
+    c = window_coefficients(setup.x0[None], net, mmap, order=4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
         assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
@@ -24,10 +27,11 @@ def test_local_error_order_scaling():
     # 2^(N+1)
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
+    mmap = MachineMap.from_machines(machines)
     state = sm.smib_state(p, 0.7, p.omega_r + 1.0)
-    ref = window_coefficients(state, net, machines, 16)
+    ref = window_coefficients(state, net, mmap, 16)
     for order in (1, 2, 3, 4):
-        c = window_coefficients(state, net, machines, order)
+        c = window_coefficients(state, net, mmap, order)
         errs = [
             np.max(np.abs(series_eval(c, h) - series_eval(ref, h)))
             for h in (0.01, 0.005)
@@ -40,7 +44,10 @@ def test_window_coefficients_match_oracle():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     c = window_coefficients(
-        sm.smib_state(p, 0.7, p.omega_r + 1.0), net, machines, order=2
+        sm.smib_state(p, 0.7, p.omega_r + 1.0),
+        net,
+        MachineMap.from_machines(machines),
+        order=2,
     )
     d_hand, w_hand = sm.smib_window_coefficients(p, 0.7, p.omega_r + 1.0)
     assert c.shape == (4 * machines.n_gen, 3)
@@ -52,7 +59,7 @@ def test_window_evaluation_restores_initial_state():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     state = sm.smib_state(p, 0.3, p.omega_r - 0.5)
-    c = window_coefficients(state, net, machines, order=2)
+    c = window_coefficients(state, net, MachineMap.from_machines(machines), order=2)
     assert np.array_equal(series_eval(c, 0.0), state)
 
 
@@ -105,8 +112,6 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     tr = simulate_sas(smib_case, sc, SolverConfig(), setup=setup)
 
     # independent reference: classic fixed-step RK4 on the same staged system
-    from stochsim.dynamics import rhs
-
     h = 5e-4
     n = round(sc.horizon_s / h)
     t_fault, t_clear = sc.fault_times(smib_case)
@@ -154,3 +159,49 @@ def test_solver_config_validation():
         SolverConfig(order=0)
     with pytest.raises(ValueError):
         SolverConfig(window=0.0)
+
+
+@pytest.fixture(scope="module")
+def ieee39_windows(ieee39_case, repo_root):
+    # 17 caseC runs on the post-fault network, loads and states perturbed by 5%
+    scenario = load_scenario(repo_root / "scenarios" / "caseC.json")
+    setup = SimulationSetup.build(ieee39_case, scenario)
+    rng = np.random.default_rng(39)
+    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
+    x = setup.x0 * (1.0 + 0.05 * rng.standard_normal((17, setup.x0.size)))
+    return setup, setup.build_net("post-fault", pq), x
+
+
+def runs_of(net: ReducedNetwork, rows) -> ReducedNetwork:
+    return ReducedNetwork(y=net.y[rows], recovery=net.recovery[rows])
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 9])
+def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
+    # each run's coefficients take the same bits alone, unbatched, in the
+    # batch of 17 and in the reversed batch
+    setup, net, x = ieee39_windows
+    mmap = MachineMap.from_machines(setup.machines)
+    batch = window_coefficients(x, net, mmap, order)
+    reverse = slice(None, None, -1)
+    backwards = window_coefficients(x[reverse], runs_of(net, reverse), mmap, order)
+    assert batch.shape == (17, x.shape[1], order + 1)
+    for i in range(17):
+        one = slice(i, i + 1)
+        alone = window_coefficients(x[one], runs_of(net, one), mmap, order)
+        unbatched = window_coefficients(x[i], runs_of(net, i), mmap, order)
+        assert np.array_equal(alone[0], batch[i])
+        assert np.array_equal(unbatched, batch[i])
+        assert np.array_equal(backwards[16 - i], batch[i])
+    assert not np.array_equal(batch[0], batch[1])
+
+
+def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
+    # dynamics.rhs is a separate implementation of the model: the order-1
+    # coefficients are the time derivative at the window start
+    setup, net, x = ieee39_windows
+    c = window_coefficients(x, net, MachineMap.from_machines(setup.machines), 3)
+    f = rhs(x, net, setup.machines)
+    assert np.array_equal(c[..., 0], x)
+    assert np.all(np.abs(f) > 1e-6)  # no entry is near a cancellation
+    assert np.max(np.abs(c[..., 1] - f) / np.abs(f)) < 1e-12

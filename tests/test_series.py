@@ -2,64 +2,100 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochsim.series import cauchy_coeff, series_eval, sin_cos_coeff
+from stochsim.series import dot_coeff, product_coeffs, series_eval, sin_cos_coeff
+
+# Series here are order-major (N+1, K) stacks, one column per machine; a
+# pair stack (N+1, 2, K) holds two series side by side.
 
 
 def stack(a, order: int) -> np.ndarray:
-    """(1, order+1) stack of the coefficient list ``a``, truncated or zero-padded."""
+    """(order+1, 1) stack of the coefficient list ``a``, truncated or zero-padded."""
     a = np.asarray(a, dtype=float)[: order + 1]
-    c = np.zeros((1, order + 1))
-    c[0, : a.shape[0]] = a
+    c = np.zeros((order + 1, 1))
+    c[: a.shape[0], 0] = a
     return c
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of two stacks, built one order at a time."""
-    return np.stack([cauchy_coeff(a, b, n) for n in range(a.shape[1])], axis=1)
+    """Truncated product of two (N+1, K) stacks, built one order at a time."""
+    return np.stack(
+        [product_coeffs(a[:, None], b[:, None], n)[0, 0] for n in range(a.shape[0])]
+    )
+
+
+def derivative(x: np.ndarray) -> np.ndarray:
+    """Coefficients of x', (j+1) x_{j+1}, with a zero top order."""
+    dx = np.zeros_like(x)
+    dx[:-1] = np.arange(1, x.shape[0])[:, None] * x[1:]
+    return dx
 
 
 def sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated sine and cosine of a stack, built one order at a time."""
-    s = np.zeros_like(x)
-    c = np.zeros_like(x)
-    for n in range(x.shape[1]):
-        s[:, n], c[:, n] = sin_cos_coeff(x, s, c, n)
-    return s, c
+    """Truncated sine and cosine of a (N+1, K) stack, built one order at a time."""
+    sc = np.zeros((x.shape[0], 2, x.shape[1]))
+    sc[0] = np.sin(x[0]), np.cos(x[0])
+    dx = derivative(x)
+    for n in range(1, x.shape[0]):
+        sin_cos_coeff(dx, sc, n, out=sc[n])
+    return sc[:, 0], sc[:, 1]
 
 
 def test_mul_one_plus_t_times_one_minus_t():
-    assert np.allclose(mul(stack([1, 1], 2), stack([1, -1], 2)), [[1, 0, -1]])
+    assert np.allclose(mul(stack([1, 1], 2), stack([1, -1], 2)), [[1], [0], [-1]])
+
+
+def test_product_coeffs_gives_every_pair():
+    # (1 + t, 2 - t) x (1 - t, 3): entry [i, j] is the product of a_i and b_j
+    a = np.stack([stack([1, 1], 2), stack([2, -1], 2)], axis=1)
+    b = np.stack([stack([1, -1], 2), stack([3], 2)], axis=1)
+    pairs = np.stack([product_coeffs(a, b, n) for n in range(3)])
+    assert pairs.shape == (3, 2, 2, 1)
+    assert np.allclose(pairs[:, 0, 0, 0], [1, 0, -1])
+    assert np.allclose(pairs[:, 1, 0, 0], [2, -3, 1])
+    assert np.allclose(pairs[:, 0, 1, 0], [3, 3, 0])
+    assert np.allclose(pairs[:, 1, 1, 0], [6, -3, 0])
+
+
+def test_dot_coeff_sums_the_pair_products():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((2, 4, 2, 3))
+    dot = np.stack([dot_coeff(a, b, n) for n in range(4)])
+    assert np.allclose(dot, mul(a[:, 0], b[:, 0]) + mul(a[:, 1], b[:, 1]), atol=1e-14)
 
 
 def test_sin_of_t_taylor():
-    assert np.allclose(sin_cos(stack([0, 1, 0], 3))[0], [[0, 1, 0, -1 / 6]])
+    assert np.allclose(sin_cos(stack([0, 1, 0], 3))[0], [[0], [1], [0], [-1 / 6]])
 
 
 def test_trig_of_constant_series():
     c0 = 0.83
     s, c = sin_cos(stack([c0], 2))
-    assert np.allclose(s, [[np.sin(c0), 0, 0]])
-    assert np.allclose(c, [[np.cos(c0), 0, 0]])
+    assert np.allclose(s, [[np.sin(c0)], [0], [0]])
+    assert np.allclose(c, [[np.cos(c0)], [0], [0]])
 
 
 def test_cos_of_t():
-    assert np.allclose(sin_cos(stack([0, 1], 4))[1], [[1, 0, -0.5, 0, 1 / 24]])
+    assert np.allclose(sin_cos(stack([0, 1], 4))[1], [[1], [0], [-0.5], [0], [1 / 24]])
 
 
 def test_kernels_read_only_the_orders_they_need():
-    # the solver fills column n after calling the kernels at order n, so the
-    # kernels must not read later columns: NaN there must not leak
+    # the solver fills order n after calling the kernels at order n, so the
+    # kernels must not read later orders: NaN there must not leak
     rng = np.random.default_rng(0)
-    a, b, x = rng.standard_normal((3, 2, 5))
+    a, b = rng.standard_normal((2, 5, 2, 3))
+    x = rng.standard_normal((5, 3))
     s, c = sin_cos(x)
+    sc = np.stack([s, c], axis=1)
     for n in range(5):
         a_n, b_n, x_n = a.copy(), b.copy(), x.copy()
-        a_n[:, n + 1 :] = b_n[:, n + 1 :] = x_n[:, n + 1 :] = np.nan
-        s_n, c_n = s.copy(), c.copy()
-        s_n[:, n:] = c_n[:, n:] = np.nan
-        assert np.array_equal(cauchy_coeff(a_n, b_n, n), mul(a, b)[:, n])
-        sin_n, cos_n = sin_cos_coeff(x_n, s_n, c_n, n)
-        assert np.array_equal(sin_n, s[:, n]) and np.array_equal(cos_n, c[:, n])
+        a_n[n + 1 :] = b_n[n + 1 :] = x_n[n + 1 :] = np.nan
+        assert np.array_equal(product_coeffs(a_n, b_n, n), product_coeffs(a, b, n))
+        assert np.array_equal(dot_coeff(a_n, b_n, n), dot_coeff(a, b, n))
+        if n == 0:
+            continue
+        sc_n = sc.copy()
+        sc_n[n:] = np.nan
+        assert np.array_equal(sin_cos_coeff(derivative(x_n), sc_n, n), sc[n])
 
 
 def test_eval_horner_matches_polyval():
@@ -101,7 +137,7 @@ def test_mul_distributes_over_add(a, b, c):
 def test_sin_cos_pythagoras(a):
     n = len(a) - 1
     s, c = sin_cos(stack(a, n))
-    expected = np.zeros((1, n + 1))
+    expected = np.zeros((n + 1, 1))
     expected[0, 0] = 1.0
     assert np.allclose(mul(s, s) + mul(c, c), expected, atol=1e-9)
 
@@ -114,4 +150,4 @@ def test_truncated_product_evaluates_consistently(a, t):
     n = len(a) - 1
     sq = mul(stack(a, n), stack(a, n))
     bound = (np.sum(np.abs(a)) ** 2 + 1.0) * abs(t) ** (n + 1) + 1e-12
-    assert abs(series_eval(sq, t)[0] - series_eval(np.array(a), t) ** 2) <= bound
+    assert abs(series_eval(sq[:, 0], t) - series_eval(np.array(a), t) ** 2) <= bound
