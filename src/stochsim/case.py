@@ -78,7 +78,6 @@ class SystemCase:
     generators: tuple[GeneratorParams, ...]
     loads: tuple[Load, ...]
     frequency_hz: float
-    name: str = ""
     _bus_pos: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ def _records(doc: dict, section: str) -> list[dict]:
     return records
 
 
-def parse_case(text: str, name: str = "") -> SystemCase:
+def parse_case(text: str) -> SystemCase:
     """Parse and validate a JSON case document.
 
     Raises :class:`CaseError` naming the offending field for schema
@@ -229,7 +228,6 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         generators=tuple(gens),
         loads=tuple(loads),
         frequency_hz=freq,
-        name=name,
     )
     _validate(case)
     return case
@@ -282,4 +280,4 @@ def _validate(case: SystemCase) -> None:
 def load_case(path) -> SystemCase:
     """Read a case file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read(), name=str(path))
+        return parse_case(fh.read())

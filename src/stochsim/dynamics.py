@@ -17,7 +17,7 @@ from .powerflow import injected_power, solve_power_flow
 
 
 class EquilibriumError(RuntimeError):
-    """Newton search for an equilibrium failed; carries the final residual."""
+    """The pre-fault state is no equilibrium of a network; carries the residual."""
 
     def __init__(self, msg: str, residual: float):
         super().__init__(msg)
@@ -188,15 +188,17 @@ def solve_equilibrium(
     case: SystemCase,
     condition: NetworkCondition,
     loads: dict[int, tuple[float, float]],
-    tol: float = 1e-9,
-    max_iter: int = 50,
 ) -> np.ndarray:
-    """Find the equilibrium of the dynamic model under a network condition.
+    """The pre-fault initial state, checked to be an equilibrium under ``condition``.
 
-    Damped Newton iteration started from the pre-fault initialized state,
-    with E_fd and P_m held at their pre-fault values.  Raises
-    :class:`EquilibriumError` when no nearby equilibrium exists (which is how
-    a post-fault network with no stable operating point shows up).
+    No search can find another one.  With E_fd and P_m held at their
+    pre-fault values and no governor, an equilibrium runs at rated speed and
+    must balance 3K equations (speed, e'_q and e'_d) in 3K - 1 free unknowns
+    (angles, e'_q, e'_d), since a uniform rotation of all rotor angles
+    changes nothing.  Only the pre-fault network at the mean loads has one in
+    general, and there it is the initial state.  Returns that state when
+    max|rhs| under ``condition`` at ``loads`` is below 1e-9; raises
+    :class:`EquilibriumError` with the residual otherwise.
     """
     profile = solve_power_flow(case)
     mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
@@ -204,50 +206,12 @@ def solve_equilibrium(
         case, NetworkCondition("pre-fault"), mean_loads, profile
     )
     init = init_dynamic_state(case, profile, pre_fault)
-    machines = init.machines
     net = build_reduced_network(case, condition, loads, profile)
-
-    x = init.state.copy()
-    scale = np.maximum(np.abs(x), 1.0)
-    res = rhs(x, net, machines)
-    norm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if norm < tol:
-            return x
-        jac = _rhs_jacobian(x, net, machines, scale)
-        # least-squares step: the Jacobian is singular along the uniform
-        # rotation of all rotor angles, which leaves the dynamics invariant
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        # backtracking damping on the residual norm
-        lam = 1.0
-        for _ in range(30):
-            x_new = x + lam * step
-            res_new = rhs(x_new, net, machines)
-            norm_new = np.max(np.abs(res_new))
-            if norm_new < norm:
-                break
-            lam *= 0.5
-        else:
-            raise EquilibriumError(
-                f"equilibrium search stalled at residual {norm:.3e}", residual=norm
-            )
-        x, res, norm = x_new, res_new, norm_new
-    if norm < tol:
-        return x
+    residual = float(np.max(np.abs(rhs(init.state, net, init.machines))))
+    if residual < 1e-9:
+        return init.state
     raise EquilibriumError(
-        f"no equilibrium found in {max_iter} iterations (residual {norm:.3e})",
-        residual=norm,
+        f"the pre-fault state is no equilibrium of this network "
+        f"(residual {residual:.3e})",
+        residual=residual,
     )
-
-
-def _rhs_jacobian(x, net, machines, scale, rel_step: float = 1e-7) -> np.ndarray:
-    n = x.shape[0]
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = rel_step * scale[j]
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (rhs(xp, net, machines) - rhs(xm, net, machines)) / (2.0 * h)
-    return jac

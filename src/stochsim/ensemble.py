@@ -128,20 +128,15 @@ def _run_batch(setup, config, master_seed, runs: range):
     return trajectories, time.perf_counter() - t0
 
 
-def _batches(runs: range, size: int) -> list[range]:
-    return [runs[i : i + size] for i in range(0, len(runs), size)]
-
-
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(setup, config, master_seed, size):
-    _WORKER_STATE["args"] = (setup, config, master_seed, size)
+def _worker_init(setup, config, master_seed):
+    _WORKER_STATE["args"] = (setup, config, master_seed)
 
 
-def _worker_run(block: range):
-    setup, config, master_seed, size = _WORKER_STATE["args"]
-    return [_run_batch(setup, config, master_seed, runs) for runs in _batches(block, size)]
+def _worker_run(runs: range):
+    return _run_batch(*_WORKER_STATE["args"], runs)
 
 
 def run_ensemble(
@@ -156,42 +151,42 @@ def run_ensemble(
 
     The type of ``config`` picks the solver: a :class:`SolverConfig` runs
     the series solver, an :class:`EMConfig` the Euler reference.  The runs
-    go in batches of consecutive indices (see :func:`batch_size`).  With
-    ``jobs`` > 1 the run indices are split into ``jobs`` contiguous blocks,
-    each batched in its own worker process, unless one batch holds them all:
-    then no worker starts.  A run's trajectory does not depend on the batch
-    it shares, and results are assembled in run order, so the ensemble is
-    identical whatever the parallelism.  Diverged runs are kept (they count
-    as unstable later).  ``progress(done, total)`` is called after each batch.
+    go in batches of consecutive indices (see :func:`batch_size`), the same
+    batches at any ``jobs``.  The batches run in ``min(jobs, full batches)``
+    worker processes when that is at least 2, so each worker gets at least
+    one full batch; otherwise in this process.  A run's trajectory does not
+    depend on the batch it shares, and results are assembled in run order,
+    so the ensemble is identical whatever the parallelism.  Diverged runs
+    are kept (they count as unstable later).  ``progress(done, total)`` is
+    called after each batch.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     size = batch_size(setup, config)
+    todo = [range(i, min(i + size, n_runs)) for i in range(0, n_runs, size)]
+    n_workers = min(jobs, n_runs // size)
 
     batches: list[tuple[list[Trajectory], float]] = []
 
     def collect(done) -> None:
-        batches.extend(done)
+        batches.append(done)
         if progress:
             progress(sum(len(b[0]) for b in batches), n_runs)
 
-    if jobs > 1 and n_runs > size:
+    if n_workers >= 2:
         import multiprocessing as mp
 
-        n_blocks = min(jobs, n_runs)
-        edges = [n_runs * j // n_blocks for j in range(n_blocks + 1)]
         ctx = mp.get_context("spawn")
         with ctx.Pool(
-            processes=n_blocks,
+            processes=n_workers,
             initializer=_worker_init,
-            initargs=(setup, config, master_seed, size),
+            initargs=(setup, config, master_seed),
         ) as pool:
-            blocks = [range(edges[j], edges[j + 1]) for j in range(n_blocks)]
-            for done in pool.imap(_worker_run, blocks):
+            for done in pool.imap(_worker_run, todo):
                 collect(done)
     else:
-        for runs in _batches(range(n_runs), size):
-            collect([_run_batch(setup, config, master_seed, runs)])
+        for runs in todo:
+            collect(_run_batch(setup, config, master_seed, runs))
 
     return Ensemble(
         trajectories=[tr for trs, _ in batches for tr in trs],

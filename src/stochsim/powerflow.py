@@ -36,14 +36,12 @@ def injected_power(case: SystemCase, profile: np.ndarray) -> np.ndarray:
     return profile * np.conj(ybus @ profile)
 
 
-def solve_power_flow(
-    case: SystemCase, tol: float = 1e-8, max_iter: int = 50
-) -> np.ndarray:
+def solve_power_flow(case: SystemCase) -> np.ndarray:
     """Solve the pre-fault steady state from a flat start.
 
     Returns the complex bus voltage profile in case bus order.  Power
-    mismatch at every non-slack bus is driven below ``tol`` (p.u.);
-    raises :class:`PowerFlowError` after ``max_iter`` iterations.
+    mismatch at every non-slack bus is driven below 1e-8 p.u.; raises
+    :class:`PowerFlowError` after 50 iterations.
     """
     n = case.n_bus
     ybus = assemble_bus_matrix(case, NetworkCondition("pre-fault"))
@@ -63,14 +61,14 @@ def solve_power_flow(
     va[slack] = case.buses[slack[0]].angle
 
     npvpq = len(pvpq)
-    for _ in range(max_iter):
+    for _ in range(50):
         v = vm * np.exp(1j * va)
         s_calc = v * np.conj(ybus @ v)
         dp = (s_sched - s_calc).real[pvpq]
         dq = (s_sched - s_calc).imag[pq]
         mismatch = np.concatenate([dp, dq])
         norm = np.max(np.abs(mismatch)) if mismatch.size else 0.0
-        if norm < tol:
+        if norm < 1e-8:
             return v
 
         # complex-form power flow Jacobian
@@ -92,7 +90,7 @@ def solve_power_flow(
         vm[pq] += step[npvpq:]
 
     raise PowerFlowError(
-        f"power flow did not converge in {max_iter} iterations "
+        "power flow did not converge in 50 iterations "
         f"(final mismatch {norm:.3e} p.u.)",
         mismatch=norm,
     )

@@ -49,7 +49,6 @@ class Scenario:
     drift_a: float = 0.5
     resample_dt: float = 0.1
     monitor_buses: tuple[int, ...] = ()
-    name: str = ""
 
     def fault_times(self, case: SystemCase) -> tuple[float, float] | None:
         """(start, clearing) times in seconds, or None without a fault."""
@@ -114,7 +113,7 @@ def _bus_ids(value, size: int | None = None) -> tuple[int, ...]:
     return tuple(bus_id(b) for b in value)
 
 
-def parse_scenario(text: str, name: str = "") -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse a JSON scenario document; a malformed field is a ScenarioError."""
     try:
         doc = json.loads(text)
@@ -139,13 +138,12 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
         drift_a=_field(doc, "drift_a", float, 0.5),
         resample_dt=_field(doc, "resample_dt", float, 0.1),
         monitor_buses=_field(doc, "monitor_buses", _bus_ids, []),
-        name=name or doc.get("name", ""),
     )
 
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), name=str(path))
+        return parse_scenario(fh.read())
 
 
 @dataclass
@@ -313,10 +311,16 @@ def run_simulation(
         raise ValueError("a batch needs at least one run")
     spec_rows = setup.spec_rows
 
-    events: list[tuple[float, str]] = []
-    ft = sc.fault_times(case)
-    if ft is not None:
-        events = [(ft[0], "fault-on"), (ft[1], "post-fault")]
+    # each stage event either switches the stage before step k, when within
+    # 1e-9 of the grid point k*h, or splits the step k that contains it
+    switch_at: dict[int, str] = {}
+    split_in: dict[int, list[tuple[float, str]]] = {}
+    for t_ev, new_stage in zip(sc.fault_times(case) or (), ("fault-on", "post-fault")):
+        k = round(t_ev / h)
+        if abs(t_ev - k * h) <= 1e-9:
+            switch_at[k] = new_stage
+        else:
+            split_in.setdefault(math.floor(t_ev / h), []).append((t_ev, new_stage))
 
     stage = "pre-fault"
     pq = np.repeat(setup.mean_pq[None], r, axis=0)
@@ -347,44 +351,31 @@ def run_simulation(
 
     x = np.repeat(setup.x0[None], r, axis=0)
     record(0, x, net)
-    ev_idx = 0
-    tol = 1e-9
 
     for k in range(n_steps):
-        t0 = k * h
-        t1 = (k + 1) * h
-        rebuilt = False
-        if spr is not None and k > 0 and k % spr == 0:
+        resample = spr is not None and k > 0 and k % spr == 0
+        if resample:
             pq[:, spec_rows] = loads_at(k // spr).reshape(active.size, -1, 2)
-            rebuilt = True
-        while ev_idx < len(events) and events[ev_idx][0] <= t0 + tol:
-            stage = events[ev_idx][1]
-            ev_idx += 1
-            rebuilt = True
-        if rebuilt:
+        if resample or k in switch_at:
+            stage = switch_at.get(k, stage)
             net = setup.build_net(stage, pq)
             n_rebuilds += 1
 
-        if ev_idx < len(events) and events[ev_idx][0] < t1 - tol:
-            a = t0
-            while ev_idx < len(events) and events[ev_idx][0] < t1 - tol:
-                tb, new_stage = events[ev_idx]
-                ev_idx += 1
-                x = step_fn(x, net, tb - a)
-                stage = new_stage
-                net = setup.build_net(stage, pq)
-                n_windows += 1
-                n_rebuilds += 1
-                a = tb
-            x = step_fn(x, net, t1 - a)
-        else:
-            x = step_fn(x, net, h)
+        a = k * h
+        for tb, new_stage in split_in.get(k, ()):
+            x = step_fn(x, net, tb - a)
+            stage = new_stage
+            net = setup.build_net(stage, pq)
+            n_windows += 1
+            n_rebuilds += 1
+            a = tb
+        x = step_fn(x, net, (k + 1) * h - a if k in split_in else h)
         n_windows += 1
 
         ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT  # False for NaN as well
         if not ok.all():
             for j in np.flatnonzero(~ok):
-                t_div[active[j]] = t1
+                t_div[active[j]] = (k + 1) * h
                 counts[active[j]] = (n_windows, n_rebuilds)
                 bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)

@@ -1,5 +1,7 @@
 """A run's trajectory does not depend on the batch it is simulated in."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ def test_runs_count_windows_and_rebuilds(smib_case, monkeypatch):
     free = simulate_sas_batch(setup, config, paths)
     # 50 steps plus the split; the first build, 9 load changes and the clearing
     assert [(tr.windows, tr.rebuilds) for tr in free] == [(51, 11)] * 6
+
+    # a fault inside the step 0.20-0.22 (0.205 to 0.2133) runs that step as
+    # three windows, with a rebuild at each event
+    short = replace(SCENARIO, fault_start_s=0.205, fault_duration_cycles=0.5)
+    runs = simulate_sas_batch(SimulationSetup.build(smib_case, short), config, paths)
+    assert [(tr.windows, tr.rebuilds) for tr in runs] == [(52, 12)] * 6
+    # a start 5e-10 past the grid point 0.2 counts as on it: no split
+    near = replace(SCENARIO, fault_start_s=0.2 + 5e-10)
+    runs = simulate_sas_batch(SimulationSetup.build(smib_case, near), config, paths)
+    assert [(tr.windows, tr.rebuilds) for tr in runs] == [(51, 11)] * 6
 
     # a limit between the runs' peak |state| stops three runs early
     peaks = sorted(np.abs(tr.states).max() for tr in free)

@@ -64,7 +64,7 @@ def test_window_evaluation_restores_initial_state():
 
 
 def test_simulate_equilibrium_preserved(smib_case):
-    sc = Scenario(horizon_s=2.0, name="hold")
+    sc = Scenario(horizon_s=2.0)
     setup = SimulationSetup.build(smib_case, sc)
     tr = simulate_sas(smib_case, sc, SolverConfig(), setup=setup)
     assert not tr.diverged
