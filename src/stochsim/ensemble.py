@@ -151,20 +151,26 @@ def run_ensemble(
 
     The type of ``config`` picks the solver: a :class:`SolverConfig` runs
     the series solver, an :class:`EMConfig` the Euler reference.  The runs
-    go in batches of consecutive indices (see :func:`batch_size`), the same
-    batches at any ``jobs``.  The batches run in ``min(jobs, full batches)``
-    worker processes when that is at least 2, so each worker gets at least
-    one full batch; otherwise in this process.  A run's trajectory does not
-    depend on the batch it shares, and results are assembled in run order,
-    so the ensemble is identical whatever the parallelism.  Diverged runs
-    are kept (they count as unstable later).  ``progress(done, total)`` is
-    called after each batch.
+    go in batches of consecutive indices (see :func:`batch_size`).  With
+    ``jobs`` > 1 and more runs than one batch holds, the run indices are
+    split into ``min(jobs, n_runs)`` equal contiguous blocks, each batched
+    on its own, and the batches run in as many worker processes; otherwise
+    they run in this process.  A run's trajectory does not depend on the
+    batch it shares, and results are assembled in run order, so the
+    ensemble is identical whatever the parallelism.  Diverged runs are kept
+    (they count as unstable later).  ``progress(done, total)`` is called
+    after each batch.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     size = batch_size(setup, config)
-    todo = [range(i, min(i + size, n_runs)) for i in range(0, n_runs, size)]
-    n_workers = min(jobs, n_runs // size)
+    n_workers = min(jobs, n_runs) if n_runs > size else 1
+    edges = [n_runs * j // n_workers for j in range(n_workers + 1)]
+    todo = [
+        range(i, min(i + size, end))
+        for start, end in zip(edges, edges[1:])
+        for i in range(start, end, size)
+    ]
 
     batches: list[tuple[list[Trajectory], float]] = []
 
@@ -173,7 +179,7 @@ def run_ensemble(
         if progress:
             progress(sum(len(b[0]) for b in batches), n_runs)
 
-    if n_workers >= 2:
+    if n_workers > 1:
         import multiprocessing as mp
 
         ctx = mp.get_context("spawn")

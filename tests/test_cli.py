@@ -61,15 +61,15 @@ def test_repeated_runs_write_identical_files(repo_root, tmp_path):
     for out, jobs in zip(outs, ("1", "1", "2")):
         argv = run_argv(repo_root, scenario, out, *flags, "--jobs", jobs)
         with pytest.MonkeyPatch.context() as mp:
-            if jobs == "2":  # batches of 1, so the 3 runs need the two workers
-                mp.setattr(ensemble, "batch_size", lambda setup, config: 1)
+            if jobs == "2":  # batches of 2, so the 3 runs need the two workers
+                mp.setattr(ensemble, "batch_size", lambda setup, config: 2)
             assert cli.main(argv) == 0
     for name in ("stats.csv", "pdf.csv", "stability.json"):
         first = (outs[0] / name).read_bytes()
         assert first
         assert all((out / name).read_bytes() == first for out in outs[1:])
     manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
-    assert [m["batch_sizes"] for m in manifests] == [[3], [3], [1, 1, 1]]
+    assert [m["batch_sizes"] for m in manifests] == [[3], [3], [1, 2]]
     for m in manifests:
         assert m["t_diverged"] == [None] * 3
         assert m["diverged_column"] == [None] * 3
