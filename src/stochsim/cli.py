@@ -26,6 +26,7 @@ from .ensemble import (
     StabilityCriterion,
     confidence_envelope,
     ensemble_stats,
+    grid_index,
     noise_grid,
     pdf_evolution,
     run_ensemble,
@@ -93,8 +94,9 @@ def _stats_csv(ensemble: Ensemble, variables: list[str]) -> str:
 
 
 def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> str:
-    horizon = float(ensemble.times[-1])
-    times = [float(t) for t in range(1, int(horizon) + 1)]
+    grid = ensemble.times  # snapshots at the whole seconds on the output grid
+    seconds = range(1, int(grid[-1]) + 1)
+    times = [float(t) for t in seconds if grid_index(grid, t) is not None]
     lines = ["variable,t,mean,std,n"]
     for var in variables:
         for snap in pdf_evolution(ensemble, var, times):
@@ -110,8 +112,8 @@ def _progress(done: int, total: int) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.runs < 1:
-        raise UsageError("--runs must be at least 1")
+    if args.runs < 1 or args.jobs < 1 or not args.r0 > 0:  # a NaN r0 fails too
+        raise UsageError("--runs and --jobs must be at least 1 and --r0 positive")
     case = load_case(args.case)
     scenario = load_scenario(args.scenario)
     config = _solver_config(args)

@@ -231,14 +231,20 @@ def confidence_envelope(ensemble: Ensemble, variable: str, level: float = 0.9):
     return qs[0], qs[1]
 
 
+def grid_index(grid: np.ndarray, t: float) -> int | None:
+    """Index of the time in ``grid`` that is ``t`` to rounding, or None if none is."""
+    idx = int(np.argmin(np.abs(grid - t)))
+    return None if abs(grid[idx] - t) > 1e-9 + 1e-6 * max(abs(t), 1.0) else idx
+
+
 def pdf_evolution(ensemble: Ensemble, variable: str, times) -> list[PdfSnapshot]:
     """Per-instant normal fits (sample mean/std) of one variable."""
     grid = ensemble.times
     vals = np.sort(ensemble.values(variable), axis=0)
     out = []
     for t in times:
-        idx = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[idx] - t) > 1e-9 + 1e-6 * max(abs(t), 1.0):
+        idx = grid_index(grid, t)
+        if idx is None:
             raise ValueError(f"time {t} is not on the ensemble grid")
         col = vals[:, idx]
         std = float(col.std(ddof=1)) if ensemble.n_runs > 1 else 0.0

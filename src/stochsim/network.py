@@ -1,9 +1,10 @@
 """Bus admittance assembly, load shunts and Kron reduction.
 
 The dynamic model sees the network as a reduced admittance matrix over the
-generator internal nodes.  Loads enter as constant shunt impedances computed
-at the pre-fault solved voltage; a three-phase fault is a very large shunt
-at the faulted bus; clearing removes the tripped branches.
+generator internal nodes, each joined to its bus by one branch.  Loads enter
+as constant shunt impedances computed at the pre-fault solved voltage; a
+three-phase fault is a very large shunt at the faulted bus; clearing removes
+the tripped branches.
 """
 
 from __future__ import annotations
@@ -118,41 +119,6 @@ def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.nda
     return y
 
 
-def augmented_matrix(case: SystemCase, y_bus: np.ndarray) -> np.ndarray:
-    """A bus matrix extended by the generator internal nodes.
-
-    The (n+K) matrix orders the n network buses first and the K internal
-    nodes after; each internal node connects to its terminal bus through
-    the branch admittance 1/(Rs + j xdp).
-    """
-    n, k = case.n_bus, case.n_gen
-    y = np.zeros((n + k, n + k), dtype=complex)
-    y[:n, :n] = y_bus
-    for g_idx, gen in enumerate(case.generators):
-        i = case.bus_index(gen.bus)
-        m = n + g_idx
-        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
-        y[m, m] += ys
-        y[i, i] += ys
-        y[m, i] -= ys
-        y[i, m] -= ys
-    return y
-
-
-def kron_blocks(y_full: np.ndarray, keep: np.ndarray):
-    """Blocks of ``y_full`` for eliminating every node not in ``keep``.
-
-    Returns contiguous copies of the kept/kept, kept/eliminated,
-    eliminated/kept and eliminated/eliminated blocks, in that order.
-    """
-    keep = np.asarray(keep, dtype=int)
-    elim_mask = np.ones(y_full.shape[0], dtype=bool)
-    elim_mask[keep] = False
-    elim = np.flatnonzero(elim_mask)
-    k, e = keep[:, None], elim[:, None]
-    return y_full[k, keep], y_full[k, elim], y_full[e, keep], y_full[e, elim]
-
-
 def schur_complement(
     y_aa: np.ndarray, y_ab: np.ndarray, y_ba: np.ndarray, y_bb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,16 +138,24 @@ def schur_complement(
 
 
 def stage_blocks(case: SystemCase, condition: NetworkCondition):
-    """Kron blocks of a stage's network, loads excluded.
+    """Kron blocks of a stage's network, loads excluded: keep the K generator
+    internal nodes, eliminate the n buses.
 
-    The blocks of ``augmented_matrix(case, assemble_bus_matrix(...))`` that
-    eliminate every network bus and keep the generator internal nodes, in
-    :func:`kron_blocks` order.
+    Each internal node joins its bus through one branch y_s = 1/(Rs + j xdp),
+    so the blocks are diag(y_s) (internal/internal), -y_s at each generator's
+    bus (internal/bus, and its transpose bus/internal) and the stage's bus
+    matrix plus y_s at the generator buses (bus/bus), in that order.  Only
+    the bus/bus block differs between stages.  Entries are sums onto zero,
+    as in an assembled matrix, so a -0.0 part reads +0.0.
     """
     condition.validate_against(case)
-    n, k = case.n_bus, case.n_gen
-    y = augmented_matrix(case, assemble_bus_matrix(case, condition))
-    return kron_blocks(y, np.arange(n, n + k))
+    rows = np.array([case.bus_index(gen.bus) for gen in case.generators])
+    ys = np.array([1.0 / (gen.Rs + 1j * gen.xdp) for gen in case.generators])
+    y_bb = assemble_bus_matrix(case, condition)
+    y_bb[rows, rows] += ys  # distinct rows: a case has one generator per bus
+    y_ab = np.zeros((case.n_gen, case.n_bus), dtype=complex)
+    y_ab[np.arange(case.n_gen), rows] -= ys
+    return np.diag(0.0 + ys), y_ab, np.ascontiguousarray(y_ab.T), y_bb
 
 
 def reduce_with_loads(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MachineSet, pack_state
-from .network import ReducedNetwork, kron_blocks, schur_complement
+from .network import ReducedNetwork, schur_complement
 from .noise import OUParams
 
 
@@ -160,15 +160,12 @@ def smib_embedding(p: SMIBParams):
     y_s = 1.0 / complex(p.rs, p.xdp)
     y_r = 1.0 / complex(p.r, p.x)
     y_l = 1.0 / complex(p.rl, p.xl)
-    y_full = np.array(
-        [
-            [y_s, -y_s, 0.0],
-            [-y_s, y_s + y_r + y_l, -y_r],
-            [0.0, -y_r, y_r],
-        ],
-        dtype=complex,
+    y_red, recovery = schur_complement(
+        np.array([[y_s, 0.0], [0.0, y_r]], dtype=complex),
+        np.array([[-y_s], [-y_r]], dtype=complex),
+        np.array([[-y_s, -y_r]], dtype=complex),
+        np.array([[y_s + y_r + y_l]], dtype=complex),
     )
-    y_red, recovery = schur_complement(*kron_blocks(y_full, np.array([0, 2])))
     net = ReducedNetwork(y=y_red, recovery=recovery)
     machines = MachineSet(
         H=np.array([p.H, 1e12]),

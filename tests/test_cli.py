@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from stochsim import cli, ensemble, smib
 from stochsim.case import load_case
 from stochsim.network import ReductionError
+from stochsim.noise import build_noise_path
 from stochsim.powerflow import PowerFlowError, solve_power_flow
+from stochsim.scenario import SimulationSetup, load_scenario
 from stochsim.validate import CheckResult, check_smib_coefficients
 
 
@@ -220,16 +223,63 @@ def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message
     assert message in capsys.readouterr().err
 
 
-def test_unknown_stats_variable_exits_2_before_running(repo_root, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--stats-vars", "g99.omega"),
+        ("--stats-vars", "g1.omega,v2"),
+        ("--stats-vars", "g1.speed"),
+        ("--jobs", "0"),
+        ("--jobs", "-1"),
+        ("--r0", "0"),
+        ("--r0", "nan"),
+    ],
+    ids=lambda flags: "=".join(flags),
+)
+def test_bad_flag_exits_2_before_running(repo_root, tmp_path, monkeypatch, flags):
     def no_runs(*args, **kwargs):
         raise AssertionError("the ensemble ran")
 
     monkeypatch.setattr(cli, "run_ensemble", no_runs)
     scenario = write_scenario(tmp_path, {"horizon_s": 0.2, "monitor_buses": [1]})
-    for names in ("g99.omega", "g1.omega,v2", "g1.speed"):
-        argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "2",
-                        "--stats-vars", names)
-        assert cli.main(argv) == 2
+    argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "2", *flags)
+    assert cli.main(argv) == 2
+
+
+def test_pdf_snapshots_skip_seconds_off_the_output_grid(repo_root, tmp_path):
+    # 0.4 s windows reach whole seconds only at t = 2 and 4
+    scenario = write_scenario(tmp_path, {"horizon_s": 4.0})
+    flags = ("--runs", "2", "--order", "4", "--window", "0.4")
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags)) == 0
+    rows = (tmp_path / "out" / "pdf.csv").read_text().splitlines()[1:]
+    assert rows and {float(row.split(",")[1]) for row in rows} == {2.0, 4.0}
+
+
+def test_saved_trajectories_and_noise_paths(repo_root, tmp_path):
+    # run 0 of a batch of three writes the trajectory it writes alone, and
+    # each dumped noise path reads back to the path its run seed builds
+    doc = {"horizon_s": 0.5, "stochastic_buses": [1], "sigma_rel": 0.02}
+    scenario = write_scenario(tmp_path, doc)
+    flags = ("--seed", "7", "--order", "4", "--window", "0.01")
+    many, one = tmp_path / "many", tmp_path / "one"
+    argv = run_argv(repo_root, scenario, many, *flags, "--runs", "3",
+                    "--save-trajectories", "--dump-noise")
+    assert cli.main(argv) == 0
+    assert cli.main(run_argv(repo_root, scenario, one, *flags)) == 0
+    run0 = (many / "trajectory_000.csv").read_bytes()
+    assert run0 == (one / "trajectory.csv").read_bytes()
+
+    case = load_case(repo_root / "cases" / "smib.json")
+    setup = SimulationSetup.build(case, load_scenario(scenario))
+    n_vars = setup.n_noise_vars()
+    for i in range(3):
+        xi = build_noise_path((7, i), n_vars, 0.5, setup.scenario.resample_dt).xi
+        rows = (many / f"noise_{i:03d}.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[2]) for row in rows]).reshape(n_vars, -1)
+        assert got.shape == xi.shape and np.array_equal(got, xi)
+    artifacts = json.loads((many / "manifest.json").read_text())["artifacts"]
+    names = [f"{kind}_{i:03d}.csv" for kind in ("trajectory", "noise") for i in range(3)]
+    assert {str(many / name) for name in names} <= set(artifacts)
 
 
 def test_known_stats_variables_are_written(repo_root, tmp_path):

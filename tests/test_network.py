@@ -7,13 +7,19 @@ from stochsim.network import (
     ReductionError,
     assemble_bus_matrix,
     build_reduced_network,
-    kron_blocks,
     reduce_with_loads,
     schur_complement,
     stage_blocks,
 )
 from stochsim.powerflow import solve_power_flow
 from stochsim import smib as sm
+
+
+def gather_blocks(y, keep):
+    """Kept/kept, kept/eliminated, eliminated/kept and eliminated/eliminated blocks."""
+    elim = np.setdiff1d(np.arange(y.shape[0]), keep)
+    pairs = ((keep, keep), (keep, elim), (elim, keep), (elim, elim))
+    return tuple(y[np.ix_(rows, cols)] for rows, cols in pairs)
 
 
 def test_load_shunt_unit_values():
@@ -60,9 +66,45 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
         assert np.array_equal(stack.recovery[i], one.recovery)
 
 
+@pytest.mark.parametrize(
+    "cond",
+    [
+        NetworkCondition("pre-fault"),
+        NetworkCondition("fault-on", fault_bus=3),
+        NetworkCondition("post-fault", removed_branches=((3, 4),)),
+    ],
+    ids=lambda cond: cond.stage,
+)
+def test_stage_network_matches_full_network_solve(ieee39_case, cond):
+    # stamp the full (n+K) network here: the bus matrix, each generator's
+    # branch 1/(Rs + j xdp) to its internal node and the mean-load shunts;
+    # with zero bus injections, random internal EMFs give the bus voltages
+    # and internal-node currents the reduced network must reproduce
+    case = ieee39_case
+    v = solve_power_flow(case)
+    loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
+    n, k = case.n_bus, case.n_gen
+    y = np.zeros((n + k, n + k), dtype=complex)
+    y[:n, :n] = assemble_bus_matrix(case, cond)
+    for bus, (p, q) in loads.items():
+        i = case.bus_index(bus)
+        y[i, i] += (p - 1j * q) / abs(v[i]) ** 2
+    for g, gen in enumerate(case.generators):
+        ends = [case.bus_index(gen.bus), n + g]
+        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
+        y[ends, ends] += ys
+        y[ends, ends[::-1]] -= ys
+    rng = np.random.default_rng(11)
+    e = rng.uniform(0.9, 1.1, k) * np.exp(1j * rng.uniform(-1.0, 1.0, k))
+    v_bus = np.linalg.solve(y[:n, :n], -y[:n, n:] @ e)
+    net = build_reduced_network(case, cond, loads, v)
+    assert np.abs(net.y @ e - (y[n:, :n] @ v_bus + y[n:, n:] @ e)).max() < 1e-10
+    assert np.abs(net.recovery @ e - v_bus).max() < 1e-10
+
+
 def test_kron_noop_when_nothing_to_eliminate():
     y = np.array([[1.0 - 2j, -1.0 + 2j], [-1.0 + 2j, 1.0 - 2j]])
-    y_red, rec = schur_complement(*kron_blocks(y, np.array([0, 1])))
+    y_red, rec = schur_complement(*gather_blocks(y, np.array([0, 1])))
     assert np.array_equal(y_red, y)
     assert rec.shape == (0, 2)
 
@@ -81,7 +123,7 @@ def test_kron_three_node_chain_hand_computed():
             [0, -y23, y23],
         ]
     )
-    y_red, rec = schur_complement(*kron_blocks(y, np.array([0, 2])))
+    y_red, rec = schur_complement(*gather_blocks(y, np.array([0, 2])))
     assert y_red[0, 0] == pytest.approx(y12 - y12**2 / s, rel=1e-14)
     assert y_red[0, 1] == pytest.approx(-y12 * y23 / s, rel=1e-14)
     assert y_red[1, 1] == pytest.approx(y23 - y23**2 / s, rel=1e-14)
@@ -112,7 +154,7 @@ def test_kron_exactness_on_random_networks():
         for i in range(n):
             y[i, i] += rng.uniform(0.05, 0.3) - 1j * rng.uniform(-0.1, 0.1)
         keep = np.arange(n_keep)
-        y_red, _ = schur_complement(*kron_blocks(y, keep))
+        y_red, _ = schur_complement(*gather_blocks(y, keep))
         assert np.allclose(y_red, y_red.T, atol=1e-13)  # symmetry preserved
 
         e = rng.standard_normal(n_keep) + 1j * rng.standard_normal(n_keep)
@@ -161,7 +203,7 @@ def test_kron_singular_interior_raises():
     y = np.zeros((2, 2), dtype=complex)  # isolated interior node
     y[0, 0] = 1.0
     with pytest.raises(ReductionError):
-        schur_complement(*kron_blocks(y, np.array([0])))
+        schur_complement(*gather_blocks(y, np.array([0])))
 
 
 def test_fault_stage_grounds_bus(smib_case):
