@@ -112,8 +112,11 @@ def _progress(done: int, total: int) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.runs < 1 or args.jobs < 1 or not args.r0 > 0:  # a NaN r0 fails too
-        raise UsageError("--runs and --jobs must be at least 1 and --r0 positive")
+    # written so that a NaN --r0 or --ts fails too
+    if args.runs < 1 or args.jobs < 1 or not args.r0 > 0 or not args.ts >= 0:
+        raise UsageError(
+            "--runs and --jobs must be at least 1, --r0 positive and --ts nonnegative"
+        )
     case = load_case(args.case)
     scenario = load_scenario(args.scenario)
     config = _solver_config(args)

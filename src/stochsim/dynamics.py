@@ -202,11 +202,11 @@ def solve_equilibrium(
     """
     profile = solve_power_flow(case)
     mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    pre_fault = build_reduced_network(
-        case, NetworkCondition("pre-fault"), mean_loads, profile
-    )
-    init = init_dynamic_state(case, profile, pre_fault)
-    net = build_reduced_network(case, condition, loads, profile)
+    pre_fault = NetworkCondition("pre-fault")
+    net = build_reduced_network(case, pre_fault, mean_loads, profile)
+    init = init_dynamic_state(case, profile, net)
+    if (condition, loads) != (pre_fault, mean_loads):
+        net = build_reduced_network(case, condition, loads, profile)
     residual = float(np.max(np.abs(rhs(init.state, net, init.machines))))
     if residual < 1e-9:
         return init.state

@@ -161,8 +161,8 @@ def run_ensemble(
     (they count as unstable later).  ``progress(done, total)`` is called
     after each batch.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    if n_runs < 1 or jobs < 1:
+        raise ValueError("n_runs and jobs must be at least 1")
     size = batch_size(setup, config)
     n_workers = min(jobs, n_runs) if n_runs > size else 1
     edges = [n_runs * j // n_workers for j in range(n_workers + 1)]

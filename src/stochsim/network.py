@@ -5,6 +5,12 @@ generator internal nodes, each joined to its bus by one branch.  Loads enter
 as constant shunt impedances computed at the pre-fault solved voltage; a
 three-phase fault is a very large shunt at the faulted bus; clearing removes
 the tripped branches.
+
+The reduction runs in two steps.  :func:`reduce_to_load_buses` eliminates
+the buses that carry no load, once per network condition, which leaves the
+internal nodes and the load buses.  :meth:`LoadBusNetwork.with_loads` adds
+the load shunts to the load-bus diagonal and eliminates the load buses, so a
+change of the loads costs one L x L solve per run.
 """
 
 from __future__ import annotations
@@ -58,10 +64,11 @@ class NetworkCondition:
 class ReducedNetwork:
     """Admittance over generator internal nodes plus the bus-voltage recovery map.
 
-    ``y`` is (..., K, K) complex; ``recovery`` (..., n, K) maps internal EMFs
-    to the n bus voltages (V_bus = recovery @ E).  Leading axes, when
-    present, index runs that share a stage but not their load values.
-    Instances are immutable and safe to share.
+    ``y`` is (..., K, K) complex; ``recovery`` (..., m, K) maps internal EMFs
+    to the voltages of the m buses the reduction was asked for
+    (V = recovery @ E).  Leading axes, when present, index runs that share a
+    stage but not their load values.  Instances are immutable and safe to
+    share.
     """
 
     y: np.ndarray
@@ -83,12 +90,12 @@ class ReducedNetwork:
         out.setflags(write=False)
         return out
 
-    def bus_voltages(self, emf: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Complex voltages of the network buses at ``rows`` (default: all).
+    def bus_voltages(self, emf: np.ndarray) -> np.ndarray:
+        """Complex voltages of the recovered buses, (..., m).
 
         ``emf`` is (..., K), with the same leading axes as ``recovery``.
         """
-        return (self.recovery[..., rows, :] @ emf[..., None])[..., 0]
+        return (self.recovery @ emf[..., None])[..., 0]
 
 
 def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.ndarray:
@@ -98,21 +105,22 @@ def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.nda
     ends, off-nominal tap ratio on the from side (no phase shift), so the
     matrix stays symmetric.
     """
-    n = case.n_bus
-    y = np.zeros((n, n), dtype=complex)
     removed = [set(pair) for pair in condition.removed_branches]
+    ends, diag, off = [], [], []  # per branch: (from, to) positions and entries
     for br in case.branches:
         if condition.stage == "post-fault" and {br.from_bus, br.to_bus} in removed:
             continue
-        i = case.bus_index(br.from_bus)
-        j = case.bus_index(br.to_bus)
         ys = 1.0 / (br.r + 1j * br.x)
         ysh = 1j * br.b / 2.0
         t = br.tap if br.tap != 0.0 else 1.0
-        y[i, i] += (ys + ysh) / (t * t)
-        y[j, j] += ys + ysh
-        y[i, j] -= ys / t
-        y[j, i] -= ys / t
+        ends += [case.bus_index(br.from_bus), case.bus_index(br.to_bus)]
+        diag += [(ys + ysh) / (t * t), ys + ysh]
+        off += [ys / t, ys / t]
+    # unbuffered: each entry sums its branches one after another, in file order
+    ends = np.array(ends, dtype=int)
+    y = np.zeros((case.n_bus, case.n_bus), dtype=complex)
+    np.add.at(y, (ends, ends), diag)
+    np.subtract.at(y, (ends, ends.reshape(-1, 2)[:, ::-1].ravel()), off)
     if condition.stage == "fault-on":
         k = case.bus_index(condition.fault_bus)
         y[k, k] += FAULT_SHUNT
@@ -137,46 +145,89 @@ def schur_complement(
     return y_aa - y_ab @ x, -x
 
 
-def stage_blocks(case: SystemCase, condition: NetworkCondition):
-    """Kron blocks of a stage's network, loads excluded: keep the K generator
-    internal nodes, eliminate the n buses.
+@dataclass(frozen=True)
+class LoadBusNetwork:
+    """A stage's network reduced to its K internal nodes and L load buses.
 
-    Each internal node joins its bus through one branch y_s = 1/(Rs + j xdp),
-    so the blocks are diag(y_s) (internal/internal), -y_s at each generator's
-    bus (internal/bus, and its transpose bus/internal) and the stage's bus
-    matrix plus y_s at the generator buses (bus/bus), in that order.  Only
-    the bus/bus block differs between stages.  Entries are sums onto zero,
-    as in an assembled matrix, so a -0.0 part reads +0.0.
+    The first reduction step: the buses that carry no load are eliminated
+    once per network condition, loads excluded.  What is left is linear in
+    the kept values, the K internal EMFs and then the L load-bus voltages.
+    ``outputs`` (K+m, K+L) maps them to the K internal-node currents, then
+    to the voltages of the m buses the recovery keeps; ``load_kcl``
+    (L, K+L) maps them to the current each load bus draws from the network,
+    which its load shunt must balance.  ``vm2`` is the |V|^2 of each load
+    bus at which its impedance is fixed.  Safe to share across runs.
+    """
+
+    outputs: np.ndarray
+    load_kcl: np.ndarray
+    vm2: np.ndarray
+
+    def with_loads(self, pq: np.ndarray) -> ReducedNetwork:
+        """The second reduction step: the reduced network at a stack of load values.
+
+        ``pq`` is (..., L, 2), the P and Q of the load buses for each
+        leading index.  Each load becomes the constant-impedance shunt
+        (P - jQ) / |V|^2 on the diagonal of a copy of the load/load block,
+        and one stacked L x L :func:`schur_complement` with K right-hand
+        sides eliminates the load buses from every output at once: ``y`` is
+        (..., K, K) and ``recovery`` (..., m, K).  This is the exact Schur
+        identity, for any load values.
+        """
+        n_load = self.vm2.size
+        k = self.load_kcl.shape[1] - n_load
+        shunts = (pq[..., 0] - 1j * pq[..., 1]) / self.vm2
+        lead = shunts.shape[:-1]
+        y_ll = np.empty(lead + (n_load, n_load), dtype=complex)
+        y_ll[...] = self.load_kcl[:, k:]
+        # a fresh array reshapes to a view: its diagonal is every (L+1)-th entry
+        y_ll.reshape(lead + (-1,))[..., :: n_load + 1] += shunts
+        out, _ = schur_complement(
+            self.outputs[:, :k], self.outputs[:, k:], self.load_kcl[:, :k], y_ll
+        )
+        return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])
+
+
+def reduce_to_load_buses(
+    case: SystemCase, condition: NetworkCondition, profile: np.ndarray, rows
+) -> LoadBusNetwork:
+    """The first reduction step of one network condition, loads excluded.
+
+    The nodes are ordered as the K internal nodes, the case's L load buses
+    in sorted load-bus order, then the other buses.  Each internal node
+    joins its bus through one branch y_s = 1/(Rs + j xdp); with the stage's
+    bus matrix this stamps the (K+n) network, and one
+    :func:`schur_complement` eliminates the buses that carry no load.
+    ``profile`` is the pre-fault solved voltage profile at which load
+    impedances are fixed; ``rows`` are the bus positions whose voltages the
+    recovery gives.
     """
     condition.validate_against(case)
-    rows = np.array([case.bus_index(gen.bus) for gen in case.generators])
+    k, n = case.n_gen, case.n_bus
+    load_buses = sorted(ld.bus for ld in case.loads)
+    loads = np.array([case.bus_index(b) for b in load_buses], dtype=int)
+    vm2 = np.abs(profile[loads]) ** 2
+    if not np.all(vm2 > 0.0):
+        raise ValueError("load bus voltage magnitude must be nonzero")
+    is_load = np.zeros(n, dtype=bool)
+    is_load[loads] = True
+    order = np.concatenate([loads, np.flatnonzero(~is_load)])  # bus positions
+    at = k + np.argsort(order)  # node of each bus position
+    gens = at[[case.bus_index(gen.bus) for gen in case.generators]]
     ys = np.array([1.0 / (gen.Rs + 1j * gen.xdp) for gen in case.generators])
-    y_bb = assemble_bus_matrix(case, condition)
-    y_bb[rows, rows] += ys  # distinct rows: a case has one generator per bus
-    y_ab = np.zeros((case.n_gen, case.n_bus), dtype=complex)
-    y_ab[np.arange(case.n_gen), rows] -= ys
-    return np.diag(0.0 + ys), y_ab, np.ascontiguousarray(y_ab.T), y_bb
-
-
-def reduce_with_loads(
-    blocks, rows: np.ndarray, vm2: np.ndarray, pq: np.ndarray
-) -> ReducedNetwork:
-    """Reduce a stage's network plus load shunts to the generator internal nodes.
-
-    ``blocks`` come from :func:`stage_blocks`; ``pq`` is (..., L, 2), the P
-    and Q of the L load buses at bus positions ``rows`` for each leading
-    index.  Each load becomes the constant-impedance shunt (P - jQ) / |V|^2,
-    with ``vm2`` the |V|^2 at which the impedances are fixed; the shunts join
-    the diagonal of a copy of the bus/bus block and one stacked
-    :func:`schur_complement` eliminates the buses, so ``y`` is (..., K, K)
-    and ``recovery`` (..., n, K).
-    """
-    y_aa, y_ab, y_ba, y_bb = blocks
-    y = np.empty(pq.shape[:-2] + y_bb.shape, dtype=y_bb.dtype)
-    y[...] = y_bb
-    y[..., rows, rows] += (pq[..., 0] - 1j * pq[..., 1]) / vm2
-    y_red, recovery = schur_complement(y_aa, y_ab, y_ba, y)
-    return ReducedNetwork(y=y_red, recovery=recovery)
+    y = np.zeros((k + n, k + n), dtype=complex)
+    y[k:, k:] = assemble_bus_matrix(case, condition)[np.ix_(order, order)]
+    y[gens, gens] += ys  # distinct nodes: a case has one generator per bus
+    internal = np.arange(k)
+    y[internal, internal] = ys
+    y[internal, gens] = y[gens, internal] = -ys
+    m = k + loads.size  # the kept nodes
+    y_red, rec = schur_complement(y[:m, :m], y[:m, m:], y[m:, :m], y[m:, m:])
+    # each bus voltage from the kept values (internal EMFs, load-bus voltages)
+    to_bus = np.concatenate([np.eye(m)[k:], rec])[at[rows] - k]
+    return LoadBusNetwork(
+        outputs=np.concatenate([y_red[:k], to_bus]), load_kcl=y_red[k:], vm2=vm2
+    )
 
 
 def build_reduced_network(
@@ -189,15 +240,12 @@ def build_reduced_network(
 
     ``loads`` maps bus id to the current (P, Q) values; it must cover exactly
     the case's load buses.  ``profile`` is the pre-fault solved voltage
-    profile at which load impedances are fixed.  Fresh
-    :func:`stage_blocks` go through :func:`reduce_with_loads`.
+    profile at which load impedances are fixed.  Both reduction steps run,
+    :func:`reduce_to_load_buses` and :meth:`LoadBusNetwork.with_loads`, and
+    the recovery gives every bus.
     """
     if set(loads) != {ld.bus for ld in case.loads}:
         raise ValueError("loads must cover exactly the case's load buses")
-    buses = sorted(loads)
-    rows = np.array([case.bus_index(b) for b in buses], dtype=int)
-    vm2 = np.abs(profile[rows]) ** 2
-    if not np.all(vm2 > 0.0):
-        raise ValueError("load bus voltage magnitude must be nonzero")
-    pq = np.array([loads[b] for b in buses], dtype=float).reshape(-1, 2)
-    return reduce_with_loads(stage_blocks(case, condition), rows, vm2, pq)
+    pq = np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+    first = reduce_to_load_buses(case, condition, profile, np.arange(case.n_bus))
+    return first.with_loads(pq)

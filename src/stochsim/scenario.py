@@ -19,7 +19,12 @@ import numpy as np
 
 from .case import SystemCase, bus_id
 from .dynamics import MachineSet, init_dynamic_state, split_state
-from .network import NetworkCondition, ReducedNetwork, reduce_with_loads, stage_blocks
+from .network import (
+    LoadBusNetwork,
+    NetworkCondition,
+    ReducedNetwork,
+    reduce_to_load_buses,
+)
 from .noise import NoisePath, load_schedule
 from .powerflow import solve_power_flow
 from .trajectory import Trajectory, packed_column
@@ -148,9 +153,14 @@ def load_scenario(path) -> Scenario:
 
 @dataclass
 class SimulationSetup:
-    """Pre-fault solution and cached stage blocks shared by all runs.
+    """Pre-fault solution and the network of each stage, shared by all runs.
 
-    The stochastic loads are the OU means ``ou_mean``, drift ``ou_a`` and
+    Each stage's network is Kron-reduced in two steps (see
+    :mod:`stochsim.network`).  ``build`` runs the first once per stage:
+    ``stages`` holds the network over the generator internal nodes and the
+    load buses, loads excluded, with the recovery of the monitored buses
+    only.  :meth:`build_net` runs the second at each rebuild.  The
+    stochastic loads are the OU means ``ou_mean``, drift ``ou_a`` and
     diffusions ``ou_b`` (see :mod:`stochsim.noise`): entry 2*i is the P,
     entry 2*i+1 the Q of the load at ``spec_rows[i]``.  Immutable after
     construction; safe to share across concurrent workers.
@@ -161,17 +171,14 @@ class SimulationSetup:
     machines: MachineSet  # with efd/pm inputs
     x0: np.ndarray
     mean_loads: dict[int, tuple[float, float]]
-    # per stage, the (internal/internal, internal/bus, bus/internal, bus/bus)
-    # blocks of the augmented (n+K) matrix, loads excluded
-    stage_blocks: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    load_rows: np.ndarray  # bus positions of the load buses, in sorted load-bus order
-    load_vm2: np.ndarray  # |V|^2 at load buses from the pre-fault profile
+    # per stage, the network reduced to the internal nodes and the load
+    # buses, with the recovery of the monitored buses only
+    stages: dict[str, LoadBusNetwork]
     mean_pq: np.ndarray  # (L, 2) mean P and Q of the load buses
     spec_rows: np.ndarray  # position of each stochastic bus among the load buses
     ou_mean: np.ndarray  # mean of each noise variable
     ou_a: float  # OU drift a, the same for every variable
     ou_b: np.ndarray  # OU diffusion b of each noise variable
-    monitor_rows: np.ndarray  # recovery-row positions of monitored buses
 
     @classmethod
     def build(cls, case: SystemCase, scenario: Scenario) -> "SimulationSetup":
@@ -188,46 +195,44 @@ class SimulationSetup:
             conditions["post-fault"] = NetworkCondition(
                 "post-fault", removed_branches=scenario.trip_branches
             )
-        blocks = {stage: stage_blocks(case, cond) for stage, cond in conditions.items()}
+        monitor_rows = [case.bus_index(b) for b in scenario.monitor_buses]
+        stages = {
+            stage: reduce_to_load_buses(case, cond, profile, monitor_rows)
+            for stage, cond in conditions.items()
+        }
 
         load_buses = sorted(mean_loads)
-        load_rows = np.array([case.bus_index(b) for b in load_buses], dtype=int)
-        load_vm2 = np.abs(profile[load_rows]) ** 2
         mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
         stoch = scenario.resolve_stochastic_buses(case)
         spec_rows = np.array([load_buses.index(b) for b in stoch], dtype=int)
         ou_mean = mean_pq[spec_rows].ravel()
         a = scenario.drift_a
-        pre_fault = reduce_with_loads(blocks["pre-fault"], load_rows, load_vm2, mean_pq)
+        pre_fault = stages["pre-fault"].with_loads(mean_pq)
         init = init_dynamic_state(case, profile, pre_fault)
-        monitor_rows = [case.bus_index(b) for b in scenario.monitor_buses]
         return cls(
             case=case,
             scenario=scenario,
             machines=init.machines,
             x0=init.state,
             mean_loads=mean_loads,
-            stage_blocks=blocks,
-            load_rows=load_rows,
-            load_vm2=load_vm2,
+            stages=stages,
             mean_pq=mean_pq,
             spec_rows=spec_rows,
             ou_mean=ou_mean,
             ou_a=a,
             ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * a),
-            monitor_rows=np.array(monitor_rows, dtype=int),
         )
 
     def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
         """Reduced networks of one stage for a stack of load values.
 
         ``pq`` is (R, L, 2): the P and Q of every load bus, in sorted
-        load-bus order, for each of R runs; :func:`reduce_with_loads` on the
-        stage's cached blocks gives (R, K, K) ``y`` and (R, n, K) ``recovery``.
+        load-bus order, for each of R runs.  Only the second reduction step
+        runs, on the stage's cached first one: one stacked L x L solve gives
+        (R, K, K) ``y`` and the (R, m, K) ``recovery`` of the m monitored
+        buses, all that the recorded voltages need.
         """
-        return reduce_with_loads(
-            self.stage_blocks[stage], self.load_rows, self.load_vm2, pq
-        )
+        return self.stages[stage].with_loads(pq)
 
     def n_noise_vars(self) -> int:
         return self.ou_mean.size
@@ -332,7 +337,7 @@ def run_simulation(
     k4 = setup.x0.shape[0]
     times = np.arange(n_rec) * (out_stride * h)
     states = np.full((r, n_rec, k4), np.nan)
-    n_mon = setup.monitor_rows.shape[0]
+    n_mon = len(sc.monitor_buses)
     volts = np.full((r, n_rec, n_mon), np.nan)
     active = np.arange(r)  # batch positions of the runs still integrating
     t_div: list[float | None] = [None] * r
@@ -346,7 +351,7 @@ def run_simulation(
     def record(i: int, x: np.ndarray, current_net: ReducedNetwork) -> None:
         states[active, i] = x
         if n_mon:
-            v = current_net.bus_voltages(_emf(x), setup.monitor_rows)
+            v = current_net.bus_voltages(_emf(x))
             volts[active, i] = np.abs(v)
 
     x = np.repeat(setup.x0[None], r, axis=0)

@@ -233,6 +233,8 @@ def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message
         ("--jobs", "-1"),
         ("--r0", "0"),
         ("--r0", "nan"),
+        ("--ts", "nan"),
+        ("--ts", "-1"),
     ],
     ids=lambda flags: "=".join(flags),
 )

@@ -125,6 +125,15 @@ def test_one_batch_starts_no_workers(smib_case, monkeypatch):
         assert_same_run(a, b)
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_raises(smib_case, monkeypatch, jobs):
+    # with batches of 1, two runs exceed one batch, so the worker count is used
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    monkeypatch.setattr(ensemble_mod, "batch_size", lambda setup, config: 1)
+    with pytest.raises(ValueError, match="jobs"):
+        run_ensemble(setup, SolverConfig(order=4, window=0.01), 2, 5, jobs=jobs)
+
+
 def test_quiet_run_passes_and_diverged_run_fails(smib_case):
     # no fault and no noise: the run stays at the pre-fault state, so it
     # passes even a tiny ball, in speed and in angle; marked diverged, the

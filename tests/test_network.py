@@ -1,18 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stochsim.case import Load
+
 from stochsim.network import (
+    LoadBusNetwork,
     NetworkCondition,
     ReducedNetwork,
     ReductionError,
     assemble_bus_matrix,
     build_reduced_network,
-    reduce_with_loads,
+    reduce_to_load_buses,
     schur_complement,
-    stage_blocks,
 )
 from stochsim.powerflow import solve_power_flow
 from stochsim import smib as sm
+
+CONDITIONS = [
+    NetworkCondition("pre-fault"),
+    NetworkCondition("fault-on", fault_bus=3),
+    NetworkCondition("post-fault", removed_branches=((3, 4),)),
+]
 
 
 def gather_blocks(y, keep):
@@ -22,22 +32,51 @@ def gather_blocks(y, keep):
     return tuple(y[np.ix_(rows, cols)] for rows, cols in pairs)
 
 
+def full_network_solve(case, cond, pq, v):
+    """``y`` and ``recovery`` of one dense solve of the full (n+K) network.
+
+    Stamps the bus matrix, each generator's branch 1/(Rs + j xdp) to its
+    internal node and the shunts of the (L, 2) loads ``pq``, in sorted
+    load-bus order; with zero bus injections, unit internal EMFs (one per
+    column) give the bus voltages and the internal-node currents.
+    """
+    n, k = case.n_bus, case.n_gen
+    y = np.zeros((n + k, n + k), dtype=complex)
+    y[:n, :n] = assemble_bus_matrix(case, cond)
+    for bus, (p, q) in zip(sorted(ld.bus for ld in case.loads), pq):
+        i = case.bus_index(bus)
+        y[i, i] += (p - 1j * q) / abs(v[i]) ** 2
+    for g, gen in enumerate(case.generators):
+        ends = [case.bus_index(gen.bus), n + g]
+        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
+        y[ends, ends] += ys
+        y[ends, ends[::-1]] -= ys
+    v_bus = np.linalg.solve(y[:n, :n], -y[:n, n:])
+    return y[n:, :n] @ v_bus + y[n:, n:], v_bus
+
+
+def assert_rel_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 def test_load_shunt_unit_values():
-    # one internal node on one bus: the recovery is -y_ba / (y_bb + shunt),
-    # so the shunt (P - jQ) / |V|^2 can be read back from it
-    blocks = tuple(np.array([[v]]) for v in (2 - 1j, -2 + 1j, -2 + 1j, 2 - 1j))
-    y_bb = blocks[3].copy()
+    # one internal node and one load bus: the load-bus recovery is
+    # -y_lg / (y_ll + shunt), so the shunt (P - jQ) / |V|^2 can be read back
+    y_lg, y_ll = -2 + 1j, 2 - 1j
+    # the internal-node current, then the load-bus voltage, from (E, V)
+    outputs = np.array([[2 - 1j, -2 + 1j], [0.0, 1.0]])
     cases = (
         (1.0, 0.0, 1.0 + 0j, 1.0 + 0j),
         (0.0, 0.0, 0.7 + 0.2j, 0.0),
         (1.0, 0.5, 2.0 + 0j, 0.25 - 0.125j),
     )
     for p, q, v, shunt in cases:
-        pq = np.array([[p, q]])
-        net = reduce_with_loads(blocks, np.array([0]), np.abs([v]) ** 2, pq)
-        got = -blocks[2][0, 0] / net.recovery[0, 0] - y_bb[0, 0]
-        assert got == pytest.approx(shunt, abs=1e-14)
-    assert np.array_equal(blocks[3], y_bb)  # the cached block is left as it was
+        kcl = np.array([[y_lg, y_ll]])
+        first = LoadBusNetwork(outputs=outputs, load_kcl=kcl, vm2=np.abs([v]) ** 2)
+        net = first.with_loads(np.array([[p, q]]))
+        assert -y_lg / net.recovery[0, 0] - y_ll == pytest.approx(shunt, abs=1e-14)
+        assert np.array_equal(kcl, [[y_lg, y_ll]])  # the cached rows are unchanged
 
 
 def test_build_reduced_network_zero_load_voltage(smib_case):
@@ -57,8 +96,8 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
     rng = np.random.default_rng(4)
     pq = mean * (1.0 + 0.05 * rng.standard_normal((3,) + mean.shape))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
-    rows = np.array([ieee39_case.bus_index(b) for b in buses])
-    stack = reduce_with_loads(stage_blocks(ieee39_case, cond), rows, np.abs(v[rows]) ** 2, pq)
+    first = reduce_to_load_buses(ieee39_case, cond, v, np.arange(ieee39_case.n_bus))
+    stack = first.with_loads(pq)
     assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
     for i in range(3):
         one = build_reduced_network(ieee39_case, cond, dict(zip(buses, pq[i])), v)
@@ -66,40 +105,66 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
         assert np.array_equal(stack.recovery[i], one.recovery)
 
 
-@pytest.mark.parametrize(
-    "cond",
-    [
-        NetworkCondition("pre-fault"),
-        NetworkCondition("fault-on", fault_bus=3),
-        NetworkCondition("post-fault", removed_branches=((3, 4),)),
-    ],
-    ids=lambda cond: cond.stage,
-)
+@pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
 def test_stage_network_matches_full_network_solve(ieee39_case, cond):
-    # stamp the full (n+K) network here: the bus matrix, each generator's
-    # branch 1/(Rs + j xdp) to its internal node and the mean-load shunts;
-    # with zero bus injections, random internal EMFs give the bus voltages
-    # and internal-node currents the reduced network must reproduce
+    # build_reduced_network at the mean loads against a dense solve of the
+    # full network: the currents and bus voltages of random internal EMFs
     case = ieee39_case
     v = solve_power_flow(case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    n, k = case.n_bus, case.n_gen
-    y = np.zeros((n + k, n + k), dtype=complex)
-    y[:n, :n] = assemble_bus_matrix(case, cond)
-    for bus, (p, q) in loads.items():
-        i = case.bus_index(bus)
-        y[i, i] += (p - 1j * q) / abs(v[i]) ** 2
-    for g, gen in enumerate(case.generators):
-        ends = [case.bus_index(gen.bus), n + g]
-        ys = 1.0 / (gen.Rs + 1j * gen.xdp)
-        y[ends, ends] += ys
-        y[ends, ends[::-1]] -= ys
+    pq = [loads[b] for b in sorted(loads)]
+    y_full, rec_full = full_network_solve(case, cond, pq, v)
     rng = np.random.default_rng(11)
+    k = case.n_gen
     e = rng.uniform(0.9, 1.1, k) * np.exp(1j * rng.uniform(-1.0, 1.0, k))
-    v_bus = np.linalg.solve(y[:n, :n], -y[:n, n:] @ e)
     net = build_reduced_network(case, cond, loads, v)
-    assert np.abs(net.y @ e - (y[n:, :n] @ v_bus + y[n:, n:] @ e)).max() < 1e-10
-    assert np.abs(net.recovery @ e - v_bus).max() < 1e-10
+    assert np.abs(net.y @ e - y_full @ e).max() < 1e-10
+    assert np.abs(net.recovery @ e - rec_full @ e).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])
+@pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
+def test_two_step_reduction_matches_full_network_solve(ieee39_case, cond, n_runs):
+    # random loads on every load bus; the monitored buses are a generator bus
+    # without load (30), a load bus (4) and a generator bus with a load (39)
+    case = ieee39_case
+    v = solve_power_flow(case)
+    buses = sorted(ld.bus for ld in case.loads)
+    mean = np.array([(case.load_at(b).p, case.load_at(b).q) for b in buses])
+    rng = np.random.default_rng(12 + n_runs)
+    pq = mean * rng.uniform(0.5, 1.5, (n_runs,) + mean.shape)
+    rows = [case.bus_index(b) for b in (30, 4, 39)]
+    assert case.load_at(30) is None and case.load_at(4) and case.load_at(39)
+    first = reduce_to_load_buses(case, cond, v, rows)
+    stack = first.with_loads(pq)
+    assert stack.y.shape == (n_runs, 10, 10) and stack.recovery.shape == (n_runs, 3, 10)
+    for i in range(n_runs):
+        y_full, rec_full = full_network_solve(case, cond, pq[i], v)
+        assert_rel_close(stack.y[i], y_full, 1e-12)
+        assert_rel_close(stack.recovery[i], rec_full[rows], 1e-12)
+        # the run alone, unstacked and as a stack of one, takes the same bits
+        for one in (first.with_loads(pq[i]), first.with_loads(pq[i : i + 1])):
+            assert np.array_equal(one.y.reshape(stack.y[i].shape), stack.y[i])
+            assert np.array_equal(one.recovery.reshape(3, 10), stack.recovery[i])
+
+
+@pytest.mark.parametrize("where", ["none", "every bus"])
+def test_two_step_reduction_edge_cases_match_full_network_solve(ieee39_case, where):
+    # no load leaves an empty second-step solve; a load on every bus leaves
+    # nothing to eliminate in the first step
+    rng = np.random.default_rng(5)
+    on = [b.id for b in ieee39_case.buses] if where == "every bus" else []
+    case = replace(
+        ieee39_case,
+        loads=tuple(Load(b, *rng.uniform(0.1, 1.0, 2)) for b in on),
+    )
+    v = solve_power_flow(ieee39_case)
+    loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
+    net = build_reduced_network(case, CONDITIONS[2], loads, v)
+    pq = [loads[b] for b in sorted(loads)]
+    y_full, rec_full = full_network_solve(case, CONDITIONS[2], pq, v)
+    assert_rel_close(net.y, y_full, 1e-12)
+    assert_rel_close(net.recovery, rec_full, 1e-12)
 
 
 def test_kron_noop_when_nothing_to_eliminate():
@@ -196,7 +261,6 @@ def test_schur_complement_of_a_stack_matches_each_matrix(monkeypatch, solve):
     assert v.shape == (r, m)
     for i in range(r):
         np.testing.assert_allclose(v[i], rec[i] @ e[i], rtol=1e-13)
-    np.testing.assert_allclose(net.bus_voltages(e, [2, 0]), v[:, [2, 0]], rtol=1e-13)
 
 
 def test_kron_singular_interior_raises():
