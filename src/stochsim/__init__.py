@@ -9,12 +9,7 @@ statistics (stability-in-probability, envelopes, distribution evolution).
 __version__ = "0.1.0"
 
 from .case import SystemCase, GeneratorParams, CaseError, parse_case, load_case
-from .network import (
-    NetworkCondition,
-    ReducedNetwork,
-    ReductionError,
-    build_reduced_network,
-)
+from .network import NetworkCondition, ReducedNetwork, ReductionError
 from .powerflow import PowerFlowError, solve_power_flow
 from .dynamics import (
     AlgebraicOutputs,

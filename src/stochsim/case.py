@@ -117,7 +117,15 @@ def bus_id(value) -> int:
     return value
 
 
-def _field(record: dict, key: str, where: str, convert=float, default=None):
+def finite_float(value) -> float:
+    """``float(value)``, refusing NaN and the infinities, which JSON files may hold."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {value!r}")
+    return x
+
+
+def _field(record: dict, key: str, where: str, convert=finite_float, default=None):
     """``convert(record[key])``; ``default`` when absent, required without one."""
     if key not in record:
         if default is None:

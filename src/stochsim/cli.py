@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .case import load_case
 from .dynamics import EquilibriumError, solve_equilibrium
@@ -37,7 +35,7 @@ from .noise import build_noise_path, path_to_csv
 from .powerflow import PowerFlowError
 from .sas import SolverConfig
 from .scenario import SimulationSetup, load_scenario
-from .trajectory import columns
+from .trajectory import columns, csv_text
 from .validate import run_all
 
 
@@ -46,10 +44,6 @@ def _write_atomic(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
 
 
 def _solver_config(args):
@@ -74,36 +68,26 @@ def _stats_variables(args, setup: SimulationSetup) -> list[str]:
 
 
 def _stats_csv(ensemble: Ensemble, variables: list[str]) -> str:
-    n = ensemble.n_runs
-    cols = []
-    header = ["t"]
+    header, cols = ["t"], [ensemble.times]
     for var in variables:
-        mean, std = ensemble_stats(ensemble, var)
         header += [f"{var}.mean", f"{var}.std"]
-        cols += [mean, std]
-        if n >= 10:
-            lo, hi = confidence_envelope(ensemble, var, 0.9)
+        cols += ensemble_stats(ensemble, var)
+        if ensemble.n_runs >= 10:
             header += [f"{var}.q05", f"{var}.q95"]
-            cols += [lo, hi]
-    lines = [",".join(header)]
-    times = ensemble.times
-    data = np.column_stack(cols)
-    for i in range(times.shape[0]):
-        lines.append(_fmt(times[i]) + "," + ",".join(_fmt(x) for x in data[i]))
-    return "\n".join(lines) + "\n"
+            cols += confidence_envelope(ensemble, var, 0.9)
+    return csv_text(header, cols)
 
 
 def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> str:
     grid = ensemble.times  # snapshots at the whole seconds on the output grid
     seconds = range(1, int(grid[-1]) + 1)
     times = [float(t) for t in seconds if grid_index(grid, t) is not None]
-    lines = ["variable,t,mean,std,n"]
-    for var in variables:
-        for snap in pdf_evolution(ensemble, var, times):
-            lines.append(
-                f"{var},{_fmt(snap.time)},{_fmt(snap.mean)},{_fmt(snap.std)},{snap.count}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (var, snap.time, snap.mean, snap.std, snap.count)
+        for var in variables
+        for snap in pdf_evolution(ensemble, var, times)
+    ]
+    return csv_text(["variable", "t", "mean", "std", "n"], zip(*rows))
 
 
 def _progress(done: int, total: int) -> None:
@@ -117,9 +101,11 @@ def cmd_run(args) -> int:
         raise UsageError(
             "--runs and --jobs must be at least 1, --r0 positive and --ts nonnegative"
         )
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    config = _solver_config(args)  # a NaN --window or --dt fails here
     case = load_case(args.case)
     scenario = load_scenario(args.scenario)
-    config = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
 
     manifest = {

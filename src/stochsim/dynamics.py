@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .case import SystemCase
-from .network import NetworkCondition, ReducedNetwork, build_reduced_network
+from .network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from .powerflow import injected_power, solve_power_flow
 
 
@@ -196,17 +196,25 @@ def solve_equilibrium(
     must balance 3K equations (speed, e'_q and e'_d) in 3K - 1 free unknowns
     (angles, e'_q, e'_d), since a uniform rotation of all rotor angles
     changes nothing.  Only the pre-fault network at the mean loads has one in
-    general, and there it is the initial state.  Returns that state when
-    max|rhs| under ``condition`` at ``loads`` is below 1e-9; raises
+    general, and there it is the initial state.  ``loads`` maps each of the
+    case's load buses, and no other bus, to its (P, Q).  Returns that state
+    when max|rhs| under ``condition`` at ``loads`` is below 1e-9; raises
     :class:`EquilibriumError` with the residual otherwise.
     """
+    if set(loads) != {ld.bus for ld in case.loads}:
+        raise ValueError("loads must cover exactly the case's load buses")
     profile = solve_power_flow(case)
     mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
     pre_fault = NetworkCondition("pre-fault")
-    net = build_reduced_network(case, pre_fault, mean_loads, profile)
+
+    def network(cond, at):  # both reduction steps, as SimulationSetup.build runs them
+        pq = np.array([at[b] for b in sorted(at)], dtype=float).reshape(-1, 2)
+        return reduce_to_load_buses(case, cond, profile, []).with_loads(pq)
+
+    net = network(pre_fault, mean_loads)
     init = init_dynamic_state(case, profile, net)
     if (condition, loads) != (pre_fault, mean_loads):
-        net = build_reduced_network(case, condition, loads, profile)
+        net = network(condition, loads)
     residual = float(np.max(np.abs(rhs(init.state, net, init.machines))))
     if residual < 1e-9:
         return init.state

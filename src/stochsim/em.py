@@ -30,7 +30,7 @@ class EMConfig:
     mode: str = "shared-path"
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise ValueError("dt must be positive")
         if self.mode not in EM_MODES:
             raise ValueError(f"mode must be one of {EM_MODES}")

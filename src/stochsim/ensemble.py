@@ -238,25 +238,21 @@ def grid_index(grid: np.ndarray, t: float) -> int | None:
 
 
 def pdf_evolution(ensemble: Ensemble, variable: str, times) -> list[PdfSnapshot]:
-    """Per-instant normal fits (sample mean/std) of one variable."""
+    """Per-instant normal fits of one variable.
+
+    Each snapshot holds the :func:`ensemble_stats` mean and standard
+    deviation at one of ``times``, bit for bit.
+    """
     grid = ensemble.times
-    vals = np.sort(ensemble.values(variable), axis=0)
-    out = []
-    for t in times:
-        idx = grid_index(grid, t)
+    rows = [grid_index(grid, t) for t in times]
+    for t, idx in zip(times, rows):
         if idx is None:
             raise ValueError(f"time {t} is not on the ensemble grid")
-        col = vals[:, idx]
-        std = float(col.std(ddof=1)) if ensemble.n_runs > 1 else 0.0
-        out.append(
-            PdfSnapshot(
-                time=float(grid[idx]),
-                mean=float(col.mean()),
-                std=std,
-                count=ensemble.n_runs,
-            )
-        )
-    return out
+    mean, std = ensemble_stats(ensemble, variable)
+    return [
+        PdfSnapshot(float(grid[i]), float(mean[i]), float(std[i]), ensemble.n_runs)
+        for i in rows
+    ]
 
 
 def run_passes(trajectory: Trajectory, crit: StabilityCriterion) -> bool:

@@ -229,23 +229,3 @@ def reduce_to_load_buses(
         outputs=np.concatenate([y_red[:k], to_bus]), load_kcl=y_red[k:], vm2=vm2
     )
 
-
-def build_reduced_network(
-    case: SystemCase,
-    condition: NetworkCondition,
-    loads: dict[int, tuple[float, float]],
-    profile: np.ndarray,
-) -> ReducedNetwork:
-    """The reduced network of one stage at one set of load values.
-
-    ``loads`` maps bus id to the current (P, Q) values; it must cover exactly
-    the case's load buses.  ``profile`` is the pre-fault solved voltage
-    profile at which load impedances are fixed.  Both reduction steps run,
-    :func:`reduce_to_load_buses` and :meth:`LoadBusNetwork.with_loads`, and
-    the recovery gives every bus.
-    """
-    if set(loads) != {ld.bus for ld in case.loads}:
-        raise ValueError("loads must cover exactly the case's load buses")
-    pq = np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
-    first = reduce_to_load_buses(case, condition, profile, np.arange(case.n_bus))
-    return first.with_loads(pq)

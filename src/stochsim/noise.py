@@ -1,9 +1,11 @@
 """Ornstein-Uhlenbeck load noise and reproducible noise paths.
 
 Each stochastic variable follows d(eps) = -a*eps dt + b dW and shifts a load
-around its mean: P_L(t) = P_L0 + eps_P(t), Q_L(t) = Q_L0 + eps_Q(t).  Values
-are resampled on a fixed interval and held constant in between, for every
-solver, so trajectories from different solvers are comparable path by path.
+around its mean: P_L(t) = P_L0 + eps_P(t), Q_L(t) = Q_L0 + eps_Q(t).  The
+series solver and shared-path Euler resample the values on a fixed interval
+by the exact transition and hold them constant in between, so their
+trajectories are comparable path by path; paper-sde Euler takes an
+Euler-Maruyama step of the load SDE at every integration step instead.
 A study's loads are vectors in noise-grid order: the means, the drift a and
 the diffusion b = sigma_rel * |mean| * sqrt(2a), which makes the stationary
 deviation sigma_rel * |mean| (see ``SimulationSetup``).
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .trajectory import csv_text
 
 ArrayLike = float | np.ndarray  # one variable, or an array of variables or paths
 
@@ -109,7 +113,7 @@ class NoisePath:
         return self.xi.shape[1]
 
 
-def build_noise_path(seed, n_vars: int, horizon: float, dt: float = 0.1) -> NoisePath:
+def build_noise_path(seed, n_vars: int, horizon: float, dt: float) -> NoisePath:
     """Draw the ceil(horizon/dt) x n_vars grid of N(0,1) deviates for one run."""
     if horizon <= 0.0 or dt <= 0.0:
         raise ValueError("horizon and dt must be positive")
@@ -147,8 +151,7 @@ def load_schedule(
 
 def path_to_csv(path: NoisePath) -> str:
     """Render a noise path as ``variable,step,xi`` rows for external audit."""
-    lines = ["variable,step,xi"]
-    for v in range(path.n_vars):
-        for s in range(path.n_steps):
-            lines.append(f"{v},{s},{path.xi[v, s]:.17g}")
-    return "\n".join(lines) + "\n"
+    n_vars, n_steps = path.xi.shape
+    variable = np.repeat(np.arange(n_vars), n_steps)
+    step = np.tile(np.arange(n_steps), n_vars)
+    return csv_text(["variable", "step", "xi"], [variable, step, path.xi.ravel()])

@@ -44,7 +44,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("series order must be at least 1")
-        if self.window <= 0:
+        if not self.window > 0:  # NaN fails too
             raise ValueError("window length must be positive")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case import SystemCase, bus_id
+from .case import SystemCase, bus_id, finite_float
 from .dynamics import MachineSet, init_dynamic_state, split_state
 from .network import (
     LoadBusNetwork,
@@ -129,19 +129,19 @@ def parse_scenario(text: str) -> Scenario:
     if "horizon_s" not in doc:
         raise ScenarioError("missing field 'horizon_s'")
     return Scenario(
-        horizon_s=_field(doc, "horizon_s", float, None),
+        horizon_s=_field(doc, "horizon_s", finite_float, None),
         fault_bus=_field(doc, "fault_bus", lambda v: None if v is None else bus_id(v), None),
-        fault_start_s=_field(doc, "fault_start_s", float, 1.0),
-        fault_duration_cycles=_field(doc, "fault_duration_cycles", float, 10.0),
+        fault_start_s=_field(doc, "fault_start_s", finite_float, 1.0),
+        fault_duration_cycles=_field(doc, "fault_duration_cycles", finite_float, 10.0),
         trip_branches=_field(
             doc, "trip_branches", lambda v: tuple(_bus_ids(pair, 2) for pair in v), []
         ),
         stochastic_buses=_field(
             doc, "stochastic_buses", lambda v: v if isinstance(v, str) else _bus_ids(v), []
         ),
-        sigma_rel=_field(doc, "sigma_rel", float, 0.0),
-        drift_a=_field(doc, "drift_a", float, 0.5),
-        resample_dt=_field(doc, "resample_dt", float, 0.1),
+        sigma_rel=_field(doc, "sigma_rel", finite_float, 0.0),
+        drift_a=_field(doc, "drift_a", finite_float, 0.5),
+        resample_dt=_field(doc, "resample_dt", finite_float, 0.1),
         monitor_buses=_field(doc, "monitor_buses", _bus_ids, []),
     )
 

@@ -26,6 +26,20 @@ def packed_column(gen_buses, index: int) -> str:
     return f"g{gen_buses[index % k]}.{FIELDS[index // k]}"
 
 
+def csv_text(header, columns) -> str:
+    """CSV text: the ``header`` line, then row i of the equal-length ``columns``.
+
+    Numbers are written with 17 significant digits, so they read back bit
+    for bit, and strings as they are.  The text is built one row at a time.
+    """
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        # float() first: a numpy scalar formats more slowly
+        cells = [x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class Trajectory:
     """States sampled on a uniform output grid for one simulation run.
@@ -72,19 +86,5 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Fixed 17-significant-digit CSV, one row per output step."""
-        k = self.n_gen
-        header = "t," + ",".join(self.columns)
-        # interleave the block layout per generator for the file
-        order = []
-        for g in range(k):
-            order += [g, k + g, 2 * k + g, 3 * k + g]
-        data = self.states[:, order]
-        lines = [header]
-        has_v = len(self.monitor_buses) > 0
-        for i in range(self.times.shape[0]):
-            row = [f"{self.times[i]:.17g}"]
-            row += [f"{x:.17g}" for x in data[i]]
-            if has_v:
-                row += [f"{x:.17g}" for x in self.voltages[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        cols = self.columns
+        return csv_text(["t"] + cols, [self.times] + [self.value(c) for c in cols])

@@ -5,6 +5,8 @@ import pytest
 
 from stochsim.case import CaseError, parse_case
 
+NAN, INF = float("nan"), float("inf")
+
 
 def minimal_doc():
     return {
@@ -121,11 +123,19 @@ def test_invalid_json_reports_line():
         (lambda d: d["buses"][1].update(id=2.0), "buses[1]: field 'id'"),
         (lambda d: d["branches"][0].update({"to": 2.5}), "branches[0]: field 'to'"),
         (lambda d: d["generators"][0].update(bus=True), "generators[0]: field 'bus'"),
+        # json reads NaN and Infinity as floats
+        (lambda d: d["generators"][0].update(H=NAN), "generators[0]: field 'H'"),
+        (lambda d: d["generators"][0].update(Td0p=INF), "generators[0]: field 'Td0p'"),
+        (lambda d: d["loads"][0].update(P=-INF), "loads[0]: field 'P'"),
+        (lambda d: d["branches"][0].update(x=NAN), "branches[0]: field 'x'"),
+        (lambda d: d["buses"][0].update(v_setpoint=INF), "buses[0]: field 'v_setpoint'"),
+        (lambda d: d["system"].update(frequency_hz=NAN), "system: field 'frequency_hz'"),
     ],
     ids=["null-r", "string-p_gen", "list-H", "null-load-bus", "null-frequency",
          "object-loads", "list-system", "int-bus-records", "fractional-load-bus",
          "string-load-bus", "bool-load-bus", "float-bus-id", "fractional-branch-end",
-         "bool-generator-bus"],
+         "bool-generator-bus", "nan-H", "infinite-Td0p", "minus-infinite-P", "nan-x",
+         "infinite-v_setpoint", "nan-frequency"],
 )
 def test_malformed_value_names_the_field(edit, field):
     doc = minimal_doc()

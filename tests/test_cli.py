@@ -11,6 +11,8 @@ from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim.scenario import SimulationSetup, load_scenario
 from stochsim.validate import CheckResult, check_smib_coefficients
 
+NAN, INF = float("nan"), float("inf")
+
 
 def write_scenario(tmp_path, doc) -> str:
     path = tmp_path / "scenario.json"
@@ -183,11 +185,26 @@ def test_injected_smib_error_fails_its_check(monkeypatch):
             {"horizon_s": 0.2, "stochastic_buses": ["1"], "sigma_rel": 0.02},
             "field 'stochastic_buses'",
         ),
+        # json reads NaN and Infinity as floats
+        ({"horizon_s": INF}, "field 'horizon_s'"),
+        (
+            {"horizon_s": 0.2, "stochastic_buses": [1], "sigma_rel": NAN},
+            "field 'sigma_rel'",
+        ),
+        ({"horizon_s": 2.0, "fault_bus": 1, "fault_start_s": NAN}, "field 'fault_start_s'"),
+        (
+            {"horizon_s": 2.0, "fault_bus": 1, "fault_duration_cycles": INF},
+            "field 'fault_duration_cycles'",
+        ),
+        ({"horizon_s": 0.2, "drift_a": -INF}, "field 'drift_a'"),
+        ({"horizon_s": 0.2, "resample_dt": NAN}, "field 'resample_dt'"),
     ],
     ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
          "triple-branch", "string-monitor-buses", "object-sigma",
          "fractional-monitor-bus", "fractional-fault-bus", "bool-fault-bus",
-         "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus"],
+         "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus",
+         "infinite-horizon", "nan-sigma", "nan-fault-start", "infinite-fault-duration",
+         "minus-infinite-drift", "nan-resample-dt"],
 )
 def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc, names):
     # the message names what is malformed: the field, or the top level
@@ -206,6 +223,17 @@ def test_malformed_case_exits_2(repo_root, tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", case=case)) == 2
     assert "branches[0]: field 'r'" in capsys.readouterr().err
+
+
+def test_non_finite_case_value_exits_2(repo_root, tmp_path, capsys):
+    # a NaN inertia used to run, diverge at once and still exit 0
+    def nan_inertia(doc):
+        doc["generators"][0]["H"] = NAN
+
+    case = write_smib_case(repo_root, tmp_path, nan_inertia)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", case=case)) == 2
+    assert "generators[0]: field 'H'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -235,6 +263,9 @@ def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message
         ("--r0", "nan"),
         ("--ts", "nan"),
         ("--ts", "-1"),
+        ("--seed", "-1"),
+        ("--window", "nan"),
+        ("--solver", "em", "--dt", "nan"),
     ],
     ids=lambda flags: "=".join(flags),
 )
@@ -255,6 +286,23 @@ def test_pdf_snapshots_skip_seconds_off_the_output_grid(repo_root, tmp_path):
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags)) == 0
     rows = (tmp_path / "out" / "pdf.csv").read_text().splitlines()[1:]
     assert rows and {float(row.split(",")[1]) for row in rows} == {2.0, 4.0}
+
+
+def test_pdf_moments_equal_the_stats_cells(repo_root, tmp_path):
+    # each pdf.csv mean and std is the stats.csv cell at its time, to the
+    # last digit: both come from one ensemble_stats call per variable
+    doc = {"horizon_s": 4.0, "stochastic_buses": [1], "sigma_rel": 0.05, "monitor_buses": [1]}
+    scenario = write_scenario(tmp_path, doc)
+    flags = ("--runs", "20", "--order", "4", "--window", "0.05", "--stats-vars", "all")
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags)) == 0
+    header, *rows = (tmp_path / "out" / "stats.csv").read_text().splitlines()
+    stats = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in rows}
+    snaps = (tmp_path / "out" / "pdf.csv").read_text().splitlines()[1:]
+    assert len(snaps) == 4 * 9  # four whole seconds of nine variables
+    for snap in snaps:
+        var, t, mean, std, n = snap.split(",")
+        assert n == "20"
+        assert (mean, std) == (stats[t][f"{var}.mean"], stats[t][f"{var}.std"])
 
 
 def test_saved_trajectories_and_noise_paths(repo_root, tmp_path):

@@ -9,7 +9,7 @@ from stochsim.dynamics import (
     solve_equilibrium,
     split_state,
 )
-from stochsim.network import NetworkCondition, ReducedNetwork, build_reduced_network
+from stochsim.network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim import smib as sm
 
@@ -17,7 +17,9 @@ from stochsim import smib as sm
 def prefault_setup(case):
     v = solve_power_flow(case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    net = build_reduced_network(case, NetworkCondition("pre-fault"), loads, v)
+    pq = np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+    cond = NetworkCondition("pre-fault")
+    net = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus)).with_loads(pq)
     init = init_dynamic_state(case, v, net)
     return v, loads, net, init
 
@@ -197,3 +199,11 @@ def test_solve_equilibrium_scaled_loads_fail_in_proportion(smib_case):
             solve_equilibrium(smib_case, NetworkCondition("pre-fault"), loads)
         residuals.append(err.value.residual)
     assert residuals[1] / residuals[0] == pytest.approx(10.0, abs=0.5)
+
+
+def test_solve_equilibrium_loads_must_cover_the_load_buses(smib_case):
+    loads = {ld.bus: (ld.p, ld.q) for ld in smib_case.loads}
+    bus = next(iter(loads))
+    for wrong in ({}, {**loads, bus + 100: (0.1, 0.0)}):
+        with pytest.raises(ValueError, match="exactly the case's load buses"):
+            solve_equilibrium(smib_case, NetworkCondition("pre-fault"), wrong)

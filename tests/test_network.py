@@ -11,7 +11,6 @@ from stochsim.network import (
     ReducedNetwork,
     ReductionError,
     assemble_bus_matrix,
-    build_reduced_network,
     reduce_to_load_buses,
     schur_complement,
 )
@@ -55,6 +54,17 @@ def full_network_solve(case, cond, pq, v):
     return y[n:, :n] @ v_bus + y[n:, n:], v_bus
 
 
+def load_pq(loads):
+    """(L, 2) P and Q of a bus -> (P, Q) mapping, in sorted load-bus order."""
+    return np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+
+
+def reduce_all_buses(case, cond, v, loads):
+    """Both reduction steps at ``loads``, with the recovery of every bus."""
+    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus))
+    return first.with_loads(load_pq(loads))
+
+
 def assert_rel_close(got, want, rel):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
@@ -79,17 +89,16 @@ def test_load_shunt_unit_values():
         assert np.array_equal(kcl, [[y_lg, y_ll]])  # the cached rows are unchanged
 
 
-def test_build_reduced_network_zero_load_voltage(smib_case):
+def test_zero_load_voltage_rejected(smib_case):
     v = solve_power_flow(smib_case)
-    loads = {ld.bus: (ld.p, ld.q) for ld in smib_case.loads}
-    v[smib_case.bus_index(next(iter(loads)))] = 0.0
-    with pytest.raises(ValueError):
-        build_reduced_network(smib_case, NetworkCondition("pre-fault"), loads, v)
+    v[smib_case.bus_index(smib_case.loads[0].bus)] = 0.0
+    with pytest.raises(ValueError, match="nonzero"):
+        reduce_to_load_buses(smib_case, NetworkCondition("pre-fault"), v, [])
 
 
 def test_stacked_loads_match_one_network_each(ieee39_case):
-    # a (R, L, 2) stack of loads gives each run the network that the
-    # single-load build_reduced_network gives it
+    # a (R, L, 2) stack of loads gives each run the network that both
+    # reduction steps, taken afresh for its loads alone, give it
     v = solve_power_flow(ieee39_case)
     buses = sorted(ld.bus for ld in ieee39_case.loads)
     mean = np.array([(ieee39_case.load_at(b).p, ieee39_case.load_at(b).q) for b in buses])
@@ -100,24 +109,23 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
     stack = first.with_loads(pq)
     assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
     for i in range(3):
-        one = build_reduced_network(ieee39_case, cond, dict(zip(buses, pq[i])), v)
+        one = reduce_all_buses(ieee39_case, cond, v, dict(zip(buses, pq[i])))
         assert np.array_equal(stack.y[i], one.y)
         assert np.array_equal(stack.recovery[i], one.recovery)
 
 
 @pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
 def test_stage_network_matches_full_network_solve(ieee39_case, cond):
-    # build_reduced_network at the mean loads against a dense solve of the
+    # both reduction steps at the mean loads against a dense solve of the
     # full network: the currents and bus voltages of random internal EMFs
     case = ieee39_case
     v = solve_power_flow(case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    pq = [loads[b] for b in sorted(loads)]
-    y_full, rec_full = full_network_solve(case, cond, pq, v)
+    y_full, rec_full = full_network_solve(case, cond, load_pq(loads), v)
     rng = np.random.default_rng(11)
     k = case.n_gen
     e = rng.uniform(0.9, 1.1, k) * np.exp(1j * rng.uniform(-1.0, 1.0, k))
-    net = build_reduced_network(case, cond, loads, v)
+    net = reduce_all_buses(case, cond, v, loads)
     assert np.abs(net.y @ e - y_full @ e).max() < 1e-10
     assert np.abs(net.recovery @ e - rec_full @ e).max() < 1e-10
 
@@ -160,9 +168,8 @@ def test_two_step_reduction_edge_cases_match_full_network_solve(ieee39_case, whe
     )
     v = solve_power_flow(ieee39_case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    net = build_reduced_network(case, CONDITIONS[2], loads, v)
-    pq = [loads[b] for b in sorted(loads)]
-    y_full, rec_full = full_network_solve(case, CONDITIONS[2], pq, v)
+    net = reduce_all_buses(case, CONDITIONS[2], v, loads)
+    y_full, rec_full = full_network_solve(case, CONDITIONS[2], load_pq(loads), v)
     assert_rel_close(net.y, y_full, 1e-12)
     assert_rel_close(net.recovery, rec_full, 1e-12)
 
@@ -274,7 +281,7 @@ def test_fault_stage_grounds_bus(smib_case):
     v = solve_power_flow(smib_case)
     loads = {ld.bus: (ld.p, ld.q) for ld in smib_case.loads}
     cond = NetworkCondition("fault-on", fault_bus=1)
-    net = build_reduced_network(smib_case, cond, loads, v)
+    net = reduce_all_buses(smib_case, cond, v, loads)
     e = np.array([1.1 * np.exp(0.3j), 1.0 + 0j])
     vb = net.bus_voltages(e)
     assert abs(vb[0]) < 1e-5  # faulted bus held at (near) zero
@@ -283,9 +290,7 @@ def test_fault_stage_grounds_bus(smib_case):
 def test_reduced_matrix_symmetric(ieee39_case):
     v = solve_power_flow(ieee39_case)
     loads = {ld.bus: (ld.p, ld.q) for ld in ieee39_case.loads}
-    net = build_reduced_network(
-        ieee39_case, NetworkCondition("pre-fault"), loads, v
-    )
+    net = reduce_all_buses(ieee39_case, NetworkCondition("pre-fault"), v, loads)
     assert np.allclose(net.y, net.y.T, atol=1e-12)
     assert net.y.shape == (10, 10)
 
