@@ -118,8 +118,17 @@ def bus_id(value) -> int:
 
 
 def finite_float(value) -> float:
-    """``float(value)``, refusing NaN and the infinities, which JSON files may hold."""
-    x = float(value)
+    """A JSON number as a float: strings, booleans, NaN and the infinities are refused.
+
+    JSON files may hold all four where a number belongs; ``float()`` alone
+    would read "0.2" and true as numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"not a finite number: {value!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {value!r}")
     return x

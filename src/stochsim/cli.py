@@ -33,7 +33,7 @@ from .ensemble import (
 from .network import NetworkCondition, ReductionError
 from .noise import build_noise_path, path_to_csv
 from .powerflow import PowerFlowError
-from .sas import SolverConfig
+from .sas import MAX_ORDER, SolverConfig
 from .scenario import SimulationSetup, load_scenario
 from .trajectory import columns, csv_text
 from .validate import run_all
@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--solver", choices=("sas", "em"), default="sas")
     run.add_argument("--runs", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--order", type=int, default=2, help="series order (sas)")
+    run.add_argument(
+        "--order", type=int, default=2, help=f"series order (sas), 1 to {MAX_ORDER}"
+    )
     run.add_argument("--window", type=float, default=1e-3, help="window length s (sas)")
     run.add_argument("--dt", type=float, default=1e-3, help="integration step s (em)")
     run.add_argument(

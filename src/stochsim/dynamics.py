@@ -8,6 +8,7 @@ e'_dk (p.u.), stored block-wise: [delta..., omega..., eqp..., edp...].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class MachineSet:
     def n_gen(self) -> int:
         return len(self.H)
 
+    @cached_property
+    def gains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """omega_r / 2H, x_d - x'_d and x_q - x'_q: the constant factors of :func:`rhs`."""
+        return self.omega_r / (2.0 * self.H), self.xd - self.xdp, self.xq - self.xqp
+
 
 def pack_state(delta, omega, eqp, edp) -> np.ndarray:
     return np.concatenate([delta, omega, eqp, edp], axis=-1)
@@ -97,41 +103,65 @@ class AlgebraicOutputs:
     p_e: np.ndarray
 
 
-def compute_injections(
-    state: np.ndarray, net: ReducedNetwork, machines: MachineSet
-) -> AlgebraicOutputs:
-    """Evaluate the algebraic network coupling at a dynamic state.
+def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
+    """EMF, network currents I, i_q, i_d, e_q, e_d and P_e of packed-state blocks.
 
-    EMF from (e'_d, e'_q, delta); terminal currents I = Y E; dq currents by
-    rotation; stator voltages e_q = e'_q - x'_d i_d and e_d = e'_d + x'_q i_q;
-    electric power P_e = e_q i_q + e_d i_d.  ``state`` may be (4K,) with a
-    (K, K) ``net.y``, or an (R, 4K) stack of runs with an (R, K, K) one.
+    One rotation each way: E = (e'q - j e'd) e^{j delta}, I = Y E and
+    i_q - j i_d = I e^{-j delta}.  Both rotations are written out in real
+    arithmetic: numpy may fuse the multiply-adds of a complex product, which
+    would move the pre-fault P_m and E_fd of :func:`init_dynamic_state`, and
+    with them every run, by a rounding.
     """
-    delta, _, eqp, edp = split_state(state)
     sin_d, cos_d = np.sin(delta), np.cos(delta)
-    emf = (edp * sin_d + eqp * cos_d) + 1j * (eqp * sin_d - edp * cos_d)
-    it = (net.y @ emf[..., None])[..., 0]
+    emf = np.empty(delta.shape, dtype=complex)
+    np.add(edp * sin_d, eqp * cos_d, out=emf.real)
+    np.subtract(eqp * sin_d, edp * cos_d, out=emf.imag)
+    it = (y @ emf[..., None])[..., 0]
     i_r, i_i = it.real, it.imag
     i_q = i_i * sin_d + i_r * cos_d
     i_d = i_r * sin_d - i_i * cos_d
     e_q = eqp - machines.xdp * i_d
     e_d = edp + machines.xqp * i_q
-    p_e = e_q * i_q + e_d * i_d
-    return AlgebraicOutputs(emf, i_r, i_i, i_d, i_q, e_d, e_q, p_e)
+    return emf, it, i_q, i_d, e_q, e_d, e_q * i_q + e_d * i_d
+
+
+def compute_injections(
+    state: np.ndarray, net: ReducedNetwork, machines: MachineSet
+) -> AlgebraicOutputs:
+    """Evaluate the algebraic network coupling at a dynamic state.
+
+    EMF E = (e'q - j e'd) e^{j delta}; terminal currents I = Y E; dq
+    currents by the inverse rotation, i_q - j i_d = I e^{-j delta}; stator
+    voltages e_q = e'_q - x'_d i_d and e_d = e'_d + x'_q i_q; electric power
+    P_e = e_q i_q + e_d i_d.  ``state`` may be (4K,) with a (K, K)
+    ``net.y``, or an (R, 4K) stack of runs with an (R, K, K) one.
+    """
+    delta, _, eqp, edp = split_state(state)
+    emf, it, i_q, i_d, e_q, e_d, p_e = _injections(delta, eqp, edp, net.y, machines)
+    return AlgebraicOutputs(emf, it.real, it.imag, i_d, i_q, e_d, e_q, p_e)
 
 
 def rhs(state: np.ndarray, net: ReducedNetwork, machines: MachineSet) -> np.ndarray:
-    """Time derivative of the packed dynamic state."""
+    """Time derivative of the packed dynamic state.
+
+    One rotation each way couples the machines to the network: the EMF is
+    E = (e'q - j e'd) e^{j delta} and the dq currents are
+    i_q - j i_d = (Y E) e^{-j delta}, from one sin and one cos of each rotor
+    angle.  The four derivative blocks are written into one array of the
+    state's shape.
+    """
     delta, omega, eqp, edp = split_state(state)
-    out = compute_injections(state, net, machines)
-    w_r = machines.omega_r
-    d_delta = omega - w_r
-    d_omega = (w_r / (2.0 * machines.H)) * (
-        machines.pm - out.p_e - machines.D * (omega - w_r) / w_r
-    )
-    d_eqp = (machines.efd - eqp - (machines.xd - machines.xdp) * out.i_d) / machines.Td0p
-    d_edp = (-edp + (machines.xq - machines.xqp) * out.i_q) / machines.Tq0p
-    return pack_state(d_delta, d_omega, d_eqp, d_edp)
+    _, _, i_q, i_d, _, _, p_e = _injections(delta, eqp, edp, net.y, machines)
+    m = machines
+    w_r = m.omega_r
+    half_h, x_dd, x_qq = m.gains
+    out = np.empty_like(state)
+    d_delta, d_omega, d_eqp, d_edp = split_state(out)
+    np.subtract(omega, w_r, out=d_delta)
+    np.multiply(half_h, m.pm - p_e - m.D * d_delta / w_r, out=d_omega)
+    np.divide(m.efd - eqp - x_dd * i_d, m.Td0p, out=d_eqp)
+    np.divide(x_qq * i_q - edp, m.Tq0p, out=d_edp)
+    return out
 
 
 @dataclass(frozen=True)

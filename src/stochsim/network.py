@@ -86,7 +86,11 @@ class ReducedNetwork:
         the currents.  Built on first use and kept with this network.
         """
         g, b = self.y.real, self.y.imag
-        out = np.block([[g, -b], [b, g]])
+        k = g.shape[-1]
+        out = np.empty(g.shape[:-2] + (2 * k, 2 * k))
+        out[..., :k, :k] = out[..., k:, k:] = g
+        out[..., k:, :k] = b
+        np.negative(b, out=out[..., :k, k:])
         out.setflags(write=False)
         return out
 
@@ -127,6 +131,19 @@ def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.nda
     return y
 
 
+def _interior_solve(y_bb: np.ndarray, y_ba: np.ndarray) -> np.ndarray:
+    """y_bb^-1 y_ba, each stacked matrix of ``y_bb`` solved on its own.
+
+    ``y_ba`` gets as many axes as ``y_bb`` before the solve: numpy 1.x
+    reads a right-hand side with one axis fewer as a stack of vectors.
+    """
+    lead = (None,) * max(y_bb.ndim - y_ba.ndim, 0)
+    try:
+        return np.linalg.solve(y_bb, y_ba[lead])
+    except np.linalg.LinAlgError as exc:
+        raise ReductionError("interior admittance block is singular") from exc
+
+
 def schur_complement(
     y_aa: np.ndarray, y_ab: np.ndarray, y_ba: np.ndarray, y_bb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,14 +151,8 @@ def schur_complement(
 
     Any block may carry leading stack axes; each stacked matrix is solved
     on its own, so its result does not depend on the rest of the stack.
-    ``y_ba`` gets as many axes as ``y_bb`` before the solve: numpy 1.x
-    reads a right-hand side with one axis fewer as a stack of vectors.
     """
-    lead = (None,) * max(y_bb.ndim - y_ba.ndim, 0)
-    try:
-        x = np.linalg.solve(y_bb, y_ba[lead])
-    except np.linalg.LinAlgError as exc:
-        raise ReductionError("interior admittance block is singular") from exc
+    x = _interior_solve(y_bb, y_ba)
     return y_aa - y_ab @ x, -x
 
 
@@ -169,10 +180,11 @@ class LoadBusNetwork:
         ``pq`` is (..., L, 2), the P and Q of the load buses for each
         leading index.  Each load becomes the constant-impedance shunt
         (P - jQ) / |V|^2 on the diagonal of a copy of the load/load block,
-        and one stacked L x L :func:`schur_complement` with K right-hand
-        sides eliminates the load buses from every output at once: ``y`` is
-        (..., K, K) and ``recovery`` (..., m, K).  This is the exact Schur
-        identity, for any load values.
+        and one stacked L x L solve with K right-hand sides eliminates the
+        load buses from every output at once, as the Schur complement of
+        :func:`schur_complement` without its recovery of the load buses:
+        ``y`` is (..., K, K) and ``recovery`` (..., m, K).  This is the
+        exact Schur identity, for any load values.
         """
         n_load = self.vm2.size
         k = self.load_kcl.shape[1] - n_load
@@ -182,9 +194,8 @@ class LoadBusNetwork:
         y_ll[...] = self.load_kcl[:, k:]
         # a fresh array reshapes to a view: its diagonal is every (L+1)-th entry
         y_ll.reshape(lead + (-1,))[..., :: n_load + 1] += shunts
-        out, _ = schur_complement(
-            self.outputs[:, :k], self.outputs[:, k:], self.load_kcl[:, :k], y_ll
-        )
+        x = _interior_solve(y_ll, self.load_kcl[:, :k])
+        out = self.outputs[:, :k] - self.outputs[:, k:] @ x
         return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])
 
 

@@ -42,6 +42,14 @@ def stationary_variance(p: OUParams) -> float:
     return p.b * p.b / (2.0 * p.a)
 
 
+def _exact_transition(a: ArrayLike, b: ArrayLike, dt: float):
+    """Decay exp(-a dt) and noise scale b sqrt((1 - exp(-2 a dt)) / (2a)) of an exact step."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    decay = np.exp(-a * dt)
+    return decay, b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
+
+
 def ou_exact_step(
     eps: ArrayLike, a: ArrayLike, b: ArrayLike, dt: float, xi: ArrayLike
 ) -> ArrayLike:
@@ -51,10 +59,7 @@ def ou_exact_step(
     with ``xi`` standard-normal draws.  Distributionally exact for any step;
     the update applies element by element.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    decay = np.exp(-a * dt)
-    std = b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
+    decay, std = _exact_transition(a, b, dt)
     return eps * decay + std * xi
 
 
@@ -125,7 +130,12 @@ def build_noise_path(seed, n_vars: int, horizon: float, dt: float) -> NoisePath:
 
 
 def load_schedule(
-    mean: np.ndarray, a: ArrayLike, b: np.ndarray, path: NoisePath, euler: bool = False
+    mean: np.ndarray,
+    a: ArrayLike,
+    b: np.ndarray,
+    path: NoisePath,
+    euler: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n_steps, n_vars) array of piecewise-constant load values.
 
@@ -136,15 +146,24 @@ def load_schedule(
     held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k follows from row k-1
     and noise column k-1 by the exact transition, or with ``euler`` by the
     Euler-Maruyama step with dW = sqrt(dt) * xi, which is the paper's SDE
-    discretized on the integration grid.
+    discretized on the integration grid.  The values are written into
+    ``out`` when given, an (n, n_vars) array with n <= n_steps that takes
+    the first n rows; ``out`` is returned.
     """
-    eps = np.zeros((path.n_steps, mean.shape[0]))
-    sqrt_dt = math.sqrt(path.dt)
-    for k in range(1, path.n_steps):
-        if euler:
-            eps[k] = ou_em_step(eps[k - 1], a, b, path.dt, sqrt_dt * path.xi[:, k - 1])
-        else:
-            eps[k] = ou_exact_step(eps[k - 1], a, b, path.dt, path.xi[:, k - 1])
+    eps = np.empty((path.n_steps, mean.shape[0])) if out is None else out
+    n = eps.shape[0]
+    eps[0] = 0.0
+    # row k holds its noise until the recursion reaches it
+    xi = path.xi[:, : n - 1].T
+    if euler:
+        np.multiply(math.sqrt(path.dt), xi, out=eps[1:])
+        for k in range(1, n):
+            eps[k] = ou_em_step(eps[k - 1], a, b, path.dt, eps[k])
+    else:
+        eps[1:] = xi
+        decay, std = _exact_transition(a, b, path.dt)
+        for k in range(1, n):  # ou_exact_step, its coefficients computed once
+            eps[k] = eps[k - 1] * decay + std * eps[k]
     eps += mean
     return eps
 

@@ -34,16 +34,22 @@ from .series import dot_coeff, product_coeffs, series_eval, sin_cos_coeff
 from .trajectory import Trajectory
 
 
+# Highest series order accepted.  The accuracy/cost frontier measured on
+# caseC lies at N <= 10; the bound keeps a mistyped order from asking for
+# a coefficient array of gigabytes.
+MAX_ORDER = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Series order and window length of the solver."""
+    """Series order (1 to ``MAX_ORDER``) and window length of the solver."""
 
     order: int = 2
     window: float = 1e-3
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("series order must be at least 1")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ValueError(f"series order must be from 1 to {MAX_ORDER}")
         if not self.window > 0:  # NaN fails too
             raise ValueError("window length must be positive")
 

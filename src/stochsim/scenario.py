@@ -252,6 +252,23 @@ def _emf(state: np.ndarray) -> np.ndarray:
     return (eqp - 1j * edp) * np.exp(1j * delta)
 
 
+def _write_loads(
+    setup: SimulationSetup, path: NoisePath | None, dt: float, euler: bool, out
+) -> None:
+    """Write the :func:`load_schedule` of ``path`` into the (n, 2S) rows ``out``.
+
+    The path must hold the setup's noise variables on the load step ``dt``
+    and cover the n rows.
+    """
+    if path is None:
+        raise ValueError("a noise path is required for stochastic runs")
+    if path.n_vars != setup.n_noise_vars() or path.n_steps < out.shape[0]:
+        raise ValueError("noise path does not cover this scenario")
+    if abs(path.dt - dt) > 1e-12:
+        raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
+    load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=euler, out=out)
+
+
 def run_simulation(
     setup: SimulationSetup,
     h: float,
@@ -278,42 +295,38 @@ def run_simulation(
     Each trajectory counts the ``step_fn`` calls (``windows``, split segments
     included) and the network rebuilds while its run was in the stack.
 
+    The load rows of the batch are one (R, n, 2S) array: entry [i, j] holds
+    the 2S stochastic P and Q values (noise-grid order) that run i holds from
+    load instant j, and n is the number of load values a run consumes.  Each
+    run's schedule is written straight into its slot, and a resample reads
+    the rows of the running runs with one index.  The voltages recorded at
+    t_{k+1} are those of the state at t_{k+1} under the network of step k,
+    before any rebuild at t_{k+1}.
+
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
-    ``em_continuous``), and is iterated once: a run's noise path is released
-    as soon as its load schedule is built.  Returns the trajectories in the
-    order of ``paths``.
+    ``em_continuous``).  It is iterated once, into a list that gives R, and
+    a run's noise path is released as soon as its load rows are written.
+    Returns the trajectories in the order of ``paths``.
     """
     sc = setup.scenario
     case = setup.case
     n_steps = _exact_multiple(sc.horizon_s, h)
+    paths = list(paths)
+    r = len(paths)
+    if r == 0:
+        raise ValueError("a batch needs at least one run")
 
     spr = None  # steps per load value; None without stochastic loads
+    loads = None  # (R, n, 2S) load rows
     if setup.n_noise_vars():
         spr = 1 if em_continuous else _exact_multiple(sc.resample_dt, h)
         need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
         load_dt = h if em_continuous else sc.resample_dt  # the paths' step
-
-    def schedule(path: NoisePath | None) -> np.ndarray | None:
-        if spr is None:
-            return None
-        if path is None:
-            raise ValueError("a noise path is required for stochastic runs")
-        if path.n_vars != setup.n_noise_vars() or path.n_steps < need:
-            raise ValueError("noise path does not cover this scenario")
-        if abs(path.dt - load_dt) > 1e-12:
-            raise ValueError(
-                f"noise path step {path.dt} differs from the load step {load_dt}"
-            )
-        return load_schedule(
-            setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=em_continuous
-        )
-
-    # per run: its (steps, 2S) load schedule; no path outlives this line
-    loads = [schedule(path) for path in paths]
-    r = len(loads)
-    if r == 0:
-        raise ValueError("a batch needs at least one run")
+        loads = np.empty((r, need, setup.n_noise_vars()))
+        for i in range(r):
+            _write_loads(setup, paths[i], load_dt, em_continuous, out=loads[i])
+            paths[i] = None  # no path outlives its load rows
     spec_rows = setup.spec_rows
 
     # each stage event either switches the stage before step k, when within
@@ -340,19 +353,15 @@ def run_simulation(
     n_mon = len(sc.monitor_buses)
     volts = np.full((r, n_rec, n_mon), np.nan)
     active = np.arange(r)  # batch positions of the runs still integrating
+    rows = slice(None)  # ``active`` as an index: a slice while every run is in
     t_div: list[float | None] = [None] * r
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    def loads_at(j: int) -> np.ndarray:
-        """Row j of the load schedule of every running run, (runs, 2S)."""
-        return np.stack([loads[i][j] for i in active])
-
     def record(i: int, x: np.ndarray, current_net: ReducedNetwork) -> None:
-        states[active, i] = x
+        states[rows, i] = x
         if n_mon:
-            v = current_net.bus_voltages(_emf(x))
-            volts[active, i] = np.abs(v)
+            volts[rows, i] = np.abs(current_net.bus_voltages(_emf(x)))
 
     x = np.repeat(setup.x0[None], r, axis=0)
     record(0, x, net)
@@ -360,7 +369,7 @@ def run_simulation(
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
         if resample:
-            pq[:, spec_rows] = loads_at(k // spr).reshape(active.size, -1, 2)
+            pq[:, spec_rows] = loads[rows, k // spr].reshape(active.size, -1, 2)
         if resample or k in switch_at:
             stage = switch_at.get(k, stage)
             net = setup.build_net(stage, pq)
@@ -377,14 +386,15 @@ def run_simulation(
         x = step_fn(x, net, (k + 1) * h - a if k in split_in else h)
         n_windows += 1
 
-        ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT  # False for NaN as well
-        if not ok.all():
+        if not np.abs(x).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
+            ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = (k + 1) * h
                 counts[active[j]] = (n_windows, n_rebuilds)
                 bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
             active, x, pq = active[ok], x[ok], pq[ok]
+            rows = active
             if not active.size:
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])

@@ -7,7 +7,7 @@ import pytest
 
 from stochsim import scenario as scenario_mod
 from stochsim.em import EMConfig, simulate_em_batch
-from stochsim.noise import build_noise_path
+from stochsim.noise import NoisePath, build_noise_path
 from stochsim.sas import SolverConfig, simulate_sas_batch
 from stochsim.scenario import Scenario, SimulationSetup
 
@@ -93,3 +93,32 @@ def test_runs_count_windows_and_rebuilds(smib_case, monkeypatch):
         assert tr.windows == steps + split < 51
         assert tr.rebuilds == 1 + (steps - 1) // 5 + split
         assert np.array_equal(tr.states[:steps], ref.states[:steps])
+
+
+def test_em_divergence_inside_a_batch(smib_case, monkeypatch):
+    # paper-sde runs read a new load row at every step, by the batch
+    # positions still running once a run has left: a NaN in one path's
+    # noise (column 100) stops that run at t = 0.102, and a limit between
+    # the other runs' peak |state| stops two of them after the fault
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config = EMConfig(dt=1e-3, mode="paper-sde")
+    paths = [build_noise_path((13, i), setup.n_noise_vars(), 1.0, config.dt) for i in range(6)]
+    xi = paths[4].xi.copy()
+    xi[:, 100] = np.nan
+    paths[4] = NoisePath(paths[4].seed, paths[4].dt, xi)
+    free = simulate_em_batch(setup, config, paths)
+    assert [tr.diverged for tr in free] == [False] * 4 + [True, False]
+    peaks = sorted(np.abs(tr.states).max() for tr in free if not tr.diverged)
+    assert peaks[2] < peaks[3]
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[2] + peaks[3]))
+    batch = simulate_em_batch(setup, config, paths)
+    assert sum(tr.diverged for tr in batch) == 3
+    assert batch[4].t_diverged == pytest.approx(0.102)
+    assert min(tr.t_diverged for tr in batch if tr.diverged and tr is not batch[4]) > 0.2
+    for tr, ref, path in zip(batch, free, paths):
+        alone = simulate_em_batch(setup, config, [path])[0]
+        assert_same_run(alone, tr)
+        if tr.diverged:
+            steps = round(tr.t_diverged / config.dt)  # the run took steps 0 .. steps-1
+            assert np.isnan(tr.states[steps:]).all()
+            assert np.array_equal(tr.states[:steps], ref.states[:steps])

@@ -130,12 +130,16 @@ def test_invalid_json_reports_line():
         (lambda d: d["branches"][0].update(x=NAN), "branches[0]: field 'x'"),
         (lambda d: d["buses"][0].update(v_setpoint=INF), "buses[0]: field 'v_setpoint'"),
         (lambda d: d["system"].update(frequency_hz=NAN), "system: field 'frequency_hz'"),
+        (lambda d: d["generators"][0].update(H="4.0"), "generators[0]: field 'H'"),
+        (lambda d: d["branches"][0].update(b=True), "branches[0]: field 'b'"),
+        (lambda d: d["loads"][0].update(P=10**400), "loads[0]: field 'P'"),
     ],
     ids=["null-r", "string-p_gen", "list-H", "null-load-bus", "null-frequency",
          "object-loads", "list-system", "int-bus-records", "fractional-load-bus",
          "string-load-bus", "bool-load-bus", "float-bus-id", "fractional-branch-end",
          "bool-generator-bus", "nan-H", "infinite-Td0p", "minus-infinite-P", "nan-x",
-         "infinite-v_setpoint", "nan-frequency"],
+         "infinite-v_setpoint", "nan-frequency", "numeric-string-H", "bool-b",
+         "huge-integer-P"],
 )
 def test_malformed_value_names_the_field(edit, field):
     doc = minimal_doc()

@@ -198,13 +198,18 @@ def test_injected_smib_error_fails_its_check(monkeypatch):
         ),
         ({"horizon_s": 0.2, "drift_a": -INF}, "field 'drift_a'"),
         ({"horizon_s": 0.2, "resample_dt": NAN}, "field 'resample_dt'"),
+        ({"horizon_s": "0.2"}, "field 'horizon_s'"),
+        (
+            {"horizon_s": 0.2, "stochastic_buses": "all", "sigma_rel": True},
+            "field 'sigma_rel'",
+        ),
     ],
     ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
          "triple-branch", "string-monitor-buses", "object-sigma",
          "fractional-monitor-bus", "fractional-fault-bus", "bool-fault-bus",
          "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus",
          "infinite-horizon", "nan-sigma", "nan-fault-start", "infinite-fault-duration",
-         "minus-infinite-drift", "nan-resample-dt"],
+         "minus-infinite-drift", "nan-resample-dt", "string-horizon", "bool-sigma"],
 )
 def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc, names):
     # the message names what is malformed: the field, or the top level
@@ -266,6 +271,7 @@ def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message
         ("--seed", "-1"),
         ("--window", "nan"),
         ("--solver", "em", "--dt", "nan"),
+        ("--order", "100000000"),
     ],
     ids=lambda flags: "=".join(flags),
 )

@@ -14,10 +14,15 @@ from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim import smib as sm
 
 
+def load_pq(loads):
+    """(L, 2) P and Q of a bus -> (P, Q) mapping, in sorted load-bus order."""
+    return np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+
+
 def prefault_setup(case):
     v = solve_power_flow(case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
-    pq = np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+    pq = load_pq(loads)
     cond = NetworkCondition("pre-fault")
     net = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus)).with_loads(pq)
     init = init_dynamic_state(case, v, net)
@@ -65,6 +70,46 @@ def test_injection_identities_reevaluated(ieee39_case):
     assert np.max(np.abs(e_d - out.e_d)) < 1e-12
     p_e = e_q * out.i_q + e_d * out.i_d
     assert np.max(np.abs(p_e - out.p_e)) < 1e-12
+
+
+def component_rhs(state, y, m):
+    """The model's derivatives by the sin/cos component formulas, run by run."""
+    k = state.shape[-1] // 4
+    delta, omega, eqp, edp = (state[..., i * k : (i + 1) * k] for i in range(4))
+    s, c = np.sin(delta), np.cos(delta)
+    emf = (edp * s + eqp * c) + 1j * (eqp * s - edp * c)
+    cur = np.einsum("...ij,...j->...i", y, emf)
+    i_q = cur.imag * s + cur.real * c
+    i_d = cur.real * s - cur.imag * c
+    p_e = (eqp - m.xdp * i_d) * i_q + (edp + m.xqp * i_q) * i_d
+    w_r = m.omega_r
+    return np.concatenate(
+        [
+            omega - w_r,
+            w_r / (2.0 * m.H) * (m.pm - p_e - m.D * (omega - w_r) / w_r),
+            (m.efd - eqp - (m.xd - m.xdp) * i_d) / m.Td0p,
+            ((m.xq - m.xqp) * i_q - edp) / m.Tq0p,
+        ],
+        axis=-1,
+    )
+
+
+def test_rhs_matches_component_formulas(ieee39_case):
+    # a (3, 4K) stack of random states under three networks at random loads,
+    # and one (4K,) state under one network
+    v, loads, _, init = prefault_setup(ieee39_case)
+    rng = np.random.default_rng(21)
+    k = ieee39_case.n_gen
+    scale = np.repeat([0.5, 2.0, 0.05, 0.05], k)
+    states = init.state + scale * rng.standard_normal((3, 4 * k))
+    pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
+    cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
+    nets = reduce_to_load_buses(ieee39_case, cond, v, []).with_loads(pq)
+    for x, net in ((states, nets), (states[1], ReducedNetwork(nets.y[1], nets.recovery[1]))):
+        want = component_rhs(x, net.y, init.machines)
+        got = rhs(x, net, init.machines)
+        assert got.shape == x.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_single_machine_diagonal_network_scalar_check():
