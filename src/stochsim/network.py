@@ -95,11 +95,12 @@ class ReducedNetwork:
         return out
 
     def bus_voltages(self, emf: np.ndarray) -> np.ndarray:
-        """Complex voltages of the recovered buses, (..., m).
+        """Complex voltages of the recovered buses for n EMF vectors, (..., n, m).
 
-        ``emf`` is (..., K), with the same leading axes as ``recovery``.
+        ``emf`` is (..., n, K), with the same leading axes as ``recovery``:
+        for a run, the EMFs of n instants under this one network.
         """
-        return (self.recovery @ emf[..., None])[..., 0]
+        return (self.recovery[..., None, :, :] @ emf[..., None])[..., 0]
 
 
 def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.ndarray:
@@ -174,6 +175,11 @@ class LoadBusNetwork:
     load_kcl: np.ndarray
     vm2: np.ndarray
 
+    @cached_property
+    def vm2_complex(self) -> np.ndarray:
+        """``vm2`` as complex numbers, the divisor of the load shunts."""
+        return self.vm2.astype(complex)
+
     def with_loads(self, pq: np.ndarray) -> ReducedNetwork:
         """The second reduction step: the reduced network at a stack of load values.
 
@@ -188,7 +194,10 @@ class LoadBusNetwork:
         """
         n_load = self.vm2.size
         k = self.load_kcl.shape[1] - n_load
-        shunts = (pq[..., 0] - 1j * pq[..., 1]) / self.vm2
+        # each (P, Q) pair read as the complex P + jQ, a view of a C-contiguous pq
+        s_load = np.ascontiguousarray(pq, dtype=float).view(complex)[..., 0]
+        shunts = np.conjugate(s_load)
+        shunts /= self.vm2_complex
         lead = shunts.shape[:-1]
         y_ll = np.empty(lead + (n_load, n_load), dtype=complex)
         y_ll[...] = self.load_kcl[:, k:]

@@ -301,7 +301,10 @@ def run_simulation(
     run's schedule is written straight into its slot, and a resample reads
     the rows of the running runs with one index.  The voltages recorded at
     t_{k+1} are those of the state at t_{k+1} under the network of step k,
-    before any rebuild at t_{k+1}.
+    before any rebuild at t_{k+1}.  A step records the states only; the
+    voltages of all records under one network are computed together, just
+    before that network is replaced (a rebuild, a split step's rebuild, runs
+    leaving the stack) and at the end.
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
@@ -358,19 +361,25 @@ def run_simulation(
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    def record(i: int, x: np.ndarray, current_net: ReducedNetwork) -> None:
-        states[rows, i] = x
-        if n_mon:
-            volts[rows, i] = np.abs(current_net.bus_voltages(_emf(x)))
+    done = 0  # the records before this one have their voltages
+
+    def flush(n_done: int, current_net: ReducedNetwork) -> None:
+        """Voltages of the records ``done`` up to ``n_done``, all under ``current_net``."""
+        nonlocal done
+        if n_mon and n_done > done:
+            v = current_net.bus_voltages(_emf(states[rows, done:n_done]))
+            volts[rows, done:n_done] = np.abs(v)
+        done = n_done
 
     x = np.repeat(setup.x0[None], r, axis=0)
-    record(0, x, net)
+    states[:, 0] = x
 
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
         if resample:
             pq[:, spec_rows] = loads[rows, k // spr].reshape(active.size, -1, 2)
         if resample or k in switch_at:
+            flush(k // out_stride + 1, net)
             stage = switch_at.get(k, stage)
             net = setup.build_net(stage, pq)
             n_rebuilds += 1
@@ -378,6 +387,7 @@ def run_simulation(
         a = k * h
         for tb, new_stage in split_in.get(k, ()):
             x = step_fn(x, net, tb - a)
+            flush(k // out_stride + 1, net)
             stage = new_stage
             net = setup.build_net(stage, pq)
             n_windows += 1
@@ -387,6 +397,7 @@ def run_simulation(
         n_windows += 1
 
         if not np.abs(x).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
+            flush(k // out_stride + 1, net)
             ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = (k + 1) * h
@@ -399,8 +410,10 @@ def run_simulation(
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
         if (k + 1) % out_stride == 0:
-            record((k + 1) // out_stride, x, net)
+            states[rows, (k + 1) // out_stride] = x
 
+    if active.size:
+        flush(n_rec, net)
     for i in active:
         counts[i] = (n_windows, n_rebuilds)
     return [

@@ -10,25 +10,34 @@ reaches it by a plain first-axis index.
 The solver builds its series one order at a time, so the kernels return the
 order-n coefficient of a composition from the coefficients of orders below
 n (or up to n for products): Cauchy products for multiplications and the
-coupled recurrences for sin/cos.  Each is one two-operand einsum.
-:func:`series_eval` takes the other layout, (..., N+1), order last.
+coupled recurrences for sin/cos.  Each is one two-operand einsum, written
+into ``out`` when given.  :func:`series_eval` takes the other layout,
+(..., N+1), order last, which the transpose of an order-major stack gives
+without a copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_SIN_COS_SIGNS = np.array([[1.0], [-1.0]])  # s' = x' c, c' = -x' s
+# Highest series order accepted.  The accuracy/cost frontier measured on
+# caseC lies at N <= 10; the bound keeps a mistyped order from asking for
+# a coefficient array of gigabytes.
+MAX_ORDER = 50
+
+# entry n holds the divisors (n, -n) of the sin/cos recurrences at order n:
+# s' = x' c, c' = -x' s
+_SIN_COS_DIVISORS = np.array([[1.0], [-1.0]]) * np.arange(MAX_ORDER + 1)[:, None, None]
 
 
-def product_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def product_coeffs(a: np.ndarray, b: np.ndarray, n: int, out=None) -> np.ndarray:
     """Order-n Cauchy coefficients of every product a_i * b_j.
 
     ``a`` is (N+1, ..., P, K) and ``b`` (N+1, ..., Q, K); the result is
     (..., P, Q, K), entry [..., i, j, k] the order-n coefficient of
     a[:, ..., i, k] * b[:, ..., j, k].  Reads orders 0..n of both.
     """
-    return np.einsum("m...ak,m...bk->...abk", a[: n + 1], b[n::-1])
+    return np.einsum("m...ak,m...bk->...abk", a[: n + 1], b[n::-1], out=out)
 
 
 def dot_coeff(a: np.ndarray, b: np.ndarray, n: int, out=None) -> np.ndarray:
@@ -46,17 +55,24 @@ def sin_cos_coeff(dx: np.ndarray, sc: np.ndarray, n: int, out=None) -> np.ndarra
     (j+1) x_{j+1}, order first like ``sc``, the (N+1, ..., 2, K) pair stack
     of (sin x, cos x).  From s' = x' c and c' = -x' s,
     s_n = sum(dx_j c_{n-1-j}) / n and c_n = -sum(dx_j s_{n-1-j}) / n over
-    j < n.  Returns the (..., 2, K) pair; reads dx below order n and sc
-    below order n.
+    j < n <= ``MAX_ORDER``.  Returns the (..., 2, K) pair; reads dx below
+    order n and sc below order n.
     """
     t = np.einsum("m...k,m...jk->...jk", dx[:n], sc[n - 1 :: -1])
-    return np.divide(t[..., ::-1, :], _SIN_COS_SIGNS * n, out=out)
+    return np.divide(t[..., ::-1, :], _SIN_COS_DIVISORS[n], out=out)
 
 
 def series_eval(c: np.ndarray, t: float):
-    """Horner evaluation of sum(c_n t^n); works on (..., N+1) stacks."""
+    """Horner evaluation of sum(c_n t^n) on a float (..., N+1) stack.
+
+    The sum is formed in one new (...) array, in place: out = c_N, then
+    out *= t; out += c_n for n = N-1 down to 0.  On the order-last view of
+    an order-major stack, as the window kernel returns it, each c[..., n]
+    is the slab of order n.
+    """
     c = np.asarray(c)
     out = c[..., -1].copy()
     for k in range(c.shape[-1] - 2, -1, -1):
-        out = out * t + c[..., k]
+        out *= t
+        out += c[..., k]
     return out

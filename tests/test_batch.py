@@ -7,7 +7,7 @@ import pytest
 
 from stochsim import scenario as scenario_mod
 from stochsim.em import EMConfig, simulate_em_batch
-from stochsim.noise import NoisePath, build_noise_path
+from stochsim.noise import NoisePath, build_noise_path, load_schedule
 from stochsim.sas import SolverConfig, simulate_sas_batch
 from stochsim.scenario import Scenario, SimulationSetup
 
@@ -122,3 +122,85 @@ def test_em_divergence_inside_a_batch(smib_case, monkeypatch):
             steps = round(tr.t_diverged / config.dt)  # the run took steps 0 .. steps-1
             assert np.isnan(tr.states[steps:]).all()
             assert np.array_equal(tr.states[:steps], ref.states[:steps])
+
+
+def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
+    # every recorded voltage at t_{k+1} is |recovery_k @ E(x_{k+1})|, with the
+    # network of step k rebuilt here from the run's own load rows and the
+    # stage in force at the end of step k, one run at a time
+    sc = setup.scenario
+    spr = 1 if em_continuous else round(sc.resample_dt / h)
+    events = sc.fault_times(setup.case) or ()
+    stages = ("pre-fault", "fault-on", "post-fault")
+    for path, tr in zip(paths, runs):
+        rows = load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=em_continuous)
+        assert tr.voltages.shape == (tr.times.size, len(sc.monitor_buses))
+        for i, x in enumerate(tr.states):
+            if np.isnan(x).any():
+                assert np.isnan(tr.voltages[i]).all()
+                continue
+            k = i - 1  # the step that ends at this record; -1 for the start
+            pq = setup.mean_pq.copy()
+            if k >= spr:
+                pq[setup.spec_rows] = rows[k // spr].reshape(-1, 2)
+            stage = stages[sum(t_ev < (k + 1) * h - 1e-9 for t_ev in events)]
+            recovery = setup.build_net(stage, pq[None]).recovery
+            expected = np.abs(recovery @ scenario_mod._emf(x[None])[..., None])[0, :, 0]
+            assert np.array_equal(tr.voltages[i], expected), (i, stage)
+
+
+def test_voltages_of_a_split_step(smib_case):
+    # the fault starts inside the step 0.24-0.26 and clears inside the step
+    # 0.28-0.30, at 0.295; each runs as two windows with a rebuild between
+    # them, and the records before each split keep the network they had
+    late = replace(SCENARIO, fault_start_s=0.245)
+    setup = SimulationSetup.build(smib_case, late)
+    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(4)]
+    runs = simulate_sas_batch(setup, SolverConfig(order=2, window=0.02), paths)
+    assert runs[0].windows == 52
+    assert_voltage_oracle(setup, 0.02, False, paths, runs)
+
+
+def test_voltages_of_paper_sde_euler(smib_case):
+    # paper-sde loads change at every step, so every record has its own network
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config = EMConfig(dt=1e-3, mode="paper-sde")
+    paths = [build_noise_path((9, i), setup.n_noise_vars(), 1.0, config.dt) for i in range(3)]
+    runs = simulate_em_batch(setup, config, paths)
+    assert runs[0].rebuilds == runs[0].windows == 1000
+    assert_voltage_oracle(setup, config.dt, True, paths, runs)
+
+
+@pytest.mark.parametrize("leave", ["one", "all"])
+def test_voltages_when_runs_leave(smib_case, monkeypatch, leave):
+    # the peak |state| comes at the clearing, t = 0.25, five steps into the
+    # fault-on network: a limit just under the largest peak stops that run
+    # there, and one under the smallest peak stops every run; the records
+    # that a run leaves under its network keep their voltages
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config, h = SolverConfig(order=2, window=0.01), 0.01
+    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
+    peaks = sorted(np.abs(tr.states).max() for tr in simulate_sas_batch(setup, config, paths))
+    limit = 0.5 * (peaks[-2] + peaks[-1]) if leave == "one" else 0.999 * peaks[0]
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", limit)
+    runs = simulate_sas_batch(setup, config, paths)
+    left = [tr for tr in runs if tr.diverged]
+    assert len(left) == (1 if leave == "one" else 6)
+    for tr in left:
+        assert round(tr.t_diverged / h) == 25
+        assert np.isfinite(tr.voltages[: round(tr.t_diverged / h)]).all()
+    assert_voltage_oracle(setup, h, False, paths, runs)
+
+
+def test_no_monitored_bus(smib_case):
+    # without a monitored bus the voltages are an empty column set and the
+    # states are those of the monitored run
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    bare = SimulationSetup.build(smib_case, replace(SCENARIO, monitor_buses=()))
+    config = SolverConfig(order=2, window=0.02)
+    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(3)]
+    runs = simulate_sas_batch(bare, config, paths)
+    for tr, ref in zip(runs, simulate_sas_batch(setup, config, paths)):
+        assert tr.voltages.shape == (51, 0)
+        assert np.array_equal(tr.states, ref.states)
+    assert_voltage_oracle(bare, 0.02, False, paths, runs)

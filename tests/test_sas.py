@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from stochsim.sas import MachineMap, SolverConfig, simulate_sas, window_coefficients
+from stochsim import sas
+from stochsim import scenario as scenario_mod
+from stochsim.sas import (
+    MachineMap,
+    SolverConfig,
+    WindowWork,
+    simulate_sas,
+    simulate_sas_batch,
+    window_coefficients,
+)
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
 from stochsim.series import series_eval
 from stochsim import smib as sm
@@ -179,13 +188,17 @@ def runs_of(net: ReducedNetwork, rows) -> ReducedNetwork:
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 9])
 def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
     # each run's coefficients take the same bits alone, unbatched, in the
-    # batch of 17 and in the reversed batch
+    # batch of 17, in the reversed batch and in reused work arrays
     setup, net, x = ieee39_windows
     mmap = MachineMap.from_machines(setup.machines)
+    k = setup.machines.n_gen
     batch = window_coefficients(x, net, mmap, order)
     reverse = slice(None, None, -1)
     backwards = window_coefficients(x[reverse], runs_of(net, reverse), mmap, order)
+    in_work = window_coefficients(x, net, mmap, order, WindowWork((17,), k, order))
     assert batch.shape == (17, x.shape[1], order + 1)
+    assert np.array_equal(in_work, batch)
+    work_one, work_bare = WindowWork((1,), k, order), WindowWork((), k, order)
     for i in range(17):
         one = slice(i, i + 1)
         alone = window_coefficients(x[one], runs_of(net, one), mmap, order)
@@ -193,7 +206,75 @@ def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
         assert np.array_equal(alone[0], batch[i])
         assert np.array_equal(unbatched, batch[i])
         assert np.array_equal(backwards[16 - i], batch[i])
+        reused = window_coefficients(x[one], runs_of(net, one), mmap, order, work_one)
+        assert np.array_equal(reused[0], batch[i])
+        reused = window_coefficients(x[i], runs_of(net, i), mmap, order, work_bare)
+        assert np.array_equal(reused, batch[i])
     assert not np.array_equal(batch[0], batch[1])
+
+
+def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
+    # windows over different states and networks, alternating in one set of
+    # work arrays, each give the bits of a call with fresh arrays; a result
+    # is a view of the work arrays, which the next window overwrites
+    setup, post, x = ieee39_windows
+    mmap = MachineMap.from_machines(setup.machines)
+    rng = np.random.default_rng(4)
+    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
+    nets = [post, setup.build_net("fault-on", pq), setup.build_net("pre-fault", pq)]
+    states = [x, x[::-1].copy(), setup.x0 + 0.1 * rng.standard_normal(x.shape)]
+    work = WindowWork((17,), setup.machines.n_gen, 4)
+    last = None
+    for i in range(9):
+        args = (states[i % 3], nets[(i * 2) % 3], mmap, 4)
+        got = window_coefficients(*args, work)
+        assert np.shares_memory(got, work.coeffs)
+        if last is not None:
+            assert not np.array_equal(got, last)  # overwritten in place
+        assert np.array_equal(got, window_coefficients(*args))
+        last = got.copy()
+    with pytest.raises(ValueError, match="work arrays"):
+        window_coefficients(x[:3], runs_of(post, slice(0, 3)), mmap, 4, work)
+    with pytest.raises(ValueError, match="work arrays"):
+        window_coefficients(x, post, mmap, 3, work)
+
+
+def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
+    # a limit just under the largest peak |state| stops one run of six at the
+    # clearing; the batch then builds work arrays for the five left, and
+    # every run keeps the bits of its solo run
+    from stochsim.noise import build_noise_path
+
+    sc = Scenario(
+        horizon_s=1.0,
+        fault_bus=1,
+        fault_start_s=0.2,
+        fault_duration_cycles=3,
+        stochastic_buses=(1,),
+        sigma_rel=0.02,
+        monitor_buses=(1,),
+    )
+    setup = SimulationSetup.build(smib_case, sc)
+    config = SolverConfig(order=3, window=0.01)
+    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
+    peaks = sorted(np.abs(tr.states).max() for tr in simulate_sas_batch(setup, config, paths))
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[-2] + peaks[-1]))
+    built = []
+
+    class CountedWork(WindowWork):
+        def __init__(self, lead, n_gen, order):
+            built.append(lead)
+            super().__init__(lead, n_gen, order)
+
+    monkeypatch.setattr(sas, "WindowWork", CountedWork)
+    runs = simulate_sas_batch(setup, config, paths)
+    assert built == [(6,), (5,)]
+    assert [tr.diverged for tr in runs].count(True) == 1
+    for tr, path in zip(runs, paths):
+        alone = simulate_sas_batch(setup, config, [path])[0]
+        assert np.array_equal(tr.states, alone.states, equal_nan=True)
+        assert np.array_equal(tr.voltages, alone.voltages, equal_nan=True)
+        assert (tr.diverged, tr.t_diverged) == (alone.diverged, alone.t_diverged)
 
 
 def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
