@@ -1,7 +1,10 @@
 """Command-line front end: single runs, ensembles and validation.
 
-Artifacts are written atomically into the output directory; repeated
-invocations with the same flags and seed produce byte-identical CSV files.
+Each artifact is streamed into a temporary file next to it, a CSV file in
+blocks of a few hundred rows, so no CSV file's whole text is ever held in
+memory; the temporary file is then renamed into place, or removed if
+writing it fails.  Repeated invocations with the same flags and seed
+produce byte-identical CSV files.
 Exit codes: 0 success, 1 oracle/validation failure, 2 usage error or
 invalid input (including a power flow that does not converge and a network
 that cannot be reduced), 3 I/O error.
@@ -10,10 +13,12 @@ that cannot be reduced), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from . import __version__
 from .case import load_case
@@ -35,15 +40,26 @@ from .noise import build_noise_path, path_to_csv
 from .powerflow import PowerFlowError
 from .sas import MAX_ORDER, SolverConfig
 from .scenario import SimulationSetup, load_scenario
-from .trajectory import columns, csv_text
+from .trajectory import columns, csv_blocks
 from .validate import run_all
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks`` into ``path`` + ".tmp", then rename it to ``path``.
+
+    If writing raises, the temporary file is removed and ``path`` is not
+    touched.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for block in blocks:
+                fh.write(block)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _solver_config(args):
@@ -67,7 +83,7 @@ def _stats_variables(args, setup: SimulationSetup) -> list[str]:
     return names
 
 
-def _stats_csv(ensemble: Ensemble, variables: list[str]) -> str:
+def _stats_csv(ensemble: Ensemble, variables: list[str]) -> Iterator[str]:
     header, cols = ["t"], [ensemble.times]
     for var in variables:
         header += [f"{var}.mean", f"{var}.std"]
@@ -75,10 +91,10 @@ def _stats_csv(ensemble: Ensemble, variables: list[str]) -> str:
         if ensemble.n_runs >= 10:
             header += [f"{var}.q05", f"{var}.q95"]
             cols += confidence_envelope(ensemble, var, 0.9)
-    return csv_text(header, cols)
+    return csv_blocks(header, cols)
 
 
-def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> str:
+def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> Iterator[str]:
     grid = ensemble.times  # snapshots at the whole seconds on the output grid
     seconds = range(1, int(grid[-1]) + 1)
     times = [float(t) for t in seconds if grid_index(grid, t) is not None]
@@ -87,7 +103,7 @@ def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> str:
         for var in variables
         for snap in pdf_evolution(ensemble, var, times)
     ]
-    return csv_text(["variable", "t", "mean", "std", "n"], zip(*rows))
+    return csv_blocks(["variable", "t", "mean", "std", "n"], zip(*rows))
 
 
 def _progress(done: int, total: int) -> None:
@@ -146,7 +162,7 @@ def cmd_run(args) -> int:
         artifacts = []
         if args.runs == 1:
             path = os.path.join(args.out, "trajectory.csv")
-            _write_atomic(path, ensemble.trajectories[0].to_csv())
+            _write_atomic(path, ensemble.trajectories[0].csv_blocks())
             artifacts.append(path)
         else:
             path = os.path.join(args.out, "stats.csv")
@@ -164,14 +180,14 @@ def cmd_run(args) -> int:
                 )
                 report = stability_report(ensemble, crit)
                 path = os.path.join(args.out, "stability.json")
-                _write_atomic(path, json.dumps(report, indent=1) + "\n")
+                _write_atomic(path, [json.dumps(report, indent=1) + "\n"])
                 artifacts.append(path)
             else:
                 manifest["stability"] = "skipped: horizon does not extend beyond t_s"
         if args.save_trajectories and args.runs > 1:
             for i, tr in enumerate(ensemble.trajectories):
                 path = os.path.join(args.out, f"trajectory_{i:03d}.csv")
-                _write_atomic(path, tr.to_csv())
+                _write_atomic(path, tr.csv_blocks())
                 artifacts.append(path)
         if args.dump_noise:
             horizon, dt = noise_grid(scenario, config)
@@ -186,7 +202,7 @@ def cmd_run(args) -> int:
     finally:
         _write_atomic(
             os.path.join(args.out, "manifest.json"),
-            json.dumps(manifest, indent=1) + "\n",
+            [json.dumps(manifest, indent=1) + "\n"],
         )
 
 

@@ -14,11 +14,12 @@ deviation sigma_rel * |mean| (see ``SimulationSetup``).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import csv_text
+from .trajectory import csv_rows
 
 ArrayLike = float | np.ndarray  # one variable, or an array of variables or paths
 
@@ -168,9 +169,9 @@ def load_schedule(
     return eps
 
 
-def path_to_csv(path: NoisePath) -> str:
-    """Render a noise path as ``variable,step,xi`` rows for external audit."""
-    n_vars, n_steps = path.xi.shape
-    variable = np.repeat(np.arange(n_vars), n_steps)
-    step = np.tile(np.arange(n_steps), n_vars)
-    return csv_text(["variable", "step", "xi"], [variable, step, path.xi.ravel()])
+def path_to_csv(path: NoisePath) -> Iterator[str]:
+    """A noise path as ``variable,step,xi`` CSV text, in blocks, for external audit."""
+    yield "variable,step,xi\n"
+    step = np.arange(path.n_steps)
+    for var, xi in enumerate(path.xi):
+        yield from csv_rows([np.full(path.n_steps, var), step, xi])

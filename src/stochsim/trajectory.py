@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,24 +21,48 @@ def columns(gen_buses, monitor_buses) -> list[str]:
     return gen + [f"v{b}" for b in monitor_buses]
 
 
+def _bus_position(buses, prefix: str, name: str) -> int:
+    """Position in ``buses`` of the bus named ``name``: ``prefix``, then the bus id.
+
+    Raises ValueError when no bus has that name.
+    """
+    i = buses.index(int(name[1:]))
+    if name != f"{prefix}{buses[i]}":
+        raise ValueError(name)
+    return i
+
+
 def packed_column(gen_buses, index: int) -> str:
     """Column name of entry ``index`` of a packed [delta | omega | eqp | edp] state."""
     k = len(gen_buses)
     return f"g{gen_buses[index % k]}.{FIELDS[index // k]}"
 
 
-def csv_text(header, columns) -> str:
-    """CSV text: the ``header`` line, then row i of the equal-length ``columns``.
+# Rows per text block of a CSV artifact: a block's text and the Python
+# floats it is formatted from stay well under a megabyte at 42 columns.
+_BLOCK_ROWS = 256
+
+
+def csv_rows(columns) -> Iterator[str]:
+    """Row i of the equal-length ``columns`` as CSV lines, in blocks of text.
 
     Numbers are written with 17 significant digits, so they read back bit
-    for bit, and strings as they are.  The text is built one row at a time.
+    for bit, and strings (a column of numpy string dtype) as they are.
+    Each block holds at most ``_BLOCK_ROWS`` rows, formatted from the
+    block's ``tolist()``, so no more than one block of text exists at once.
     """
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        # float() first: a numpy scalar formats more slowly
-        cells = [x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in cols) + "\n"
+    n = len(cols[0]) if cols else 0
+    for i in range(0, n, _BLOCK_ROWS):
+        block = zip(*[c[i : i + _BLOCK_ROWS].tolist() for c in cols])
+        yield "".join([row % cells for cells in block])
+
+
+def csv_blocks(header, columns) -> Iterator[str]:
+    """CSV text in blocks: the ``header`` line, then :func:`csv_rows` of ``columns``."""
+    yield ",".join(header) + "\n"
+    yield from csv_rows(columns)
 
 
 @dataclass
@@ -75,16 +100,17 @@ class Trajectory:
 
     def value(self, column: str) -> np.ndarray:
         """Series of one variable named in :attr:`columns`."""
+        name, _, var = column.partition(".")
         try:
-            i = self.columns.index(column)
+            if var:
+                g = _bus_position(self.gen_buses, "g", name)
+                return self.states[:, FIELDS.index(var) * self.n_gen + g]
+            return self.voltages[:, _bus_position(self.monitor_buses, "v", name)]
         except ValueError:
             raise KeyError(f"unknown column {column!r}") from None
-        k = self.n_gen
-        if i >= 4 * k:
-            return self.voltages[:, i - 4 * k]
-        return self.states[:, (i % 4) * k + i // 4]
 
-    def to_csv(self) -> str:
-        """Fixed 17-significant-digit CSV, one row per output step."""
-        cols = self.columns
-        return csv_text(["t"] + cols, [self.times] + [self.value(c) for c in cols])
+    def csv_blocks(self) -> Iterator[str]:
+        """Fixed 17-significant-digit CSV, one row per output step, in blocks of text."""
+        k = self.n_gen
+        gen = [self.states[:, f * k + g] for g in range(k) for f in range(len(FIELDS))]
+        return csv_blocks(["t"] + self.columns, [self.times, *gen, *self.voltages.T])

@@ -1,4 +1,6 @@
+import errno
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from stochsim.network import ReductionError
 from stochsim.noise import build_noise_path
 from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim.scenario import SimulationSetup, load_scenario
+from stochsim.trajectory import Trajectory
 from stochsim.validate import CheckResult, check_smib_coefficients
 
 NAN, INF = float("nan"), float("inf")
@@ -124,6 +127,63 @@ def test_reduction_failure_exits_2(repo_root, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.SimulationSetup, "build", singular)
     scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2
+
+
+def test_failed_write_leaves_no_partial_file(repo_root, tmp_path, monkeypatch):
+    # the disk fills after the header and the first row block of a 501-row
+    # trajectory.csv: exit 3, neither the file nor its temporary file is
+    # left, and the manifest records the failure
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    def open_filling(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if path.endswith("trajectory.csv.tmp") else fh
+
+    monkeypatch.setattr(cli, "open", open_filling, raising=False)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.5})
+    out = tmp_path / "out"
+    assert cli.main(run_argv(repo_root, scenario, out)) == 3
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_trajectory_written_in_bounded_memory(tmp_path):
+    # a caseC-sized run, 20,001 rows of 41 columns, makes a file of over
+    # 16 MB; written in row blocks, the writer holds a fraction of one MB
+    rng = np.random.default_rng(5)
+    tr = Trajectory(
+        times=np.arange(20_001) * 1e-3,
+        states=rng.standard_normal((20_001, 40)),
+        gen_buses=tuple(range(30, 40)),
+        solver="sas",
+        monitor_buses=(30,),
+        voltages=rng.random((20_001, 1)),
+    )
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        cli._write_atomic(str(path), tr.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 16_000_000
+    assert peak < 4_000_000
 
 
 def test_missing_case_file_exits_3(tmp_path):
@@ -292,6 +352,13 @@ def test_pdf_snapshots_skip_seconds_off_the_output_grid(repo_root, tmp_path):
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags)) == 0
     rows = (tmp_path / "out" / "pdf.csv").read_text().splitlines()[1:]
     assert rows and {float(row.split(",")[1]) for row in rows} == {2.0, 4.0}
+
+
+def test_pdf_csv_of_a_horizon_under_one_second_is_its_header(repo_root, tmp_path):
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.5})
+    argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "2")
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out" / "pdf.csv").read_text() == "variable,t,mean,std,n\n"
 
 
 def test_pdf_moments_equal_the_stats_cells(repo_root, tmp_path):

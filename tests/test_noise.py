@@ -229,10 +229,10 @@ def test_ou_closed_form_moments():
 
 def test_path_csv_roundtrip_header():
     path = build_noise_path(1, 2, 0.3, 0.1)
-    text = path_to_csv(path)
+    text = "".join(path_to_csv(path))
     lines = text.strip().split("\n")
     assert lines[0] == "variable,step,xi"
     assert len(lines) == 1 + 2 * 3
-    var, step, xi = lines[1].split(",")
-    assert (var, step) == ("0", "0")
-    assert float(xi) == path.xi[0, 0]
+    for line, (var, step) in zip(lines[1:], np.ndindex(2, 3)):
+        assert line.split(",")[:2] == [str(var), str(step)]
+        assert float(line.split(",")[2]) == path.xi[var, step]

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
-from stochsim.trajectory import Trajectory, csv_text
+from stochsim.trajectory import Trajectory, csv_blocks, csv_rows
 
 
-def test_diverged_run_csv_golden_text():
+def diverged_run() -> Trajectory:
     # two generators in block layout [delta | omega | eqp | edp], one
     # monitored bus, and a run that diverged at the last output time
     nan = np.nan
@@ -14,7 +15,7 @@ def test_diverged_run_csv_golden_text():
             [nan] * 8,
         ]
     )
-    tr = Trajectory(
+    return Trajectory(
         times=np.array([0.0, 0.1, 0.2]),
         states=states,
         gen_buses=(30, 31),
@@ -25,7 +26,10 @@ def test_diverged_run_csv_golden_text():
         t_diverged=0.2,
         diverged_column="g30.delta",
     )
-    assert tr.to_csv() == (
+
+
+def test_diverged_run_csv_golden_text():
+    assert "".join(diverged_run().csv_blocks()) == (
         "t,g30.delta,g30.omega,g30.eqp,g30.edp,g31.delta,g31.omega,g31.eqp,g31.edp,v39\n"
         "0,0.25,377,1,0,-0.5,376.5,1.125,-0.0625,1\n"
         "0.10000000000000001,0.10000000000000001,377.25,0.96875,0.5,"
@@ -34,7 +38,36 @@ def test_diverged_run_csv_golden_text():
     )
 
 
-def test_csv_text_writes_strings_as_they_are():
-    text = csv_text(["variable", "step", "xi"], [["g1.delta", "v2"], range(2), [0.5, -np.inf]])
-    assert text == "variable,step,xi\ng1.delta,0,0.5\nv2,1,-inf\n"
-    assert csv_text(["t"], [np.zeros(0)]) == "t\n"
+def test_value_is_the_csv_column_of_its_name():
+    tr = diverged_run()
+    header, *rows = "".join(tr.csv_blocks()).splitlines()
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    for j, name in enumerate(header.split(",")[1:], start=1):
+        assert np.array_equal(tr.value(name), table[:, j], equal_nan=True)
+    for name in ("t", "g030.delta", "g32.delta", "g30.speed", "g30", "v30", "v39.x", "x39"):
+        with pytest.raises(KeyError):
+            tr.value(name)
+
+
+def test_csv_blocks_write_strings_as_they_are():
+    blocks = csv_blocks(["variable", "step", "xi"], [["g1.delta", "v2"], range(2), [0.5, -np.inf]])
+    assert "".join(blocks) == "variable,step,xi\ng1.delta,0,0.5\nv2,1,-inf\n"
+    assert "".join(csv_blocks(["t"], [np.zeros(0)])) == "t\n"
+    assert "".join(csv_blocks(["variable", "t"], [])) == "variable,t\n"
+
+
+def test_csv_rows_equal_cellwise_formatting():
+    # blocks of rows formatted through one row format give the bytes of
+    # formatting each cell on its own, across block boundaries
+    rng = np.random.default_rng(3)
+    n = 600
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    x[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**60]
+    cols = [np.arange(n), x, np.array(["v%d" % i for i in range(n)]), x[::-1].copy()]
+    blocks = list(csv_rows(cols))
+    assert [b.count("\n") for b in blocks] == [256, 256, 88]
+    ref = "".join(
+        ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
+        for row in zip(*cols)
+    )
+    assert "".join(blocks) == ref
