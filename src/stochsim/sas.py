@@ -8,21 +8,34 @@ time integration.  For the analytic right-hand side used here the terms
 coincide with the decomposition-method terms, so evaluating the order-N
 partial sum across the window reproduces the semi-analytical solution.
 
-The recursion runs on the order-major kernels of :mod:`stochsim.series`:
-one (N+1, ..., 13, K) work array holds every series of a window, order
-first, with the fields paired so that each product is one einsum over
-contiguous slices.  A :class:`WindowWork` holds that array, its views and
-the other buffers for one stack shape; a batch builds one and every window
-writes into it again, so a window allocates nothing but its result.  The
-network enters in real form, [[G, -B], [B, G]] with G + jB the reduced
-admittance, so the currents of an order are one real matmul; each network
-builds it once (:attr:`ReducedNetwork.y_real`).  The machine equations are
-a constant linear map per generator (:class:`MachineMap`), built once per
-batch.
+The recursion runs on the order-major kernels of :mod:`stochsim.series`, on
+one field-major (N+1, 13, R·K) work array per stack of R runs of K
+generators: order first, then the field, then one flat axis of runs ×
+generators.  Each field, or pair of adjacent fields, of an order is one
+contiguous (2, R·K) slab.  So every Cauchy product, sin/cos recurrence, frame
+rotation, electric-power dot and machine-map einsum sees the whole stack as
+one system of R·K generators: one numpy call per operation and order, on
+flat operands.  A run-major (R, 13, K) layout would instead make every
+operand R strided pieces, and the kernel's time would go into numpy's
+per-piece overhead.  The machine equations are a constant linear map per
+generator (:class:`MachineMap`), built once per batch and tiled over the
+runs once per work array.
+
+Only the network couples the generators of a run, so the network product is
+the one step done per run: the pair products are read as an (R, 4, K) view,
+the EMFs staged in an (R, 2K, 1) buffer and multiplied by the reduced
+admittance G + jB in real form, [[G, -B], [B, G]] (each network builds it
+once, :attr:`ReducedNetwork.y_real`), and the currents are copied back into
+their slab.  The window start enters by one transposed copy, and the state
+coefficients leave by another, into the packed (N+1, R, 4K) layout the
+caller reads order last.  A :class:`WindowWork` holds these arrays for one
+stack shape; a batch builds one and every window writes into it again, so a
+window allocates nothing but the temporaries of the series kernels.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -98,61 +111,92 @@ class WindowWork:
     """The work arrays of :func:`window_coefficients` for one stack shape.
 
     ``lead`` is the leading shape of the states, (R,) for a stack of R runs
-    or () for one unbatched state; ``n_gen`` is K and ``order`` N.  Holds
-    the (N+1, *lead, 13, K) series array, the (N, *lead, 4, K) derivative
-    array, the product buffers and every view of them that a window reads
-    or writes.  The arrays start uninitialized: a window writes every entry
-    before it reads it.
+    or () for one unbatched state (R = 1); ``n_gen`` is K and ``order`` N.
+    Every series of a window lives in one field-major (N+1, 13, R·K) array:
+    order, field, then one flat axis of runs × generators whose entry
+    r·K + k is generator k of run r.  A field, or a pair of adjacent fields,
+    of one order is one contiguous (2, R·K) slab.  The (N, 4, R·K)
+    derivative array, the product buffers, the network staging buffers and
+    the packed (N+1, *lead, 4K) result buffer complete the set, with every
+    view of them that a window reads or writes.
+
+    The machine map is tiled over the R runs on the first window, and the
+    arrays stay bound to that :class:`MachineMap` object: a window with
+    another one raises.  The arrays
+    start uninitialized: a window writes every entry before it reads it.
     """
 
     def __init__(self, lead: tuple[int, ...], n_gen: int, order: int):
         k = n_gen
-        self.key = (tuple(lead), k, order)
-        w = np.empty((order + 1,) + lead + (_N_FIELDS, k))
-        deriv = np.empty((order,) + lead + (4, k))  # deriv[n] = (n+1) * state[n+1]
-        state = w[..., 0:4, :]  # delta, omega, e'q, e'd
+        lead = tuple(lead)
+        self.key = (lead, k, order)
+        self.n_runs = math.prod(lead)
+        self.mmap = None  # the machine map these arrays are bound to
+        rk = self.n_runs * k
+        w = np.empty((order + 1, _N_FIELDS, rk))
+        deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
+
+        def per_run(a):  # (F, R·K) slab -> (*lead, F, K) view
+            a = a.reshape(a.shape[:-1] + lead + (k,))
+            return np.moveaxis(a, -len(lead) - 2, -2)
+
         # the pair stacks the series kernels read, order first
-        self.eq_ed = w[..., 2:4, :]
-        self.id_iq = w[..., 5:7, :]
-        self.e_t = w[..., 7:9, :]  # e_dt, e_qt
-        self.sc = w[..., 9:11, :]  # sin, cos of delta
-        self.i_net = w[..., 11:13, :]
-        self.d_delta = deriv[..., 0, :]  # the coefficients of delta'
-        # the pair products of one order, and the EMFs in the network frame
-        self.pair = np.empty(lead + (2, 2, k))
-        self.pair_flat = self.pair.reshape(lead + (4, k))
+        self.eq_ed = w[:, 2:4]
+        self.id_iq = w[:, 5:7]
+        self.e_t = w[:, 7:9]  # e_dt, e_qt
+        self.sc = w[:, 9:11]  # sin, cos of delta
+        self.i_net = w[:, 11:13]
+        self.d_delta = deriv[:, 0]  # the coefficients of delta'
+        # the pair products of one order; the network product reads them per
+        # run, writes the EMFs and takes the currents in per-run buffers
+        self.pair = np.empty((2, 2, rk))
+        self.pair_flat = self.pair.reshape(4, rk)
+        self.pair_runs = per_run(self.pair_flat)
         self.e_net = np.empty(lead + (2, k))
         self.e_net_col = self.e_net.reshape(lead + (2 * k, 1))
+        self.i_col = np.empty(lead + (2 * k, 1))
+        self.i_pairs = self.i_col.reshape(lead + (2, k))
         # order 0: the window start and the operands of the one-term products
-        self.x0 = state[0].reshape(lead + (4 * k,))
-        self.delta0 = state[0, ..., 0, :]
-        self.s0, self.c0 = self.sc[0, ..., 0, :], self.sc[0, ..., 1, :]
-        self.eq_ed0 = self.eq_ed[0][..., :, None, :]
-        self.i_net0 = self.i_net[0][..., :, None, :]
-        self.sc0 = self.sc[0][..., None, :, :]
-        self.p_terms = np.empty(lead + (2, k))  # e_dt i_d and e_qt i_q
-        self.p_split = (self.p_terms[..., 0, :], self.p_terms[..., 1, :])
+        self.x0 = per_run(w[0, 0:4])
+        self.delta0 = w[0, 0]
+        self.s0, self.c0 = w[0, 9], w[0, 10]
+        self.eq_ed0 = w[0, 2:4, None]
+        self.i_net0 = w[0, 11:13, None]
+        self.sc0 = w[0, None, 9:11]
+        self.p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
         # per order n, the slices of order n (and n+1) it writes or reads
-        i_net_col = self.i_net.reshape((order + 1,) + lead + (2 * k, 1))
-        machine_in = w[..., 1:7, :]  # omega, e'q, e'd, p_e, i_d, i_q
+        machine_in = w[:, 1:7]  # omega, e'q, e'd, p_e, i_d, i_q
         self.orders = [
             (
                 self.sc[n],
-                i_net_col[n],
+                per_run(self.i_net[n]),
                 self.id_iq[n],
-                w[n, ..., 6:4:-1, :],  # i_q, i_d
+                w[n, 6:4:-1],  # i_q, i_d
                 self.e_t[n],
-                w[n, ..., 3:1:-1, :],  # e'd, e'q
-                w[n, ..., 4, :],  # p_e
+                w[n, 3:1:-1],  # e'd, e'q
+                w[n, 4],  # p_e
                 machine_in[n],
                 deriv[n],
-                state[n + 1],
+                w[n + 1, 0:4],
                 1.0 / (n + 1),
             )
             for n in range(order)
         ]
-        packed = state.reshape((order + 1,) + lead + (4 * k,))
+        # the state coefficients leave per run, packed, and are read order last
+        packed = np.empty((order + 1,) + lead + (4 * k,))
+        self.packed_runs = packed.reshape((order + 1,) + lead + (4, k))
+        self.state_runs = per_run(w[:, 0:4])
         self.coeffs = packed.transpose(tuple(range(1, len(lead) + 2)) + (0,))
+
+    def bind(self, mmap: MachineMap) -> None:
+        """Tile ``mmap`` over the runs on first use; refuse any other map."""
+        if self.mmap is None:
+            self.lin, self.const, self.x_t = (
+                np.tile(a, self.n_runs) for a in (mmap.lin, mmap.const, mmap.x_t)
+            )
+            self.mmap = mmap
+        elif self.mmap is not mmap:
+            raise ValueError("work arrays are bound to another machine map")
 
 
 def window_coefficients(
@@ -164,18 +208,30 @@ def window_coefficients(
 ) -> np.ndarray:
     """Series coefficients of the machine states about ``state0``.
 
-    Order-incremental evaluation of the model through series arithmetic.
-    All series of the window live in one order-major (N+1, ..., 13, K)
-    array whose fields are ordered so that every pair the recursion
-    multiplies is a contiguous slice: per order, one einsum gives sin/cos of
-    the rotor angles, one einsum and one sign matmul each frame rotation,
-    one real matmul with ``net.y_real`` the network currents, one einsum the
-    electric power and one einsum the linear machine map ``mmap``.  At
-    order 0 each Cauchy product has a single term, so a broadcast multiply
-    replaces each of the three product einsums.  ``state0`` is (..., 4K)
-    and ``net.y`` (..., K, K), one leading entry per run; runs do not mix.
-    Returns the (..., 4K, N+1) stack in the packed state layout, on a local
-    clock that starts at 0.
+    Order-incremental evaluation of the model through series arithmetic on
+    the field-major slabs of a :class:`WindowWork`, whose last axis is
+    runs × generators.  ``state0`` enters them by one transposed copy.  Per
+    order:
+
+    - one einsum gives sin/cos of the rotor angles from the delta' and
+      (sin, cos) slabs;
+    - each frame rotation is one einsum of a field pair with the (sin, cos)
+      slab into the (2, 2, R·K) pair products, and one sign matmul;
+    - the network currents are the one per-run step: the sign matmul reads
+      the pair products as an (R, 4, K) view and writes the EMFs into an
+      (R, 2K, 1) buffer, one matmul with ``net.y_real`` gives the currents
+      in a second such buffer, and one copy puts them into the (i_r, i_i)
+      slab;
+    - the stator voltages are two ufuncs with the tiled ``x_t``, the
+      electric power one einsum, and the machine equations one einsum with
+      the tiled linear map of ``mmap``.
+
+    At order 0 each Cauchy product has a single term, so a broadcast
+    multiply replaces each of the three product einsums.  ``state0`` is
+    (..., 4K) and ``net.y`` (..., K, K), one leading entry per run; runs do
+    not mix.  The state coefficients leave by one transposed copy into the
+    packed buffer.  Returns its order-last view, the (..., 4K, N+1) stack
+    in the packed state layout, on a local clock that starts at 0.
 
     Without ``work`` the arrays are allocated for this call.  With a
     :class:`WindowWork` of the same leading shape, K and order they are
@@ -188,38 +244,41 @@ def window_coefficients(
         work = WindowWork(lead, k, order)
     elif work.key != (lead, k, order):
         raise ValueError(f"work arrays are for {work.key}, not {(lead, k, order)}")
+    work.bind(mmap)
     y_real = net.y_real
-    pair, pair_flat = work.pair, work.pair_flat
+    pair, pair_flat, pair_runs = work.pair, work.pair_flat, work.pair_runs
     eq_ed, id_iq, e_t, sc, i_net = work.eq_ed, work.id_iq, work.e_t, work.sc, work.i_net
 
-    work.x0[...] = state0
+    np.copyto(work.x0, state0.reshape(lead + (4, k)))
     np.sin(work.delta0, out=work.s0)
     np.cos(work.delta0, out=work.c0)
     for n, views in enumerate(work.orders):
-        sc_n, i_col, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n, m_in, d_n, x_next, inv = views
+        sc_n, i_runs, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n, m_in, d_n, x_next, inv = views
         if n:
             sin_cos_coeff(work.d_delta, sc, n, out=sc_n)
             product_coeffs(eq_ed, sc, n, out=pair)
         else:
             np.multiply(work.eq_ed0, work.sc0, out=pair)
-        np.matmul(_DQ_TO_NET, pair_flat, out=work.e_net)
-        np.matmul(y_real, work.e_net_col, out=i_col)
+        np.matmul(_DQ_TO_NET, pair_runs, out=work.e_net)
+        np.matmul(y_real, work.e_net_col, out=work.i_col)
+        np.copyto(i_runs, work.i_pairs)
         if n:
             product_coeffs(i_net, sc, n, out=pair)
         else:
             np.multiply(work.i_net0, work.sc0, out=pair)
         np.matmul(_NET_TO_DQ, pair_flat, out=id_iq_n)
-        np.multiply(mmap.x_t, iq_id_n, out=e_t_n)
+        np.multiply(work.x_t, iq_id_n, out=e_t_n)
         np.add(e_t_n, ed_eq_n, out=e_t_n)
         if n:
             dot_coeff(e_t, id_iq, n, out=p_e_n)
         else:
             np.multiply(e_t_n, id_iq_n, out=work.p_terms)
-            np.add(*work.p_split, out=p_e_n)
-        np.einsum("fjk,...jk->...fk", mmap.lin, m_in, out=d_n)
+            np.add(*work.p_terms, out=p_e_n)
+        np.einsum("fjk,jk->fk", work.lin, m_in, out=d_n)
         if n == 0:
-            d_n += mmap.const
+            d_n += work.const
         np.multiply(d_n, inv, out=x_next)
+    np.copyto(work.packed_runs, work.state_runs)
     return work.coeffs
 
 

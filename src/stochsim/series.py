@@ -3,9 +3,11 @@
 The kernels work on order-major stacks: a (N+1, ..., K) array whose entry
 [n] holds the order-n coefficients, so that sum(c[n] * t^n) is the series.
 A pair stack (N+1, ..., 2, K) holds two series side by side, such as
-(sin x, cos x); the axes between the order axis and the last one or two
-index independent runs.  Order n is one contiguous slab, so the solver
-reaches it by a plain first-axis index.
+(sin x, cos x).  The last axis may be any flat axis of independent series,
+and any axes between the order axis and the last one or two index further
+independent series.  The solver passes runs × generators as the last axis
+and no axes between, so order n of a pair is one contiguous (2, R·K) slab
+that a plain first-axis index reaches.
 
 The solver builds its series one order at a time, so the kernels return the
 order-n coefficient of a composition from the coefficients of orders below

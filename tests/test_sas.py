@@ -64,6 +64,25 @@ def test_window_coefficients_match_oracle():
     assert np.allclose(c[2], w_hand, rtol=1e-10)
 
 
+def test_batched_window_coefficients_match_oracle():
+    # 16 random SMIB states, drawn from the ranges of the validate check,
+    # in one stacked call: the closed forms check every run of the merged
+    # runs × generators layout, not one unbatched state at a time
+    p = sm.SMIBParams()
+    net, machines = sm.smib_embedding(p)
+    rng = np.random.default_rng(16)
+    d0 = rng.uniform(-1.2, 1.2, 16)
+    w0 = p.omega_r + rng.uniform(-3.0, 3.0, 16)
+    states = np.stack([sm.smib_state(p, d, w) for d, w in zip(d0, w0)])
+    c = window_coefficients(states, net, MachineMap.from_machines(machines), 2)
+    assert c.shape == (16, 4 * machines.n_gen, 3)
+    for i in range(16):
+        hands = sm.smib_window_coefficients(p, d0[i], w0[i])
+        for hand, eng in zip(hands, c[i, [0, 2]]):  # delta and omega of the machine
+            scale = np.maximum(np.abs(hand), 1e-12)
+            assert np.max(np.abs(hand - eng) / scale) < 1e-10
+
+
 def test_window_evaluation_restores_initial_state():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
@@ -237,6 +256,11 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
         window_coefficients(x[:3], runs_of(post, slice(0, 3)), mmap, 4, work)
     with pytest.raises(ValueError, match="work arrays"):
         window_coefficients(x, post, mmap, 3, work)
+    # the arrays hold the machine map tiled over the runs, so they serve
+    # only the map of their first window
+    other = MachineMap(lin=2.0 * mmap.lin, const=mmap.const, x_t=mmap.x_t)
+    with pytest.raises(ValueError, match="work arrays"):
+        window_coefficients(x, post, other, 4, work)
 
 
 def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
