@@ -35,6 +35,7 @@ from .trajectory import Trajectory
 from .sas import (
     MachineMap,
     SolverConfig,
+    WindowWork,
     simulate_sas,
     simulate_sas_batch,
     window_coefficients,

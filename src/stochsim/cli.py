@@ -83,27 +83,33 @@ def _stats_variables(args, setup: SimulationSetup) -> list[str]:
     return names
 
 
-def _stats_csv(ensemble: Ensemble, variables: list[str]) -> Iterator[str]:
-    header, cols = ["t"], [ensemble.times]
+def _stats_csv(ensemble: Ensemble, variables: list[str]) -> tuple[Iterator[str], list]:
+    """stats.csv's blocks, and each variable's (variable, mean, std) for pdf.csv:
+    one (n_runs, T) matrix per variable gives them and, from 10 runs, the band."""
+    header, cols, moments = ["t"], [ensemble.times], []
     for var in variables:
+        vals = ensemble.values(var)
+        mean, std = ensemble_stats(vals)
+        moments.append((var, mean, std))
         header += [f"{var}.mean", f"{var}.std"]
-        cols += ensemble_stats(ensemble, var)
+        cols += [mean, std]
         if ensemble.n_runs >= 10:
             header += [f"{var}.q05", f"{var}.q95"]
-            cols += confidence_envelope(ensemble, var, 0.9)
-    return csv_blocks(header, cols)
+            cols += confidence_envelope(vals, 0.9)
+    return csv_blocks(header, cols), moments
 
 
-def _pdf_csv(ensemble: Ensemble, variables: list[str]) -> Iterator[str]:
-    grid = ensemble.times  # snapshots at the whole seconds on the output grid
-    seconds = range(1, int(grid[-1]) + 1)
-    times = [float(t) for t in seconds if grid_index(grid, t) is not None]
-    rows = [
+def _pdf_csv(ensemble: Ensemble, moments: list) -> Iterator[str]:
+    """pdf.csv: each variable's ``moments`` at the whole seconds on the output grid."""
+    grid = ensemble.times
+    rows = [grid_index(grid, t) for t in range(1, int(grid[-1]) + 1)]
+    rows = [i for i in rows if i is not None]
+    snaps = [
         (var, snap.time, snap.mean, snap.std, snap.count)
-        for var in variables
-        for snap in pdf_evolution(ensemble, var, times)
+        for var, mean, std in moments
+        for snap in pdf_evolution(ensemble, mean, std, rows)
     ]
-    return csv_blocks(["variable", "t", "mean", "std", "n"], zip(*rows))
+    return csv_blocks(["variable", "t", "mean", "std", "n"], zip(*snaps))
 
 
 def _progress(done: int, total: int) -> None:
@@ -165,11 +171,12 @@ def cmd_run(args) -> int:
             _write_atomic(path, ensemble.trajectories[0].csv_blocks())
             artifacts.append(path)
         else:
+            blocks, moments = _stats_csv(ensemble, variables)
             path = os.path.join(args.out, "stats.csv")
-            _write_atomic(path, _stats_csv(ensemble, variables))
+            _write_atomic(path, blocks)
             artifacts.append(path)
             path = os.path.join(args.out, "pdf.csv")
-            _write_atomic(path, _pdf_csv(ensemble, variables))
+            _write_atomic(path, _pdf_csv(ensemble, moments))
             artifacts.append(path)
             if scenario.horizon_s > args.ts:
                 x_eq = solve_equilibrium(

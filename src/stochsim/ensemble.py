@@ -202,14 +202,15 @@ def run_ensemble(
     )
 
 
-def ensemble_stats(ensemble: Ensemble, variable: str):
+def ensemble_stats(vals: np.ndarray):
     """Pointwise sample mean and standard deviation (n-1 denominator).
 
-    A single-run ensemble reports zero deviation and emits a warning.
+    ``vals`` is one variable's (n_runs, T) matrix (:meth:`Ensemble.values`).
+    A single run reports zero deviation and emits a warning.
     """
-    vals = np.sort(ensemble.values(variable), axis=0)
+    vals = np.sort(vals, axis=0)
     mean = vals.mean(axis=0)
-    if ensemble.n_runs == 1:
+    if len(vals) == 1:
         warnings.warn(
             "standard deviation of a single-run ensemble reported as 0",
             stacklevel=2,
@@ -219,13 +220,13 @@ def ensemble_stats(ensemble: Ensemble, variable: str):
     return mean, std
 
 
-def confidence_envelope(ensemble: Ensemble, variable: str, level: float = 0.9):
-    """Pointwise empirical quantile band at the given coverage level."""
+def confidence_envelope(vals: np.ndarray, level: float = 0.9):
+    """Pointwise empirical quantile band of an (n_runs, T) matrix at the given
+    coverage level; order statistics, so the run order changes no bit."""
     if not 0.0 <= level <= 1.0:
         raise ValueError("level must lie in [0, 1]")
-    if ensemble.n_runs < 10:
+    if len(vals) < 10:
         raise ValueError("at least 10 runs are needed for a quantile envelope")
-    vals = ensemble.values(variable)
     lo = (1.0 - level) / 2.0
     qs = np.quantile(vals, [lo, 1.0 - lo], axis=0, method="linear")
     return qs[0], qs[1]
@@ -237,18 +238,13 @@ def grid_index(grid: np.ndarray, t: float) -> int | None:
     return None if abs(grid[idx] - t) > 1e-9 + 1e-6 * max(abs(t), 1.0) else idx
 
 
-def pdf_evolution(ensemble: Ensemble, variable: str, times) -> list[PdfSnapshot]:
-    """Per-instant normal fits of one variable.
+def pdf_evolution(ensemble: Ensemble, mean, std, rows) -> list[PdfSnapshot]:
+    """Per-instant normal fits of one variable at the grid rows ``rows``.
 
-    Each snapshot holds the :func:`ensemble_stats` mean and standard
-    deviation at one of ``times``, bit for bit.
+    ``mean`` and ``std`` are the variable's :func:`ensemble_stats`; each
+    snapshot holds them at one row, bit for bit.
     """
     grid = ensemble.times
-    rows = [grid_index(grid, t) for t in times]
-    for t, idx in zip(times, rows):
-        if idx is None:
-            raise ValueError(f"time {t} is not on the ensemble grid")
-    mean, std = ensemble_stats(ensemble, variable)
     return [
         PdfSnapshot(float(grid[i]), float(mean[i]), float(std[i]), ensemble.n_runs)
         for i in rows

@@ -19,7 +19,7 @@ flat operands.  A run-major (R, 13, K) layout would instead make every
 operand R strided pieces, and the kernel's time would go into numpy's
 per-piece overhead.  The machine equations are a constant linear map per
 generator (:class:`MachineMap`), built once per batch and tiled over the
-runs once per work array.
+runs when the work arrays are built.
 
 Only the network couples the generators of a run, so the network product is
 the one step done per run: the pair products are read as an (R, 4, K) view,
@@ -28,14 +28,15 @@ admittance G + jB in real form, [[G, -B], [B, G]] (each network builds it
 once, :attr:`ReducedNetwork.y_real`), and the currents are copied back into
 their slab.  The window start enters by one transposed copy, and the state
 coefficients leave by another, into the packed (N+1, R, 4K) layout the
-caller reads order last.  A :class:`WindowWork` holds these arrays for one
-stack shape; a batch builds one and every window writes into it again, so a
-window allocates nothing but the temporaries of the series kernels.
+caller reads order last.  A :class:`WindowWork` holds these arrays for R
+runs of one machine map at one order.  The kernel's one entry,
+``window_coefficients(state0, net, work)``, serves the solver's batches and
+``validate``'s oracle alike; a batch builds its arrays again only when runs
+leave, so a window allocates nothing but the series kernels' temporaries.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -108,37 +109,32 @@ _N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, 
 
 
 class WindowWork:
-    """The work arrays of :func:`window_coefficients` for one stack shape.
+    """The work arrays of :func:`window_coefficients` for a stack of runs.
 
-    ``lead`` is the leading shape of the states, (R,) for a stack of R runs
-    or () for one unbatched state (R = 1); ``n_gen`` is K and ``order`` N.
-    Every series of a window lives in one field-major (N+1, 13, R·K) array:
-    order, field, then one flat axis of runs × generators whose entry
-    r·K + k is generator k of run r.  A field, or a pair of adjacent fields,
-    of one order is one contiguous (2, R·K) slab.  The (N, 4, R·K)
-    derivative array, the product buffers, the network staging buffers and
-    the packed (N+1, *lead, 4K) result buffer complete the set, with every
-    view of them that a window reads or writes.
-
-    The machine map is tiled over the R runs on the first window, and the
-    arrays stay bound to that :class:`MachineMap` object: a window with
-    another one raises.  The arrays
-    start uninitialized: a window writes every entry before it reads it.
+    Built for ``n_runs`` runs R of the machine map ``mmap`` (K generators)
+    at series order ``order`` N.  Every series of a window lives in one
+    field-major (N+1, 13, R·K) array: order, field, then one flat axis of
+    runs × generators whose entry r·K + k is generator k of run r.  A field,
+    or a pair of adjacent fields, of one order is one contiguous (2, R·K)
+    slab.  The (N, 4, R·K) derivative array, the product buffers, the
+    network staging buffers and the packed (N+1, R, 4K) result buffer
+    complete the set, with every view of them that a window reads or
+    writes, and the machine map tiled over the R runs.  The arrays start
+    uninitialized: a window writes every entry before it reads it.
     """
 
-    def __init__(self, lead: tuple[int, ...], n_gen: int, order: int):
-        k = n_gen
-        lead = tuple(lead)
-        self.key = (lead, k, order)
-        self.n_runs = math.prod(lead)
-        self.mmap = None  # the machine map these arrays are bound to
-        rk = self.n_runs * k
+    def __init__(self, mmap: MachineMap, n_runs: int, order: int):
+        k = mmap.x_t.shape[-1]
+        self.n_runs = n_runs
+        rk = n_runs * k
+        self.lin, self.const, self.x_t = (
+            np.tile(a, n_runs) for a in (mmap.lin, mmap.const, mmap.x_t)
+        )
         w = np.empty((order + 1, _N_FIELDS, rk))
         deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
 
-        def per_run(a):  # (F, R·K) slab -> (*lead, F, K) view
-            a = a.reshape(a.shape[:-1] + lead + (k,))
-            return np.moveaxis(a, -len(lead) - 2, -2)
+        def per_run(a):  # (F, R·K) slab -> (R, F, K) view
+            return a.reshape(a.shape[:-1] + (n_runs, k)).swapaxes(-3, -2)
 
         # the pair stacks the series kernels read, order first
         self.eq_ed = w[:, 2:4]
@@ -152,10 +148,10 @@ class WindowWork:
         self.pair = np.empty((2, 2, rk))
         self.pair_flat = self.pair.reshape(4, rk)
         self.pair_runs = per_run(self.pair_flat)
-        self.e_net = np.empty(lead + (2, k))
-        self.e_net_col = self.e_net.reshape(lead + (2 * k, 1))
-        self.i_col = np.empty(lead + (2 * k, 1))
-        self.i_pairs = self.i_col.reshape(lead + (2, k))
+        self.e_net = np.empty((n_runs, 2, k))
+        self.e_net_col = self.e_net.reshape(n_runs, 2 * k, 1)
+        self.i_col = np.empty((n_runs, 2 * k, 1))
+        self.i_pairs = self.i_col.reshape(n_runs, 2, k)
         # order 0: the window start and the operands of the one-term products
         self.x0 = per_run(w[0, 0:4])
         self.delta0 = w[0, 0]
@@ -183,35 +179,25 @@ class WindowWork:
             for n in range(order)
         ]
         # the state coefficients leave per run, packed, and are read order last
-        packed = np.empty((order + 1,) + lead + (4 * k,))
-        self.packed_runs = packed.reshape((order + 1,) + lead + (4, k))
+        packed = np.empty((order + 1, n_runs, 4 * k))
+        self.packed_runs = packed.reshape(order + 1, n_runs, 4, k)
         self.state_runs = per_run(w[:, 0:4])
-        self.coeffs = packed.transpose(tuple(range(1, len(lead) + 2)) + (0,))
-
-    def bind(self, mmap: MachineMap) -> None:
-        """Tile ``mmap`` over the runs on first use; refuse any other map."""
-        if self.mmap is None:
-            self.lin, self.const, self.x_t = (
-                np.tile(a, self.n_runs) for a in (mmap.lin, mmap.const, mmap.x_t)
-            )
-            self.mmap = mmap
-        elif self.mmap is not mmap:
-            raise ValueError("work arrays are bound to another machine map")
+        self.coeffs = packed.transpose(1, 2, 0)
 
 
 def window_coefficients(
-    state0: np.ndarray,
-    net: ReducedNetwork,
-    mmap: MachineMap,
-    order: int,
-    work: WindowWork | None = None,
+    state0: np.ndarray, net: ReducedNetwork, work: WindowWork
 ) -> np.ndarray:
     """Series coefficients of the machine states about ``state0``.
 
+    ``state0`` is an (R, 4K) stack and ``work`` the :class:`WindowWork`
+    built for R runs, whose order and machine map the window takes; another
+    stack size raises ``ValueError``.  ``net.y`` is (R, K, K), or one
+    (K, K) network for every run; runs do not mix.
+
     Order-incremental evaluation of the model through series arithmetic on
-    the field-major slabs of a :class:`WindowWork`, whose last axis is
-    runs × generators.  ``state0`` enters them by one transposed copy.  Per
-    order:
+    the field-major slabs of ``work``, whose last axis is runs × generators.
+    ``state0`` enters them by one transposed copy.  Per order:
 
     - one einsum gives sin/cos of the rotor angles from the delta' and
       (sin, cos) slabs;
@@ -224,32 +210,20 @@ def window_coefficients(
       slab;
     - the stator voltages are two ufuncs with the tiled ``x_t``, the
       electric power one einsum, and the machine equations one einsum with
-      the tiled linear map of ``mmap``.
+      the tiled linear map.
 
     At order 0 each Cauchy product has a single term, so a broadcast
-    multiply replaces each of the three product einsums.  ``state0`` is
-    (..., 4K) and ``net.y`` (..., K, K), one leading entry per run; runs do
-    not mix.  The state coefficients leave by one transposed copy into the
-    packed buffer.  Returns its order-last view, the (..., 4K, N+1) stack
-    in the packed state layout, on a local clock that starts at 0.
-
-    Without ``work`` the arrays are allocated for this call.  With a
-    :class:`WindowWork` of the same leading shape, K and order they are
-    reused, and the result is a view of ``work`` that the next call with
-    it overwrites.
+    multiply replaces each of the three product einsums.  The state
+    coefficients leave by one transposed copy into the packed buffer.
+    Returns its order-last view, the (R, 4K, N+1) stack in the packed state
+    layout, on a local clock that starts at 0.  It is a view of ``work``,
+    which the next window overwrites.
     """
-    lead = state0.shape[:-1]
-    k = mmap.x_t.shape[-1]
-    if work is None:
-        work = WindowWork(lead, k, order)
-    elif work.key != (lead, k, order):
-        raise ValueError(f"work arrays are for {work.key}, not {(lead, k, order)}")
-    work.bind(mmap)
     y_real = net.y_real
     pair, pair_flat, pair_runs = work.pair, work.pair_flat, work.pair_runs
     eq_ed, id_iq, e_t, sc, i_net = work.eq_ed, work.id_iq, work.e_t, work.sc, work.i_net
 
-    np.copyto(work.x0, state0.reshape(lead + (4, k)))
+    np.copyto(work.x0, state0.reshape(work.x0.shape))
     np.sin(work.delta0, out=work.s0)
     np.cos(work.delta0, out=work.c0)
     for n, views in enumerate(work.orders):
@@ -299,14 +273,13 @@ def simulate_sas_batch(
     output is sampled at the window length.
     """
     mmap = MachineMap.from_machines(setup.machines)
-    order, n_gen = config.order, setup.machines.n_gen
-    work = None  # the work arrays of the current stack shape
+    work = None  # the work arrays of the current stack
 
     def stepper(x, net, dt):
         nonlocal work
-        if work is None or work.key[0] != x.shape[:-1]:  # first window, or runs left
-            work = WindowWork(x.shape[:-1], n_gen, order)
-        return series_eval(window_coefficients(x, net, mmap, order, work), dt)
+        if work is None or work.n_runs != len(x):  # first window, or runs left
+            work = WindowWork(mmap, len(x), config.order)
+        return series_eval(window_coefficients(x, net, work), dt)
 
     return run_simulation(
         setup,

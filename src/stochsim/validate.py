@@ -15,8 +15,8 @@ import numpy as np
 
 from . import smib
 from .em import EMConfig, simulate_em
-from .noise import OUParams, ou_closed_form, ou_exact_step
-from .sas import MachineMap, SolverConfig, simulate_sas, window_coefficients
+from .noise import OUParams, build_noise_path, load_schedule, ou_closed_form
+from .sas import MachineMap, SolverConfig, WindowWork, simulate_sas, window_coefficients
 from .scenario import Scenario, SimulationSetup
 from .case import SystemCase
 
@@ -38,51 +38,57 @@ class CheckResult:
 
 
 def check_smib_coefficients() -> CheckResult:
-    """Window coefficients of the series engine vs the hand closed forms."""
+    """Window coefficients of the series engine vs the hand closed forms,
+    for 100 random states in one (100, 8) stack, as a batch makes the call."""
     p = smib.SMIBParams()
     net, machines = smib.smib_embedding(p)
-    mmap = MachineMap.from_machines(machines)
     rng = np.random.default_rng(2024)
+    starts = [
+        (rng.uniform(-1.2, 1.2), p.omega_r + rng.uniform(-3.0, 3.0)) for _ in range(100)
+    ]
+    states = np.stack([smib.smib_state(p, d0, w0) for d0, w0 in starts])
+    work = WindowWork(MachineMap.from_machines(machines), len(states), 2)
+    coeffs = window_coefficients(states, net, work)
     worst = 0.0
-    for _ in range(100):
-        d0 = rng.uniform(-1.2, 1.2)
-        w0 = p.omega_r + rng.uniform(-3.0, 3.0)
-        coeffs = window_coefficients(smib.smib_state(p, d0, w0), net, mmap, 2)
-        d_hand, w_hand = smib.smib_window_coefficients(p, d0, w0)
-        for hand, eng in ((d_hand, coeffs[0]), (w_hand, coeffs[2])):
+    for (d0, w0), eng in zip(starts, coeffs):
+        for hand, eng_row in zip(smib.smib_window_coefficients(p, d0, w0), eng[[0, 2]]):
             scale = np.maximum(np.abs(hand), 1e-12)
-            worst = max(worst, float(np.max(np.abs(hand - eng) / scale)))
+            worst = max(worst, float(np.max(np.abs(hand - eng_row) / scale)))
     return CheckResult(
         "smib-series-equivalence", worst < 1e-10, worst, 1e-10,
         "over 100 random states",
     )
 
 
+def _ou_rows(p: OUParams, seed, n_vars: int, dt: float, burn_in: int, rows: int):
+    """``rows`` rows of ``n_vars`` OU deviations on a ``dt`` grid, from the
+    production update; they start at 0, so ``burn_in`` rows go first."""
+    path = build_noise_path(seed, n_vars, (burn_in + rows) * dt, dt)
+    return load_schedule(np.zeros(n_vars), p.a, np.full(n_vars, p.b), path)[burn_in:]
+
+
 def check_ou_moments(quick: bool = False) -> list[CheckResult]:
-    """Exact-step stationary variance, autocorrelation and closed-form moments."""
-    rng = np.random.default_rng(5)
+    """Load-schedule stationary variance and autocorrelation, closed-form moments."""
     out = []
 
+    # rows 4 s apart correlate by e^-2 and a burn-in of 5 rows leaves a
+    # variance bias of e^-20; the effective sample size is (1 - e^-4) /
+    # (1 + e^-4) = 0.964 of the 100,000 (2,000 quick) samples, so the
+    # relative SE is 0.46% (3.2%) and 2% (10%) spans 4.4 (3.1) SE
     p = OUParams(0.5, 1.0)
-    n = 2_000 if quick else 100_000
     tol = 0.10 if quick else 0.02
-    eps = 0.0
-    samples = np.empty(n)
-    for i in range(n):
-        eps = ou_exact_step(eps, p.a, p.b, 4.0, rng.standard_normal())
-        samples[i] = eps
-    err = abs(np.var(samples) / (p.b**2 / (2 * p.a)) - 1.0)
+    x = _ou_rows(p, (5, 0), 20 if quick else 1_000, 4.0, 5, 100)
+    err = abs(np.var(x) / (p.b**2 / (2 * p.a)) - 1.0)
     out.append(CheckResult("ou-stationary-variance", err < tol, err, tol))
 
-    n = 5_000 if quick else 100_000
+    # the lag-5 correlation of rows 0.1 s apart, pooled over the variables,
+    # has variance 1.81/n by Bartlett's formula: n = 95,000 (4,750 quick)
+    # pairs give an SE of 0.0044 (0.020), so 5% (15%) spans 11 (7.7) SE; a
+    # burn-in of 100 rows leaves a bias of e^-10
     tol = 0.15 if quick else 0.05
     dt, lag = 0.1, 5
-    x = np.empty(n)
-    eps = 0.0
-    for i in range(n):
-        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
-        x[i] = eps
-    corr = np.corrcoef(x[:-lag], x[lag:])[0, 1]
+    x = _ou_rows(p, (5, 1), 50 if quick else 1_000, dt, 100, 100)
+    corr = np.corrcoef(x[:-lag].ravel(), x[lag:].ravel())[0, 1]
     err = abs(corr - math.exp(-p.a * lag * dt))
     out.append(CheckResult("ou-autocorrelation", err < tol, err, tol))
 
@@ -92,7 +98,7 @@ def check_ou_moments(quick: bool = False) -> list[CheckResult]:
     n_paths = 1_000 if quick else 60_000
     tol = 0.10 if quick else 0.03
     t, m, eps0 = 2.0, 200, 3.0
-    db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
+    db = np.random.default_rng(5).standard_normal((n_paths, m)) * math.sqrt(t / m)
     vals = ou_closed_form(eps0, p, t, db)
     mean_ref = smib.ou_moments(p, eps0, t)[0]
     s = np.arange(m) * (t / m)

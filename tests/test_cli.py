@@ -1,3 +1,4 @@
+import collections
 import errno
 import json
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochsim import cli, ensemble, smib
+from stochsim import cli, ensemble, smib, validate
 from stochsim.case import load_case
 from stochsim.network import ReductionError
 from stochsim.noise import build_noise_path
@@ -220,6 +221,21 @@ def test_injected_smib_error_fails_its_check(monkeypatch):
     assert not check_smib_coefficients().passed
 
 
+def test_smib_oracle_checks_the_production_entry(monkeypatch):
+    # the closed-form check runs its 100 states as one (100, 8) stack
+    # through the kernel entry the solver's batches use
+    exact = validate.window_coefficients
+    stacks = []
+
+    def counted(states, net, work):
+        stacks.append((states.shape, work.n_runs, len(work.orders)))
+        return exact(states, net, work)
+
+    monkeypatch.setattr(validate, "window_coefficients", counted)
+    assert check_smib_coefficients().passed
+    assert stacks == [((100, 8), 100, 2)]
+
+
 @pytest.mark.parametrize(
     "doc, names",
     [
@@ -376,6 +392,35 @@ def test_pdf_moments_equal_the_stats_cells(repo_root, tmp_path):
         var, t, mean, std, n = snap.split(",")
         assert n == "20"
         assert (mean, std) == (stats[t][f"{var}.mean"], stats[t][f"{var}.std"])
+
+
+def test_statistics_stack_each_variable_once(repo_root, tmp_path, monkeypatch):
+    # stats.csv and pdf.csv of a 10-run ensemble read each variable's
+    # (n_runs, T) matrix once, and take each statistic of it once
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ensemble.Ensemble, "values")
+    for name in ("ensemble_stats", "confidence_envelope", "pdf_evolution"):
+        count(cli, name)
+    scenario = write_scenario(tmp_path, {"horizon_s": 2.0, "monitor_buses": [1]})
+    flags = ("--runs", "10", "--order", "4", "--window", "0.05",
+             "--stats-vars", "g1.delta,g1.omega,v1")
+    assert cli.main(run_argv(repo_root, scenario, tmp_path / "out", *flags)) == 0
+    assert calls == {
+        "values": 3, "ensemble_stats": 3, "confidence_envelope": 3, "pdf_evolution": 3
+    }
+    header = (tmp_path / "out" / "stats.csv").read_text().splitlines()[0]
+    assert header.count(".q05") == 3
+    assert len((tmp_path / "out" / "pdf.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
 def test_saved_trajectories_and_noise_paths(repo_root, tmp_path):

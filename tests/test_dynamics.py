@@ -198,6 +198,21 @@ def test_solve_equilibrium_prefault_returns_init(smib_case):
     assert np.array_equal(x, init.state)
 
 
+def test_stability_reference_is_the_setup_start(ieee39_case, repo_root):
+    # the equilibrium `stochsim run` solves for the stability criterion is
+    # the state every caseC run starts from, bit for bit, with bus 30
+    # monitored: the second power flow gives nothing the setup lacks
+    from stochsim.scenario import SimulationSetup, load_scenario
+
+    scenario = load_scenario(repo_root / "scenarios" / "caseC.json")
+    assert scenario.monitor_buses == (30,)
+    setup = SimulationSetup.build(ieee39_case, scenario)
+    x_eq = solve_equilibrium(
+        ieee39_case, NetworkCondition("pre-fault"), dict(setup.mean_loads)
+    )
+    assert np.array_equal(x_eq, setup.x0)
+
+
 def test_solve_equilibrium_smib_balance(smib_case):
     # at the pre-fault equilibrium the electric power equals P_m exactly
     _, loads, net, init = prefault_setup(smib_case)

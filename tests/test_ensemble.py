@@ -184,13 +184,22 @@ def test_statistics_ignore_run_order(smib_case):
         run_seeds=[ens.run_seeds[i] for i in order],
     )
     for variable in ("g1.delta", "g1.omega"):
+        vals, permuted = ens.values(variable), shuffled.values(variable)
         for got, want in zip(
-            ensemble_stats(shuffled, variable) + confidence_envelope(shuffled, variable),
-            ensemble_stats(ens, variable) + confidence_envelope(ens, variable),
+            ensemble_stats(permuted) + confidence_envelope(permuted),
+            ensemble_stats(vals) + confidence_envelope(vals),
         ):
             assert np.array_equal(got, want)
-        times = [0.0, 0.25, 0.5, 1.0]
-        assert pdf_evolution(shuffled, variable, times) == pdf_evolution(ens, variable, times)
+        # the band is made of order statistics: the sorted matrix gives it too
+        for got, want in zip(
+            confidence_envelope(np.sort(vals, axis=0)), confidence_envelope(vals)
+        ):
+            assert np.array_equal(got, want)
+        rows = [0, 25, 50, 100]  # t = 0, 0.25, 0.5 and 1 s
+        mean, std = ensemble_stats(vals)
+        snaps = pdf_evolution(ens, mean, std, rows)
+        assert [s.time for s in snaps] == [0.0, 0.25, 0.5, 1.0]
+        assert [(s.mean, s.std) for s in snaps] == [(mean[i], std[i]) for i in rows]
     crit = StabilityCriterion(t_s=0.5, r0=0.07, x_eq=setup.x0)
     prob = stability_report(ens, crit)["probability"]
     assert 0.0 < prob < 1.0  # some runs pass and some fail
@@ -200,14 +209,14 @@ def test_statistics_ignore_run_order(smib_case):
 def test_confidence_envelope_domain(smib_case):
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=0.2))
     ens = run_ensemble(setup, SolverConfig(order=4, window=0.01), 10, 0)
-    low, high = confidence_envelope(ens, "g1.delta", 1.0)
+    vals = ens.values("g1.delta")
+    low, high = confidence_envelope(vals, 1.0)
     assert np.array_equal(low, high)  # identical runs: a zero-width band
     for level in (-0.1, 1.1):
         with pytest.raises(ValueError, match="level"):
-            confidence_envelope(ens, "g1.delta", level)
-    few = dataclasses.replace(ens, trajectories=ens.trajectories[:9])
+            confidence_envelope(vals, level)
     with pytest.raises(ValueError, match="10 runs"):
-        confidence_envelope(few, "g1.delta")
+        confidence_envelope(vals[:9])
 
 
 def test_stability_variables_are_speed_or_angle():

@@ -18,13 +18,18 @@ from stochsim.dynamics import rhs
 from stochsim.network import ReducedNetwork
 
 
+def coefficients(states, net, mmap, order):
+    """One window of ``states`` in work arrays built for this call."""
+    return window_coefficients(states, net, WindowWork(mmap, len(states), order))
+
+
 def test_constant_series_static_state(smib_case):
     # at the pre-fault equilibrium every derivative vanishes, so the window
     # series is constant and evaluates to the initial state anywhere
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
     net = setup.build_net("pre-fault", setup.mean_pq[None])
     mmap = MachineMap.from_machines(setup.machines)
-    c = window_coefficients(setup.x0[None], net, mmap, order=4)[0]
+    c = coefficients(setup.x0[None], net, mmap, 4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
         assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
@@ -37,10 +42,10 @@ def test_local_error_order_scaling():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     mmap = MachineMap.from_machines(machines)
-    state = sm.smib_state(p, 0.7, p.omega_r + 1.0)
-    ref = window_coefficients(state, net, mmap, 16)
+    state = sm.smib_state(p, 0.7, p.omega_r + 1.0)[None]
+    ref = coefficients(state, net, mmap, 16)
     for order in (1, 2, 3, 4):
-        c = window_coefficients(state, net, mmap, order)
+        c = coefficients(state, net, mmap, order)
         errs = [
             np.max(np.abs(series_eval(c, h) - series_eval(ref, h)))
             for h in (0.01, 0.005)
@@ -52,29 +57,25 @@ def test_local_error_order_scaling():
 def test_window_coefficients_match_oracle():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    c = window_coefficients(
-        sm.smib_state(p, 0.7, p.omega_r + 1.0),
-        net,
-        MachineMap.from_machines(machines),
-        order=2,
-    )
+    state = sm.smib_state(p, 0.7, p.omega_r + 1.0)[None]
+    c = coefficients(state, net, MachineMap.from_machines(machines), 2)
     d_hand, w_hand = sm.smib_window_coefficients(p, 0.7, p.omega_r + 1.0)
-    assert c.shape == (4 * machines.n_gen, 3)
-    assert np.allclose(c[0], d_hand, rtol=1e-10)
-    assert np.allclose(c[2], w_hand, rtol=1e-10)
+    assert c.shape == (1, 4 * machines.n_gen, 3)
+    assert np.allclose(c[0, 0], d_hand, rtol=1e-10)
+    assert np.allclose(c[0, 2], w_hand, rtol=1e-10)
 
 
 def test_batched_window_coefficients_match_oracle():
     # 16 random SMIB states, drawn from the ranges of the validate check,
     # in one stacked call: the closed forms check every run of the merged
-    # runs × generators layout, not one unbatched state at a time
+    # runs × generators layout, not one run at a time
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     rng = np.random.default_rng(16)
     d0 = rng.uniform(-1.2, 1.2, 16)
     w0 = p.omega_r + rng.uniform(-3.0, 3.0, 16)
     states = np.stack([sm.smib_state(p, d, w) for d, w in zip(d0, w0)])
-    c = window_coefficients(states, net, MachineMap.from_machines(machines), 2)
+    c = coefficients(states, net, MachineMap.from_machines(machines), 2)
     assert c.shape == (16, 4 * machines.n_gen, 3)
     for i in range(16):
         hands = sm.smib_window_coefficients(p, d0[i], w0[i])
@@ -86,8 +87,8 @@ def test_batched_window_coefficients_match_oracle():
 def test_window_evaluation_restores_initial_state():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    state = sm.smib_state(p, 0.3, p.omega_r - 0.5)
-    c = window_coefficients(state, net, MachineMap.from_machines(machines), order=2)
+    state = sm.smib_state(p, 0.3, p.omega_r - 0.5)[None]
+    c = coefficients(state, net, MachineMap.from_machines(machines), 2)
     assert np.array_equal(series_eval(c, 0.0), state)
 
 
@@ -206,29 +207,25 @@ def runs_of(net: ReducedNetwork, rows) -> ReducedNetwork:
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 9])
 def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
-    # each run's coefficients take the same bits alone, unbatched, in the
-    # batch of 17, in the reversed batch and in reused work arrays
+    # each run's coefficients take the same bits alone, in the batch of 17,
+    # in the reversed batch and in reused work arrays
     setup, net, x = ieee39_windows
     mmap = MachineMap.from_machines(setup.machines)
-    k = setup.machines.n_gen
-    batch = window_coefficients(x, net, mmap, order)
+    batch = coefficients(x, net, mmap, order)
     reverse = slice(None, None, -1)
-    backwards = window_coefficients(x[reverse], runs_of(net, reverse), mmap, order)
-    in_work = window_coefficients(x, net, mmap, order, WindowWork((17,), k, order))
+    work = WindowWork(mmap, 17, order)
+    backwards = window_coefficients(x[reverse], runs_of(net, reverse), work).copy()
+    in_work = window_coefficients(x, net, work)  # the arrays the reversed batch wrote
     assert batch.shape == (17, x.shape[1], order + 1)
     assert np.array_equal(in_work, batch)
-    work_one, work_bare = WindowWork((1,), k, order), WindowWork((), k, order)
+    work_one = WindowWork(mmap, 1, order)
     for i in range(17):
         one = slice(i, i + 1)
-        alone = window_coefficients(x[one], runs_of(net, one), mmap, order)
-        unbatched = window_coefficients(x[i], runs_of(net, i), mmap, order)
+        alone = coefficients(x[one], runs_of(net, one), mmap, order)
         assert np.array_equal(alone[0], batch[i])
-        assert np.array_equal(unbatched, batch[i])
         assert np.array_equal(backwards[16 - i], batch[i])
-        reused = window_coefficients(x[one], runs_of(net, one), mmap, order, work_one)
+        reused = window_coefficients(x[one], runs_of(net, one), work_one)
         assert np.array_equal(reused[0], batch[i])
-        reused = window_coefficients(x[i], runs_of(net, i), mmap, order, work_bare)
-        assert np.array_equal(reused, batch[i])
     assert not np.array_equal(batch[0], batch[1])
 
 
@@ -242,25 +239,19 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
     pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
     nets = [post, setup.build_net("fault-on", pq), setup.build_net("pre-fault", pq)]
     states = [x, x[::-1].copy(), setup.x0 + 0.1 * rng.standard_normal(x.shape)]
-    work = WindowWork((17,), setup.machines.n_gen, 4)
+    work = WindowWork(mmap, 17, 4)
     last = None
     for i in range(9):
-        args = (states[i % 3], nets[(i * 2) % 3], mmap, 4)
+        args = (states[i % 3], nets[(i * 2) % 3])
         got = window_coefficients(*args, work)
         assert np.shares_memory(got, work.coeffs)
         if last is not None:
             assert not np.array_equal(got, last)  # overwritten in place
-        assert np.array_equal(got, window_coefficients(*args))
+        assert np.array_equal(got, coefficients(*args, mmap, 4))
         last = got.copy()
-    with pytest.raises(ValueError, match="work arrays"):
-        window_coefficients(x[:3], runs_of(post, slice(0, 3)), mmap, 4, work)
-    with pytest.raises(ValueError, match="work arrays"):
-        window_coefficients(x, post, mmap, 3, work)
-    # the arrays hold the machine map tiled over the runs, so they serve
-    # only the map of their first window
-    other = MachineMap(lin=2.0 * mmap.lin, const=mmap.const, x_t=mmap.x_t)
-    with pytest.raises(ValueError, match="work arrays"):
-        window_coefficients(x, post, other, 4, work)
+    # a stack of another size does not fit the arrays
+    with pytest.raises(ValueError):
+        window_coefficients(x[:3], runs_of(post, slice(0, 3)), work)
 
 
 def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
@@ -286,13 +277,13 @@ def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
     built = []
 
     class CountedWork(WindowWork):
-        def __init__(self, lead, n_gen, order):
-            built.append(lead)
-            super().__init__(lead, n_gen, order)
+        def __init__(self, mmap, n_runs, order):
+            built.append(n_runs)
+            super().__init__(mmap, n_runs, order)
 
     monkeypatch.setattr(sas, "WindowWork", CountedWork)
     runs = simulate_sas_batch(setup, config, paths)
-    assert built == [(6,), (5,)]
+    assert built == [6, 5]
     assert [tr.diverged for tr in runs].count(True) == 1
     for tr, path in zip(runs, paths):
         alone = simulate_sas_batch(setup, config, [path])[0]
@@ -305,7 +296,7 @@ def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
     # dynamics.rhs is a separate implementation of the model: the order-1
     # coefficients are the time derivative at the window start
     setup, net, x = ieee39_windows
-    c = window_coefficients(x, net, MachineMap.from_machines(setup.machines), 3)
+    c = coefficients(x, net, MachineMap.from_machines(setup.machines), 3)
     f = rhs(x, net, setup.machines)
     assert np.array_equal(c[..., 0], x)
     assert np.all(np.abs(f) > 1e-6)  # no entry is near a cancellation

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochsim import smib as sm
-from stochsim.sas import MachineMap, window_coefficients
+from stochsim.sas import MachineMap, WindowWork, window_coefficients
 
 
 def test_k_coefficients_all_ones_hand_values():
@@ -58,12 +58,12 @@ def test_omega_sas_equilibrium_bracket():
 def test_series_engine_matches_oracle_coefficientwise():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    mmap = MachineMap.from_machines(machines)
+    work = WindowWork(MachineMap.from_machines(machines), 1, 2)
     rng = np.random.default_rng(11)
     for _ in range(25):
         d0 = rng.uniform(-1.2, 1.2)
         w0 = p.omega_r + rng.uniform(-3.0, 3.0)
-        coeffs = window_coefficients(sm.smib_state(p, d0, w0), net, mmap, 2)
+        coeffs = window_coefficients(sm.smib_state(p, d0, w0)[None], net, work)[0]
         d_hand, w_hand = sm.smib_window_coefficients(p, d0, w0)
         assert np.allclose(coeffs[0], d_hand, rtol=1e-10, atol=1e-12)
         assert np.allclose(coeffs[2], w_hand, rtol=1e-10, atol=1e-12)
