@@ -43,7 +43,10 @@ def euler_det_step(
 
     Works on one (4K,) state or an (R, 4K) stack with a matching network.
     """
-    return state + rhs(state, net, machines) * dt
+    out = rhs(state, net, machines)
+    out *= dt
+    out += state
+    return out
 
 
 def simulate_em_batch(

@@ -15,7 +15,7 @@ change of the loads costs one L x L solve per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,13 +94,15 @@ class ReducedNetwork:
         out.setflags(write=False)
         return out
 
-    def bus_voltages(self, emf: np.ndarray) -> np.ndarray:
-        """Complex voltages of the recovered buses for n EMF vectors, (..., n, m).
 
-        ``emf`` is (..., n, K), with the same leading axes as ``recovery``:
-        for a run, the EMFs of n instants under this one network.
-        """
-        return (self.recovery[..., None, :, :] @ emf[..., None])[..., 0]
+def bus_voltages(recovery: np.ndarray, emf: np.ndarray) -> np.ndarray:
+    """Complex voltages V = recovery @ E of the recovered buses, (..., m).
+
+    ``recovery`` is (..., m, K) and ``emf`` (..., K), with leading axes that
+    broadcast: a network's ``recovery`` with the EMFs of one instant, or
+    the recoveries of several networks gathered with the EMFs they serve.
+    """
+    return (recovery @ emf[..., None])[..., 0]
 
 
 def assemble_bus_matrix(case: SystemCase, condition: NetworkCondition) -> np.ndarray:
@@ -168,17 +170,37 @@ class LoadBusNetwork:
     to the voltages of the m buses the recovery keeps; ``load_kcl``
     (L, K+L) maps them to the current each load bus draws from the network,
     which its load shunt must balance.  ``vm2`` is the |V|^2 of each load
-    bus at which its impedance is fixed.  Safe to share across runs.
+    bus at which its impedance is fixed.  The blocks that every
+    :meth:`with_loads` call reads are fixed with the stage, so they are
+    sliced once, at construction: the internal and load column blocks of
+    ``outputs`` and ``load_kcl`` (views, no copies) and ``vm2`` as complex
+    numbers.  Safe to share across runs.
     """
 
     outputs: np.ndarray
     load_kcl: np.ndarray
     vm2: np.ndarray
+    out_k: np.ndarray = field(init=False, repr=False, compare=False)
+    out_l: np.ndarray = field(init=False, repr=False, compare=False)
+    kcl_k: np.ndarray = field(init=False, repr=False, compare=False)
+    kcl_l: np.ndarray = field(init=False, repr=False, compare=False)
+    vm2_complex: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def vm2_complex(self) -> np.ndarray:
-        """``vm2`` as complex numbers, the divisor of the load shunts."""
-        return self.vm2.astype(complex)
+    def __post_init__(self):
+        k = self.load_kcl.shape[1] - self.vm2.size
+        blocks = {
+            "out_k": self.outputs[:, :k],
+            "out_l": self.outputs[:, k:],
+            "kcl_k": self.load_kcl[:, :k],
+            "kcl_l": self.load_kcl[:, k:],
+            "vm2_complex": self.vm2.astype(complex),  # the divisor of the load shunts
+        }
+        for name, block in blocks.items():
+            object.__setattr__(self, name, block)
+
+    def __reduce__(self):
+        # a copy (pickled for a worker) slices its own views again
+        return type(self), (self.outputs, self.load_kcl, self.vm2)
 
     def with_loads(self, pq: np.ndarray) -> ReducedNetwork:
         """The second reduction step: the reduced network at a stack of load values.
@@ -193,18 +215,18 @@ class LoadBusNetwork:
         exact Schur identity, for any load values.
         """
         n_load = self.vm2.size
-        k = self.load_kcl.shape[1] - n_load
+        k = self.kcl_k.shape[1]
         # each (P, Q) pair read as the complex P + jQ, a view of a C-contiguous pq
         s_load = np.ascontiguousarray(pq, dtype=float).view(complex)[..., 0]
         shunts = np.conjugate(s_load)
         shunts /= self.vm2_complex
         lead = shunts.shape[:-1]
         y_ll = np.empty(lead + (n_load, n_load), dtype=complex)
-        y_ll[...] = self.load_kcl[:, k:]
+        y_ll[...] = self.kcl_l
         # a fresh array reshapes to a view: its diagonal is every (L+1)-th entry
         y_ll.reshape(lead + (-1,))[..., :: n_load + 1] += shunts
-        x = _interior_solve(y_ll, self.load_kcl[:, :k])
-        out = self.outputs[:, :k] - self.outputs[:, k:] @ x
+        out = self.out_l @ _interior_solve(y_ll, self.kcl_k)
+        np.subtract(self.out_k, out, out=out)
         return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])
 
 

@@ -23,6 +23,7 @@ from .network import (
     LoadBusNetwork,
     NetworkCondition,
     ReducedNetwork,
+    bus_voltages,
     reduce_to_load_buses,
 )
 from .noise import NoisePath, load_schedule
@@ -30,6 +31,13 @@ from .powerflow import solve_power_flow
 from .trajectory import Trajectory, packed_column
 
 DIVERGENCE_LIMIT = 1e6  # any state beyond this magnitude marks the run unstable
+# Run records (records times runs in the stack) whose voltages run_simulation
+# queues before it computes them in one pass.  On caseC sizes (K=10, one
+# monitored bus) a pass costs 0.34-0.56 us a run record from 128 to 1,024 run
+# records, against 0.98 us at 64, and each holds about 1.5 KB of temporaries:
+# a bound of 256 records whatever the stack raised the peak RSS of a 20-run
+# order-6 caseC call by 5 MB.
+VOLTAGE_BLOCK = 256
 
 
 class ScenarioError(ValueError):
@@ -301,10 +309,17 @@ def run_simulation(
     run's schedule is written straight into its slot, and a resample reads
     the rows of the running runs with one index.  The voltages recorded at
     t_{k+1} are those of the state at t_{k+1} under the network of step k,
-    before any rebuild at t_{k+1}.  A step records the states only; the
-    voltages of all records under one network are computed together, just
-    before that network is replaced (a rebuild, a split step's rebuild, runs
-    leaving the stack) and at the end.
+    before any rebuild at t_{k+1}.  A step records the states only.  When a
+    network is replaced (a rebuild, a split step's rebuild), its records are
+    queued with its ``recovery``; a paper-sde Euler network serves one
+    record, a series-solver network a resample interval of them.  The
+    queued voltages are computed in one pass, one EMF evaluation of the
+    queued states and one stacked product with their gathered recoveries,
+    once the queued records times the runs in the stack reach
+    ``VOLTAGE_BLOCK`` (the network in force queues its records so far),
+    before runs leave the stack and at the end.  Each voltage is the product
+    of its own record's EMFs and recovery, so it does not depend on the pass
+    it is computed in.
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
@@ -361,15 +376,30 @@ def run_simulation(
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    done = 0  # the records before this one have their voltages
+    queue: list[tuple[np.ndarray, int]] = []  # (recovery, records) per network
+    done = queued = 0  # records before these have their voltages, their network queued
 
-    def flush(n_done: int, current_net: ReducedNetwork) -> None:
-        """Voltages of the records ``done`` up to ``n_done``, all under ``current_net``."""
+    def enqueue(n_done: int, current_net: ReducedNetwork) -> None:
+        """Queue the records ``queued`` up to ``n_done``, all under ``current_net``."""
+        nonlocal queued
+        if n_mon and n_done > queued:
+            queue.append((current_net.recovery, n_done - queued))
+        queued = n_done
+
+    def voltages(n_done: int, current_net: ReducedNetwork) -> None:
+        """Queue the records up to ``n_done``, then every queued voltage in one pass."""
         nonlocal done
-        if n_mon and n_done > done:
-            v = current_net.bus_voltages(_emf(states[rows, done:n_done]))
-            volts[rows, done:n_done] = np.abs(v)
-        done = n_done
+        enqueue(n_done, current_net)
+        if queue:
+            # (R, m, K) recoveries joined to (R, networks, m, K), then one per record
+            recovery = np.concatenate([rec for rec, _ in queue], axis=1)
+            recovery = recovery.reshape(active.size, len(queue), n_mon, -1)
+            if len(queue) < queued - done:  # a network serves several records
+                recovery = np.repeat(recovery, [n for _, n in queue], axis=1)
+            emf = _emf(states[rows, done:queued])
+            volts[rows, done:queued] = np.abs(bus_voltages(recovery, emf))
+            queue.clear()
+        done = queued
 
     x = np.repeat(setup.x0[None], r, axis=0)
     states[:, 0] = x
@@ -379,7 +409,7 @@ def run_simulation(
         if resample:
             pq[:, spec_rows] = loads[rows, k // spr].reshape(active.size, -1, 2)
         if resample or k in switch_at:
-            flush(k // out_stride + 1, net)
+            enqueue(k // out_stride + 1, net)
             stage = switch_at.get(k, stage)
             net = setup.build_net(stage, pq)
             n_rebuilds += 1
@@ -387,7 +417,7 @@ def run_simulation(
         a = k * h
         for tb, new_stage in split_in.get(k, ()):
             x = step_fn(x, net, tb - a)
-            flush(k // out_stride + 1, net)
+            enqueue(k // out_stride + 1, net)
             stage = new_stage
             net = setup.build_net(stage, pq)
             n_windows += 1
@@ -397,7 +427,7 @@ def run_simulation(
         n_windows += 1
 
         if not np.abs(x).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
-            flush(k // out_stride + 1, net)
+            voltages(k // out_stride + 1, net)
             ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = (k + 1) * h
@@ -410,10 +440,13 @@ def run_simulation(
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
         if (k + 1) % out_stride == 0:
-            states[rows, (k + 1) // out_stride] = x
+            n_done = (k + 1) // out_stride + 1
+            states[rows, n_done - 1] = x
+            if (n_done - done) * active.size >= VOLTAGE_BLOCK:
+                voltages(n_done, net)
 
     if active.size:
-        flush(n_rec, net)
+        voltages(n_rec, net)
     for i in active:
         counts[i] = (n_windows, n_rebuilds)
     return [

@@ -1,5 +1,6 @@
 """A run's trajectory does not depend on the batch it is simulated in."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,44 @@ def test_em_divergence_inside_a_batch(smib_case, monkeypatch):
             steps = round(tr.t_diverged / config.dt)  # the run took steps 0 .. steps-1
             assert np.isnan(tr.states[steps:]).all()
             assert np.array_equal(tr.states[:steps], ref.states[:steps])
+    # the runs leave with voltages still queued, and the pass before each
+    # leave reads the records of the runs still in the stack
+    assert_voltage_oracle(setup, config.dt, True, paths, batch)
+
+
+def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
+    # a paper-sde network serves one record, but the voltages are computed
+    # in passes: one once the stack's queued run records reach the bound,
+    # one before a run leaves (a NaN in run 2's noise at column 500 stops it
+    # at t = 0.502) and one at the end, each one _emf call over its records
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    config = EMConfig(dt=1e-3, mode="paper-sde")
+    paths = [build_noise_path((9, i), setup.n_noise_vars(), 1.0, config.dt) for i in range(3)]
+    xi = paths[2].xi.copy()
+    xi[:, 500] = np.nan
+    paths[2] = NoisePath(paths[2].seed, paths[2].dt, xi)
+    passes = []  # (runs, records) of each _emf call
+    emf = scenario_mod._emf
+
+    def counted(states):
+        passes.append(states.shape[:2])
+        return emf(states)
+
+    monkeypatch.setattr(scenario_mod, "_emf", counted)
+    runs = simulate_em_batch(setup, config, paths)
+    assert [tr.diverged for tr in runs] == [False, False, True]
+    assert runs[2].t_diverged == pytest.approx(0.502)
+
+    bound = scenario_mod.VOLTAGE_BLOCK
+    records = {3: 502, 2: 1001 - 502}  # per stack size, the records it holds
+    for r, n_rec in records.items():
+        sizes = [n for runs_in, n in passes if runs_in == r]
+        assert sum(sizes) == n_rec  # every record of the stack once
+        # a pass is due as soon as the queued run records reach the bound
+        assert all(bound <= r * n < bound + r for n in sizes[:-1])
+        assert 0 < r * sizes[-1] < bound + r
+    assert len(passes) == sum(math.ceil(n / math.ceil(bound / r)) for r, n in records.items())
+    assert len(passes) < 1001 / 50  # far below one pass per record
 
 
 def assert_voltage_oracle(setup, h, em_continuous, paths, runs):

@@ -11,6 +11,7 @@ from stochsim.network import (
     ReducedNetwork,
     ReductionError,
     assemble_bus_matrix,
+    bus_voltages,
     reduce_to_load_buses,
     schur_complement,
 )
@@ -112,6 +113,23 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
         one = reduce_all_buses(ieee39_case, cond, v, dict(zip(buses, pq[i])))
         assert np.array_equal(stack.y[i], one.y)
         assert np.array_equal(stack.recovery[i], one.recovery)
+
+
+def test_loads_of_any_layout_or_dtype_convert(ieee39_case):
+    # the loads are read as the P + jQ pairs of a C-contiguous float array:
+    # a strided view, a reversed view and integer values are converted
+    # first, and give the bits of the contiguous float call
+    v = solve_power_flow(ieee39_case)
+    first = reduce_to_load_buses(ieee39_case, NetworkCondition("pre-fault"), v, [29])
+    rng = np.random.default_rng(5)
+    wide = rng.uniform(0.5, 3.0, (3, first.vm2.size, 4))
+    ints = rng.integers(1, 4, (3, first.vm2.size, 2))
+    for pq in (wide[..., ::2], wide[::-1, :, 1:3], ints):
+        assert not (pq.flags.c_contiguous and pq.dtype == np.float64)
+        got = first.with_loads(pq)
+        want = first.with_loads(np.ascontiguousarray(pq, dtype=np.float64))
+        assert np.array_equal(got.y, want.y)
+        assert np.array_equal(got.recovery, want.recovery)
 
 
 @pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
@@ -264,7 +282,7 @@ def test_schur_complement_of_a_stack_matches_each_matrix(monkeypatch, solve):
 
     net = ReducedNetwork(y=y_red, recovery=rec)
     e = cplx(r, 2, k)  # two EMF vectors per run
-    v = net.bus_voltages(e)
+    v = bus_voltages(net.recovery[:, None], e)
     assert v.shape == (r, 2, m)
     for i in range(r):
         for j in range(2):
@@ -284,7 +302,7 @@ def test_fault_stage_grounds_bus(smib_case):
     cond = NetworkCondition("fault-on", fault_bus=1)
     net = reduce_all_buses(smib_case, cond, v, loads)
     e = np.array([1.1 * np.exp(0.3j), 1.0 + 0j])
-    vb = net.bus_voltages(e[None])[0]
+    vb = bus_voltages(net.recovery, e)
     assert abs(vb[0]) < 1e-5  # faulted bus held at (near) zero
 
 
