@@ -12,10 +12,8 @@ from .case import SystemCase, GeneratorParams, CaseError, parse_case, load_case
 from .network import NetworkCondition, ReducedNetwork, ReductionError
 from .powerflow import PowerFlowError, solve_power_flow
 from .dynamics import (
-    AlgebraicOutputs,
     EquilibriumError,
     MachineSet,
-    compute_injections,
     init_dynamic_state,
     rhs,
     solve_equilibrium,
@@ -28,12 +26,10 @@ from .noise import (
     ou_closed_form,
     ou_em_step,
     ou_exact_step,
-    stationary_variance,
 )
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .trajectory import Trajectory
 from .sas import (
-    MachineMap,
     SolverConfig,
     WindowWork,
     simulate_sas,
@@ -44,7 +40,6 @@ from .em import EMConfig, euler_det_step, simulate_em, simulate_em_batch
 from .ensemble import (
     Ensemble,
     StabilityCriterion,
-    PdfSnapshot,
     confidence_envelope,
     ensemble_stats,
     pdf_evolution,

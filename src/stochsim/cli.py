@@ -20,6 +20,8 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__
 from .case import load_case
 from .dynamics import EquilibriumError, solve_equilibrium
@@ -69,7 +71,8 @@ def _solver_config(args):
 
 
 def _stats_variables(args, setup: SimulationSetup) -> list[str]:
-    """Variables of stats.csv and pdf.csv; an unknown name is a usage error."""
+    """Variables of stats.csv and pdf.csv; an unknown or repeated name is a
+    usage error."""
     gen_buses = [g.bus for g in setup.case.generators]
     known = columns(gen_buses, setup.scenario.monitor_buses)
     if args.stats_vars == "all":
@@ -80,6 +83,8 @@ def _stats_variables(args, setup: SimulationSetup) -> list[str]:
     unknown = [v for v in names if v not in known]
     if unknown:
         raise UsageError(f"--stats-vars: unknown variable(s) {', '.join(unknown)}")
+    if len(set(names)) != len(names):
+        raise UsageError(f"--stats-vars names a variable twice: {args.stats_vars}")
     return names
 
 
@@ -104,12 +109,11 @@ def _pdf_csv(ensemble: Ensemble, moments: list) -> Iterator[str]:
     grid = ensemble.times
     rows = [grid_index(grid, t) for t in range(1, int(grid[-1]) + 1)]
     rows = [i for i in rows if i is not None]
-    snaps = [
-        (var, snap.time, snap.mean, snap.std, snap.count)
-        for var, mean, std in moments
-        for snap in pdf_evolution(ensemble, mean, std, rows)
-    ]
-    return csv_blocks(["variable", "t", "mean", "std", "n"], zip(*snaps))
+    fits = [pdf_evolution(ensemble, mean, std, rows) for _, mean, std in moments]
+    names = np.repeat([var for var, _, _ in moments], len(rows))
+    t, mean, std = (np.concatenate(col) for col in zip(*fits))
+    n = np.full(len(names), ensemble.n_runs)
+    return csv_blocks(["variable", "t", "mean", "std", "n"], [names, t, mean, std, n])
 
 
 def _progress(done: int, total: int) -> None:

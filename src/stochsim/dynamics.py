@@ -89,28 +89,18 @@ def split_state(state: np.ndarray):
     )
 
 
-@dataclass(frozen=True)
-class AlgebraicOutputs:
-    """Network coupling quantities per generator (all p.u.)."""
-
-    emf: np.ndarray  # complex internal EMF
-    i_r: np.ndarray
-    i_i: np.ndarray
-    i_d: np.ndarray
-    i_q: np.ndarray
-    e_d: np.ndarray
-    e_q: np.ndarray
-    p_e: np.ndarray
-
-
 def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
     """EMF, network currents I, i_q, i_d, e_q, e_d and P_e of packed-state blocks.
 
-    One rotation each way: E = (e'q - j e'd) e^{j delta}, I = Y E and
-    i_q - j i_d = I e^{-j delta}.  Both rotations are written out in real
-    arithmetic: numpy may fuse the multiply-adds of a complex product, which
-    would move the pre-fault P_m and E_fd of :func:`init_dynamic_state`, and
-    with them every run, by a rounding.
+    The network coupling that :func:`rhs` runs and from which
+    :func:`init_dynamic_state` back-computes E_fd and P_m.  One rotation
+    each way: E = (e'q - j e'd) e^{j delta}, I = Y E and
+    i_q - j i_d = I e^{-j delta}; the stator voltages are
+    e_q = e'q - x'd i_d and e_d = e'd + x'q i_q, and P_e = e_q i_q + e_d i_d.
+    The blocks may be (K,) with a (K, K) ``y``, or (R, K) stacks with an
+    (R, K, K) one.  Both rotations are written out in real arithmetic: numpy
+    may fuse the multiply-adds of a complex product, which would move the
+    pre-fault P_m and E_fd, and with them every run, by a rounding.
     """
     sin_d, cos_d = np.sin(delta), np.cos(delta)
     emf = np.empty(delta.shape, dtype=complex)
@@ -123,22 +113,6 @@ def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
     e_q = eqp - machines.xdp * i_d
     e_d = edp + machines.xqp * i_q
     return emf, it, i_q, i_d, e_q, e_d, e_q * i_q + e_d * i_d
-
-
-def compute_injections(
-    state: np.ndarray, net: ReducedNetwork, machines: MachineSet
-) -> AlgebraicOutputs:
-    """Evaluate the algebraic network coupling at a dynamic state.
-
-    EMF E = (e'q - j e'd) e^{j delta}; terminal currents I = Y E; dq
-    currents by the inverse rotation, i_q - j i_d = I e^{-j delta}; stator
-    voltages e_q = e'_q - x'_d i_d and e_d = e'_d + x'_q i_q; electric power
-    P_e = e_q i_q + e_d i_d.  ``state`` may be (4K,) with a (K, K)
-    ``net.y``, or an (R, 4K) stack of runs with an (R, K, K) one.
-    """
-    delta, _, eqp, edp = split_state(state)
-    emf, it, i_q, i_d, e_q, e_d, p_e = _injections(delta, eqp, edp, net.y, machines)
-    return AlgebraicOutputs(emf, it.real, it.imag, i_d, i_q, e_d, e_q, p_e)
 
 
 def rhs(state: np.ndarray, net: ReducedNetwork, machines: MachineSet) -> np.ndarray:
@@ -209,9 +183,9 @@ def init_dynamic_state(
     omega = np.full(machines.n_gen, machines.omega_r)
     state = pack_state(delta, omega, eqp, edp)
 
-    out = compute_injections(state, net, machines)
-    efd = eqp + (machines.xd - machines.xdp) * out.i_d
-    return InitResult(state, replace(machines, efd=efd, pm=out.p_e.copy()))
+    _, _, _, i_d, _, _, p_e = _injections(delta, eqp, edp, net.y, machines)
+    efd = eqp + (machines.xd - machines.xdp) * i_d
+    return InitResult(state, replace(machines, efd=efd, pm=p_e))
 
 
 def solve_equilibrium(

@@ -81,16 +81,6 @@ class StabilityCriterion:
             raise ValueError(f"variables must be 'speed' or 'angle', not {self.variables!r}")
 
 
-@dataclass(frozen=True)
-class PdfSnapshot:
-    """Normal fit of one variable's ensemble distribution at one instant."""
-
-    time: float
-    mean: float
-    std: float
-    count: int
-
-
 def _run_seed(master_seed: int, run_index: int) -> tuple:
     return (master_seed, run_index)
 
@@ -238,17 +228,14 @@ def grid_index(grid: np.ndarray, t: float) -> int | None:
     return None if abs(grid[idx] - t) > 1e-9 + 1e-6 * max(abs(t), 1.0) else idx
 
 
-def pdf_evolution(ensemble: Ensemble, mean, std, rows) -> list[PdfSnapshot]:
-    """Per-instant normal fits of one variable at the grid rows ``rows``.
+def pdf_evolution(ensemble: Ensemble, mean, std, rows):
+    """Normal fits of one variable's ensemble distribution at the grid rows ``rows``.
 
-    ``mean`` and ``std`` are the variable's :func:`ensemble_stats`; each
-    snapshot holds them at one row, bit for bit.
+    ``mean`` and ``std`` are the variable's :func:`ensemble_stats`.  Returns
+    the times, means and standard deviations at those rows as three arrays,
+    the moments bit for bit.
     """
-    grid = ensemble.times
-    return [
-        PdfSnapshot(float(grid[i]), float(mean[i]), float(std[i]), ensemble.n_runs)
-        for i in rows
-    ]
+    return ensemble.times[rows], mean[rows], std[rows]
 
 
 def run_passes(trajectory: Trajectory, crit: StabilityCriterion) -> bool:

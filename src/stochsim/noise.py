@@ -38,11 +38,6 @@ class OUParams:
             raise ValueError("OU diffusion parameter b must be nonnegative")
 
 
-def stationary_variance(p: OUParams) -> float:
-    """Variance of the stationary OU distribution, b^2 / (2a)."""
-    return p.b * p.b / (2.0 * p.a)
-
-
 def _exact_transition(a: ArrayLike, b: ArrayLike, dt: float):
     """Decay exp(-a dt) and noise scale b sqrt((1 - exp(-2 a dt)) / (2a)) of an exact step."""
     if dt <= 0.0:

@@ -13,13 +13,12 @@ one field-major (N+1, 13, R·K) work array per stack of R runs of K
 generators: order first, then the field, then one flat axis of runs ×
 generators.  Each field, or pair of adjacent fields, of an order is one
 contiguous (2, R·K) slab.  So every Cauchy product, sin/cos recurrence, frame
-rotation, electric-power dot and machine-map einsum sees the whole stack as
-one system of R·K generators: one numpy call per operation and order, on
+rotation, electric-power dot and machine-equation einsum sees the whole stack
+as one system of R·K generators: one numpy call per operation and order, on
 flat operands.  A run-major (R, 13, K) layout would instead make every
 operand R strided pieces, and the kernel's time would go into numpy's
 per-piece overhead.  The machine equations are a constant linear map per
-generator (:class:`MachineMap`), built once per batch and tiled over the
-runs when the work arrays are built.
+generator, which the work arrays hold tiled over the runs.
 
 Only the network couples the generators of a run, so the network product is
 the one step done per run: the pair products are read as an (R, 4, K) view,
@@ -29,7 +28,7 @@ once, :attr:`ReducedNetwork.y_real`), and the currents are copied back into
 their slab.  The window start enters by one transposed copy, and the state
 coefficients leave by another, into the packed (N+1, R, 4K) layout the
 caller reads order last.  A :class:`WindowWork` holds these arrays for R
-runs of one machine map at one order.  The kernel's one entry,
+runs of one machine set at one order.  The kernel's one entry,
 ``window_coefficients(state0, net, work)``, serves the solver's batches and
 ``validate``'s oracle alike; a batch builds its arrays again only when runs
 leave, so a window allocates nothing but the series kernels' temporaries.
@@ -65,25 +64,41 @@ class SolverConfig:
             raise ValueError("window length must be positive")
 
 
-@dataclass(frozen=True)
-class MachineMap:
-    """The machine equations in the form the window kernel applies them.
+# Frame rotations by delta: 2x4 maps from the four Cauchy products of a pair
+# with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the rotated
+# pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
+_DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+_NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, i_i
 
-    The time derivative of (delta, omega, e'q, e'd) is one linear map per
-    generator, ``lin`` (4, 6, K), over (omega, e'q, e'd, p_e, i_d, i_q),
-    plus ``const`` (4, K) at order 0: -omega_r, (omega_r P_m + D omega_r)/2H,
-    E_fd/T'd0 and 0.  ``x_t`` (2, K) is (x'q, -x'd), which turns
-    (e'd, e'q) and (i_q, i_d) into the stator voltages (e_d, e_q).  Built
-    once per batch from a :class:`MachineSet` with its inputs set.
+
+class WindowWork:
+    """The work arrays of :func:`window_coefficients` for a stack of runs.
+
+    Built for ``n_runs`` runs R of ``machines`` (K generators, a
+    :class:`MachineSet` with its inputs set) at series order ``order`` N.
+    Every series of a window lives in one field-major (N+1, 13, R·K) array:
+    order, field, then one flat axis of runs × generators whose entry
+    r·K + k is generator k of run r.  A field, or a pair of adjacent fields,
+    of one order is one contiguous (2, R·K) slab.  The (N, 4, R·K)
+    derivative array, the product buffers, the network staging buffers and
+    the packed (N+1, R, 4K) result buffer complete the set, with every view
+    of them that a window reads or writes.  The arrays start uninitialized:
+    a window writes every entry before it reads it.
+
+    The machine equations are tiled over the R runs.  The time derivative
+    of (delta, omega, e'q, e'd) is one linear map per generator, ``lin``
+    (4, 6, R·K), over (omega, e'q, e'd, p_e, i_d, i_q), plus ``const``
+    (4, R·K) at order 0: -omega_r, (omega_r P_m + D omega_r)/2H, E_fd/T'd0
+    and 0.  ``x_t`` (2, R·K) is (x'q, -x'd), which turns (e'd, e'q) and
+    (i_q, i_d) into the stator voltages (e_d, e_q).
     """
 
-    lin: np.ndarray
-    const: np.ndarray
-    x_t: np.ndarray
-
-    @classmethod
-    def from_machines(cls, m: MachineSet) -> "MachineMap":
+    def __init__(self, machines: MachineSet, n_runs: int, order: int):
+        m = machines
         k = m.n_gen
+        self.n_runs = n_runs
+        rk = n_runs * k
         w_r = m.omega_r
         half_h = w_r / (2.0 * m.H)
         lin = np.zeros((4, 6, k))
@@ -97,38 +112,8 @@ class MachineMap:
         const = np.stack(
             [np.full(k, -w_r), half_h * (m.pm + m.D), m.efd / m.Td0p, np.zeros(k)]
         )
-        return cls(lin=lin, const=const, x_t=np.stack([m.xqp, -m.xdp]))
-
-
-# Frame rotations by delta: 2x4 maps from the four Cauchy products of a pair
-# with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the rotated
-# pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
-_DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
-_NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
-_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, i_i
-
-
-class WindowWork:
-    """The work arrays of :func:`window_coefficients` for a stack of runs.
-
-    Built for ``n_runs`` runs R of the machine map ``mmap`` (K generators)
-    at series order ``order`` N.  Every series of a window lives in one
-    field-major (N+1, 13, R·K) array: order, field, then one flat axis of
-    runs × generators whose entry r·K + k is generator k of run r.  A field,
-    or a pair of adjacent fields, of one order is one contiguous (2, R·K)
-    slab.  The (N, 4, R·K) derivative array, the product buffers, the
-    network staging buffers and the packed (N+1, R, 4K) result buffer
-    complete the set, with every view of them that a window reads or
-    writes, and the machine map tiled over the R runs.  The arrays start
-    uninitialized: a window writes every entry before it reads it.
-    """
-
-    def __init__(self, mmap: MachineMap, n_runs: int, order: int):
-        k = mmap.x_t.shape[-1]
-        self.n_runs = n_runs
-        rk = n_runs * k
         self.lin, self.const, self.x_t = (
-            np.tile(a, n_runs) for a in (mmap.lin, mmap.const, mmap.x_t)
+            np.tile(a, n_runs) for a in (lin, const, np.stack([m.xqp, -m.xdp]))
         )
         w = np.empty((order + 1, _N_FIELDS, rk))
         deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
@@ -191,9 +176,9 @@ def window_coefficients(
     """Series coefficients of the machine states about ``state0``.
 
     ``state0`` is an (R, 4K) stack and ``work`` the :class:`WindowWork`
-    built for R runs, whose order and machine map the window takes; another
-    stack size raises ``ValueError``.  ``net.y`` is (R, K, K), or one
-    (K, K) network for every run; runs do not mix.
+    built for R runs, whose order and tiled machine equations the window
+    takes; another stack size raises ``ValueError``.  ``net.y`` is
+    (R, K, K), or one (K, K) network for every run; runs do not mix.
 
     Order-incremental evaluation of the model through series arithmetic on
     the field-major slabs of ``work``, whose last axis is runs × generators.
@@ -272,13 +257,12 @@ def simulate_sas_batch(
     window must divide the resample interval, which the driver checks.  The
     output is sampled at the window length.
     """
-    mmap = MachineMap.from_machines(setup.machines)
     work = None  # the work arrays of the current stack
 
     def stepper(x, net, dt):
         nonlocal work
         if work is None or work.n_runs != len(x):  # first window, or runs left
-            work = WindowWork(mmap, len(x), config.order)
+            work = WindowWork(setup.machines, len(x), config.order)
         return series_eval(window_coefficients(x, net, work), dt)
 
     return run_simulation(

@@ -102,7 +102,10 @@ class Scenario:
         for bus in stoch:
             if bus not in load_buses:
                 raise ScenarioError(f"stochastic bus {bus} carries no load")
-        for bus in self.monitor_buses:
+        monitor = list(self.monitor_buses)
+        if len(set(monitor)) != len(monitor):
+            raise ScenarioError(f"monitor_buses lists a bus twice: {monitor}")
+        for bus in monitor:
             case.bus_index(bus)
         if self.sigma_rel < 0:
             raise ScenarioError("sigma_rel must be nonnegative")
@@ -110,9 +113,9 @@ class Scenario:
             raise ScenarioError("resample_dt and drift_a must be positive")
 
 
-def _field(doc: dict, key: str, convert, default):
-    """``convert`` of the field's value, or of ``default`` when it is absent."""
-    value = doc.get(key, default)
+def _field(doc: dict, key: str, convert):
+    """``convert`` of the field's value."""
+    value = doc[key]
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -136,22 +139,20 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("top level must be a JSON object")
     if "horizon_s" not in doc:
         raise ScenarioError("missing field 'horizon_s'")
-    return Scenario(
-        horizon_s=_field(doc, "horizon_s", finite_float, None),
-        fault_bus=_field(doc, "fault_bus", lambda v: None if v is None else bus_id(v), None),
-        fault_start_s=_field(doc, "fault_start_s", finite_float, 1.0),
-        fault_duration_cycles=_field(doc, "fault_duration_cycles", finite_float, 10.0),
-        trip_branches=_field(
-            doc, "trip_branches", lambda v: tuple(_bus_ids(pair, 2) for pair in v), []
-        ),
-        stochastic_buses=_field(
-            doc, "stochastic_buses", lambda v: v if isinstance(v, str) else _bus_ids(v), []
-        ),
-        sigma_rel=_field(doc, "sigma_rel", finite_float, 0.0),
-        drift_a=_field(doc, "drift_a", finite_float, 0.5),
-        resample_dt=_field(doc, "resample_dt", finite_float, 0.1),
-        monitor_buses=_field(doc, "monitor_buses", _bus_ids, []),
-    )
+    convert = {
+        "horizon_s": finite_float,
+        "fault_bus": lambda v: None if v is None else bus_id(v),
+        "fault_start_s": finite_float,
+        "fault_duration_cycles": finite_float,
+        "trip_branches": lambda v: tuple(_bus_ids(pair, 2) for pair in v),
+        "stochastic_buses": lambda v: v if isinstance(v, str) else _bus_ids(v),
+        "sigma_rel": finite_float,
+        "drift_a": finite_float,
+        "resample_dt": finite_float,
+        "monitor_buses": _bus_ids,
+    }
+    # the fields the document gives; the dataclass supplies the rest
+    return Scenario(**{k: _field(doc, k, f) for k, f in convert.items() if k in doc})
 
 
 def load_scenario(path) -> Scenario:

@@ -16,7 +16,7 @@ import numpy as np
 from . import smib
 from .em import EMConfig, simulate_em
 from .noise import OUParams, build_noise_path, load_schedule, ou_closed_form
-from .sas import MachineMap, SolverConfig, WindowWork, simulate_sas, window_coefficients
+from .sas import SolverConfig, WindowWork, simulate_sas, window_coefficients
 from .scenario import Scenario, SimulationSetup
 from .case import SystemCase
 
@@ -47,7 +47,7 @@ def check_smib_coefficients() -> CheckResult:
         (rng.uniform(-1.2, 1.2), p.omega_r + rng.uniform(-3.0, 3.0)) for _ in range(100)
     ]
     states = np.stack([smib.smib_state(p, d0, w0) for d0, w0 in starts])
-    work = WindowWork(MachineMap.from_machines(machines), len(states), 2)
+    work = WindowWork(machines, len(states), 2)
     coeffs = window_coefficients(states, net, work)
     worst = 0.0
     for (d0, w0), eng in zip(starts, coeffs):

@@ -11,7 +11,7 @@ from stochsim.case import load_case
 from stochsim.network import ReductionError
 from stochsim.noise import build_noise_path
 from stochsim.powerflow import PowerFlowError, solve_power_flow
-from stochsim.scenario import SimulationSetup, load_scenario
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario, parse_scenario
 from stochsim.trajectory import Trajectory
 from stochsim.validate import CheckResult, check_smib_coefficients
 
@@ -317,6 +317,11 @@ def test_non_finite_case_value_exits_2(repo_root, tmp_path, capsys):
     assert "generators[0]: field 'H'" in capsys.readouterr().err
 
 
+def test_scenario_defaults_come_from_the_dataclass():
+    # a field the document omits takes the Scenario default
+    assert parse_scenario('{"horizon_s": 1}') == Scenario(horizon_s=1.0)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -324,6 +329,8 @@ def test_non_finite_case_value_exits_2(repo_root, tmp_path, capsys):
         ({"stochastic_buses": [1, 1], "sigma_rel": 0.02}, "twice"),
         # fault-on and clearing both before t = 0: no fault-on stage
         ({"fault_bus": 1, "fault_start_s": -1.0}, "fault_start_s"),
+        # one bus monitored twice: its voltage columns would repeat
+        ({"monitor_buses": [1, 1]}, "twice"),
     ],
 )
 def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message):
@@ -338,6 +345,7 @@ def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message
         ("--stats-vars", "g99.omega"),
         ("--stats-vars", "g1.omega,v2"),
         ("--stats-vars", "g1.speed"),
+        ("--stats-vars", "g1.omega,g1.omega"),
         ("--jobs", "0"),
         ("--jobs", "-1"),
         ("--r0", "0"),

@@ -3,7 +3,7 @@ import pytest
 
 from stochsim.dynamics import (
     EquilibriumError,
-    compute_injections,
+    _injections,
     init_dynamic_state,
     rhs,
     solve_equilibrium,
@@ -51,25 +51,27 @@ def test_injection_identities_reevaluated(ieee39_case):
     # re-evaluate every defining relation of the outputs independently
     _, _, net, init = prefault_setup(ieee39_case)
     state = init.state + 1e-3  # arbitrary nearby state
-    out = compute_injections(state, net, init.machines)
     delta, _, eqp, edp = split_state(state)
+    out_emf, out_it, out_iq, out_id, out_eq, out_ed, out_pe = _injections(
+        delta, eqp, edp, net.y, init.machines
+    )
     emf = (edp * np.sin(delta) + eqp * np.cos(delta)) + 1j * (
         eqp * np.sin(delta) - edp * np.cos(delta)
     )
-    assert np.max(np.abs(emf - out.emf)) < 1e-12
+    assert np.max(np.abs(emf - out_emf)) < 1e-12
     it = net.y @ emf
-    assert np.max(np.abs(it.real - out.i_r)) < 1e-12
-    assert np.max(np.abs(it.imag - out.i_i)) < 1e-12
-    i_q = out.i_i * np.sin(delta) + out.i_r * np.cos(delta)
-    i_d = out.i_r * np.sin(delta) - out.i_i * np.cos(delta)
-    assert np.max(np.abs(i_q - out.i_q)) < 1e-12
-    assert np.max(np.abs(i_d - out.i_d)) < 1e-12
-    e_q = eqp - init.machines.xdp * out.i_d
-    e_d = edp + init.machines.xqp * out.i_q
-    assert np.max(np.abs(e_q - out.e_q)) < 1e-12
-    assert np.max(np.abs(e_d - out.e_d)) < 1e-12
-    p_e = e_q * out.i_q + e_d * out.i_d
-    assert np.max(np.abs(p_e - out.p_e)) < 1e-12
+    assert np.max(np.abs(it.real - out_it.real)) < 1e-12
+    assert np.max(np.abs(it.imag - out_it.imag)) < 1e-12
+    i_q = out_it.imag * np.sin(delta) + out_it.real * np.cos(delta)
+    i_d = out_it.real * np.sin(delta) - out_it.imag * np.cos(delta)
+    assert np.max(np.abs(i_q - out_iq)) < 1e-12
+    assert np.max(np.abs(i_d - out_id)) < 1e-12
+    e_q = eqp - init.machines.xdp * out_id
+    e_d = edp + init.machines.xqp * out_iq
+    assert np.max(np.abs(e_q - out_eq)) < 1e-12
+    assert np.max(np.abs(e_d - out_ed)) < 1e-12
+    p_e = e_q * out_iq + e_d * out_id
+    assert np.max(np.abs(p_e - out_pe)) < 1e-12
 
 
 def component_rhs(state, y, m):
@@ -132,7 +134,8 @@ def test_single_machine_diagonal_network_scalar_check():
     )
     delta, eqp, edp = 0.4, 1.05, 0.1
     state = pack_state([delta], [m.omega_r], [eqp], [edp])
-    out = compute_injections(state, net, m)
+    d_b, _, eqp_b, edp_b = split_state(state)
+    p_e_out = _injections(d_b, eqp_b, edp_b, net.y, m)[-1]
     emf = complex(
         edp * np.sin(delta) + eqp * np.cos(delta),
         eqp * np.sin(delta) - edp * np.cos(delta),
@@ -141,7 +144,7 @@ def test_single_machine_diagonal_network_scalar_check():
     i_q = it.imag * np.sin(delta) + it.real * np.cos(delta)
     i_d = it.real * np.sin(delta) - it.imag * np.cos(delta)
     p_e = (eqp - 0.3 * i_d) * i_q + (edp + 0.3 * i_q) * i_d
-    assert out.p_e[0] == pytest.approx(p_e, rel=1e-14)
+    assert p_e_out[0] == pytest.approx(p_e, rel=1e-14)
 
 
 def test_emf_at_quarter_turn():
@@ -160,8 +163,9 @@ def test_emf_at_quarter_turn():
         Td0p=np.array([5.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),
         omega_r=377.0, efd=np.array([1.1]), pm=np.array([0.0]),
     )
-    out = compute_injections(state, net, m)
-    assert out.emf[0] == pytest.approx(1j * 1.1, abs=1e-15)
+    delta, _, eqp, edp = split_state(state)
+    emf = _injections(delta, eqp, edp, net.y, m)[0]
+    assert emf[0] == pytest.approx(1j * 1.1, abs=1e-15)
 
 
 def test_smib_power_matches_k_form():
@@ -169,9 +173,9 @@ def test_smib_power_matches_k_form():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     for delta in (-0.8, 0.0, 0.5, 1.2):
-        state = sm.smib_state(p, delta, p.omega_r)
-        out = compute_injections(state, net, machines)
-        assert out.p_e[0] == pytest.approx(sm.electric_power(p, delta), abs=1e-9)
+        d, _, eqp, edp = split_state(sm.smib_state(p, delta, p.omega_r))
+        p_e = _injections(d, eqp, edp, net.y, machines)[-1]
+        assert p_e[0] == pytest.approx(sm.electric_power(p, delta), abs=1e-9)
 
 
 def test_rhs_matches_smib_oracle_at_perturbed_state():
@@ -217,8 +221,9 @@ def test_solve_equilibrium_smib_balance(smib_case):
     # at the pre-fault equilibrium the electric power equals P_m exactly
     _, loads, net, init = prefault_setup(smib_case)
     x = solve_equilibrium(smib_case, NetworkCondition("pre-fault"), loads)
-    out = compute_injections(x, net, init.machines)
-    assert np.allclose(out.p_e, init.machines.pm, atol=1e-9)
+    delta, _, eqp, edp = split_state(x)
+    p_e = _injections(delta, eqp, edp, net.y, init.machines)[-1]
+    assert np.allclose(p_e, init.machines.pm, atol=1e-9)
 
 
 def test_solve_equilibrium_overloaded_fails(smib_case):

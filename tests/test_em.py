@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochsim.em import EMConfig, euler_det_step, simulate_em
-from stochsim.noise import OUParams, build_noise_path, ou_em_step, stationary_variance
+from stochsim.noise import OUParams, build_noise_path, ou_em_step
 from stochsim.sas import SolverConfig, simulate_sas
 from stochsim.scenario import Scenario, SimulationSetup
 from stochsim import smib as sm
@@ -29,7 +29,7 @@ def test_em_sde_step_stationary_variance():
     p = OUParams(5.0, math.sqrt(10.0))
     dt, n_steps, n_paths = 1e-3, 200, 125_000
     rng = np.random.default_rng(42)
-    eps = rng.standard_normal(n_paths) * math.sqrt(stationary_variance(p))
+    eps = rng.standard_normal(n_paths) * math.sqrt(sm.ou_moments(p, 0.0, math.inf)[1])
     for _ in range(n_steps):
         eps = ou_em_step(eps, p.a, p.b, dt, rng.standard_normal(n_paths) * math.sqrt(dt))
     target = p.b**2 / (2.0 * p.a - p.a**2 * dt)

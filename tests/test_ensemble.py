@@ -197,9 +197,9 @@ def test_statistics_ignore_run_order(smib_case):
             assert np.array_equal(got, want)
         rows = [0, 25, 50, 100]  # t = 0, 0.25, 0.5 and 1 s
         mean, std = ensemble_stats(vals)
-        snaps = pdf_evolution(ens, mean, std, rows)
-        assert [s.time for s in snaps] == [0.0, 0.25, 0.5, 1.0]
-        assert [(s.mean, s.std) for s in snaps] == [(mean[i], std[i]) for i in rows]
+        times, means, stds = pdf_evolution(ens, mean, std, rows)
+        assert times.tolist() == [0.0, 0.25, 0.5, 1.0]
+        assert np.array_equal(means, mean[rows]) and np.array_equal(stds, std[rows])
     crit = StabilityCriterion(t_s=0.5, r0=0.07, x_eq=setup.x0)
     prob = stability_report(ens, crit)["probability"]
     assert 0.0 < prob < 1.0  # some runs pass and some fail

@@ -13,15 +13,9 @@ from stochsim.noise import (
     ou_em_step,
     ou_exact_step,
     path_to_csv,
-    stationary_variance,
 )
 from stochsim.scenario import Scenario, SimulationSetup
-
-
-def test_stationary_variance_values():
-    assert stationary_variance(OUParams(0.5, 1.0)) == pytest.approx(1.0)
-    assert stationary_variance(OUParams(0.5, 0.0)) == 0.0
-    assert stationary_variance(OUParams(2.0, 2.0)) == pytest.approx(1.0)
+from stochsim.smib import ou_moments
 
 
 def test_ou_params_domain():
@@ -59,7 +53,7 @@ def test_exact_step_stationary_variance_monte_carlo():
     for i in range(n):
         eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
         samples[i] = eps
-    assert np.var(samples) == pytest.approx(stationary_variance(p), rel=0.02)
+    assert np.var(samples) == pytest.approx(ou_moments(p, 0.0, math.inf)[1], rel=0.02)
 
 
 def test_exact_step_transition_composition():
@@ -70,8 +64,9 @@ def test_exact_step_transition_composition():
     decay_full = math.exp(-p.a * dt)
     decay_half = math.exp(-p.a * dt / 2.0)
     assert decay_half * decay_half == pytest.approx(decay_full, rel=1e-15)
-    var_full = stationary_variance(p) * -math.expm1(-2 * p.a * dt)
-    var_half = stationary_variance(p) * -math.expm1(-p.a * dt)
+    stationary = ou_moments(p, 0.0, math.inf)[1]
+    var_full = stationary * -math.expm1(-2 * p.a * dt)
+    var_half = stationary * -math.expm1(-p.a * dt)
     composed = var_half * decay_half**2 + var_half
     assert composed == pytest.approx(var_full, rel=1e-12)
 

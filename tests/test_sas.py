@@ -4,7 +4,6 @@ import pytest
 from stochsim import sas
 from stochsim import scenario as scenario_mod
 from stochsim.sas import (
-    MachineMap,
     SolverConfig,
     WindowWork,
     simulate_sas,
@@ -18,9 +17,9 @@ from stochsim.dynamics import rhs
 from stochsim.network import ReducedNetwork
 
 
-def coefficients(states, net, mmap, order):
+def coefficients(states, net, machines, order):
     """One window of ``states`` in work arrays built for this call."""
-    return window_coefficients(states, net, WindowWork(mmap, len(states), order))
+    return window_coefficients(states, net, WindowWork(machines, len(states), order))
 
 
 def test_constant_series_static_state(smib_case):
@@ -28,8 +27,7 @@ def test_constant_series_static_state(smib_case):
     # series is constant and evaluates to the initial state anywhere
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
     net = setup.build_net("pre-fault", setup.mean_pq[None])
-    mmap = MachineMap.from_machines(setup.machines)
-    c = coefficients(setup.x0[None], net, mmap, 4)[0]
+    c = coefficients(setup.x0[None], net, setup.machines, 4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
         assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
@@ -41,11 +39,10 @@ def test_local_error_order_scaling():
     # 2^(N+1)
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    mmap = MachineMap.from_machines(machines)
     state = sm.smib_state(p, 0.7, p.omega_r + 1.0)[None]
-    ref = coefficients(state, net, mmap, 16)
+    ref = coefficients(state, net, machines, 16)
     for order in (1, 2, 3, 4):
-        c = coefficients(state, net, mmap, order)
+        c = coefficients(state, net, machines, order)
         errs = [
             np.max(np.abs(series_eval(c, h) - series_eval(ref, h)))
             for h in (0.01, 0.005)
@@ -58,7 +55,7 @@ def test_window_coefficients_match_oracle():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     state = sm.smib_state(p, 0.7, p.omega_r + 1.0)[None]
-    c = coefficients(state, net, MachineMap.from_machines(machines), 2)
+    c = coefficients(state, net, machines, 2)
     d_hand, w_hand = sm.smib_window_coefficients(p, 0.7, p.omega_r + 1.0)
     assert c.shape == (1, 4 * machines.n_gen, 3)
     assert np.allclose(c[0, 0], d_hand, rtol=1e-10)
@@ -75,7 +72,7 @@ def test_batched_window_coefficients_match_oracle():
     d0 = rng.uniform(-1.2, 1.2, 16)
     w0 = p.omega_r + rng.uniform(-3.0, 3.0, 16)
     states = np.stack([sm.smib_state(p, d, w) for d, w in zip(d0, w0)])
-    c = coefficients(states, net, MachineMap.from_machines(machines), 2)
+    c = coefficients(states, net, machines, 2)
     assert c.shape == (16, 4 * machines.n_gen, 3)
     for i in range(16):
         hands = sm.smib_window_coefficients(p, d0[i], w0[i])
@@ -88,7 +85,7 @@ def test_window_evaluation_restores_initial_state():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
     state = sm.smib_state(p, 0.3, p.omega_r - 0.5)[None]
-    c = coefficients(state, net, MachineMap.from_machines(machines), 2)
+    c = coefficients(state, net, machines, 2)
     assert np.array_equal(series_eval(c, 0.0), state)
 
 
@@ -210,18 +207,18 @@ def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
     # each run's coefficients take the same bits alone, in the batch of 17,
     # in the reversed batch and in reused work arrays
     setup, net, x = ieee39_windows
-    mmap = MachineMap.from_machines(setup.machines)
-    batch = coefficients(x, net, mmap, order)
+    machines = setup.machines
+    batch = coefficients(x, net, machines, order)
     reverse = slice(None, None, -1)
-    work = WindowWork(mmap, 17, order)
+    work = WindowWork(machines, 17, order)
     backwards = window_coefficients(x[reverse], runs_of(net, reverse), work).copy()
     in_work = window_coefficients(x, net, work)  # the arrays the reversed batch wrote
     assert batch.shape == (17, x.shape[1], order + 1)
     assert np.array_equal(in_work, batch)
-    work_one = WindowWork(mmap, 1, order)
+    work_one = WindowWork(machines, 1, order)
     for i in range(17):
         one = slice(i, i + 1)
-        alone = coefficients(x[one], runs_of(net, one), mmap, order)
+        alone = coefficients(x[one], runs_of(net, one), machines, order)
         assert np.array_equal(alone[0], batch[i])
         assert np.array_equal(backwards[16 - i], batch[i])
         reused = window_coefficients(x[one], runs_of(net, one), work_one)
@@ -234,12 +231,12 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
     # work arrays, each give the bits of a call with fresh arrays; a result
     # is a view of the work arrays, which the next window overwrites
     setup, post, x = ieee39_windows
-    mmap = MachineMap.from_machines(setup.machines)
+    machines = setup.machines
     rng = np.random.default_rng(4)
     pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
     nets = [post, setup.build_net("fault-on", pq), setup.build_net("pre-fault", pq)]
     states = [x, x[::-1].copy(), setup.x0 + 0.1 * rng.standard_normal(x.shape)]
-    work = WindowWork(mmap, 17, 4)
+    work = WindowWork(machines, 17, 4)
     last = None
     for i in range(9):
         args = (states[i % 3], nets[(i * 2) % 3])
@@ -247,7 +244,7 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
         assert np.shares_memory(got, work.coeffs)
         if last is not None:
             assert not np.array_equal(got, last)  # overwritten in place
-        assert np.array_equal(got, coefficients(*args, mmap, 4))
+        assert np.array_equal(got, coefficients(*args, machines, 4))
         last = got.copy()
     # a stack of another size does not fit the arrays
     with pytest.raises(ValueError):
@@ -277,9 +274,9 @@ def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
     built = []
 
     class CountedWork(WindowWork):
-        def __init__(self, mmap, n_runs, order):
+        def __init__(self, machines, n_runs, order):
             built.append(n_runs)
-            super().__init__(mmap, n_runs, order)
+            super().__init__(machines, n_runs, order)
 
     monkeypatch.setattr(sas, "WindowWork", CountedWork)
     runs = simulate_sas_batch(setup, config, paths)
@@ -296,7 +293,7 @@ def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
     # dynamics.rhs is a separate implementation of the model: the order-1
     # coefficients are the time derivative at the window start
     setup, net, x = ieee39_windows
-    c = coefficients(x, net, MachineMap.from_machines(setup.machines), 3)
+    c = coefficients(x, net, setup.machines, 3)
     f = rhs(x, net, setup.machines)
     assert np.array_equal(c[..., 0], x)
     assert np.all(np.abs(f) > 1e-6)  # no entry is near a cancellation

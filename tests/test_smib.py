@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochsim import smib as sm
-from stochsim.sas import MachineMap, WindowWork, window_coefficients
+from stochsim.sas import WindowWork, window_coefficients
 
 
 def test_k_coefficients_all_ones_hand_values():
@@ -58,7 +58,7 @@ def test_omega_sas_equilibrium_bracket():
 def test_series_engine_matches_oracle_coefficientwise():
     p = sm.SMIBParams()
     net, machines = sm.smib_embedding(p)
-    work = WindowWork(MachineMap.from_machines(machines), 1, 2)
+    work = WindowWork(machines, 1, 2)
     rng = np.random.default_rng(11)
     for _ in range(25):
         d0 = rng.uniform(-1.2, 1.2)
