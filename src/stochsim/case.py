@@ -2,12 +2,16 @@
 
 A case is a single JSON document with sections ``system``, ``buses``,
 ``branches``, ``generators`` and ``loads``.  All electrical quantities are
-per-unit on the system MVA base; angles are in radians.  See
-``cases/ieee39.json`` for the full schema in use.
+per-unit on the system MVA base; angles are in radians.  The key tables
+``_SYSTEM_KEYS``, ``_BUS_KEYS``, ``_BRANCH_KEYS``, ``_GENERATOR_KEYS`` and
+``_LOAD_KEYS`` list the keys of each record, and the dataclasses below give
+each optional key its default.  An unknown key or section is refused.  The
+top-level ``name`` and ``system.base_mva`` are accepted and not read.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,11 +42,8 @@ class Branch:
     b: float = 0.0  # total line charging susceptance, p.u.
     tap: float = 0.0  # transformer ratio on the from side; 0 means a plain line
 
-    def matches(self, a: int, b: int) -> bool:
-        return {self.from_bus, self.to_bus} == {a, b}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GeneratorParams:
     """Two-axis machine constants.
 
@@ -53,7 +54,7 @@ class GeneratorParams:
 
     bus: int
     H: float
-    D: float
+    D: float = 0.0
     xd: float
     xdp: float
     xq: float
@@ -61,7 +62,7 @@ class GeneratorParams:
     Td0p: float
     Tq0p: float
     Rs: float = 0.0
-    omega_r: float = 2.0 * math.pi * 60.0
+    omega_r: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class SystemCase:
             raise CaseError(f"unknown bus id {bus_id}") from None
 
     def has_branch(self, a: int, b: int) -> bool:
-        return any(br.matches(a, b) for br in self.branches)
+        return any({br.from_bus, br.to_bus} == {a, b} for br in self.branches)
 
     def load_at(self, bus_id: int) -> Load | None:
         for ld in self.loads:
@@ -134,23 +135,71 @@ def finite_float(value) -> float:
     return x
 
 
-def _field(record: dict, key: str, where: str, convert=finite_float, default=None):
-    """``convert(record[key])``; ``default`` when absent, required without one."""
-    if key not in record:
-        if default is None:
-            raise CaseError(f"{where}: missing field '{key}'")
-        return default
+def read_record(cls, rec: dict, where: str, keys: dict, error, **fixed):
+    """``cls(**fields)``, the fields read from the JSON object ``rec`` by ``keys``.
+
+    ``keys`` maps each JSON key to (field name, converter), or to None for a
+    key that is accepted and not read.  A present key is converted; an
+    absent key takes the field's default, and a field without one is
+    required.  Any other key is refused.  ``fixed`` fields come from outside
+    the record.  Each fault is an ``error`` that names the key and ``where``.
+    """
+    values = fixed  # a new dict at each call
+    for key, value in rec.items():
+        try:
+            spec = keys[key]
+        except KeyError:
+            unknown = ", ".join(f"'{k}'" for k in rec if k not in keys)
+            raise error(f"{where}: unknown field(s) {unknown}") from None
+        if spec is not None:
+            name, convert = spec
+            try:
+                values[name] = convert(value)
+            except (TypeError, ValueError):
+                raise error(f"{where}: field '{key}' is invalid: {value!r}") from None
     try:
-        return convert(record[key])
-    except (TypeError, ValueError):
-        raise CaseError(f"{where}: field '{key}' is invalid: {record[key]!r}") from None
+        return cls(**values)
+    except TypeError:  # a field without a default is absent: name its key
+        params = inspect.signature(cls).parameters
+        for key, spec in keys.items():
+            if spec and key not in rec and params[spec[0]].default is inspect.Parameter.empty:
+                raise error(f"{where}: missing field '{key}'") from None
+        raise
 
 
-def _records(doc: dict, section: str) -> list[dict]:
+def number_keys(*names: str) -> dict:
+    """Key table entries of finite numbers read into fields of the same name."""
+    return {name: (name, finite_float) for name in names}
+
+
+_SECTIONS = ("system", "buses", "branches", "generators", "loads")
+_SYSTEM_KEYS = {"frequency_hz": ("frequency_hz", finite_float), "base_mva": None}
+_BUS_KEYS = {
+    "id": ("id", bus_id),
+    "type": ("type", str),
+    **number_keys("v_setpoint", "angle", "p_gen"),
+}
+_BRANCH_KEYS = {
+    "from": ("from_bus", bus_id),
+    "to": ("to_bus", bus_id),
+    **number_keys("r", "x", "b", "tap"),
+}
+_GENERATOR_KEYS = {
+    "bus": ("bus", bus_id),
+    **number_keys("H", "D", "xd", "xdp", "xq", "xqp", "Td0p", "Tq0p", "Rs"),
+}
+_LOAD_KEYS = {"bus": ("bus", bus_id), "P": ("p", finite_float), "Q": ("q", finite_float)}
+
+
+def _records(doc: dict, section: str, cls, keys: dict, **fixed) -> tuple:
     records = doc[section]
     if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
         raise CaseError(f"section '{section}' must be a list of JSON objects")
-    return records
+    # a list comprehension: a generator would add a resume per record
+    return tuple([
+        read_record(cls, rec, f"{section}[{i}]", keys, CaseError, **fixed)
+        for i, rec in enumerate(records)
+    ])
 
 
 def parse_case(text: str) -> SystemCase:
@@ -167,83 +216,29 @@ def parse_case(text: str) -> SystemCase:
 
     if not isinstance(doc, dict):
         raise CaseError("top level must be a JSON object")
-    for section in ("system", "buses", "branches", "generators", "loads"):
+    for section in _SECTIONS:
         if section not in doc:
             raise CaseError(f"missing section '{section}'")
-
-    sysrec = doc["system"]
-    if not isinstance(sysrec, dict):
+    unknown = [key for key in doc if key not in _SECTIONS and key != "name"]
+    if unknown:
+        raise CaseError(f"unknown section(s) {', '.join(map(repr, unknown))}")
+    if not isinstance(doc["system"], dict):
         raise CaseError("section 'system' must be a JSON object")
-    freq = _field(sysrec, "frequency_hz", "system")
+    # the system record holds one number, which the callable takes by keyword
+    freq = read_record(
+        lambda frequency_hz: frequency_hz, doc["system"], "system", _SYSTEM_KEYS, CaseError
+    )
     if freq <= 0:
         raise CaseError("system: frequency_hz must be positive")
+
     omega_r = 2.0 * math.pi * freq
-
-    buses = []
-    for i, rec in enumerate(_records(doc, "buses")):
-        where = f"buses[{i}]"
-        btype = _field(rec, "type", where, str)
-        if btype not in BUS_TYPES:
-            raise CaseError(f"{where}: type must be one of {BUS_TYPES}, got {btype!r}")
-        buses.append(
-            Bus(
-                id=_field(rec, "id", where, bus_id),
-                type=btype,
-                v_setpoint=_field(rec, "v_setpoint", where, default=1.0),
-                angle=_field(rec, "angle", where, default=0.0),
-                p_gen=_field(rec, "p_gen", where, default=0.0),
-            )
-        )
-
-    branches = []
-    for i, rec in enumerate(_records(doc, "branches")):
-        where = f"branches[{i}]"
-        branches.append(
-            Branch(
-                from_bus=_field(rec, "from", where, bus_id),
-                to_bus=_field(rec, "to", where, bus_id),
-                r=_field(rec, "r", where),
-                x=_field(rec, "x", where),
-                b=_field(rec, "b", where, default=0.0),
-                tap=_field(rec, "tap", where, default=0.0),
-            )
-        )
-
-    gens = []
-    for i, rec in enumerate(_records(doc, "generators")):
-        where = f"generators[{i}]"
-        gens.append(
-            GeneratorParams(
-                bus=_field(rec, "bus", where, bus_id),
-                H=_field(rec, "H", where),
-                D=_field(rec, "D", where, default=0.0),
-                xd=_field(rec, "xd", where),
-                xdp=_field(rec, "xdp", where),
-                xq=_field(rec, "xq", where),
-                xqp=_field(rec, "xqp", where),
-                Td0p=_field(rec, "Td0p", where),
-                Tq0p=_field(rec, "Tq0p", where),
-                Rs=_field(rec, "Rs", where, default=0.0),
-                omega_r=omega_r,
-            )
-        )
-
-    loads = []
-    for i, rec in enumerate(_records(doc, "loads")):
-        where = f"loads[{i}]"
-        loads.append(
-            Load(
-                bus=_field(rec, "bus", where, bus_id),
-                p=_field(rec, "P", where),
-                q=_field(rec, "Q", where),
-            )
-        )
-
     case = SystemCase(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        loads=tuple(loads),
+        buses=_records(doc, "buses", Bus, _BUS_KEYS),
+        branches=_records(doc, "branches", Branch, _BRANCH_KEYS),
+        generators=_records(
+            doc, "generators", GeneratorParams, _GENERATOR_KEYS, omega_r=omega_r
+        ),
+        loads=_records(doc, "loads", Load, _LOAD_KEYS),
         frequency_hz=freq,
     )
     _validate(case)
@@ -251,6 +246,9 @@ def parse_case(text: str) -> SystemCase:
 
 
 def _validate(case: SystemCase) -> None:
+    for i, bus in enumerate(case.buses):
+        if bus.type not in BUS_TYPES:
+            raise CaseError(f"buses[{i}]: type must be one of {BUS_TYPES}, got {bus.type!r}")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})

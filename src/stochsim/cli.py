@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .case import load_case
 from .dynamics import EquilibriumError, solve_equilibrium
-from .em import EMConfig
+from .em import EM_MODES, EMConfig
 from .ensemble import (
     Ensemble,
     StabilityCriterion,
@@ -249,18 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--order", type=int, default=2, help=f"series order (sas), 1 to {MAX_ORDER}"
+        "--order",
+        type=int,
+        default=SolverConfig.order,
+        help=f"series order (sas), 1 to {MAX_ORDER}",
     )
-    run.add_argument("--window", type=float, default=1e-3, help="window length s (sas)")
-    run.add_argument("--dt", type=float, default=1e-3, help="integration step s (em)")
     run.add_argument(
-        "--em-mode", choices=("shared-path", "paper-sde"), default="shared-path"
+        "--window", type=float, default=SolverConfig.window, help="window length s (sas)"
     )
+    run.add_argument(
+        "--dt", type=float, default=EMConfig.dt, help="integration step s (em)"
+    )
+    run.add_argument("--em-mode", choices=EM_MODES, default=EMConfig.mode)
     run.add_argument("--out", default="out")
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--ts", type=float, default=15.0, help="stability settling time")
     run.add_argument("--r0", type=float, default=0.05, help="stability radius")
-    run.add_argument("--stab-var", choices=("speed", "angle"), default="speed")
+    run.add_argument(
+        "--stab-var", choices=("speed", "angle"), default=StabilityCriterion.variables
+    )
     run.add_argument("--stats-vars", default=None)
     run.add_argument("--save-trajectories", action="store_true")
     run.add_argument("--dump-noise", action="store_true")

@@ -42,7 +42,6 @@ class MachineSet:
     xqp: np.ndarray
     Td0p: np.ndarray
     Tq0p: np.ndarray
-    Rs: np.ndarray
     omega_r: float
     efd: np.ndarray | None = None
     pm: np.ndarray | None = None
@@ -60,7 +59,6 @@ class MachineSet:
             xqp=arr("xqp"),
             Td0p=arr("Td0p"),
             Tq0p=arr("Tq0p"),
-            Rs=arr("Rs"),
             omega_r=g[0].omega_r,
         )
 

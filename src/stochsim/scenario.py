@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case import SystemCase, bus_id, finite_float
+from .case import SystemCase, bus_id, number_keys, read_record
 from .dynamics import MachineSet, init_dynamic_state, split_state
 from .network import (
     LoadBusNetwork,
@@ -83,6 +83,8 @@ class Scenario:
     def validate_against(self, case: SystemCase) -> None:
         if self.horizon_s <= 0:
             raise ScenarioError("horizon_s must be positive")
+        if self.trip_branches and self.fault_bus is None:
+            raise ScenarioError("trip_branches need a fault_bus")
         if self.fault_bus is not None:
             case.bus_index(self.fault_bus)
             if self.fault_start_s < 0:
@@ -113,15 +115,6 @@ class Scenario:
             raise ScenarioError("resample_dt and drift_a must be positive")
 
 
-def _field(doc: dict, key: str, convert):
-    """``convert`` of the field's value."""
-    value = doc[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"field '{key}' is invalid: {value!r}") from None
-
-
 def _bus_ids(value, size: int | None = None) -> tuple[int, ...]:
     """A list of bus ids, of ``size`` entries if given."""
     if isinstance(value, (str, dict)) or size not in (None, len(value)):
@@ -129,30 +122,34 @@ def _bus_ids(value, size: int | None = None) -> tuple[int, ...]:
     return tuple(bus_id(b) for b in value)
 
 
+_SCENARIO_KEYS = {
+    "name": None,
+    "fault_bus": ("fault_bus", lambda v: None if v is None else bus_id(v)),
+    "trip_branches": ("trip_branches", lambda v: tuple(_bus_ids(p, 2) for p in v)),
+    "stochastic_buses": (
+        "stochastic_buses",
+        lambda v: v if isinstance(v, str) else _bus_ids(v),
+    ),
+    "monitor_buses": ("monitor_buses", _bus_ids),
+    **number_keys("horizon_s", "fault_start_s", "fault_duration_cycles"),
+    **number_keys("sigma_rel", "drift_a", "resample_dt"),
+}
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse a JSON scenario document; a malformed field is a ScenarioError."""
+    """Parse a JSON scenario document.
+
+    ``_SCENARIO_KEYS`` lists its keys and :class:`Scenario` the default of
+    each optional one.  A malformed or unknown key is a ScenarioError; the
+    key ``name`` is accepted and not read.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
-    if "horizon_s" not in doc:
-        raise ScenarioError("missing field 'horizon_s'")
-    convert = {
-        "horizon_s": finite_float,
-        "fault_bus": lambda v: None if v is None else bus_id(v),
-        "fault_start_s": finite_float,
-        "fault_duration_cycles": finite_float,
-        "trip_branches": lambda v: tuple(_bus_ids(pair, 2) for pair in v),
-        "stochastic_buses": lambda v: v if isinstance(v, str) else _bus_ids(v),
-        "sigma_rel": finite_float,
-        "drift_a": finite_float,
-        "resample_dt": finite_float,
-        "monitor_buses": _bus_ids,
-    }
-    # the fields the document gives; the dataclass supplies the rest
-    return Scenario(**{k: _field(doc, k, f) for k, f in convert.items() if k in doc})
+    return read_record(Scenario, doc, "scenario", _SCENARIO_KEYS, ScenarioError)
 
 
 def load_scenario(path) -> Scenario:

@@ -176,7 +176,6 @@ def smib_embedding(p: SMIBParams):
         xqp=np.array([p.xdp, 1.0]),
         Td0p=np.array([1.0, 1.0]),
         Tq0p=np.array([1.0, 1.0]),
-        Rs=np.array([p.rs, 0.0]),
         omega_r=p.omega_r,
         efd=np.array([p.ep, p.v]),
         pm=np.array([p.pm, 0.0]),

@@ -1,11 +1,14 @@
 import json
+import pathlib
 import re
 
 import pytest
 
-from stochsim.case import CaseError, parse_case
+from stochsim.case import CaseError, load_case, parse_case
+from stochsim.scenario import SimulationSetup, load_scenario
 
 NAN, INF = float("nan"), float("inf")
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def minimal_doc():
@@ -133,16 +136,40 @@ def test_invalid_json_reports_line():
         (lambda d: d["generators"][0].update(H="4.0"), "generators[0]: field 'H'"),
         (lambda d: d["branches"][0].update(b=True), "branches[0]: field 'b'"),
         (lambda d: d["loads"][0].update(P=10**400), "loads[0]: field 'P'"),
+        # a misspelled key is refused, not dropped for the default
+        (lambda d: d["generators"][0].update(d=d["generators"][0].pop("D")),
+         "generators[0]: unknown field(s) 'd'"),
+        (lambda d: d["branches"][0].update(R=d["branches"][0].pop("r")),
+         "branches[0]: unknown field(s) 'R'"),
+        (lambda d: d["loads"][0].update(p=d["loads"][0].pop("P")),
+         "loads[0]: unknown field(s) 'p'"),
+        (lambda d: d["system"].update(frequency=50.0), "system: unknown field(s) 'frequency'"),
+        (lambda d: d.update(bus=[]), "unknown section(s) 'bus'"),
     ],
     ids=["null-r", "string-p_gen", "list-H", "null-load-bus", "null-frequency",
          "object-loads", "list-system", "int-bus-records", "fractional-load-bus",
          "string-load-bus", "bool-load-bus", "float-bus-id", "fractional-branch-end",
          "bool-generator-bus", "nan-H", "infinite-Td0p", "minus-infinite-P", "nan-x",
          "infinite-v_setpoint", "nan-frequency", "numeric-string-H", "bool-b",
-         "huge-integer-P"],
+         "huge-integer-P", "misspelled-D", "misspelled-r", "misspelled-P",
+         "unknown-system-key", "unknown-section"],
 )
 def test_malformed_value_names_the_field(edit, field):
     doc = minimal_doc()
     edit(doc)
     with pytest.raises(CaseError, match=re.escape(field)):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in (REPO / "cases").glob("*.json"))
+)
+def test_shipped_case_loads(name):
+    load_case(REPO / "cases" / name)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in (REPO / "scenarios").glob("*.json"))
+)
+def test_shipped_scenario_builds_on_ieee39(ieee39_case, name):
+    SimulationSetup.build(ieee39_case, load_scenario(REPO / "scenarios" / name))

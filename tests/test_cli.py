@@ -279,13 +279,18 @@ def test_smib_oracle_checks_the_production_entry(monkeypatch):
             {"horizon_s": 0.2, "stochastic_buses": "all", "sigma_rel": True},
             "field 'sigma_rel'",
         ),
+        # a misspelled key is refused, not dropped for the default
+        ({"horizon_s": 0.2, "sigma_rell": 0.05}, "unknown field(s) 'sigma_rell'"),
+        ({"horizon_s": 0.2, "monitor_bus": [1]}, "unknown field(s) 'monitor_bus'"),
+        ({"name": "no horizon", "sigma_rel": 0.02}, "missing field 'horizon_s'"),
     ],
     ids=["null-horizon", "top-level-list", "list-fault-bus", "int-branch",
          "triple-branch", "string-monitor-buses", "object-sigma",
          "fractional-monitor-bus", "fractional-fault-bus", "bool-fault-bus",
          "fractional-branch", "fractional-stochastic-bus", "string-stochastic-bus",
          "infinite-horizon", "nan-sigma", "nan-fault-start", "infinite-fault-duration",
-         "minus-infinite-drift", "nan-resample-dt", "string-horizon", "bool-sigma"],
+         "minus-infinite-drift", "nan-resample-dt", "string-horizon", "bool-sigma",
+         "misspelled-sigma", "misspelled-monitor", "missing-horizon"],
 )
 def test_malformed_scenario_exits_2(repo_root, tmp_path, capsys, doc, names):
     # the message names what is malformed: the field, or the top level
@@ -331,6 +336,8 @@ def test_scenario_defaults_come_from_the_dataclass():
         ({"fault_bus": 1, "fault_start_s": -1.0}, "fault_start_s"),
         # one bus monitored twice: its voltage columns would repeat
         ({"monitor_buses": [1, 1]}, "twice"),
+        # a trip without a fault: no stage would ever trip the line
+        ({"trip_branches": [[1, 2]]}, "trip_branches need a fault_bus"),
     ],
 )
 def test_inconsistent_scenario_exits_2(repo_root, tmp_path, capsys, doc, message):

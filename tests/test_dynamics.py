@@ -128,7 +128,7 @@ def test_single_machine_diagonal_network_scalar_check():
         H=np.array([4.0]), D=np.array([1.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
-        Td0p=np.array([5.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),
+        Td0p=np.array([5.0]), Tq0p=np.array([1.0]),
         omega_r=2 * np.pi * 60,
         efd=np.array([1.0]), pm=np.array([0.5]),
     )
@@ -160,7 +160,7 @@ def test_emf_at_quarter_turn():
         H=np.array([4.0]), D=np.array([0.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
-        Td0p=np.array([5.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),
+        Td0p=np.array([5.0]), Tq0p=np.array([1.0]),
         omega_r=377.0, efd=np.array([1.1]), pm=np.array([0.0]),
     )
     delta, _, eqp, edp = split_state(state)

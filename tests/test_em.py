@@ -50,7 +50,7 @@ def test_euler_det_step_scalar_decay():
         H=np.array([1.0]), D=np.array([0.0]),
         xd=np.array([0.3]), xdp=np.array([0.3]),
         xq=np.array([0.3]), xqp=np.array([0.3]),
-        Td0p=np.array([1.0]), Tq0p=np.array([1.0]), Rs=np.array([0.0]),
+        Td0p=np.array([1.0]), Tq0p=np.array([1.0]),
         omega_r=1.0, efd=np.array([0.0]), pm=np.array([0.0]),
     )
     # e'_q decays as de'_q/dt = (efd - e'_q)/Td0p = -e'_q here
