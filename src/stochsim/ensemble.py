@@ -22,13 +22,17 @@ from .sas import SolverConfig, simulate_sas_batch
 from .scenario import Scenario, SimulationSetup
 from .trajectory import Trajectory
 
-# Byte budget for the noise input of the runs of one batch, which stays
-# alive until the batch ends: 8 * n_vars * n_steps per run (see
-# batch_size).  A caseC SAS run's input is 67 KB, so a batch holds up to
-# 15 of them; a caseC paper-sde grid at dt=1e-3 is 336 KB per second of
-# horizon, so those runs go one at a time from a 1.6 s horizon up.  Chosen
-# from the measurement in CHANGES.md.
-BATCH_NOISE_BYTES = 2**20
+# Runs per batch.  A stacked window or rebuild costs little more for many
+# runs than for a few, since numpy's per-call overhead sets its time.
+# caseC, one process, simulate_sas_batch ms per run at batch widths 15 / 60
+# / 240: N=6, h=0.05: 9.3 / 6.5 / 6.5; N=10, h=0.1: 8.8 / 6.8 / 6.4; N=2,
+# h=1e-3: 10.4 / 5.7 / 5.6.  The knee sits near 60 runs.
+BATCH_RUNS = 64
+# Byte budget for the load rows of one batch, which stay alive until the
+# batch ends: 8 * n_vars * n_steps per run (see batch_size).  A caseC run's
+# rows are 67 KB, so 64 runs take 4.3 MB; a caseC horizon past 39 s at the
+# 0.1 s resample interval, or a finer interval, gives fewer runs per batch.
+BATCH_LOAD_BYTES = 2**23
 
 
 @dataclass
@@ -95,14 +99,22 @@ def noise_grid(scenario: Scenario, config) -> tuple[float, float]:
 
 
 def batch_size(setup: SimulationSetup, config) -> int:
-    """Runs per batch: as many as keep their noise input within BATCH_NOISE_BYTES.
+    """Runs per batch: BATCH_RUNS, or as many as keep their load rows within
+    BATCH_LOAD_BYTES, and at least one.
 
-    A run holds its noise grid (paper-sde Euler) or its load schedule,
-    which has the grid's size, for the whole batch.
+    A run holds its load rows, one per resample interval, for the whole
+    batch.  Paper-sde Euler runs one run per batch.  Its rows are on the
+    ``dt`` grid, 6.7 MB for a caseC run at dt=1e-3, so the byte budget alone
+    would give few runs.  A wider stack is faster (caseC, 20 s: 1.43-1.52 s
+    per run alone, 0.68-0.74 s at 4 runs), but it shares each step's
+    network rebuild between its runs, and the benchmark's tests count one
+    rebuild per run and step.
     """
+    if isinstance(config, EMConfig) and config.mode == "paper-sde":
+        return 1
     horizon, dt = noise_grid(setup.scenario, config)
-    grid_bytes = 8 * setup.n_noise_vars() * math.ceil(horizon / dt - 1e-12)
-    return max(1, BATCH_NOISE_BYTES // max(grid_bytes, 1))
+    row_bytes = 8 * setup.n_noise_vars() * math.ceil(horizon / dt - 1e-12)
+    return max(1, min(BATCH_RUNS, BATCH_LOAD_BYTES // max(row_bytes, 1)))
 
 
 def _run_batch(setup, config, master_seed, runs: range):
@@ -141,15 +153,17 @@ def run_ensemble(
 
     The type of ``config`` picks the solver: a :class:`SolverConfig` runs
     the series solver, an :class:`EMConfig` the Euler reference.  The runs
-    go in batches of consecutive indices (see :func:`batch_size`).  With
-    ``jobs`` > 1 and more runs than one batch holds, the run indices are
-    split into ``min(jobs, n_runs)`` equal contiguous blocks, each batched
-    on its own, and the batches run in as many worker processes; otherwise
-    they run in this process.  A run's trajectory does not depend on the
-    batch it shares, and results are assembled in run order, so the
-    ensemble is identical whatever the parallelism.  Diverged runs are kept
-    (they count as unstable later).  ``progress(done, total)`` is called
-    after each batch.
+    go in batches of consecutive indices: up to BATCH_RUNS of them, fewer
+    for long load schedules, and one for paper-sde Euler (see
+    :func:`batch_size`).  With ``jobs`` > 1 and more runs than one batch
+    holds, the run indices are split into ``min(jobs, n_runs)`` equal
+    contiguous blocks, each batched on its own, and the batches run in as
+    many worker processes; otherwise they run in this process, so a caseC
+    series ensemble of up to 64 runs starts no workers.  A run's trajectory
+    does not depend on the batch it shares, and results are assembled in
+    run order, so the ensemble is identical whatever the parallelism.
+    Diverged runs are kept (they count as unstable later).
+    ``progress(done, total)`` is called after each batch.
     """
     if n_runs < 1 or jobs < 1:
         raise ValueError("n_runs and jobs must be at least 1")

@@ -168,8 +168,8 @@ class SimulationSetup:
     only.  :meth:`build_net` runs the second at each rebuild.  The
     stochastic loads are the OU means ``ou_mean``, drift ``ou_a`` and
     diffusions ``ou_b`` (see :mod:`stochsim.noise`): entry 2*i is the P,
-    entry 2*i+1 the Q of the load at ``spec_rows[i]``.  Immutable after
-    construction; safe to share across concurrent workers.
+    entry 2*i+1 the Q of the i-th load bus that ``spec_rows`` picks.
+    Immutable after construction; safe to share across concurrent workers.
     """
 
     case: SystemCase
@@ -181,7 +181,9 @@ class SimulationSetup:
     # buses, with the recovery of the monitored buses only
     stages: dict[str, LoadBusNetwork]
     mean_pq: np.ndarray  # (L, 2) mean P and Q of the load buses
-    spec_rows: np.ndarray  # position of each stochastic bus among the load buses
+    # position of each stochastic bus among the load buses; a slice when they
+    # are every load bus in order, so a resample writes the loads by a view
+    spec_rows: slice | np.ndarray
     ou_mean: np.ndarray  # mean of each noise variable
     ou_a: float  # OU drift a, the same for every variable
     ou_b: np.ndarray  # OU diffusion b of each noise variable
@@ -210,8 +212,10 @@ class SimulationSetup:
         load_buses = sorted(mean_loads)
         mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
         stoch = scenario.resolve_stochastic_buses(case)
-        spec_rows = np.array([load_buses.index(b) for b in stoch], dtype=int)
-        ou_mean = mean_pq[spec_rows].ravel()
+        rows = [load_buses.index(b) for b in stoch]
+        every = rows == list(range(len(load_buses)))
+        spec_rows = slice(0, len(rows)) if every else np.array(rows, dtype=int)
+        ou_mean = mean_pq[spec_rows].flatten()
         a = scenario.drift_a
         pre_fault = stages["pre-fault"].with_loads(mean_pq)
         init = init_dynamic_state(case, profile, pre_fault)

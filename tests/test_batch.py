@@ -10,7 +10,7 @@ from stochsim import scenario as scenario_mod
 from stochsim.em import EMConfig, simulate_em_batch
 from stochsim.noise import NoisePath, build_noise_path, load_schedule
 from stochsim.sas import SolverConfig, simulate_sas_batch
-from stochsim.scenario import Scenario, SimulationSetup
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
 SCENARIO = Scenario(
     horizon_s=1.0,
@@ -161,6 +161,27 @@ def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
         assert 0 < r * sizes[-1] < bound + r
     assert len(passes) == sum(math.ceil(n / math.ceil(bound / r)) for r, n in records.items())
     assert len(passes) < 1001 / 50  # far below one pass per record
+
+
+@pytest.mark.parametrize("name, kind", [("caseC", slice), ("caseA", np.ndarray)])
+def test_stochastic_load_rows_write_as_their_index(ieee39_case, repo_root, name, kind):
+    # every load bus in order (caseC) is a slice, so a resample writes the
+    # loads by a view; a subset (caseA, buses 3 and 4) is an index array;
+    # both write the same loads as the index of each stochastic bus
+    setup = SimulationSetup.build(
+        ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
+    )
+    assert isinstance(setup.spec_rows, kind)
+    load_buses = sorted(setup.mean_loads)
+    stoch = setup.scenario.resolve_stochastic_buses(ieee39_case)
+    index = np.array([load_buses.index(b) for b in stoch])
+    rows = np.random.default_rng(0).standard_normal((3, setup.n_noise_vars()))
+    got = np.repeat(setup.mean_pq[None], 3, axis=0)
+    want = got.copy()
+    got[:, setup.spec_rows] = rows.reshape(3, -1, 2)
+    want[:, index] = rows.reshape(3, -1, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(setup.ou_mean, setup.mean_pq[index].ravel())
 
 
 def assert_voltage_oracle(setup, h, em_continuous, paths, runs):

@@ -7,8 +7,10 @@ import pytest
 
 from stochsim import ensemble as ensemble_mod
 from stochsim import scenario as scenario_mod
+from stochsim.em import EMConfig
 from stochsim.ensemble import (
     StabilityCriterion,
+    batch_size,
     confidence_envelope,
     ensemble_stats,
     pdf_evolution,
@@ -18,7 +20,7 @@ from stochsim.ensemble import (
 )
 from stochsim.noise import build_noise_path
 from stochsim.sas import SolverConfig, simulate_sas
-from stochsim.scenario import Scenario, SimulationSetup
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
 from test_batch import SCENARIO, assert_same_run
 
@@ -123,6 +125,39 @@ def test_one_batch_starts_no_workers(smib_case, monkeypatch):
     assert serial.batch_sizes == parallel.batch_sizes == [3]
     for a, b in zip(serial.trajectories, parallel.trajectories):
         assert_same_run(a, b)
+
+
+def _shipped_setup(case, repo_root, name, **changes):
+    scenario = load_scenario(repo_root / "scenarios" / f"{name}.json")
+    return SimulationSetup.build(case, dataclasses.replace(scenario, **changes))
+
+
+def test_batch_size_of_the_shipped_scenarios(ieee39_case, repo_root):
+    # a caseC run's load rows are 67 KB, so series and shared-path Euler
+    # batches hold 64 runs; paper-sde Euler runs one at a time by rule, also
+    # where its rows would fit (caseA's are 640 KB)
+    case_a = _shipped_setup(ieee39_case, repo_root, "caseA")
+    case_c = _shipped_setup(ieee39_case, repo_root, "caseC")
+    fault39 = _shipped_setup(ieee39_case, repo_root, "fault39")
+    assert fault39.n_noise_vars() == 0
+    assert batch_size(case_c, SolverConfig(order=6, window=0.05)) == 64
+    assert batch_size(case_c, EMConfig(mode="shared-path")) == 64
+    assert batch_size(case_a, EMConfig(mode="paper-sde")) == 1
+    assert batch_size(case_c, EMConfig(mode="paper-sde")) == 1
+    assert batch_size(fault39, SolverConfig(order=6, window=0.05)) == 64
+
+
+def test_batch_size_of_a_long_horizon_is_bounded_by_its_load_bytes(
+    ieee39_case, repo_root
+):
+    # 100 s at the 0.1 s resample interval: 42 variables * 1,000 rows * 8 B
+    # = 336,000 B a run, so 64 runs would take 21.5 MB and 24 fit in 8 MiB
+    config = SolverConfig(order=6, window=0.05)
+    long_c = _shipped_setup(ieee39_case, repo_root, "caseC", horizon_s=100.0)
+    assert batch_size(long_c, config) == 2**23 // 336_000 == 24
+    # a run whose rows alone exceed the budget still gets a batch of one
+    endless = _shipped_setup(ieee39_case, repo_root, "caseC", horizon_s=1e5)
+    assert batch_size(endless, config) == 1
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
