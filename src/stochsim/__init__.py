@@ -18,15 +18,7 @@ from .dynamics import (
     rhs,
     solve_equilibrium,
 )
-from .noise import (
-    NoisePath,
-    OUParams,
-    build_noise_path,
-    load_schedule,
-    ou_closed_form,
-    ou_em_step,
-    ou_exact_step,
-)
+from .noise import NoisePath, build_noise_path, load_schedule
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .trajectory import Trajectory
 from .sas import (

@@ -15,7 +15,7 @@ change of the loads costs one L x L solve per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,41 +166,20 @@ class LoadBusNetwork:
     The first reduction step: the buses that carry no load are eliminated
     once per network condition, loads excluded.  What is left is linear in
     the kept values, the K internal EMFs and then the L load-bus voltages.
-    ``outputs`` (K+m, K+L) maps them to the K internal-node currents, then
-    to the voltages of the m buses the recovery keeps; ``load_kcl``
-    (L, K+L) maps them to the current each load bus draws from the network,
-    which its load shunt must balance.  ``vm2`` is the |V|^2 of each load
-    bus at which its impedance is fixed.  The blocks that every
-    :meth:`with_loads` call reads are fixed with the stage, so they are
-    sliced once, at construction: the internal and load column blocks of
-    ``outputs`` and ``load_kcl`` (views, no copies) and ``vm2`` as complex
-    numbers.  Safe to share across runs.
+    ``out_k`` (K+m, K) and ``out_l`` (K+m, L) map them to the K
+    internal-node currents, then to the voltages of the m buses the
+    recovery keeps; ``kcl_k`` (L, K) and ``kcl_l`` (L, L) map them to the
+    current each load bus draws from the network, which its load shunt must
+    balance.  ``vm2`` is the |V|^2 of each load bus at which its impedance
+    is fixed, as complex numbers: the divisor of the load shunts.  Safe to
+    share across runs.
     """
 
-    outputs: np.ndarray
-    load_kcl: np.ndarray
+    out_k: np.ndarray
+    out_l: np.ndarray
+    kcl_k: np.ndarray
+    kcl_l: np.ndarray
     vm2: np.ndarray
-    out_k: np.ndarray = field(init=False, repr=False, compare=False)
-    out_l: np.ndarray = field(init=False, repr=False, compare=False)
-    kcl_k: np.ndarray = field(init=False, repr=False, compare=False)
-    kcl_l: np.ndarray = field(init=False, repr=False, compare=False)
-    vm2_complex: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = self.load_kcl.shape[1] - self.vm2.size
-        blocks = {
-            "out_k": self.outputs[:, :k],
-            "out_l": self.outputs[:, k:],
-            "kcl_k": self.load_kcl[:, :k],
-            "kcl_l": self.load_kcl[:, k:],
-            "vm2_complex": self.vm2.astype(complex),  # the divisor of the load shunts
-        }
-        for name, block in blocks.items():
-            object.__setattr__(self, name, block)
-
-    def __reduce__(self):
-        # a copy (pickled for a worker) slices its own views again
-        return type(self), (self.outputs, self.load_kcl, self.vm2)
 
     def with_loads(self, pq: np.ndarray) -> ReducedNetwork:
         """The second reduction step: the reduced network at a stack of load values.
@@ -214,12 +193,11 @@ class LoadBusNetwork:
         ``y`` is (..., K, K) and ``recovery`` (..., m, K).  This is the
         exact Schur identity, for any load values.
         """
-        n_load = self.vm2.size
-        k = self.kcl_k.shape[1]
+        n_load, k = self.kcl_k.shape
         # each (P, Q) pair read as the complex P + jQ, a view of a C-contiguous pq
         s_load = np.ascontiguousarray(pq, dtype=float).view(complex)[..., 0]
         shunts = np.conjugate(s_load)
-        shunts /= self.vm2_complex
+        shunts /= self.vm2
         lead = shunts.shape[:-1]
         y_ll = np.empty(lead + (n_load, n_load), dtype=complex)
         y_ll[...] = self.kcl_l
@@ -267,7 +245,12 @@ def reduce_to_load_buses(
     y_red, rec = schur_complement(y[:m, :m], y[:m, m:], y[m:, :m], y[m:, m:])
     # each bus voltage from the kept values (internal EMFs, load-bus voltages)
     to_bus = np.concatenate([np.eye(m)[k:], rec])[at[rows] - k]
+    outputs = np.concatenate([y_red[:k], to_bus])
     return LoadBusNetwork(
-        outputs=np.concatenate([y_red[:k], to_bus]), load_kcl=y_red[k:], vm2=vm2
+        out_k=outputs[:, :k],
+        out_l=outputs[:, k:],
+        kcl_k=y_red[k:, :k],
+        kcl_l=y_red[k:, k:],
+        vm2=vm2.astype(complex),
     )
 

@@ -6,6 +6,7 @@ series solver and shared-path Euler resample the values on a fixed interval
 by the exact transition and hold them constant in between, so their
 trajectories are comparable path by path; paper-sde Euler takes an
 Euler-Maruyama step of the load SDE at every integration step instead.
+:func:`load_schedule` runs both recursions and is the only OU update.
 A study's loads are vectors in noise-grid order: the means, the drift a and
 the diffusion b = sigma_rel * |mean| * sqrt(2a), which makes the stationary
 deviation sigma_rel * |mean| (see ``SimulationSetup``).
@@ -20,73 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trajectory import csv_rows
-
-ArrayLike = float | np.ndarray  # one variable, or an array of variables or paths
-
-
-@dataclass(frozen=True)
-class OUParams:
-    """Mean-reversion rate ``a`` (1/s) and diffusion magnitude ``b`` (p.u./sqrt(s))."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("OU drift parameter a must be positive")
-        if self.b < 0.0:
-            raise ValueError("OU diffusion parameter b must be nonnegative")
-
-
-def _exact_transition(a: ArrayLike, b: ArrayLike, dt: float):
-    """Decay exp(-a dt) and noise scale b sqrt((1 - exp(-2 a dt)) / (2a)) of an exact step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    decay = np.exp(-a * dt)
-    return decay, b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
-
-
-def ou_exact_step(
-    eps: ArrayLike, a: ArrayLike, b: ArrayLike, dt: float, xi: ArrayLike
-) -> ArrayLike:
-    """Advance OU variables by ``dt`` using the exact transition law.
-
-    eps' = eps * exp(-a dt) + b * sqrt((1 - exp(-2 a dt)) / (2a)) * xi
-    with ``xi`` standard-normal draws.  Distributionally exact for any step;
-    the update applies element by element.
-    """
-    decay, std = _exact_transition(a, b, dt)
-    return eps * decay + std * xi
-
-
-def ou_em_step(
-    eps: ArrayLike, a: ArrayLike, b: ArrayLike, dt: float, dw: ArrayLike
-) -> ArrayLike:
-    """One Euler-Maruyama step of d(eps) = -a eps dt + b dW.
-
-    ``dw`` holds Brownian increments with variance dt; the update applies
-    element by element.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return eps + (-a * eps * dt + b * dw)
-
-
-def ou_closed_form(eps0: float, p: OUParams, t: float, db: np.ndarray) -> ArrayLike:
-    """Evaluate the closed-form OU solution on discretized Brownian paths.
-
-    ``db`` holds Brownian increments over a uniform partition of [0, t]
-    along its last axis, one path per leading index; the stochastic
-    integral uses left endpoints:
-    eps(t) = exp(-a t) * (eps0 + b * sum_i exp(a s_i) dB_i).
-    """
-    db = np.asarray(db, dtype=float)
-    m = db.shape[-1]
-    if m == 0:
-        return eps0 * math.exp(-p.a * t)
-    s = np.arange(m) * (t / m)
-    integral = np.sum(np.exp(p.a * s) * db, axis=-1)
-    return math.exp(-p.a * t) * (eps0 + p.b * integral)
 
 
 @dataclass(frozen=True)
@@ -127,7 +61,7 @@ def build_noise_path(seed, n_vars: int, horizon: float, dt: float) -> NoisePath:
 
 def load_schedule(
     mean: np.ndarray,
-    a: ArrayLike,
+    a: float | np.ndarray,
     b: np.ndarray,
     path: NoisePath,
     euler: bool = False,
@@ -140,25 +74,33 @@ def load_schedule(
     diffusion ``b[j]``, driven by noise row j.  Each deviation starts at
     zero (load at its mean over the first interval) and row k is the value
     held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k follows from row k-1
-    and noise column k-1 by the exact transition, or with ``euler`` by the
-    Euler-Maruyama step with dW = sqrt(dt) * xi, which is the paper's SDE
-    discretized on the integration grid.  The values are written into
-    ``out`` when given, an (n, n_vars) array with n <= n_steps that takes
-    the first n rows; ``out`` is returned.
+    and noise column k-1 by the exact transition
+
+        eps_k = eps_{k-1} * exp(-a dt) + b * sqrt((1 - exp(-2a dt)) / (2a)) * xi,
+
+    which is distributionally exact for any dt, or with ``euler`` by the
+    Euler-Maruyama step eps_k = eps_{k-1} + (-a eps_{k-1} dt + b dW) with
+    dW = sqrt(dt) * xi, which is the paper's SDE discretized on the
+    integration grid.  The values are written into ``out`` when given, an
+    (n, n_vars) array with n <= n_steps that takes the first n rows; ``out``
+    is returned.
     """
     eps = np.empty((path.n_steps, mean.shape[0])) if out is None else out
     n = eps.shape[0]
+    dt = path.dt
     eps[0] = 0.0
     # row k holds its noise until the recursion reaches it
     xi = path.xi[:, : n - 1].T
     if euler:
-        np.multiply(math.sqrt(path.dt), xi, out=eps[1:])
+        np.multiply(math.sqrt(dt), xi, out=eps[1:])
         for k in range(1, n):
-            eps[k] = ou_em_step(eps[k - 1], a, b, path.dt, eps[k])
+            prev = eps[k - 1]
+            eps[k] = prev + (-a * prev * dt + b * eps[k])
     else:
         eps[1:] = xi
-        decay, std = _exact_transition(a, b, path.dt)
-        for k in range(1, n):  # ou_exact_step, its coefficients computed once
+        decay = np.exp(-a * dt)
+        std = b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
+        for k in range(1, n):
             eps[k] = eps[k - 1] * decay + std * eps[k]
     eps += mean
     return eps

@@ -2,15 +2,14 @@
 
 Everything here is written out by hand, independently of the generic series
 engine, so the two can check each other: the admittance coefficients of the
-classical machine/tie-line/impedance-load circuit, the order-2 series terms
-of the rotor angle and speed, and the analytic moments of the
-mean-reverting load SDE.
+classical machine/tie-line/impedance-load circuit and the order-2 series
+terms of the rotor angle and speed.
 
 The published series recursion for the stochastic load reactance repeats
 the resistance initial value R_L(0) where X_L(0) belongs, plainly a slip of
 the pen.  The load series are not reproduced here: production loads come
-from :func:`stochsim.noise.load_schedule`, and the closed-form OU solution
-is :func:`stochsim.noise.ou_closed_form`.
+from :func:`stochsim.noise.load_schedule`, whose moments ``validate``
+checks against the stationary OU law.
 
 Not a production solver; used by the test suite and the validation command.
 """
@@ -24,7 +23,6 @@ import numpy as np
 
 from .dynamics import MachineSet, pack_state
 from .network import ReducedNetwork, schur_complement
-from .noise import OUParams
 
 
 class SingularityError(ArithmeticError):
@@ -192,9 +190,3 @@ def smib_state(p: SMIBParams, delta0: float, omega0: float) -> np.ndarray:
         np.array([0.0, 0.0]),
     )
 
-
-def ou_moments(p_ou: OUParams, y0: float, t: float) -> tuple[float, float]:
-    """Analytic mean and variance of the OU value at time t from y0."""
-    mean = y0 * math.exp(-p_ou.a * t)
-    var = p_ou.b**2 / (2.0 * p_ou.a) * -math.expm1(-2.0 * p_ou.a * t)
-    return mean, var

@@ -21,17 +21,6 @@ def columns(gen_buses, monitor_buses) -> list[str]:
     return gen + [f"v{b}" for b in monitor_buses]
 
 
-def _bus_position(buses, prefix: str, name: str) -> int:
-    """Position in ``buses`` of the bus named ``name``: ``prefix``, then the bus id.
-
-    Raises ValueError when no bus has that name.
-    """
-    i = buses.index(int(name[1:]))
-    if name != f"{prefix}{buses[i]}":
-        raise ValueError(name)
-    return i
-
-
 def packed_column(gen_buses, index: int) -> str:
     """Column name of entry ``index`` of a packed [delta | omega | eqp | edp] state."""
     k = len(gen_buses)
@@ -100,14 +89,14 @@ class Trajectory:
 
     def value(self, column: str) -> np.ndarray:
         """Series of one variable named in :attr:`columns`."""
-        name, _, var = column.partition(".")
         try:
-            if var:
-                g = _bus_position(self.gen_buses, "g", name)
-                return self.states[:, FIELDS.index(var) * self.n_gen + g]
-            return self.voltages[:, _bus_position(self.monitor_buses, "v", name)]
+            i = self.columns.index(column)
         except ValueError:
             raise KeyError(f"unknown column {column!r}") from None
+        g, f = divmod(i, len(FIELDS))  # generator-major in the columns
+        if g < self.n_gen:
+            return self.states[:, f * self.n_gen + g]
+        return self.voltages[:, i - len(FIELDS) * self.n_gen]
 
     def csv_blocks(self) -> Iterator[str]:
         """Fixed 17-significant-digit CSV, one row per output step, in blocks of text."""

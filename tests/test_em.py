@@ -4,36 +4,28 @@ import numpy as np
 import pytest
 
 from stochsim.em import EMConfig, euler_det_step, simulate_em
-from stochsim.noise import OUParams, build_noise_path, ou_em_step
+from stochsim.noise import build_noise_path, load_schedule
 from stochsim.sas import SolverConfig, simulate_sas
 from stochsim.scenario import Scenario, SimulationSetup
 from stochsim import smib as sm
 
 
-def test_em_sde_step_deterministic():
-    assert ou_em_step(1.0, 0.5, 0.0, 1e-3, 0.0) == pytest.approx(0.9995)
-
-
-def test_em_sde_step_pure_noise():
-    assert ou_em_step(0.0, 3.0, 0.7, 0.01, 0.25) == pytest.approx(0.7 * 0.25)
-
-
 def test_em_sde_step_stationary_variance():
     # Euler-Maruyama turns the OU equation into the AR(1) recursion
     # eps' = (1 - a dt) eps + b dW, whose stationary variance is
-    # b^2 / (2a - a^2 dt). Independent paths start from the continuum law
-    # N(0, b^2/2a) and run for 2 a n dt = 2 relaxation times, so a wrong drift
-    # or diffusion moves the variance (b off by 5% shifts it by about 9%).
-    # Over N paths the estimate has a relative SE of sqrt(2/N) = 0.40%; the
-    # 2% tolerance spans 5 SE.
-    p = OUParams(5.0, math.sqrt(10.0))
-    dt, n_steps, n_paths = 1e-3, 200, 125_000
-    rng = np.random.default_rng(42)
-    eps = rng.standard_normal(n_paths) * math.sqrt(sm.ou_moments(p, 0.0, math.inf)[1])
-    for _ in range(n_steps):
-        eps = ou_em_step(eps, p.a, p.b, dt, rng.standard_normal(n_paths) * math.sqrt(dt))
-    target = p.b**2 / (2.0 * p.a - p.a**2 * dt)
-    assert np.var(eps) == pytest.approx(target, rel=0.02)
+    # b^2 / (2a - a^2 dt): at a dt = 0.1 that is 5.3% above the continuum
+    # b^2/2a = 1, and b off by 5% moves it by about 10%. 2,000 variables of
+    # one path, 600 rows each after a burn-in of 50 rows (bias
+    # (1 - a dt)^100 = 3e-5), pool N = 1.2e6 draws whose lag-1 correlation
+    # 1 - a dt = 0.9 leaves an effective share (1 - 0.81) / (1 + 0.81) =
+    # 0.105, so the relative SE is sqrt(2/(0.105 N)) = 0.40%; the 2%
+    # tolerance spans 5 SE.
+    a, b, dt = 5.0, math.sqrt(10.0), 0.02
+    n_vars, burn_in, rows = 2_000, 50, 600
+    path = build_noise_path(42, n_vars, (burn_in + rows) * dt, dt)
+    eps = load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), path, euler=True)
+    target = b**2 / (2.0 * a - a**2 * dt)
+    assert np.var(eps[burn_in:]) == pytest.approx(target, rel=0.02)
 
 
 def test_euler_det_step_scalar_decay():

@@ -75,19 +75,21 @@ def test_load_shunt_unit_values():
     # one internal node and one load bus: the load-bus recovery is
     # -y_lg / (y_ll + shunt), so the shunt (P - jQ) / |V|^2 can be read back
     y_lg, y_ll = -2 + 1j, 2 - 1j
-    # the internal-node current, then the load-bus voltage, from (E, V)
-    outputs = np.array([[2 - 1j, -2 + 1j], [0.0, 1.0]])
+    # the internal-node current, then the load-bus voltage, from E and from V
+    out_k = np.array([[2 - 1j], [0.0]])
+    out_l = np.array([[-2 + 1j], [1.0]])
     cases = (
         (1.0, 0.0, 1.0 + 0j, 1.0 + 0j),
         (0.0, 0.0, 0.7 + 0.2j, 0.0),
         (1.0, 0.5, 2.0 + 0j, 0.25 - 0.125j),
     )
     for p, q, v, shunt in cases:
-        kcl = np.array([[y_lg, y_ll]])
-        first = LoadBusNetwork(outputs=outputs, load_kcl=kcl, vm2=np.abs([v]) ** 2)
+        kcl_l = np.array([[y_ll]])
+        vm2 = np.abs([v]).astype(complex) ** 2
+        first = LoadBusNetwork(out_k, out_l, np.array([[y_lg]]), kcl_l, vm2)
         net = first.with_loads(np.array([[p, q]]))
         assert -y_lg / net.recovery[0, 0] - y_ll == pytest.approx(shunt, abs=1e-14)
-        assert np.array_equal(kcl, [[y_lg, y_ll]])  # the cached rows are unchanged
+        assert np.array_equal(kcl_l, [[y_ll]])  # the cached block is unchanged
 
 
 def test_zero_load_voltage_rejected(smib_case):

@@ -4,86 +4,58 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochsim.noise import (
-    NoisePath,
-    OUParams,
-    build_noise_path,
-    load_schedule,
-    ou_closed_form,
-    ou_em_step,
-    ou_exact_step,
-    path_to_csv,
-)
+from stochsim.noise import NoisePath, build_noise_path, load_schedule, path_to_csv
 from stochsim.scenario import Scenario, SimulationSetup
-from stochsim.smib import ou_moments
 
 
-def test_ou_params_domain():
-    with pytest.raises(ValueError):
-        OUParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        OUParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        OUParams(1.0, -0.1)
+def ou_rows(a, b, seed, n_vars, dt, burn_in, rows):
+    """``rows`` rows of ``n_vars`` exact-transition OU deviations on a ``dt``
+    grid; they start at 0, so ``burn_in`` rows go first."""
+    path = build_noise_path(seed, n_vars, (burn_in + rows) * dt, dt)
+    return load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), path)[burn_in:]
 
 
 def test_exact_step_deterministic_decay():
-    p = OUParams(0.5, 0.0)
-    out = ou_exact_step(2.0, p.a, p.b, 0.3, 1.234)
-    assert out == pytest.approx(2.0 * math.exp(-0.15))
+    # one unit draw in noise column 0 and none after it: row 1 is the noise
+    # scale b sqrt((1 - e^{-2a dt}) / 2a), and each later row decays by e^{-a dt}
+    a, b, dt = 0.5, 0.7, 0.3
+    xi = np.zeros((1, 20))
+    xi[0, 0] = 1.0
+    vals = load_schedule(np.zeros(1), a, np.array([b]), NoisePath((0,), dt, xi))[:, 0]
+    assert vals[0] == 0.0
+    assert vals[1] == pytest.approx(b * math.sqrt(-math.expm1(-2 * a * dt) / (2 * a)))
+    assert vals[2:] == pytest.approx(vals[1] * np.exp(-a * dt * np.arange(1, 19)))
 
 
 def test_exact_step_brownian_limit():
-    # a -> 0 reduces to a plain Brownian increment
-    p = OUParams(1e-12, 0.7)
-    dt, xi = 0.25, -1.1
-    out = ou_exact_step(0.4, p.a, p.b, dt, xi)
-    assert out == pytest.approx(0.4 + 0.7 * math.sqrt(dt) * xi, rel=1e-6)
+    # a -> 0 reduces each step to a plain Brownian increment b sqrt(dt) xi
+    b, dt = 0.7, 0.25
+    path = build_noise_path(3, 8, 50.0, dt)
+    vals = load_schedule(np.zeros(8), 1e-12, np.full(8, b), path)
+    walk = np.cumsum(b * math.sqrt(dt) * path.xi[:, :-1], axis=1).T
+    assert np.all(vals[0] == 0.0)
+    assert np.allclose(vals[1:], walk, rtol=1e-6, atol=1e-9)
 
 
 def test_exact_step_stationary_variance_monte_carlo():
     # the transition is exact for any step, so sample at two correlation
-    # times; 1e5 near-independent draws estimate the variance to ~0.5%
-    p = OUParams(0.5, 1.0)
-    rng = np.random.default_rng(123)
-    n = 100_000
-    dt = 4.0
-    eps = 0.0
-    samples = np.empty(n)
-    for i in range(n):
-        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
-        samples[i] = eps
-    assert np.var(samples) == pytest.approx(ou_moments(p, 0.0, math.inf)[1], rel=0.02)
-
-
-def test_exact_step_transition_composition():
-    # two half steps compose to one full step in distribution: the decay
-    # factors match exactly and the variances to 1e-12
-    p = OUParams(0.7, 1.3)
-    dt = 0.2
-    decay_full = math.exp(-p.a * dt)
-    decay_half = math.exp(-p.a * dt / 2.0)
-    assert decay_half * decay_half == pytest.approx(decay_full, rel=1e-15)
-    stationary = ou_moments(p, 0.0, math.inf)[1]
-    var_full = stationary * -math.expm1(-2 * p.a * dt)
-    var_half = stationary * -math.expm1(-p.a * dt)
-    composed = var_half * decay_half**2 + var_half
-    assert composed == pytest.approx(var_full, rel=1e-12)
+    # times: 1,000 variables of one path, 100 rows each after a burn-in of
+    # 5 rows (bias e^-20), give 1e5 near-independent draws (effective
+    # share (1 - e^-4) / (1 + e^-4) = 0.964) that estimate b^2/2a to 0.46%
+    a, b = 0.5, 1.0
+    x = ou_rows(a, b, 123, 1_000, 4.0, 5, 100)
+    assert np.var(x) == pytest.approx(b**2 / (2 * a), rel=0.02)
 
 
 def test_autocorrelation_decay():
-    p = OUParams(0.5, 1.0)
-    dt, lag = 0.1, 5  # tau = 0.5 s
-    rng = np.random.default_rng(99)
-    n = 100_000
-    x = np.empty(n)
-    eps = 0.0
-    for i in range(n):
-        eps = ou_exact_step(eps, p.a, p.b, dt, rng.standard_normal())
-        x[i] = eps
-    x = x[1000:]
-    corr = np.corrcoef(x[:-lag], x[lag:])[0, 1]
-    assert corr == pytest.approx(math.exp(-p.a * lag * dt), abs=0.05)
+    # the lag-5 correlation of rows 0.1 s apart (tau = 0.5 s), pooled over
+    # 500 variables of one path after a burn-in of 100 rows (bias e^-10),
+    # has variance 1.81/n by Bartlett's formula: n = 97,500 pairs give an
+    # SE of 0.0043, so 0.05 spans 12 SE
+    a, dt, lag = 0.5, 0.1, 5
+    x = ou_rows(a, 1.0, 99, 500, dt, 100, 200)
+    corr = np.corrcoef(x[:-lag].ravel(), x[lag:].ravel())[0, 1]
+    assert corr == pytest.approx(math.exp(-a * lag * dt), abs=0.05)
 
 
 def test_noise_path_determinism():
@@ -148,11 +120,13 @@ def test_load_schedule_columns_follow_noise_grid_order():
     b = np.array([0.05, 0.05, 0.02, 0.02]) * mean
     path = build_noise_path(2, 4, 3.0, 0.1)
     vals = load_schedule(mean, 0.5, b, path)
+    decay = math.exp(-0.5 * path.dt)
+    scale = math.sqrt(-math.expm1(-2 * 0.5 * path.dt) / (2 * 0.5))
     for j in range(4):
         eps = 0.0
         for k in range(path.n_steps):
             assert vals[k, j] == pytest.approx(mean[j] + eps, rel=1e-14, abs=1e-15)
-            eps = ou_exact_step(eps, 0.5, b[j], path.dt, path.xi[j, k])
+            eps = eps * decay + b[j] * scale * path.xi[j, k]
 
 
 def test_euler_load_schedule_follows_em_recursion():
@@ -169,7 +143,7 @@ def test_euler_load_schedule_follows_em_recursion():
     assert np.array_equal(vals[0], mean)
     eps = np.zeros(4)
     for k in range(1, path.n_steps):
-        eps = ou_em_step(eps, a, b, dt, math.sqrt(dt) * path.xi[:, k - 1])
+        eps = eps + (-a * eps * dt + b * (math.sqrt(dt) * path.xi[:, k - 1]))
         assert np.array_equal(vals[k], mean + eps)
     # not the exact transition: the two schedules differ after row 0
     assert not np.array_equal(vals[1:], load_schedule(mean, a, b, path)[1:])
@@ -186,40 +160,6 @@ def test_affine_shift_independent_of_mean(m1, m2):
     for m in (m1, m2):
         eps = load_schedule(np.array([m, 0.0]), 0.5, b, path)[:, 0] - np.float64(m)
         assert np.allclose(eps, base, atol=1e-12)
-
-
-def test_ou_closed_form_deterministic():
-    p = OUParams(0.8, 0.0)
-    assert ou_closed_form(1.5, p, 2.0, np.zeros(100)) == pytest.approx(
-        1.5 * math.exp(-1.6)
-    )
-
-
-def test_ou_closed_form_brownian_limit():
-    p = OUParams(1e-12, 1.0)
-    rng = np.random.default_rng(3)
-    m = 1000
-    db = rng.standard_normal(m) * math.sqrt(2.0 / m)
-    out = ou_closed_form(0.3, p, 2.0, db)
-    assert out == pytest.approx(0.3 + db.sum(), rel=1e-6)
-
-
-def test_ou_closed_form_moments():
-    # the left-endpoint sum is Gaussian with mean eps0 e^{-at} and variance
-    # b^2 sum_i e^{-2a(t - s_i)} dt, 0.5% below the continuum value at m = 200.
-    # Over N paths the relative SEs are 0.93 / (eps0 e^{-at} sqrt(N)) = 0.34%
-    # for the mean and sqrt(2/N) = 0.58% for the variance, so the 3%
-    # tolerances span 8.7 and 5.2 SE.
-    p = OUParams(0.5, 1.0)
-    t, m, n_paths = 2.0, 200, 60_000
-    rng = np.random.default_rng(17)
-    db = rng.standard_normal((n_paths, m)) * math.sqrt(t / m)
-    eps0 = 3.0
-    vals = ou_closed_form(eps0, p, t, db)
-    s = np.arange(m) * (t / m)
-    var_ref = p.b**2 * np.sum(np.exp(-2 * p.a * (t - s))) * (t / m)
-    assert vals.mean() == pytest.approx(eps0 * math.exp(-p.a * t), rel=0.03)
-    assert vals.var() == pytest.approx(var_ref, rel=0.03)
 
 
 def test_path_csv_roundtrip_header():
