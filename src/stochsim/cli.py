@@ -32,13 +32,13 @@ from .ensemble import (
     confidence_envelope,
     ensemble_stats,
     grid_index,
-    noise_grid,
     pdf_evolution,
     run_ensemble,
+    run_path,
     stability_report,
 )
 from .network import NetworkCondition, ReductionError
-from .noise import build_noise_path, path_to_csv
+from .noise import path_to_csv
 from .powerflow import PowerFlowError
 from .sas import MAX_ORDER, SolverConfig
 from .scenario import SimulationSetup, load_scenario
@@ -100,7 +100,7 @@ def _stats_csv(ensemble: Ensemble, variables: list[str]) -> tuple[Iterator[str],
         cols += [mean, std]
         if ensemble.n_runs >= 10:
             header += [f"{var}.q05", f"{var}.q95"]
-            cols += confidence_envelope(vals, 0.9)
+            cols += confidence_envelope(vals)
     return csv_blocks(header, cols), moments
 
 
@@ -117,8 +117,8 @@ def _pdf_csv(ensemble: Ensemble, moments: list) -> Iterator[str]:
 
 
 def _progress(done: int, total: int) -> None:
-    if done % 10 == 0 or done == total:
-        print(f"completed {done}/{total} runs", flush=True)
+    """Print the runs done; :func:`run_ensemble` calls this after every batch."""
+    print(f"completed {done}/{total} runs", flush=True)
 
 
 def cmd_run(args) -> int:
@@ -161,27 +161,22 @@ def cmd_run(args) -> int:
         manifest["run_seconds"] = ensemble.run_seconds
         manifest["batch_sizes"] = ensemble.batch_sizes
         manifest["total_seconds"] = total
-        manifest["diverged"] = [tr.diverged for tr in ensemble.trajectories]
-        manifest["t_diverged"] = [tr.t_diverged for tr in ensemble.trajectories]
-        manifest["diverged_column"] = [
-            tr.diverged_column for tr in ensemble.trajectories
-        ]
-        manifest["windows"] = [tr.windows for tr in ensemble.trajectories]
-        manifest["rebuilds"] = [tr.rebuilds for tr in ensemble.trajectories]
+        for key in ("diverged", "t_diverged", "diverged_column", "windows", "rebuilds"):
+            manifest[key] = [getattr(tr, key) for tr in ensemble.trajectories]
 
         artifacts = []
-        if args.runs == 1:
-            path = os.path.join(args.out, "trajectory.csv")
-            _write_atomic(path, ensemble.trajectories[0].csv_blocks())
-            artifacts.append(path)
-        else:
-            blocks, moments = _stats_csv(ensemble, variables)
-            path = os.path.join(args.out, "stats.csv")
+
+        def write(name: str, blocks: Iterable[str]) -> None:
+            path = os.path.join(args.out, name)
             _write_atomic(path, blocks)
             artifacts.append(path)
-            path = os.path.join(args.out, "pdf.csv")
-            _write_atomic(path, _pdf_csv(ensemble, moments))
-            artifacts.append(path)
+
+        if args.runs == 1:
+            write("trajectory.csv", ensemble.trajectories[0].csv_blocks())
+        else:
+            blocks, moments = _stats_csv(ensemble, variables)
+            write("stats.csv", blocks)
+            write("pdf.csv", _pdf_csv(ensemble, moments))
             if scenario.horizon_s > args.ts:
                 x_eq = solve_equilibrium(
                     case, NetworkCondition("pre-fault"), dict(setup.mean_loads)
@@ -190,23 +185,15 @@ def cmd_run(args) -> int:
                     t_s=args.ts, r0=args.r0, x_eq=x_eq, variables=args.stab_var
                 )
                 report = stability_report(ensemble, crit)
-                path = os.path.join(args.out, "stability.json")
-                _write_atomic(path, [json.dumps(report, indent=1) + "\n"])
-                artifacts.append(path)
+                write("stability.json", [json.dumps(report, indent=1) + "\n"])
             else:
                 manifest["stability"] = "skipped: horizon does not extend beyond t_s"
         if args.save_trajectories and args.runs > 1:
             for i, tr in enumerate(ensemble.trajectories):
-                path = os.path.join(args.out, f"trajectory_{i:03d}.csv")
-                _write_atomic(path, tr.csv_blocks())
-                artifacts.append(path)
+                write(f"trajectory_{i:03d}.csv", tr.csv_blocks())
         if args.dump_noise:
-            horizon, dt = noise_grid(scenario, config)
             for i, seed in enumerate(ensemble.run_seeds):
-                path_obj = build_noise_path(seed, setup.n_noise_vars(), horizon, dt)
-                path = os.path.join(args.out, f"noise_{i:03d}.csv")
-                _write_atomic(path, path_to_csv(path_obj))
-                artifacts.append(path)
+                write(f"noise_{i:03d}.csv", path_to_csv(run_path(setup, config, seed)))
         manifest["artifacts"] = artifacts
         manifest["status"] = "ok"
         return 0

@@ -136,16 +136,11 @@ def rhs(state: np.ndarray, net: ReducedNetwork, machines: MachineSet) -> np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class InitResult:
-    state: np.ndarray
-    machines: MachineSet  # with efd/pm filled in
-
-
 def init_dynamic_state(
     case: SystemCase, profile: np.ndarray, net: ReducedNetwork
-) -> InitResult:
-    """Initialize machine states at the pre-fault operating point.
+) -> tuple[np.ndarray, MachineSet]:
+    """``(state, machines)`` at the pre-fault operating point: the packed
+    state, and the case's machines with E_fd and P_m filled in.
 
     ``profile`` is the solved pre-fault voltage profile and ``net`` the
     pre-fault network reduced at the mean loads for that profile.  The rotor
@@ -183,7 +178,7 @@ def init_dynamic_state(
 
     _, _, _, i_d, _, _, p_e = _injections(delta, eqp, edp, net.y, machines)
     efd = eqp + (machines.xd - machines.xdp) * i_d
-    return InitResult(state, replace(machines, efd=efd, pm=p_e))
+    return state, replace(machines, efd=efd, pm=p_e)
 
 
 def solve_equilibrium(
@@ -214,12 +209,12 @@ def solve_equilibrium(
         return reduce_to_load_buses(case, cond, profile, []).with_loads(pq)
 
     net = network(pre_fault, mean_loads)
-    init = init_dynamic_state(case, profile, net)
+    state, machines = init_dynamic_state(case, profile, net)
     if (condition, loads) != (pre_fault, mean_loads):
         net = network(condition, loads)
-    residual = float(np.max(np.abs(rhs(init.state, net, init.machines))))
+    residual = float(np.max(np.abs(rhs(state, net, machines))))
     if residual < 1e-9:
-        return init.state
+        return state
     raise EquilibriumError(
         f"the pre-fault state is no equilibrium of this network "
         f"(residual {residual:.3e})",

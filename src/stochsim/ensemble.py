@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .em import EMConfig, simulate_em_batch
-from .noise import build_noise_path
+from .noise import NoisePath, build_noise_path
 from .sas import SolverConfig, simulate_sas_batch
-from .scenario import Scenario, SimulationSetup
+from .scenario import SimulationSetup
 from .trajectory import Trajectory
 
 # Runs per batch.  A stacked window or rebuild costs little more for many
@@ -85,17 +84,13 @@ class StabilityCriterion:
             raise ValueError(f"variables must be 'speed' or 'angle', not {self.variables!r}")
 
 
-def _run_seed(master_seed: int, run_index: int) -> tuple:
-    return (master_seed, run_index)
-
-
-def noise_grid(scenario: Scenario, config) -> tuple[float, float]:
-    """(horizon, step) of the noise grid one run under ``config`` consumes:
-    ``config.dt`` for paper-sde Euler, ``resample_dt`` for every other config.
-    """
-    if isinstance(config, EMConfig) and config.mode == "paper-sde":
-        return scenario.horizon_s, config.dt
-    return scenario.horizon_s, scenario.resample_dt
+def run_path(setup: SimulationSetup, config, seed) -> NoisePath:
+    """The noise path run ``seed`` consumes and ``--dump-noise`` writes: over the
+    horizon, on the ``dt`` grid for paper-sde Euler, else on ``resample_dt``."""
+    sc = setup.scenario
+    paper_sde = isinstance(config, EMConfig) and config.mode == "paper-sde"
+    dt = config.dt if paper_sde else sc.resample_dt
+    return build_noise_path(seed, setup.n_noise_vars(), sc.horizon_s, dt)
 
 
 def batch_size(setup: SimulationSetup, config) -> int:
@@ -112,20 +107,16 @@ def batch_size(setup: SimulationSetup, config) -> int:
     """
     if isinstance(config, EMConfig) and config.mode == "paper-sde":
         return 1
-    horizon, dt = noise_grid(setup.scenario, config)
-    row_bytes = 8 * setup.n_noise_vars() * math.ceil(horizon / dt - 1e-12)
+    sc = setup.scenario
+    row_bytes = 8 * setup.n_noise_vars() * math.ceil(sc.horizon_s / sc.resample_dt - 1e-12)
     return max(1, min(BATCH_RUNS, BATCH_LOAD_BYTES // max(row_bytes, 1)))
 
 
 def _run_batch(setup, config, master_seed, runs: range):
     """Simulate ``runs`` as one batch: their trajectories and its wall time."""
-    horizon, dt = noise_grid(setup.scenario, config)
-    n_vars = setup.n_noise_vars()
     simulate = simulate_em_batch if isinstance(config, EMConfig) else simulate_sas_batch
     t0 = time.perf_counter()
-    paths = (
-        build_noise_path(_run_seed(master_seed, i), n_vars, horizon, dt) for i in runs
-    )
+    paths = (run_path(setup, config, (master_seed, i)) for i in runs)
     trajectories = simulate(setup, config, paths)
     return trajectories, time.perf_counter() - t0
 
@@ -163,7 +154,7 @@ def run_ensemble(
     does not depend on the batch it shares, and results are assembled in
     run order, so the ensemble is identical whatever the parallelism.
     Diverged runs are kept (they count as unstable later).
-    ``progress(done, total)`` is called after each batch.
+    ``progress(done, total)`` is called after every batch with the runs done.
     """
     if n_runs < 1 or jobs < 1:
         raise ValueError("n_runs and jobs must be at least 1")
@@ -200,7 +191,7 @@ def run_ensemble(
 
     return Ensemble(
         trajectories=[tr for trs, _ in batches for tr in trs],
-        run_seeds=[_run_seed(master_seed, i) for i in range(n_runs)],
+        run_seeds=[(master_seed, i) for i in range(n_runs)],
         run_seconds=[sec / len(trs) for trs, sec in batches for _ in trs],
         batch_sizes=[len(trs) for trs, _ in batches],
     )
@@ -209,29 +200,20 @@ def run_ensemble(
 def ensemble_stats(vals: np.ndarray):
     """Pointwise sample mean and standard deviation (n-1 denominator).
 
-    ``vals`` is one variable's (n_runs, T) matrix (:meth:`Ensemble.values`).
-    A single run reports zero deviation and emits a warning.
+    ``vals`` is one variable's (n_runs, T) matrix (:meth:`Ensemble.values`)
+    of at least 2 runs; ``stochsim run`` writes statistics only from 2 runs.
     """
     vals = np.sort(vals, axis=0)
-    mean = vals.mean(axis=0)
-    if len(vals) == 1:
-        warnings.warn(
-            "standard deviation of a single-run ensemble reported as 0",
-            stacklevel=2,
-        )
-        return mean, np.zeros_like(mean)
-    std = vals.std(axis=0, ddof=1)
-    return mean, std
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1)
 
 
-def confidence_envelope(vals: np.ndarray, level: float = 0.9):
-    """Pointwise empirical quantile band of an (n_runs, T) matrix at the given
-    coverage level; order statistics, so the run order changes no bit."""
-    if not 0.0 <= level <= 1.0:
-        raise ValueError("level must lie in [0, 1]")
+def confidence_envelope(vals: np.ndarray):
+    """Pointwise 90% band of an (n_runs, T) matrix: its empirical quantiles at
+    lo = (1 - 0.9) / 2, the double 0.04999999999999999 and not 0.05, and at
+    1 - lo; order statistics, so the run order changes no bit."""
     if len(vals) < 10:
         raise ValueError("at least 10 runs are needed for a quantile envelope")
-    lo = (1.0 - level) / 2.0
+    lo = (1.0 - 0.9) / 2.0
     qs = np.quantile(vals, [lo, 1.0 - lo], axis=0, method="linear")
     return qs[0], qs[1]
 

@@ -166,9 +166,10 @@ class SimulationSetup:
     ``stages`` holds the network over the generator internal nodes and the
     load buses, loads excluded, with the recovery of the monitored buses
     only.  :meth:`build_net` runs the second at each rebuild.  The
-    stochastic loads are the OU means ``ou_mean``, drift ``ou_a`` and
-    diffusions ``ou_b`` (see :mod:`stochsim.noise`): entry 2*i is the P,
-    entry 2*i+1 the Q of the i-th load bus that ``spec_rows`` picks.
+    stochastic loads are the OU means ``ou_mean`` and diffusions ``ou_b``
+    (see :mod:`stochsim.noise`): entry 2*i is the P, entry 2*i+1 the Q of
+    the i-th load bus that ``spec_rows`` picks.  Their drift is the
+    scenario's ``drift_a``, the same for every variable.
     Immutable after construction; safe to share across concurrent workers.
     """
 
@@ -185,7 +186,6 @@ class SimulationSetup:
     # are every load bus in order, so a resample writes the loads by a view
     spec_rows: slice | np.ndarray
     ou_mean: np.ndarray  # mean of each noise variable
-    ou_a: float  # OU drift a, the same for every variable
     ou_b: np.ndarray  # OU diffusion b of each noise variable
 
     @classmethod
@@ -216,21 +216,19 @@ class SimulationSetup:
         every = rows == list(range(len(load_buses)))
         spec_rows = slice(0, len(rows)) if every else np.array(rows, dtype=int)
         ou_mean = mean_pq[spec_rows].flatten()
-        a = scenario.drift_a
         pre_fault = stages["pre-fault"].with_loads(mean_pq)
-        init = init_dynamic_state(case, profile, pre_fault)
+        x0, machines = init_dynamic_state(case, profile, pre_fault)
         return cls(
             case=case,
             scenario=scenario,
-            machines=init.machines,
-            x0=init.state,
+            machines=machines,
+            x0=x0,
             mean_loads=mean_loads,
             stages=stages,
             mean_pq=mean_pq,
             spec_rows=spec_rows,
             ou_mean=ou_mean,
-            ou_a=a,
-            ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * a),
+            ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * scenario.drift_a),
         )
 
     def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
@@ -276,7 +274,8 @@ def _write_loads(
         raise ValueError("noise path does not cover this scenario")
     if abs(path.dt - dt) > 1e-12:
         raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
-    load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=euler, out=out)
+    sc = setup.scenario
+    load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, path, euler=euler, out=out)
 
 
 def run_simulation(

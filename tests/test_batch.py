@@ -193,7 +193,7 @@ def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
     events = sc.fault_times(setup.case) or ()
     stages = ("pre-fault", "fault-on", "post-fault")
     for path, tr in zip(paths, runs):
-        rows = load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path, euler=em_continuous)
+        rows = load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, path, euler=em_continuous)
         assert tr.voltages.shape == (tr.times.size, len(sc.monitor_buses))
         for i, x in enumerate(tr.states):
             if np.isnan(x).any():

@@ -8,12 +8,15 @@ import pytest
 
 from stochsim import cli, ensemble, smib, validate
 from stochsim.case import load_case
+from stochsim.em import EMConfig, simulate_em_batch
 from stochsim.network import ReductionError
 from stochsim.noise import build_noise_path
 from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario, parse_scenario
 from stochsim.trajectory import Trajectory
 from stochsim.validate import CheckResult, check_smib_coefficients
+
+from test_batch import assert_same_run
 
 NAN, INF = float("nan"), float("inf")
 
@@ -463,6 +466,46 @@ def test_saved_trajectories_and_noise_paths(repo_root, tmp_path):
     artifacts = json.loads((many / "manifest.json").read_text())["artifacts"]
     names = [f"{kind}_{i:03d}.csv" for kind in ("trajectory", "noise") for i in range(3)]
     assert {str(many / name) for name in names} <= set(artifacts)
+
+
+def test_paper_sde_runs_consume_and_dump_the_dt_grid_path(repo_root, tmp_path, monkeypatch):
+    # a paper-sde run consumes the path of its seed on the dt grid, and
+    # --dump-noise writes that same path
+    doc = {"horizon_s": 0.1, "stochastic_buses": [1], "sigma_rel": 0.02}
+    scenario = write_scenario(tmp_path, doc)
+    ensembles = []
+
+    def run_ensemble(*args, **kwargs):
+        ensembles.append(ensemble.run_ensemble(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
+    out = tmp_path / "out"
+    argv = run_argv(repo_root, scenario, out, "--seed", "7", "--solver", "em",
+                    "--em-mode", "paper-sde", "--runs", "2", "--dump-noise")
+    assert cli.main(argv) == 0
+
+    setup = SimulationSetup.build(load_case(repo_root / "cases" / "smib.json"),
+                                  load_scenario(scenario))
+    config = EMConfig(dt=1e-3, mode="paper-sde")
+    n_vars = setup.n_noise_vars()
+    for i, run in enumerate(ensembles[0].trajectories):
+        path = build_noise_path((7, i), n_vars, 0.1, config.dt)
+        rows = (out / f"noise_{i:03d}.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[2]) for row in rows]).reshape(n_vars, -1)
+        assert got.shape == path.xi.shape and np.array_equal(got, path.xi)
+        assert_same_run(run, simulate_em_batch(setup, config, [path])[0])
+
+
+def test_progress_after_every_batch(repo_root, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ensemble, "batch_size", lambda setup, config: 2)
+    scenario = write_scenario(tmp_path, {"horizon_s": 0.2})
+    argv = run_argv(repo_root, scenario, tmp_path / "out", "--runs", "5",
+                    "--order", "4", "--window", "0.01")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "completed 2/5 runs", "completed 4/5 runs", "completed 5/5 runs"
+    ]
 
 
 def test_known_stats_variables_are_written(repo_root, tmp_path):

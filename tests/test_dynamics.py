@@ -25,35 +25,35 @@ def prefault_setup(case):
     pq = load_pq(loads)
     cond = NetworkCondition("pre-fault")
     net = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus)).with_loads(pq)
-    init = init_dynamic_state(case, v, net)
-    return v, loads, net, init
+    x0, machines = init_dynamic_state(case, v, net)
+    return v, loads, net, x0, machines
 
 
 def test_init_is_equilibrium_smib(smib_case):
-    _, _, net, init = prefault_setup(smib_case)
-    res = rhs(init.state, net, init.machines)
+    _, _, net, x0, machines = prefault_setup(smib_case)
+    res = rhs(x0, net, machines)
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_init_is_equilibrium_ieee39(ieee39_case):
-    _, _, net, init = prefault_setup(ieee39_case)
-    res = rhs(init.state, net, init.machines)
+    _, _, net, x0, machines = prefault_setup(ieee39_case)
+    res = rhs(x0, net, machines)
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_init_speeds_at_rated(ieee39_case):
-    _, _, _, init = prefault_setup(ieee39_case)
-    _, omega, _, _ = split_state(init.state)
-    assert np.allclose(omega, init.machines.omega_r, rtol=0, atol=0)
+    _, _, _, x0, machines = prefault_setup(ieee39_case)
+    _, omega, _, _ = split_state(x0)
+    assert np.allclose(omega, machines.omega_r, rtol=0, atol=0)
 
 
 def test_injection_identities_reevaluated(ieee39_case):
     # re-evaluate every defining relation of the outputs independently
-    _, _, net, init = prefault_setup(ieee39_case)
-    state = init.state + 1e-3  # arbitrary nearby state
+    _, _, net, x0, machines = prefault_setup(ieee39_case)
+    state = x0 + 1e-3  # arbitrary nearby state
     delta, _, eqp, edp = split_state(state)
     out_emf, out_it, out_iq, out_id, out_eq, out_ed, out_pe = _injections(
-        delta, eqp, edp, net.y, init.machines
+        delta, eqp, edp, net.y, machines
     )
     emf = (edp * np.sin(delta) + eqp * np.cos(delta)) + 1j * (
         eqp * np.sin(delta) - edp * np.cos(delta)
@@ -66,8 +66,8 @@ def test_injection_identities_reevaluated(ieee39_case):
     i_d = out_it.real * np.sin(delta) - out_it.imag * np.cos(delta)
     assert np.max(np.abs(i_q - out_iq)) < 1e-12
     assert np.max(np.abs(i_d - out_id)) < 1e-12
-    e_q = eqp - init.machines.xdp * out_id
-    e_d = edp + init.machines.xqp * out_iq
+    e_q = eqp - machines.xdp * out_id
+    e_d = edp + machines.xqp * out_iq
     assert np.max(np.abs(e_q - out_eq)) < 1e-12
     assert np.max(np.abs(e_d - out_ed)) < 1e-12
     p_e = e_q * out_iq + e_d * out_id
@@ -99,17 +99,17 @@ def component_rhs(state, y, m):
 def test_rhs_matches_component_formulas(ieee39_case):
     # a (3, 4K) stack of random states under three networks at random loads,
     # and one (4K,) state under one network
-    v, loads, _, init = prefault_setup(ieee39_case)
+    v, loads, _, x0, machines = prefault_setup(ieee39_case)
     rng = np.random.default_rng(21)
     k = ieee39_case.n_gen
     scale = np.repeat([0.5, 2.0, 0.05, 0.05], k)
-    states = init.state + scale * rng.standard_normal((3, 4 * k))
+    states = x0 + scale * rng.standard_normal((3, 4 * k))
     pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
     nets = reduce_to_load_buses(ieee39_case, cond, v, []).with_loads(pq)
     for x, net in ((states, nets), (states[1], ReducedNetwork(nets.y[1], nets.recovery[1]))):
-        want = component_rhs(x, net.y, init.machines)
-        got = rhs(x, net, init.machines)
+        want = component_rhs(x, net.y, machines)
+        got = rhs(x, net, machines)
         assert got.shape == x.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -190,16 +190,16 @@ def test_rhs_matches_smib_oracle_at_perturbed_state():
 
 
 def test_rhs_omega_dot_zero_when_balanced(smib_case):
-    _, _, net, init = prefault_setup(smib_case)
+    _, _, net, x0, machines = prefault_setup(smib_case)
     k = smib_case.n_gen
-    r = rhs(init.state, net, init.machines)
+    r = rhs(x0, net, machines)
     assert np.max(np.abs(r[k : 2 * k])) < 1e-12
 
 
 def test_solve_equilibrium_prefault_returns_init(smib_case):
-    _, loads, _, init = prefault_setup(smib_case)
+    _, loads, _, x0, _ = prefault_setup(smib_case)
     x = solve_equilibrium(smib_case, NetworkCondition("pre-fault"), loads)
-    assert np.array_equal(x, init.state)
+    assert np.array_equal(x, x0)
 
 
 def test_stability_reference_is_the_setup_start(ieee39_case, repo_root):
@@ -219,11 +219,11 @@ def test_stability_reference_is_the_setup_start(ieee39_case, repo_root):
 
 def test_solve_equilibrium_smib_balance(smib_case):
     # at the pre-fault equilibrium the electric power equals P_m exactly
-    _, loads, net, init = prefault_setup(smib_case)
+    _, loads, net, _, machines = prefault_setup(smib_case)
     x = solve_equilibrium(smib_case, NetworkCondition("pre-fault"), loads)
     delta, _, eqp, edp = split_state(x)
-    p_e = _injections(delta, eqp, edp, net.y, init.machines)[-1]
-    assert np.allclose(p_e, init.machines.pm, atol=1e-9)
+    p_e = _injections(delta, eqp, edp, net.y, machines)[-1]
+    assert np.allclose(p_e, machines.pm, atol=1e-9)
 
 
 def test_solve_equilibrium_overloaded_fails(smib_case):

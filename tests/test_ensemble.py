@@ -245,13 +245,23 @@ def test_confidence_envelope_domain(smib_case):
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=0.2))
     ens = run_ensemble(setup, SolverConfig(order=4, window=0.01), 10, 0)
     vals = ens.values("g1.delta")
-    low, high = confidence_envelope(vals, 1.0)
+    low, high = confidence_envelope(vals)
     assert np.array_equal(low, high)  # identical runs: a zero-width band
-    for level in (-0.1, 1.1):
-        with pytest.raises(ValueError, match="level"):
-            confidence_envelope(vals, level)
     with pytest.raises(ValueError, match="10 runs"):
         confidence_envelope(vals[:9])
+
+
+def test_confidence_envelope_is_the_90_percent_band():
+    # the band's probabilities are lo = (1 - 0.9) / 2, which is
+    # 0.04999999999999999, and 1 - lo, bit for bit; the band at 0.05 and
+    # 0.95 differs on this matrix, so writing 0.05 fails here
+    vals = np.random.default_rng(23).standard_normal((20, 50))
+    lo = (1.0 - 0.9) / 2.0
+    low, high = confidence_envelope(vals)
+    want = np.quantile(vals, [lo, 1.0 - lo], axis=0)
+    assert np.array_equal(low, want[0]) and np.array_equal(high, want[1])
+    at_05 = np.quantile(vals, [0.05, 0.95], axis=0)
+    assert not (np.array_equal(low, at_05[0]) and np.array_equal(high, at_05[1]))
 
 
 def test_stability_variables_are_speed_or_angle():

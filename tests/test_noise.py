@@ -107,13 +107,13 @@ def test_load_schedule_pooled_std(smib_case):
     pooled = []
     for seed in range(40):
         path = build_noise_path(seed, 2, 100.0, 0.1)
-        vals = load_schedule(setup.ou_mean, setup.ou_a, setup.ou_b, path)
+        vals = load_schedule(setup.ou_mean, setup.scenario.drift_a, setup.ou_b, path)
         pooled.append(vals[200:])
     pooled = np.concatenate(pooled)
     assert pooled.std(axis=0) == pytest.approx(0.02 * setup.ou_mean, rel=0.05)
 
 
-def test_load_schedule_columns_follow_noise_grid_order():
+def test_load_schedule_columns_follow_noise_row_order():
     # column j is the scalar exact-step recursion driven by noise row j,
     # with the mean and the diffusion of variable j
     mean = np.array([3.2, 0.4, 5.0, 1.8])
