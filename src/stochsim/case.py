@@ -48,8 +48,7 @@ class GeneratorParams:
     """Two-axis machine constants.
 
     ``H`` in seconds, ``D`` in p.u. torque per p.u. speed deviation,
-    reactances and stator resistance in p.u., time constants in seconds,
-    ``omega_r`` the rated angular frequency in rad/s.
+    reactances and stator resistance in p.u., time constants in seconds.
     """
 
     bus: int
@@ -62,7 +61,6 @@ class GeneratorParams:
     Td0p: float
     Tq0p: float
     Rs: float = 0.0
-    omega_r: float
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,11 @@ class SystemCase:
     def has_branch(self, a: int, b: int) -> bool:
         return any({br.from_bus, br.to_bus} == {a, b} for br in self.branches)
 
+    @property
+    def load_buses(self) -> tuple[int, ...]:
+        """The load-bus ids in ascending order: the order of every load vector."""
+        return tuple(sorted(ld.bus for ld in self.loads))
+
     def load_at(self, bus_id: int) -> Load | None:
         for ld in self.loads:
             if ld.bus == bus_id:
@@ -135,16 +138,16 @@ def finite_float(value) -> float:
     return x
 
 
-def read_record(cls, rec: dict, where: str, keys: dict, error, **fixed):
+def read_record(cls, rec: dict, where: str, keys: dict, error):
     """``cls(**fields)``, the fields read from the JSON object ``rec`` by ``keys``.
 
     ``keys`` maps each JSON key to (field name, converter), or to None for a
     key that is accepted and not read.  A present key is converted; an
     absent key takes the field's default, and a field without one is
-    required.  Any other key is refused.  ``fixed`` fields come from outside
-    the record.  Each fault is an ``error`` that names the key and ``where``.
+    required.  Any other key is refused.  Each fault is an ``error`` that
+    names the key and ``where``.
     """
-    values = fixed  # a new dict at each call
+    values = {}
     for key, value in rec.items():
         try:
             spec = keys[key]
@@ -191,13 +194,13 @@ _GENERATOR_KEYS = {
 _LOAD_KEYS = {"bus": ("bus", bus_id), "P": ("p", finite_float), "Q": ("q", finite_float)}
 
 
-def _records(doc: dict, section: str, cls, keys: dict, **fixed) -> tuple:
+def _records(doc: dict, section: str, cls, keys: dict) -> tuple:
     records = doc[section]
     if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
         raise CaseError(f"section '{section}' must be a list of JSON objects")
     # a list comprehension: a generator would add a resume per record
     return tuple([
-        read_record(cls, rec, f"{section}[{i}]", keys, CaseError, **fixed)
+        read_record(cls, rec, f"{section}[{i}]", keys, CaseError)
         for i, rec in enumerate(records)
     ])
 
@@ -231,13 +234,10 @@ def parse_case(text: str) -> SystemCase:
     if freq <= 0:
         raise CaseError("system: frequency_hz must be positive")
 
-    omega_r = 2.0 * math.pi * freq
     case = SystemCase(
         buses=_records(doc, "buses", Bus, _BUS_KEYS),
         branches=_records(doc, "branches", Branch, _BRANCH_KEYS),
-        generators=_records(
-            doc, "generators", GeneratorParams, _GENERATOR_KEYS, omega_r=omega_r
-        ),
+        generators=_records(doc, "generators", GeneratorParams, _GENERATOR_KEYS),
         loads=_records(doc, "loads", Load, _LOAD_KEYS),
         frequency_hz=freq,
     )
@@ -287,8 +287,7 @@ def _validate(case: SystemCase) -> None:
     for i, ld in enumerate(case.loads):
         if ld.bus not in known:
             raise CaseError(f"loads[{i}]: bus {ld.bus} is not a bus")
-    load_buses = [ld.bus for ld in case.loads]
-    if len(set(load_buses)) != len(load_buses):
+    if len(set(case.load_buses)) != len(case.loads):
         raise CaseError("at most one load record per bus")
 
 

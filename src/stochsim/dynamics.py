@@ -48,6 +48,7 @@ class MachineSet:
 
     @classmethod
     def from_case(cls, case: SystemCase) -> "MachineSet":
+        """The constants of ``case.generators``; rated speed 2 pi ``frequency_hz`` rad/s."""
         g = case.generators
         arr = lambda f: np.array([getattr(p, f) for p in g], dtype=float)
         return cls(
@@ -59,7 +60,7 @@ class MachineSet:
             xqp=arr("xqp"),
             Td0p=arr("Td0p"),
             Tq0p=arr("Tq0p"),
-            omega_r=g[0].omega_r,
+            omega_r=2.0 * np.pi * case.frequency_hz,
         )
 
     @property
@@ -198,14 +199,14 @@ def solve_equilibrium(
     when max|rhs| under ``condition`` at ``loads`` is below 1e-9; raises
     :class:`EquilibriumError` with the residual otherwise.
     """
-    if set(loads) != {ld.bus for ld in case.loads}:
+    if set(loads) != set(case.load_buses):
         raise ValueError("loads must cover exactly the case's load buses")
     profile = solve_power_flow(case)
     mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
     pre_fault = NetworkCondition("pre-fault")
 
     def network(cond, at):  # both reduction steps, as SimulationSetup.build runs them
-        pq = np.array([at[b] for b in sorted(at)], dtype=float).reshape(-1, 2)
+        pq = np.array([at[b] for b in case.load_buses], dtype=float).reshape(-1, 2)
         return reduce_to_load_buses(case, cond, profile, []).with_loads(pq)
 
     net = network(pre_fault, mean_loads)

@@ -214,7 +214,7 @@ def reduce_to_load_buses(
     """The first reduction step of one network condition, loads excluded.
 
     The nodes are ordered as the K internal nodes, the case's L load buses
-    in sorted load-bus order, then the other buses.  Each internal node
+    in ``case.load_buses`` order, then the other buses.  Each internal node
     joins its bus through one branch y_s = 1/(Rs + j xdp); with the stage's
     bus matrix this stamps the (K+n) network, and one
     :func:`schur_complement` eliminates the buses that carry no load.
@@ -224,8 +224,7 @@ def reduce_to_load_buses(
     """
     condition.validate_against(case)
     k, n = case.n_gen, case.n_bus
-    load_buses = sorted(ld.bus for ld in case.loads)
-    loads = np.array([case.bus_index(b) for b in load_buses], dtype=int)
+    loads = np.array([case.bus_index(b) for b in case.load_buses], dtype=int)
     vm2 = np.abs(profile[loads]) ** 2
     if not np.all(vm2 > 0.0):
         raise ValueError("load bus voltage magnitude must be nonzero")

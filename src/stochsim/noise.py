@@ -6,7 +6,7 @@ series solver and shared-path Euler resample the values on a fixed interval
 by the exact transition and hold them constant in between, so their
 trajectories are comparable path by path; paper-sde Euler takes an
 Euler-Maruyama step of the load SDE at every integration step instead.
-:func:`load_schedule` runs both recursions and is the only OU update.
+:func:`load_schedule` runs both by one AR(1) recursion, the only OU update.
 A study's loads are vectors in noise-grid order: the means, the drift a and
 the diffusion b = sigma_rel * |mean| * sqrt(2a), which makes the stationary
 deviation sigma_rel * |mean| (see ``SimulationSetup``).
@@ -74,34 +74,29 @@ def load_schedule(
     diffusion ``b[j]``, driven by noise row j.  Each deviation starts at
     zero (load at its mean over the first interval) and row k is the value
     held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k follows from row k-1
-    and noise column k-1 by the exact transition
+    and noise column k-1 by one AR(1) recursion
 
-        eps_k = eps_{k-1} * exp(-a dt) + b * sqrt((1 - exp(-2a dt)) / (2a)) * xi,
+        eps_k = d * eps_{k-1} + s * xi_{k-1}.
 
-    which is distributionally exact for any dt, or with ``euler`` by the
-    Euler-Maruyama step eps_k = eps_{k-1} + (-a eps_{k-1} dt + b dW) with
-    dW = sqrt(dt) * xi, which is the paper's SDE discretized on the
-    integration grid.  The values are written into ``out`` when given, an
-    (n, n_vars) array with n <= n_steps that takes the first n rows; ``out``
-    is returned.
+    By default (d, s) = (exp(-a dt), b * sqrt((1 - exp(-2a dt)) / (2a))),
+    the exact transition, which is distributionally exact for any dt.  With
+    ``euler``, (d, s) = (1 - a dt, b * sqrt(dt)), the Euler-Maruyama step of
+    the paper's SDE on the integration grid.  The values are written into
+    ``out`` when given, an (n, n_vars) array with n <= n_steps that takes
+    the first n rows; ``out`` is returned.
     """
     eps = np.empty((path.n_steps, mean.shape[0])) if out is None else out
     n = eps.shape[0]
     dt = path.dt
-    eps[0] = 0.0
-    # row k holds its noise until the recursion reaches it
-    xi = path.xi[:, : n - 1].T
     if euler:
-        np.multiply(math.sqrt(dt), xi, out=eps[1:])
-        for k in range(1, n):
-            prev = eps[k - 1]
-            eps[k] = prev + (-a * prev * dt + b * eps[k])
+        d, s = 1.0 - a * dt, b * math.sqrt(dt)
     else:
-        eps[1:] = xi
-        decay = np.exp(-a * dt)
-        std = b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
-        for k in range(1, n):
-            eps[k] = eps[k - 1] * decay + std * eps[k]
+        d, s = np.exp(-a * dt), b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
+    eps[0] = 0.0
+    # row k holds its noise term until the recursion reaches it
+    np.multiply(s, path.xi[:, : n - 1].T, out=eps[1:])
+    for k in range(1, n):
+        eps[k] += eps[k - 1] * d
     eps += mean
     return eps
 

@@ -73,11 +73,10 @@ class Scenario:
         )
 
     def resolve_stochastic_buses(self, case: SystemCase) -> tuple[int, ...]:
-        load_buses = sorted(ld.bus for ld in case.loads)
         if isinstance(self.stochastic_buses, str):
             if self.stochastic_buses != "all":
                 raise ScenarioError("stochastic_buses must be a list or 'all'")
-            return tuple(load_buses)
+            return case.load_buses
         return tuple(sorted(self.stochastic_buses))
 
     def validate_against(self, case: SystemCase) -> None:
@@ -97,12 +96,11 @@ class Scenario:
             for a, b in self.trip_branches:
                 if not case.has_branch(a, b):
                     raise ScenarioError(f"tripped branch {a}-{b} not in case")
-        load_buses = {ld.bus for ld in case.loads}
         stoch = self.resolve_stochastic_buses(case)
         if len(set(stoch)) != len(stoch):
             raise ScenarioError(f"stochastic_buses lists a bus twice: {list(stoch)}")
         for bus in stoch:
-            if bus not in load_buses:
+            if bus not in case.load_buses:
                 raise ScenarioError(f"stochastic bus {bus} carries no load")
         monitor = list(self.monitor_buses)
         if len(set(monitor)) != len(monitor):
@@ -209,7 +207,7 @@ class SimulationSetup:
             for stage, cond in conditions.items()
         }
 
-        load_buses = sorted(mean_loads)
+        load_buses = case.load_buses
         mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
         stoch = scenario.resolve_stochastic_buses(case)
         rows = [load_buses.index(b) for b in stoch]
@@ -234,11 +232,11 @@ class SimulationSetup:
     def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
         """Reduced networks of one stage for a stack of load values.
 
-        ``pq`` is (R, L, 2): the P and Q of every load bus, in sorted
-        load-bus order, for each of R runs.  Only the second reduction step
-        runs, on the stage's cached first one: one stacked L x L solve gives
-        (R, K, K) ``y`` and the (R, m, K) ``recovery`` of the m monitored
-        buses, all that the recorded voltages need.
+        ``pq`` is (R, L, 2): the P and Q of every load bus, in
+        ``case.load_buses`` order, for each of R runs.  Only the second
+        reduction step runs, on the stage's cached first one: one stacked L x L
+        solve gives (R, K, K) ``y`` and the (R, m, K) ``recovery`` of the m
+        monitored buses, all that the recorded voltages need.
         """
         return self.stages[stage].with_loads(pq)
 

@@ -34,14 +34,16 @@ def assert_same_run(a, b):
     )
 
 
-@pytest.mark.parametrize("solver", ["sas", "em-paper-sde"])
+@pytest.mark.parametrize("solver", ["sas", "em-paper-sde", "em-shared-path"])
 def test_run_identical_alone_and_in_any_batch(smib_case, solver):
     # each stacked operation treats a run's row on its own, so a run gives
     # the same bits alone (R=1), first in a batch of five and last in it
     setup = SimulationSetup.build(smib_case, SCENARIO)
+    dt = SCENARIO.resample_dt  # the path grid, except for paper-sde
     if solver == "sas":
         simulate, config = simulate_sas_batch, SolverConfig(order=4, window=0.01)
-        dt = SCENARIO.resample_dt
+    elif solver == "em-shared-path":
+        simulate, config = simulate_em_batch, EMConfig(dt=1e-3, mode="shared-path")
     else:
         simulate, config = simulate_em_batch, EMConfig(dt=1e-3, mode="paper-sde")
         dt = config.dt
@@ -172,9 +174,8 @@ def test_stochastic_load_rows_write_as_their_index(ieee39_case, repo_root, name,
         ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
     )
     assert isinstance(setup.spec_rows, kind)
-    load_buses = sorted(setup.mean_loads)
     stoch = setup.scenario.resolve_stochastic_buses(ieee39_case)
-    index = np.array([load_buses.index(b) for b in stoch])
+    index = np.array([ieee39_case.load_buses.index(b) for b in stoch])
     rows = np.random.default_rng(0).standard_normal((3, setup.n_noise_vars()))
     got = np.repeat(setup.mean_pq[None], 3, axis=0)
     want = got.copy()

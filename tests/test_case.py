@@ -1,11 +1,14 @@
 import json
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from stochsim.case import CaseError, load_case, parse_case
-from stochsim.scenario import SimulationSetup, load_scenario
+from stochsim.dynamics import rhs, split_state
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
 NAN, INF = float("nan"), float("inf")
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -31,7 +34,6 @@ def test_parse_minimal_case():
     case = parse_case(json.dumps(minimal_doc()))
     assert case.n_bus == 2
     assert case.n_gen == 1
-    assert case.generators[0].omega_r == pytest.approx(2 * 3.141592653589793 * 60)
     assert case.bus_index(2) == 1
     doc = minimal_doc()
     del doc["system"]["base_mva"]  # read by nothing, so not required
@@ -43,6 +45,23 @@ def test_smib_case_shape(smib_case):
     # the infinite bus ships as a very large machine, so K = 2
     assert smib_case.n_gen == 2
     assert smib_case.load_at(1).p == pytest.approx(0.6)
+
+
+def test_50_hz_case_runs_at_its_rated_speed():
+    # the rated speed follows frequency_hz: the start state is an equilibrium
+    # at 100 pi rad/s, and a 10-cycle fault lasts 0.2 s
+    doc = json.loads((REPO / "cases" / "smib.json").read_text())
+    doc["system"]["frequency_hz"] = 50.0
+    case = parse_case(json.dumps(doc))
+    scenario = Scenario(
+        horizon_s=1.0, fault_bus=1, fault_start_s=0.2, fault_duration_cycles=10.0
+    )
+    setup = SimulationSetup.build(case, scenario)
+    assert setup.machines.omega_r == 2 * math.pi * 50
+    assert np.all(split_state(setup.x0)[1] == 100 * math.pi)
+    net = setup.build_net("pre-fault", setup.mean_pq)
+    assert np.max(np.abs(rhs(setup.x0, net, setup.machines))) < 1e-9
+    assert scenario.fault_times(case) == pytest.approx((0.2, 0.4))
 
 
 def test_ieee39_case_shape(ieee39_case):

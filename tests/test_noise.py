@@ -129,24 +129,37 @@ def test_load_schedule_columns_follow_noise_row_order():
             eps = eps * decay + b[j] * scale * path.xi[j, k]
 
 
-def test_euler_load_schedule_follows_em_recursion():
-    # the paper-sde schedule on the integration grid: the mean in row 0,
-    # then row k is one Euler-Maruyama step from row k-1 driven by noise
-    # column k-1, dW = sqrt(dt) xi, with each variable's own (a, b)
+@pytest.mark.parametrize(
+    "euler, coefficients",
+    [
+        (
+            False,
+            lambda a, b, dt: (np.exp(-a * dt), b * np.sqrt(-np.expm1(-2 * a * dt) / (2 * a))),
+        ),
+        (True, lambda a, b, dt: (1.0 - a * dt, b * math.sqrt(dt))),
+    ],
+    ids=["exact", "euler"],
+)
+def test_load_schedule_follows_ar1_recursion(euler, coefficients):
+    # both discretizations are one recursion from the mean in row 0: row k
+    # is eps_k = d eps_{k-1} + s xi_{k-1}, with each variable's own (a, b);
+    # (d, s) is the exact transition or the Euler-Maruyama step
     mean = np.array([3.2, 0.4, 5.0, 1.8])
     a = np.array([0.5, 0.5, 2.0, 2.0])
     b = np.array([0.05, 0.05, 0.02, 0.02]) * mean * np.sqrt(2.0 * a)
     dt = 1e-3
     path = build_noise_path(6, 4, 0.5, dt)
-    vals = load_schedule(mean, a, b, path, euler=True)
+    vals = load_schedule(mean, a, b, path, euler=euler)
     assert vals.shape == (path.n_steps, 4)
     assert np.array_equal(vals[0], mean)
+    d, s = coefficients(a, b, dt)
     eps = np.zeros(4)
     for k in range(1, path.n_steps):
-        eps = eps + (-a * eps * dt + b * (math.sqrt(dt) * path.xi[:, k - 1]))
+        eps = d * eps + s * path.xi[:, k - 1]
         assert np.array_equal(vals[k], mean + eps)
-    # not the exact transition: the two schedules differ after row 0
-    assert not np.array_equal(vals[1:], load_schedule(mean, a, b, path)[1:])
+    # the two (d, s) pairs differ: so do the schedules after row 0
+    other = load_schedule(mean, a, b, path, euler=not euler)
+    assert not np.array_equal(vals[1:], other[1:])
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
