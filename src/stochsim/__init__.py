@@ -14,6 +14,7 @@ from .powerflow import PowerFlowError, solve_power_flow
 from .dynamics import (
     EquilibriumError,
     MachineSet,
+    WindowWork,
     init_dynamic_state,
     rhs,
     solve_equilibrium,
@@ -21,13 +22,7 @@ from .dynamics import (
 from .noise import NoisePath, build_noise_path, load_schedule
 from .scenario import Scenario, ScenarioError, SimulationSetup, load_scenario
 from .trajectory import Trajectory
-from .sas import (
-    SolverConfig,
-    WindowWork,
-    simulate_sas,
-    simulate_sas_batch,
-    window_coefficients,
-)
+from .sas import SolverConfig, simulate_sas, simulate_sas_batch, window_coefficients
 from .em import EMConfig, euler_det_step, simulate_em, simulate_em_batch
 from .ensemble import (
     Ensemble,

@@ -3,18 +3,29 @@
 The dynamic state vector packs, per generator k, the rotor angle delta_k
 (rad), rotor speed omega_k (rad/s) and the transient voltages e'_qk and
 e'_dk (p.u.), stored block-wise: [delta..., omega..., eqp..., edp...].
+
+The model is written once, on truncated power series: one call of
+:func:`derivative_coeffs` gives one order of the time derivative's terms
+from the state's terms below it.  Its order 0 is the right-hand side,
+:func:`rhs`, on which Euler steps; the series solver runs every order.  The
+terms of a stack of runs live field-major in a :class:`WindowWork`, so every
+series operation sees the stack as one system of R·K generators: one numpy
+call per operation and order, on flat operands.  A run-major layout would
+make every operand R strided pieces, and the time would go into numpy's
+per-piece overhead.  Only the network couples the generators of a run, so
+the network product is the one step done per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .case import SystemCase
 from .network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from .powerflow import injected_power, solve_power_flow
+from .series import dot_coeff, product_coeffs, sin_cos_coeff
 
 
 class EquilibriumError(RuntimeError):
@@ -67,11 +78,6 @@ class MachineSet:
     def n_gen(self) -> int:
         return len(self.H)
 
-    @cached_property
-    def gains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """omega_r / 2H, x_d - x'_d and x_q - x'_q: the constant factors of :func:`rhs`."""
-        return self.omega_r / (2.0 * self.H), self.xd - self.xdp, self.xq - self.xqp
-
 
 def pack_state(delta, omega, eqp, edp) -> np.ndarray:
     return np.concatenate([delta, omega, eqp, edp], axis=-1)
@@ -91,7 +97,7 @@ def split_state(state: np.ndarray):
 def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
     """EMF, network currents I, i_q, i_d, e_q, e_d and P_e of packed-state blocks.
 
-    The network coupling that :func:`rhs` runs and from which
+    The network coupling in complex form, from which
     :func:`init_dynamic_state` back-computes E_fd and P_m.  One rotation
     each way: E = (e'q - j e'd) e^{j delta}, I = Y E and
     i_q - j i_d = I e^{-j delta}; the stator voltages are
@@ -114,26 +120,175 @@ def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
     return emf, it, i_q, i_d, e_q, e_d, e_q * i_q + e_d * i_d
 
 
-def rhs(state: np.ndarray, net: ReducedNetwork, machines: MachineSet) -> np.ndarray:
-    """Time derivative of the packed dynamic state.
+# Frame rotations by delta: 2x4 maps from the four Cauchy products of a pair
+# with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the rotated
+# pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
+_DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+_NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, i_i
 
-    One rotation each way couples the machines to the network: the EMF is
-    E = (e'q - j e'd) e^{j delta} and the dq currents are
-    i_q - j i_d = (Y E) e^{-j delta}, from one sin and one cos of each rotor
-    angle.  The four derivative blocks are written into one array of the
-    state's shape.
+
+class WindowWork:
+    """The work arrays of the model's series terms for a stack of runs.
+
+    Built for ``n_runs`` runs R of ``machines`` (K generators, a
+    :class:`MachineSet` with its inputs set) at series order ``order`` N
+    >= 1; :func:`rhs` uses only the order-0 arrays.  Every series lives in
+    one (N+1, 13, R·K) array: order, field, then one flat axis of runs ×
+    generators whose entry r·K + k is generator k of run r.  A field, or a
+    pair of adjacent fields, of one order is one contiguous (2, R·K) slab.
+    The (N, 4, R·K) derivative array, the product and network buffers and
+    the packed (N+1, R, 4K) result buffer complete the set, with every view
+    of them that is read or written.  The real arrays start uninitialized,
+    as every entry is written before it is read; the complex network
+    buffers start at zero, as a complex matmul on arbitrary bits can run
+    several times slower.
+
+    The machine equations are tiled over the R runs.  The time derivative
+    of (delta, omega, e'q, e'd) is one linear map per generator, ``lin``
+    (4, 6, R·K), over (omega, e'q, e'd, p_e, i_d, i_q), plus ``const``
+    (4, R·K) at order 0: -omega_r, (omega_r P_m + D omega_r)/2H, E_fd/T'd0
+    and 0.  ``x_t`` (2, R·K) is (x'q, -x'd), which turns (e'd, e'q) and
+    (i_q, i_d) into the stator voltages (e_d, e_q).
     """
-    delta, omega, eqp, edp = split_state(state)
-    _, _, i_q, i_d, _, _, p_e = _injections(delta, eqp, edp, net.y, machines)
-    m = machines
-    w_r = m.omega_r
-    half_h, x_dd, x_qq = m.gains
-    out = np.empty_like(state)
-    d_delta, d_omega, d_eqp, d_edp = split_state(out)
-    np.subtract(omega, w_r, out=d_delta)
-    np.multiply(half_h, m.pm - p_e - m.D * d_delta / w_r, out=d_omega)
-    np.divide(m.efd - eqp - x_dd * i_d, m.Td0p, out=d_eqp)
-    np.divide(x_qq * i_q - edp, m.Tq0p, out=d_edp)
+
+    def __init__(self, machines: MachineSet, n_runs: int, order: int):
+        m = machines
+        k = m.n_gen
+        self.n_runs = n_runs
+        rk = n_runs * k
+        w_r = m.omega_r
+        half_h = w_r / (2.0 * m.H)
+        lin = np.zeros((4, 6, k))
+        lin[0, 0] = 1.0
+        lin[1, 0] = -half_h * m.D / w_r
+        lin[1, 3] = -half_h
+        lin[2, 1] = -1.0 / m.Td0p
+        lin[2, 4] = -(m.xd - m.xdp) / m.Td0p
+        lin[3, 2] = -1.0 / m.Tq0p
+        lin[3, 5] = (m.xq - m.xqp) / m.Tq0p
+        const = np.stack(
+            [np.full(k, -w_r), half_h * (m.pm + m.D), m.efd / m.Td0p, np.zeros(k)]
+        )
+        self.lin, self.const, self.x_t = (
+            np.tile(a, n_runs) for a in (lin, const, np.stack([m.xqp, -m.xdp]))
+        )
+        w = np.empty((order + 1, _N_FIELDS, rk))
+        deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
+
+        def per_run(a):  # (F, R·K) slab -> (R, F, K) view
+            return a.reshape(a.shape[:-1] + (n_runs, k)).swapaxes(-3, -2)
+
+        # the pair stacks the series kernels read, order first
+        self.eq_ed = w[:, 2:4]
+        self.id_iq = w[:, 5:7]
+        self.e_t = w[:, 7:9]  # e_dt, e_qt
+        self.sc = w[:, 9:11]  # sin, cos of delta
+        self.i_net = w[:, 11:13]
+        self.d_delta = deriv[:, 0]  # the coefficients of delta'
+        # the pair products of one order, also read per run
+        self.pair = np.empty((2, 2, rk))
+        self.pair_flat = self.pair.reshape(4, rk)
+        self.pair_runs = per_run(self.pair_flat)
+        # the network product's EMFs and currents: (R, K, 1) complex columns,
+        # written and read through their interleaved (R, 2, K) real views
+        self.emf = np.zeros((n_runs, k, 1), dtype=complex)
+        self.cur = np.zeros((n_runs, k, 1), dtype=complex)
+        self.emf_pairs, self.cur_pairs = (
+            a.view(float).reshape(n_runs, k, 2).swapaxes(1, 2) for a in (self.emf, self.cur)
+        )
+        # order 0: the window start and the operands of the one-term products
+        self.x0 = per_run(w[0, 0:4])
+        self.delta0 = w[0, 0]
+        self.s0, self.c0 = w[0, 9], w[0, 10]
+        self.eq_ed0 = w[0, 2:4, None]
+        self.i_net0 = w[0, 11:13, None]
+        self.sc0 = w[0, None, 9:11]
+        self.p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
+        self.deriv0 = per_run(deriv[0])
+        # per order n, the slices of order n that derivative_coeffs writes or reads
+        machine_in = w[:, 1:7]  # omega, e'q, e'd, p_e, i_d, i_q
+        self.orders = [
+            (
+                self.sc[n],
+                per_run(self.i_net[n]),
+                self.id_iq[n],
+                w[n, 6:4:-1],  # i_q, i_d
+                self.e_t[n],
+                w[n, 3:1:-1],  # e'd, e'q
+                w[n, 4],  # p_e
+                machine_in[n],
+                deriv[n],
+            )
+            for n in range(order)
+        ]
+        # per order n, the derivative's terms, the state's of order n+1 and
+        # the factor 1/(n+1) between them
+        self.integrate = [(deriv[n], w[n + 1, 0:4], 1.0 / (n + 1)) for n in range(order)]
+        # the state coefficients leave per run, packed, and are read order last
+        packed = np.empty((order + 1, n_runs, 4 * k))
+        self.packed_runs = packed.reshape(order + 1, n_runs, 4, k)
+        self.state_runs = per_run(w[:, 0:4])
+        self.coeffs = packed.transpose(1, 2, 0)
+
+
+def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
+    """Order n of the model on the slabs of ``work``: the time derivative's terms.
+
+    Reads the state's terms of orders 0 to n and the other fields' below n,
+    and writes every field of order n and the derivative's order-n terms.
+    ``y`` is the reduced admittance, (R, K, K) or one (K, K) for every run.
+    At n = 0 this is the model at the window start: sin/cos are ufuncs and
+    each Cauchy product a broadcast multiply.  Each frame rotation is a sign
+    matmul of the (2, 2, R·K) pair products.  The network product is the one
+    per-run step: the sign matmul writes the EMFs into the interleaved real
+    view of an (R, K, 1) complex buffer, one complex matmul with ``y`` gives
+    the currents in a second one, and one copy puts them into their slab.
+    """
+    sc_n, i_runs, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n, m_in, d_n = work.orders[n]
+    pair = work.pair
+    if n:
+        sin_cos_coeff(work.d_delta, work.sc, n, out=sc_n)
+        product_coeffs(work.eq_ed, work.sc, n, out=pair)
+    else:
+        np.sin(work.delta0, out=work.s0)
+        np.cos(work.delta0, out=work.c0)
+        np.multiply(work.eq_ed0, work.sc0, out=pair)
+    np.matmul(_DQ_TO_NET, work.pair_runs, out=work.emf_pairs)
+    np.matmul(y, work.emf, out=work.cur)
+    np.copyto(i_runs, work.cur_pairs)
+    if n:
+        product_coeffs(work.i_net, work.sc, n, out=pair)
+    else:
+        np.multiply(work.i_net0, work.sc0, out=pair)
+    np.matmul(_NET_TO_DQ, work.pair_flat, out=id_iq_n)
+    np.multiply(work.x_t, iq_id_n, out=e_t_n)
+    np.add(e_t_n, ed_eq_n, out=e_t_n)
+    if n:
+        dot_coeff(work.e_t, work.id_iq, n, out=p_e_n)
+    else:
+        np.multiply(e_t_n, id_iq_n, out=work.p_terms)
+        np.add(*work.p_terms, out=p_e_n)
+    np.einsum("fjk,jk->fk", work.lin, m_in, out=d_n)
+    if n == 0:
+        d_n += work.const
+
+
+def rhs(state: np.ndarray, net: ReducedNetwork, work: WindowWork) -> np.ndarray:
+    """Time derivative of the packed dynamic state, in a new array of its shape.
+
+    ``state`` is an (R, 4K) stack, or one (4K,) state with R = 1, and
+    ``work`` a :class:`WindowWork` built for R runs; another stack size
+    raises ``ValueError``.  ``net.y`` is (R, K, K), or one (K, K) network
+    for every run.  The state enters the order-0 slabs by one transposed
+    copy, :func:`derivative_coeffs` evaluates the model at order 0, the pass
+    that starts every series window, and the derivative leaves by a second
+    copy.  Each run's derivative has the same bits alone and in any stack.
+    """
+    np.copyto(work.x0, state.reshape(work.x0.shape))
+    derivative_coeffs(net.y, work, 0)
+    out = np.empty(state.shape)
+    np.copyto(out.reshape(work.deriv0.shape), work.deriv0)
     return out
 
 
@@ -213,7 +368,7 @@ def solve_equilibrium(
     state, machines = init_dynamic_state(case, profile, net)
     if (condition, loads) != (pre_fault, mean_loads):
         net = network(condition, loads)
-    residual = float(np.max(np.abs(rhs(state, net, machines))))
+    residual = float(np.max(np.abs(rhs(state, net, WindowWork(machines, 1, 1)))))
     if residual < 1e-9:
         return state
     raise EquilibriumError(

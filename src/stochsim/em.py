@@ -4,7 +4,9 @@ Two modes: ``shared-path`` consumes the same piecewise-constant load series
 as the series solver (resampled every 0.1 s by default), which makes
 trajectories comparable path by path; ``paper-sde`` steps the load SDEs at
 every integration step in the traditional style, with the network rebuilt
-each step, and is the benchmark configuration for timing comparisons.
+each step, and is the benchmark configuration for timing comparisons.  A
+step's right-hand side is the series kernel's order-0 pass, so an Euler step
+is the series solver's order-1 window evaluated at the step, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import SystemCase
-from .dynamics import MachineSet, rhs
+from .dynamics import WindowWork, rhs
 from .network import ReducedNetwork
 from .noise import NoisePath
 from .scenario import Scenario, SimulationSetup, run_simulation
@@ -37,13 +39,14 @@ class EMConfig:
 
 
 def euler_det_step(
-    state: np.ndarray, net: ReducedNetwork, machines: MachineSet, dt: float
+    state: np.ndarray, net: ReducedNetwork, work: WindowWork, dt: float
 ) -> np.ndarray:
-    """Forward-Euler step of the deterministic machine dynamics.
+    """Forward-Euler step x + dt f(x) of the deterministic machine dynamics.
 
-    Works on one (4K,) state or an (R, 4K) stack with a matching network.
+    ``state``, ``net`` and ``work`` are as for :func:`rhs`: an (R, 4K)
+    stack or one (4K,) state, and work arrays built for R runs.
     """
-    out = rhs(state, net, machines)
+    out = rhs(state, net, work)
     out *= dt
     out += state
     return out
@@ -59,12 +62,16 @@ def simulate_em_batch(
 
     Stage scheduling, resampling and divergence handling match the series
     solver exactly; in shared-path mode the identical piecewise-constant
-    load series is consumed, enabling pathwise comparison.
+    load series is consumed, enabling pathwise comparison.  The stack steps
+    in one :class:`WindowWork` that is built again only when runs leave.
     """
-    machines = setup.machines
+    work = None  # the work arrays of the current stack
 
     def stepper(x, net, dt):
-        return euler_det_step(x, net, machines, dt)
+        nonlocal work
+        if work is None or work.n_runs != len(x):  # first step, or runs left
+            work = WindowWork(setup.machines, len(x), 1)
+        return euler_det_step(x, net, work, dt)
 
     return run_simulation(
         setup,

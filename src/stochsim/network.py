@@ -16,7 +16,6 @@ change of the loads costs one L x L solve per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,22 +76,6 @@ class ReducedNetwork:
     def __post_init__(self):
         self.y.setflags(write=False)
         self.recovery.setflags(write=False)
-
-    @cached_property
-    def y_real(self) -> np.ndarray:
-        """``y`` = G + jB in real form, the (..., 2K, 2K) matrix [[G, -B], [B, G]].
-
-        It maps the stacked real and imaginary parts of the EMFs to those of
-        the currents.  Built on first use and kept with this network.
-        """
-        g, b = self.y.real, self.y.imag
-        k = g.shape[-1]
-        out = np.empty(g.shape[:-2] + (2 * k, 2 * k))
-        out[..., :k, :k] = out[..., k:, k:] = g
-        out[..., k:, :k] = b
-        np.negative(b, out=out[..., :k, k:])
-        out.setflags(write=False)
-        return out
 
 
 def bus_voltages(recovery: np.ndarray, emf: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ deviation sigma_rel * |mean| (see ``SimulationSetup``).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +63,7 @@ def load_schedule(
     mean: np.ndarray,
     a: float | np.ndarray,
     b: np.ndarray,
-    path: NoisePath,
+    path: NoisePath | Sequence[NoisePath],
     euler: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -81,24 +81,34 @@ def load_schedule(
     By default (d, s) = (exp(-a dt), b * sqrt((1 - exp(-2a dt)) / (2a))),
     the exact transition, which is distributionally exact for any dt.  With
     ``euler``, (d, s) = (1 - a dt, b * sqrt(dt)), the Euler-Maruyama step of
-    the paper's SDE on the integration grid.  The values are written into
-    ``out`` when given, an (n, n_vars) array with n <= n_steps that takes
-    the first n rows; ``out`` is returned.
+    the paper's SDE on the integration grid.
+
+    A sequence of R paths gives an (R, n_steps, n_vars) stack, n_steps that
+    of the shortest path, in one recursion over every path's rows, each at
+    its own step; each path takes the bits it takes alone.  The values are
+    written into ``out`` when given, of the result's shape but for
+    n <= n_steps rows, which take the first n; ``out`` is returned.
     """
-    eps = np.empty((path.n_steps, mean.shape[0])) if out is None else out
-    n = eps.shape[0]
-    dt = path.dt
+    single = isinstance(path, NoisePath)
+    paths = [path] if single else list(path)
+    if out is None:
+        out = np.empty((len(paths), min(p.n_steps for p in paths), mean.shape[0]))
+        out = out[0] if single else out
+    eps = out[None] if single else out
+    n = eps.shape[1]
+    dt = np.array([[p.dt] for p in paths])  # (R, 1): each path's own step
     if euler:
-        d, s = 1.0 - a * dt, b * math.sqrt(dt)
+        d, s = 1.0 - a * dt, b * np.sqrt(dt)
     else:
         d, s = np.exp(-a * dt), b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
-    eps[0] = 0.0
+    eps[:, 0] = 0.0
     # row k holds its noise term until the recursion reaches it
-    np.multiply(s, path.xi[:, : n - 1].T, out=eps[1:])
+    for p, s_p, rows in zip(paths, s, eps):
+        np.multiply(s_p, p.xi[:, : n - 1].T, out=rows[1:])
     for k in range(1, n):
-        eps[k] += eps[k - 1] * d
+        eps[:, k] += eps[:, k - 1] * d
     eps += mean
-    return eps
+    return out
 
 
 def path_to_csv(path: NoisePath) -> Iterator[str]:

@@ -36,6 +36,30 @@ def injected_power(case: SystemCase, profile: np.ndarray) -> np.ndarray:
     return profile * np.conj(ybus @ profile)
 
 
+def _jacobian(ybus: np.ndarray, v: np.ndarray, vm: np.ndarray, blocks, out) -> np.ndarray:
+    """The Newton Jacobian of the injected power at ``v``, written into ``out``.
+
+    ``vm`` is |v|.  Rows are P at the PV and PQ buses, then Q at the PQ
+    buses; columns the angles of the PV and PQ buses, then the magnitudes
+    of the PQ buses.  ``blocks`` holds the (rows, columns) slices of the
+    four blocks of ``out``, each with its ``np.ix_`` index set among the
+    buses.  The bus derivatives of S = v conj(Y v) are formed by entries,
+    from m = v[:, None] conj(Y v[None, :]) and the currents i = Y v:
+    dS/d(angle) = j (diag(v conj(i)) - m) and
+    dS/d|v| = m / |v|[None, :] + diag(conj(i) v / |v|).
+    """
+    cur = ybus @ v
+    m = v[:, None] * np.conj(ybus * v)
+    diag = np.diag_indices(v.size)
+    ds_dva = m * -1j
+    ds_dva[diag] += 1j * v * np.conj(cur)
+    ds_dvm = m / vm
+    ds_dvm[diag] += np.conj(cur) * v / vm
+    for (place, ix), part in zip(blocks, (ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag)):
+        out[place] = part[ix]
+    return out
+
+
 def solve_power_flow(case: SystemCase) -> np.ndarray:
     """Solve the pre-fault steady state from a flat start.
 
@@ -61,6 +85,10 @@ def solve_power_flow(case: SystemCase) -> np.ndarray:
     va[slack] = case.buses[slack[0]].angle
 
     npvpq = len(pvpq)
+    jac = np.empty((npvpq + len(pq), npvpq + len(pq)))
+    head, tail = slice(0, npvpq), slice(npvpq, None)  # (P, angle) entries first
+    sides = ((head, pvpq), (tail, pq))
+    blocks = [((r, c), np.ix_(a, b)) for r, a in sides for c, b in sides]
     for _ in range(50):
         v = vm * np.exp(1j * va)
         s_calc = v * np.conj(ybus @ v)
@@ -71,21 +99,7 @@ def solve_power_flow(case: SystemCase) -> np.ndarray:
         if norm < 1e-8:
             return v
 
-        # complex-form power flow Jacobian
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_e = np.diag(v / vm)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_e) + np.conj(diag_i) @ diag_e
-
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
-
-        step = np.linalg.solve(jac, mismatch)
+        step = np.linalg.solve(_jacobian(ybus, v, vm, blocks, jac), mismatch)
         va[pvpq] += step[:npvpq]
         vm[pq] += step[npvpq:]
 

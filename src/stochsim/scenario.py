@@ -259,21 +259,22 @@ def _emf(state: np.ndarray) -> np.ndarray:
 
 
 def _write_loads(
-    setup: SimulationSetup, path: NoisePath | None, dt: float, euler: bool, out
+    setup: SimulationSetup, paths: list[NoisePath | None], dt: float, euler: bool, out
 ) -> None:
-    """Write the :func:`load_schedule` of ``path`` into the (n, 2S) rows ``out``.
+    """Write the :func:`load_schedule` of ``paths`` into the (R, n, 2S) rows ``out``.
 
-    The path must hold the setup's noise variables on the load step ``dt``
-    and cover the n rows.
+    Each path must hold the setup's noise variables on the load step ``dt``
+    and cover the n rows.  One recursion writes the rows of every path.
     """
-    if path is None:
-        raise ValueError("a noise path is required for stochastic runs")
-    if path.n_vars != setup.n_noise_vars() or path.n_steps < out.shape[0]:
-        raise ValueError("noise path does not cover this scenario")
-    if abs(path.dt - dt) > 1e-12:
-        raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
+    for path in paths:
+        if path is None:
+            raise ValueError("a noise path is required for stochastic runs")
+        if path.n_vars != setup.n_noise_vars() or path.n_steps < out.shape[1]:
+            raise ValueError("noise path does not cover this scenario")
+        if abs(path.dt - dt) > 1e-12:
+            raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
     sc = setup.scenario
-    load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, path, euler=euler, out=out)
+    load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, paths, euler=euler, out=out)
 
 
 def run_simulation(
@@ -304,18 +305,18 @@ def run_simulation(
 
     The load rows of the batch are one (R, n, 2S) array: entry [i, j] holds
     the 2S stochastic P and Q values (noise-grid order) that run i holds from
-    load instant j, and n is the number of load values a run consumes.  Each
-    run's schedule is written straight into its slot, and a resample reads
-    the rows of the running runs with one index.  The voltages recorded at
-    t_{k+1} are those of the state at t_{k+1} under the network of step k,
-    before any rebuild at t_{k+1}.  A step records the states only.  When a
-    network is replaced (a rebuild, a split step's rebuild), its records are
-    queued with its ``recovery``; a paper-sde Euler network serves one
-    record, a series-solver network a resample interval of them.  The
-    queued voltages are computed in one pass, one EMF evaluation of the
-    queued states and one stacked product with their gathered recoveries,
-    once the queued records times the runs in the stack reach
-    ``VOLTAGE_BLOCK`` (the network in force queues its records so far),
+    load instant j, and n is the number of load values a run consumes.  One
+    :func:`load_schedule` recursion writes every run's schedule straight into
+    its slot, and a resample reads the rows of the running runs with one
+    index.  The voltages recorded at t_{k+1} are those of the state at t_{k+1}
+    under the network of step k, before any rebuild at t_{k+1}.  A step
+    records the states only.  When a network is replaced (a rebuild, a split
+    step's rebuild), its records are queued with its ``recovery``; a paper-sde
+    Euler network serves one record, a series-solver network a resample
+    interval of them.  The queued voltages are computed in one pass, one EMF
+    evaluation of the queued states and one stacked product with their
+    gathered recoveries, once the queued records times the runs in the stack
+    reach ``VOLTAGE_BLOCK`` (the network in force queues its records so far),
     before runs leave the stack and at the end.  Each voltage is the product
     of its own record's EMFs and recovery, so it does not depend on the pass
     it is computed in.
@@ -323,7 +324,7 @@ def run_simulation(
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
     ``em_continuous``).  It is iterated once, into a list that gives R, and
-    a run's noise path is released as soon as its load rows are written.
+    the noise paths are released as soon as the load rows are written.
     Returns the trajectories in the order of ``paths``.
     """
     sc = setup.scenario
@@ -341,9 +342,8 @@ def run_simulation(
         need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
         load_dt = h if em_continuous else sc.resample_dt  # the paths' step
         loads = np.empty((r, need, setup.n_noise_vars()))
-        for i in range(r):
-            _write_loads(setup, paths[i], load_dt, em_continuous, out=loads[i])
-            paths[i] = None  # no path outlives its load rows
+        _write_loads(setup, paths, load_dt, em_continuous, out=loads)
+        paths = None  # no path outlives its load rows
     spec_rows = setup.spec_rows
 
     # each stage event either switches the stage before step k, when within

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stochsim.case import CaseError, load_case, parse_case
-from stochsim.dynamics import rhs, split_state
+from stochsim.dynamics import WindowWork, rhs, split_state
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
 NAN, INF = float("nan"), float("inf")
@@ -60,7 +60,7 @@ def test_50_hz_case_runs_at_its_rated_speed():
     assert setup.machines.omega_r == 2 * math.pi * 50
     assert np.all(split_state(setup.x0)[1] == 100 * math.pi)
     net = setup.build_net("pre-fault", setup.mean_pq)
-    assert np.max(np.abs(rhs(setup.x0, net, setup.machines))) < 1e-9
+    assert np.max(np.abs(rhs(setup.x0, net, WindowWork(setup.machines, 1, 1)))) < 1e-9
     assert scenario.fault_times(case) == pytest.approx((0.2, 0.4))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from stochsim.dynamics import (
     EquilibriumError,
+    WindowWork,
     _injections,
     init_dynamic_state,
     rhs,
@@ -19,6 +20,12 @@ def load_pq(loads):
     return np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
 
 
+def derivative(state, net, machines):
+    """``rhs`` of one (4K,) state or an (R, 4K) stack, in work arrays built for it."""
+    runs = 1 if state.ndim == 1 else len(state)
+    return rhs(state, net, WindowWork(machines, runs, 1))
+
+
 def prefault_setup(case):
     v = solve_power_flow(case)
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
@@ -31,13 +38,13 @@ def prefault_setup(case):
 
 def test_init_is_equilibrium_smib(smib_case):
     _, _, net, x0, machines = prefault_setup(smib_case)
-    res = rhs(x0, net, machines)
+    res = derivative(x0, net, machines)
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_init_is_equilibrium_ieee39(ieee39_case):
     _, _, net, x0, machines = prefault_setup(ieee39_case)
-    res = rhs(x0, net, machines)
+    res = derivative(x0, net, machines)
     assert np.max(np.abs(res)) < 1e-9
 
 
@@ -109,7 +116,7 @@ def test_rhs_matches_component_formulas(ieee39_case):
     nets = reduce_to_load_buses(ieee39_case, cond, v, []).with_loads(pq)
     for x, net in ((states, nets), (states[1], ReducedNetwork(nets.y[1], nets.recovery[1]))):
         want = component_rhs(x, net.y, machines)
-        got = rhs(x, net, machines)
+        got = derivative(x, net, machines)
         assert got.shape == x.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -183,7 +190,7 @@ def test_rhs_matches_smib_oracle_at_perturbed_state():
     net, machines = sm.smib_embedding(p)
     delta0, omega0 = 0.9, p.omega_r + 1.7
     state = sm.smib_state(p, delta0, omega0)
-    r = rhs(state, net, machines)
+    r = derivative(state, net, machines)
     dd, dw = sm.smib_rhs(p, delta0, omega0)
     assert r[0] == pytest.approx(dd, rel=1e-12)
     assert r[2] == pytest.approx(dw, rel=1e-10)
@@ -192,7 +199,7 @@ def test_rhs_matches_smib_oracle_at_perturbed_state():
 def test_rhs_omega_dot_zero_when_balanced(smib_case):
     _, _, net, x0, machines = prefault_setup(smib_case)
     k = smib_case.n_gen
-    r = rhs(x0, net, machines)
+    r = derivative(x0, net, machines)
     assert np.max(np.abs(r[k : 2 * k])) < 1e-12
 
 

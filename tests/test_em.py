@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stochsim.em import EMConfig, euler_det_step, simulate_em
+from stochsim import em
+from stochsim import scenario as scenario_mod
+from stochsim.dynamics import WindowWork
+from stochsim.em import EMConfig, euler_det_step, simulate_em, simulate_em_batch
 from stochsim.noise import build_noise_path, load_schedule
-from stochsim.sas import SolverConfig, simulate_sas
-from stochsim.scenario import Scenario, SimulationSetup
+from stochsim.sas import SolverConfig, simulate_sas, window_coefficients
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario
+from stochsim.series import series_eval
 from stochsim import smib as sm
 
 
@@ -47,7 +51,7 @@ def test_euler_det_step_scalar_decay():
     )
     # e'_q decays as de'_q/dt = (efd - e'_q)/Td0p = -e'_q here
     x = pack_state([0.0], [1.0], [1.0], [0.0])
-    out = euler_det_step(x, net, m, 0.1)
+    out = euler_det_step(x, net, WindowWork(m, 1, 1), 0.1)
     assert out[2] == pytest.approx(0.9)
 
 
@@ -57,10 +61,66 @@ def test_euler_step_matches_smib_hand_update():
     d0, w0 = 0.8, p.omega_r + 1.2
     state = sm.smib_state(p, d0, w0)
     dt = 1e-3
-    out = euler_det_step(state, net, machines, dt)
+    out = euler_det_step(state, net, WindowWork(machines, 1, 1), dt)
     dd, dw = sm.smib_rhs(p, d0, w0)
     assert out[0] == pytest.approx(d0 + dt * dd, rel=1e-12)
     assert out[2] == pytest.approx(w0 + dt * dw, rel=1e-10)
+
+
+def test_euler_step_is_the_order_one_window(ieee39_case, repo_root):
+    # rhs is the series kernel's order-0 pass, so an Euler step takes the
+    # bits of the order-1 window evaluated at the step, for every stage and
+    # a stack of 5 runs at perturbed states and loads
+    scenario = load_scenario(repo_root / "scenarios" / "caseC.json")
+    setup = SimulationSetup.build(ieee39_case, scenario)
+    rng = np.random.default_rng(25)
+    x = setup.x0 * (1.0 + 0.05 * rng.standard_normal((5, setup.x0.size)))
+    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((5,) + setup.mean_pq.shape))
+    step_work, window_work = WindowWork(setup.machines, 5, 1), WindowWork(setup.machines, 5, 1)
+    for stage in ("pre-fault", "fault-on", "post-fault"):
+        net = setup.build_net(stage, pq)
+        for dt in (1e-3, 0.0123):
+            step = euler_det_step(x, net, step_work, dt)
+            window = series_eval(window_coefficients(x, net, window_work), dt)
+            assert np.array_equal(step, window)
+            assert not np.array_equal(step, x)
+
+
+def test_em_work_rebuilt_when_runs_leave(smib_case, monkeypatch):
+    # a limit just under the largest peak |state| stops one shared-path run
+    # of six after the fault; the stepper then builds work arrays for the
+    # five left, and every run keeps the bits of its solo run
+    sc = Scenario(
+        horizon_s=1.0,
+        fault_bus=1,
+        fault_start_s=0.2,
+        fault_duration_cycles=3,
+        stochastic_buses=(1,),
+        sigma_rel=0.02,
+        monitor_buses=(1,),
+    )
+    setup = SimulationSetup.build(smib_case, sc)
+    config = EMConfig(dt=1e-3)
+    paths = [build_noise_path((7, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
+    peaks = sorted(np.abs(tr.states).max() for tr in simulate_em_batch(setup, config, paths))
+    assert peaks[-2] < peaks[-1]
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[-2] + peaks[-1]))
+    built = []
+
+    class CountedWork(WindowWork):
+        def __init__(self, machines, n_runs, order):
+            built.append(n_runs)
+            super().__init__(machines, n_runs, order)
+
+    monkeypatch.setattr(em, "WindowWork", CountedWork)
+    runs = simulate_em_batch(setup, config, paths)
+    assert built == [6, 5]
+    assert [tr.diverged for tr in runs].count(True) == 1
+    for tr, path in zip(runs, paths):
+        alone = simulate_em_batch(setup, config, [path])[0]
+        assert np.array_equal(tr.states, alone.states, equal_nan=True)
+        assert np.array_equal(tr.voltages, alone.voltages, equal_nan=True)
+        assert (tr.diverged, tr.t_diverged) == (alone.diverged, alone.t_diverged)
 
 
 def test_em_equilibrium_preserved(smib_case):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochsim import scenario as scenario_mod
 from stochsim.noise import NoisePath, build_noise_path, load_schedule, path_to_csv
-from stochsim.scenario import Scenario, SimulationSetup
+from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
 
 def ou_rows(a, b, seed, n_vars, dt, burn_in, rows):
@@ -160,6 +161,44 @@ def test_load_schedule_follows_ar1_recursion(euler, coefficients):
     # the two (d, s) pairs differ: so do the schedules after row 0
     other = load_schedule(mean, a, b, path, euler=not euler)
     assert not np.array_equal(vals[1:], other[1:])
+
+
+@pytest.mark.parametrize("euler", [False, True], ids=["exact", "euler"])
+@pytest.mark.parametrize("name", ["caseC", "caseA"])
+def test_stacked_schedules_equal_each_run_alone(ieee39_case, repo_root, name, euler):
+    # one recursion over a batch's (R, n, 2S) rows gives every run the bits
+    # of its own schedule, for every load bus in order (caseC) and for the
+    # index rows of a subset (caseA); a stack without ``out`` is as long as
+    # its shortest path
+    setup = SimulationSetup.build(
+        ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
+    )
+    sc = setup.scenario
+    n_vars = setup.n_noise_vars()
+    dt = 1e-3 if euler else sc.resample_dt
+    paths = [build_noise_path((11, i), n_vars, (3 + i) * 40 * dt, dt) for i in range(4)]
+    args = (setup.ou_mean, sc.drift_a, setup.ou_b)
+    rows = np.empty((4, 100, n_vars))
+    scenario_mod._write_loads(setup, paths, dt, euler, out=rows)
+    stack = load_schedule(*args, paths, euler=euler)
+    assert stack.shape == (4, 120, n_vars)
+    for path, got, whole in zip(paths, rows, stack):
+        alone = load_schedule(*args, path, euler=euler)
+        assert np.array_equal(got, alone[:100])
+        assert np.array_equal(whole, alone[:120])
+    assert not np.array_equal(rows[0], rows[1])
+
+
+@pytest.mark.parametrize("euler", [False, True], ids=["exact", "euler"])
+def test_stacked_schedule_paths_keep_their_step(euler):
+    # each path of a stack steps at its own dt, as it does alone
+    mean, a, b = np.array([1.0, 2.0]), np.array([0.5, 2.0]), np.array([0.1, 0.3])
+    paths = [build_noise_path(1, 2, 1.0, 0.1), build_noise_path(2, 2, 1.0, 0.05)]
+    stack = load_schedule(mean, a, b, paths, euler=euler)
+    assert stack.shape == (2, 10, 2)
+    for path, got in zip(paths, stack):
+        assert np.array_equal(got, load_schedule(mean, a, b, path, euler=euler)[:10])
+    assert not np.array_equal(stack[0, 1:], stack[1, 1:])
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from stochsim.case import parse_case
+from stochsim.network import NetworkCondition, assemble_bus_matrix
 from stochsim.powerflow import (
     PowerFlowError,
+    _jacobian,
     injected_power,
     scheduled_injections,
     solve_power_flow,
@@ -81,3 +83,41 @@ def test_ieee39_converges_and_is_self_consistent(ieee39_case):
             assert abs(v[i]) == pytest.approx(ieee39_case.buses[i].v_setpoint, abs=1e-9)
     # voltage profile sane
     assert np.all(np.abs(v) > 0.9) and np.all(np.abs(v) < 1.1)
+
+
+def test_ieee39_jacobian_is_the_mismatch_derivative(ieee39_case):
+    # the Jacobian formed by entries equals central differences of the
+    # injected P (PV and PQ buses) and Q (PQ buses) in the angles (PV and
+    # PQ buses) and magnitudes (PQ buses), at a perturbed ieee39 point
+    ybus = assemble_bus_matrix(ieee39_case, NetworkCondition("pre-fault"))
+    types = np.array([b.type for b in ieee39_case.buses])
+    pq = np.flatnonzero(types == "PQ")
+    pvpq = np.flatnonzero(types != "slack")
+    rng = np.random.default_rng(7)
+    v0 = solve_power_flow(ieee39_case)
+    va = np.angle(v0) + 0.05 * rng.standard_normal(v0.size)
+    vm = np.abs(v0) * (1.0 + 0.03 * rng.standard_normal(v0.size))
+    x0 = np.concatenate([va[pvpq], vm[pq]])
+
+    def injections(x):
+        a, m = va.copy(), vm.copy()
+        a[pvpq], m[pq] = x[: pvpq.size], x[pvpq.size :]
+        v = m * np.exp(1j * a)
+        s = v * np.conj(ybus @ v)
+        return np.concatenate([s.real[pvpq], s.imag[pq]])
+
+    n, head, tail = x0.size, slice(0, pvpq.size), slice(pvpq.size, None)
+    blocks = [
+        ((head, head), np.ix_(pvpq, pvpq)),
+        ((head, tail), np.ix_(pvpq, pq)),
+        ((tail, head), np.ix_(pq, pvpq)),
+        ((tail, tail), np.ix_(pq, pq)),
+    ]
+    jac = _jacobian(ybus, vm * np.exp(1j * va), vm, blocks, np.empty((n, n)))
+    eps = 1e-6
+    numeric = np.stack(
+        [(injections(x0 + eps * e) - injections(x0 - eps * e)) / (2 * eps) for e in np.eye(n)],
+        axis=1,
+    )
+    assert np.abs(jac - numeric).max() < 1e-8 * np.abs(numeric).max()
+    assert np.abs(numeric).max() > 10.0

@@ -13,7 +13,7 @@ from stochsim.sas import (
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
 from stochsim.series import series_eval
 from stochsim import smib as sm
-from stochsim.dynamics import rhs
+from stochsim.dynamics import _injections, rhs, split_state
 from stochsim.network import ReducedNetwork
 
 
@@ -146,6 +146,7 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
         for stage in ("pre-fault", "fault-on", "post-fault")
     }
     x = setup.x0[None].copy()
+    work = WindowWork(setup.machines, 1, 1)
     ref = [x[0].copy()]
     for i in range(n):
         t = i * h
@@ -155,10 +156,10 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
             else ("fault-on" if t < t_clear - 1e-12 else "post-fault")
         )
         net = nets[stage]
-        k1 = rhs(x, net, setup.machines)
-        k2 = rhs(x + 0.5 * h * k1, net, setup.machines)
-        k3 = rhs(x + 0.5 * h * k2, net, setup.machines)
-        k4 = rhs(x + h * k3, net, setup.machines)
+        k1 = rhs(x, net, work)
+        k2 = rhs(x + 0.5 * h * k1, net, work)
+        k3 = rhs(x + 0.5 * h * k2, net, work)
+        k4 = rhs(x + h * k3, net, work)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ref.append(x[0].copy())
     ref = np.array(ref)
@@ -289,12 +290,39 @@ def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
         assert (tr.diverged, tr.t_diverged) == (alone.diverged, alone.t_diverged)
 
 
+def injection_derivative(state, y, m):
+    """The model's time derivative from the complex-form ``dynamics._injections``."""
+    delta, omega, eqp, edp = split_state(state)
+    _, _, i_q, i_d, _, _, p_e = _injections(delta, eqp, edp, y, m)
+    w_r = m.omega_r
+    return np.concatenate(
+        [
+            omega - w_r,
+            w_r / (2.0 * m.H) * (m.pm - p_e - m.D * (omega - w_r) / w_r),
+            (m.efd - eqp - (m.xd - m.xdp) * i_d) / m.Td0p,
+            ((m.xq - m.xqp) * i_q - edp) / m.Tq0p,
+        ],
+        axis=-1,
+    )
+
+
 def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
-    # dynamics.rhs is a separate implementation of the model: the order-1
-    # coefficients are the time derivative at the window start
-    setup, net, x = ieee39_windows
-    c = coefficients(x, net, setup.machines, 3)
-    f = rhs(x, net, setup.machines)
-    assert np.array_equal(c[..., 0], x)
-    assert np.all(np.abs(f) > 1e-6)  # no entry is near a cancellation
-    assert np.max(np.abs(c[..., 1] - f) / np.abs(f)) < 1e-12
+    # rhs, the kernel's order-0 pass, and the order-1 coefficients of a
+    # window both equal the derivative written from the complex-form
+    # injections, for 3-run stacks of random states at random loads on
+    # every stage
+    setup, _, x = ieee39_windows
+    machines = setup.machines
+    rng = np.random.default_rng(12)
+    work = WindowWork(machines, 3, 1)
+    for stage in ("pre-fault", "fault-on", "post-fault"):
+        pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((3,) + setup.mean_pq.shape))
+        net = setup.build_net(stage, pq)
+        states = x[:3] + 0.1 * rng.standard_normal((3, x.shape[1]))
+        want = injection_derivative(states, net.y, machines)
+        assert np.all(np.abs(want) > 1e-6)  # no entry is near a cancellation
+        f = rhs(states, net, work)
+        c = coefficients(states, net, machines, 3)
+        assert np.array_equal(c[..., 0], states)
+        assert np.max(np.abs(f - want) / np.abs(want)) < 1e-12
+        assert np.max(np.abs(c[..., 1] - want) / np.abs(want)) < 1e-12
