@@ -362,7 +362,8 @@ def solve_equilibrium(
 
     def network(cond, at):  # both reduction steps, as SimulationSetup.build runs them
         pq = np.array([at[b] for b in case.load_buses], dtype=float).reshape(-1, 2)
-        return reduce_to_load_buses(case, cond, profile, []).with_loads(pq)
+        first = reduce_to_load_buses(case, cond, profile, [])
+        return first.with_loads(first.shunts(pq))
 
     net = network(pre_fault, mean_loads)
     state, machines = init_dynamic_state(case, profile, net)

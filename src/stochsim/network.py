@@ -8,9 +8,13 @@ the tripped branches.
 
 The reduction runs in two steps.  :func:`reduce_to_load_buses` eliminates
 the buses that carry no load, once per network condition, which leaves the
-internal nodes and the load buses.  :meth:`LoadBusNetwork.with_loads` adds
-the load shunts to the load-bus diagonal and eliminates the load buses, so a
-change of the loads costs one L x L solve per run.
+internal nodes and the load buses.  :meth:`LoadBusNetwork.shunts` turns load
+values P + jQ into their shunts, and :meth:`LoadBusNetwork.with_loads` adds
+the shunts to the diagonal of the load/load block and eliminates the load
+buses, so a change of the loads costs one L x L solve per run.  The caller
+may own that block: a (..., L, L) stack made once by
+:meth:`LoadBusNetwork.load_block`, of which each rebuild writes only the
+diagonal.
 """
 
 from __future__ import annotations
@@ -155,7 +159,8 @@ class LoadBusNetwork:
     current each load bus draws from the network, which its load shunt must
     balance.  ``vm2`` is the |V|^2 of each load bus at which its impedance
     is fixed, as complex numbers: the divisor of the load shunts.  Safe to
-    share across runs.
+    share across runs: the load/load blocks that :meth:`with_loads` writes
+    belong to its caller, never to the instance.
     """
 
     out_k: np.ndarray
@@ -164,28 +169,56 @@ class LoadBusNetwork:
     kcl_l: np.ndarray
     vm2: np.ndarray
 
-    def with_loads(self, pq: np.ndarray) -> ReducedNetwork:
-        """The second reduction step: the reduced network at a stack of load values.
+    def shunts(self, pq: np.ndarray) -> np.ndarray:
+        """The constant-impedance shunts (P - jQ) / |V|^2 of load values, (..., L) complex.
 
-        ``pq`` is (..., L, 2), the P and Q of the load buses for each
-        leading index.  Each load becomes the constant-impedance shunt
-        (P - jQ) / |V|^2 on the diagonal of a copy of the load/load block,
-        and one stacked L x L solve with K right-hand sides eliminates the
-        load buses from every output at once, as the Schur complement of
-        :func:`schur_complement` without its recovery of the load buses:
-        ``y`` is (..., K, K) and ``recovery`` (..., m, K).  This is the
-        exact Schur identity, for any load values.
+        ``pq`` is (..., L, 2), the P and Q of every load bus for each
+        leading index, of any layout and real dtype; it is copied, never
+        changed.
+        """
+        s_load = np.array(pq, dtype=float, order="C").view(complex)[..., 0]
+        return self.to_shunts(s_load)
+
+    def to_shunts(self, s_load: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Turn complex loads P + jQ into their shunts in place, and return them.
+
+        ``s_load`` is (..., l) complex, the loads of the l load buses that
+        ``rows`` picks (a slice or an index array).
+        """
+        np.conjugate(s_load, out=s_load)
+        s_load /= self.vm2[rows]
+        return s_load
+
+    def load_block(self, lead: tuple[int, ...]) -> np.ndarray:
+        """A fresh C-contiguous (*lead, L, L) stack of the load/load block ``kcl_l``."""
+        y_ll = np.empty(lead + self.kcl_l.shape, dtype=complex)
+        y_ll[...] = self.kcl_l
+        return y_ll
+
+    def with_loads(self, shunts: np.ndarray, y_ll: np.ndarray | None = None) -> ReducedNetwork:
+        """The second reduction step: the reduced network at a stack of load shunts.
+
+        ``shunts`` is (..., L) complex, the :meth:`shunts` of the load
+        buses for each leading index.  They are added to the diagonal of
+        the load/load block, and one stacked L x L solve with K right-hand
+        sides eliminates the load buses from every output at once, as the
+        Schur complement of :func:`schur_complement` without its recovery
+        of the load buses: ``y`` is (..., K, K) and ``recovery`` (..., m, K).
+        This is the exact Schur identity, for any load values.  ``y_ll``,
+        a C-contiguous (..., L, L) block from :meth:`load_block`, is
+        written in place: only its diagonal changes, to ``kcl_l``'s
+        diagonal plus the shunts, so it serves any number of rebuilds.
+        Without it a fresh block is made.
         """
         n_load, k = self.kcl_k.shape
-        # each (P, Q) pair read as the complex P + jQ, a view of a C-contiguous pq
-        s_load = np.ascontiguousarray(pq, dtype=float).view(complex)[..., 0]
-        shunts = np.conjugate(s_load)
-        shunts /= self.vm2
         lead = shunts.shape[:-1]
-        y_ll = np.empty(lead + (n_load, n_load), dtype=complex)
-        y_ll[...] = self.kcl_l
-        # a fresh array reshapes to a view: its diagonal is every (L+1)-th entry
-        y_ll.reshape(lead + (-1,))[..., :: n_load + 1] += shunts
+        if y_ll is None:
+            y_ll = self.load_block(lead)
+        elif not y_ll.flags.c_contiguous:
+            raise ValueError("the load/load block must be C-contiguous")
+        # a C-contiguous block reshapes to a view: its diagonal is every (L+1)-th entry
+        diagonal = y_ll.reshape(lead + (-1,))[..., :: n_load + 1]
+        np.add(self.kcl_l.diagonal(), shunts, out=diagonal)
         out = self.out_l @ _interior_solve(y_ll, self.kcl_k)
         np.subtract(self.out_k, out, out=out)
         return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])

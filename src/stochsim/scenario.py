@@ -163,7 +163,8 @@ class SimulationSetup:
     :mod:`stochsim.network`).  ``build`` runs the first once per stage:
     ``stages`` holds the network over the generator internal nodes and the
     load buses, loads excluded, with the recovery of the monitored buses
-    only.  :meth:`build_net` runs the second at each rebuild.  The
+    only.  :meth:`build_net` runs the second at each rebuild, from the load
+    shunts; ``mean_shunts`` are those of the mean loads.  The
     stochastic loads are the OU means ``ou_mean`` and diffusions ``ou_b``
     (see :mod:`stochsim.noise`): entry 2*i is the P, entry 2*i+1 the Q of
     the i-th load bus that ``spec_rows`` picks.  Their drift is the
@@ -179,7 +180,7 @@ class SimulationSetup:
     # per stage, the network reduced to the internal nodes and the load
     # buses, with the recovery of the monitored buses only
     stages: dict[str, LoadBusNetwork]
-    mean_pq: np.ndarray  # (L, 2) mean P and Q of the load buses
+    mean_shunts: np.ndarray  # (L,) complex shunts of the load buses' mean P and Q
     # position of each stochastic bus among the load buses; a slice when they
     # are every load bus in order, so a resample writes the loads by a view
     spec_rows: slice | np.ndarray
@@ -214,7 +215,8 @@ class SimulationSetup:
         every = rows == list(range(len(load_buses)))
         spec_rows = slice(0, len(rows)) if every else np.array(rows, dtype=int)
         ou_mean = mean_pq[spec_rows].flatten()
-        pre_fault = stages["pre-fault"].with_loads(mean_pq)
+        mean_shunts = stages["pre-fault"].shunts(mean_pq)
+        pre_fault = stages["pre-fault"].with_loads(mean_shunts)
         x0, machines = init_dynamic_state(case, profile, pre_fault)
         return cls(
             case=case,
@@ -223,22 +225,28 @@ class SimulationSetup:
             x0=x0,
             mean_loads=mean_loads,
             stages=stages,
-            mean_pq=mean_pq,
+            mean_shunts=mean_shunts,
             spec_rows=spec_rows,
             ou_mean=ou_mean,
             ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * scenario.drift_a),
         )
 
-    def build_net(self, stage: str, pq: np.ndarray) -> ReducedNetwork:
-        """Reduced networks of one stage for a stack of load values.
+    def build_net(
+        self, stage: str, shunts: np.ndarray, y_ll: np.ndarray | None = None
+    ) -> ReducedNetwork:
+        """Reduced networks of one stage for a stack of load shunts.
 
-        ``pq`` is (R, L, 2): the P and Q of every load bus, in
-        ``case.load_buses`` order, for each of R runs.  Only the second
-        reduction step runs, on the stage's cached first one: one stacked L x L
-        solve gives (R, K, K) ``y`` and the (R, m, K) ``recovery`` of the m
-        monitored buses, all that the recorded voltages need.
+        ``shunts`` is (R, L) complex: the shunts of every load bus, in
+        ``case.load_buses`` order, for each of R runs (see
+        :meth:`LoadBusNetwork.shunts`).  ``y_ll`` is the caller's (R, L, L)
+        load/load block of this stage (:meth:`LoadBusNetwork.load_block`),
+        whose diagonal the rebuild overwrites; without it a fresh one is
+        made.  Only the second reduction step runs, on the stage's cached
+        first one: one stacked L x L solve gives (R, K, K) ``y`` and the
+        (R, m, K) ``recovery`` of the m monitored buses, all that the
+        recorded voltages need.
         """
-        return self.stages[stage].with_loads(pq)
+        return self.stages[stage].with_loads(shunts, y_ll)
 
     def n_noise_vars(self) -> int:
         return self.ou_mean.size
@@ -303,12 +311,18 @@ def run_simulation(
     Each trajectory counts the ``step_fn`` calls (``windows``, split segments
     included) and the network rebuilds while its run was in the stack.
 
-    The load rows of the batch are one (R, n, 2S) array: entry [i, j] holds
-    the 2S stochastic P and Q values (noise-grid order) that run i holds from
-    load instant j, and n is the number of load values a run consumes.  One
-    :func:`load_schedule` recursion writes every run's schedule straight into
-    its slot, and a resample reads the rows of the running runs with one
-    index.  The voltages recorded at t_{k+1} are those of the state at t_{k+1}
+    The shunt rows of the batch are one (R, n, S) complex array: entry
+    [i, j] holds the shunts of the S stochastic load buses that run i holds
+    from load instant j, and n is the number of load values a run consumes.
+    One :func:`load_schedule` recursion writes every run's P and Q values
+    (noise-grid order) straight into its slot as (R, n, 2S) rows, which are
+    turned into their shunts in place, once per batch; a resample reads the
+    rows of the running runs with one index.  Each stage's (R, L, L)
+    load/load block is made once per batch as well, and a rebuild writes
+    only its diagonal (see :meth:`SimulationSetup.build_net`).  The shunts,
+    the blocks and the states are cut together when runs leave.
+
+    The voltages recorded at t_{k+1} are those of the state at t_{k+1}
     under the network of step k, before any rebuild at t_{k+1}.  A step
     records the states only.  When a network is replaced (a rebuild, a split
     step's rebuild), its records are queued with its ``recovery``; a paper-sde
@@ -336,7 +350,7 @@ def run_simulation(
         raise ValueError("a batch needs at least one run")
 
     spr = None  # steps per load value; None without stochastic loads
-    loads = None  # (R, n, 2S) load rows
+    loads = None  # (R, n, S) shunt rows
     if setup.n_noise_vars():
         spr = 1 if em_continuous else _exact_multiple(sc.resample_dt, h)
         need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
@@ -344,6 +358,8 @@ def run_simulation(
         loads = np.empty((r, need, setup.n_noise_vars()))
         _write_loads(setup, paths, load_dt, em_continuous, out=loads)
         paths = None  # no path outlives its load rows
+        # each (P, Q) pair, read as P + jQ, becomes its load's shunt in place
+        loads = setup.stages["pre-fault"].to_shunts(loads.view(complex), setup.spec_rows)
     spec_rows = setup.spec_rows
 
     # each stage event either switches the stage before step k, when within
@@ -358,8 +374,9 @@ def run_simulation(
             split_in.setdefault(math.floor(t_ev / h), []).append((t_ev, new_stage))
 
     stage = "pre-fault"
-    pq = np.repeat(setup.mean_pq[None], r, axis=0)
-    net = setup.build_net(stage, pq)
+    shunts = np.repeat(setup.mean_shunts[None], r, axis=0)
+    blocks = {name: first.load_block((r,)) for name, first in setup.stages.items()}
+    net = setup.build_net(stage, shunts, blocks[stage])
     n_windows, n_rebuilds = 0, 1  # step_fn and build_net calls so far
     counts = [(0, 0)] * r  # per run, (n_windows, n_rebuilds) when it leaves
 
@@ -406,11 +423,11 @@ def run_simulation(
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
         if resample:
-            pq[:, spec_rows] = loads[rows, k // spr].reshape(active.size, -1, 2)
+            shunts[:, spec_rows] = loads[rows, k // spr]
         if resample or k in switch_at:
             enqueue(k // out_stride + 1, net)
             stage = switch_at.get(k, stage)
-            net = setup.build_net(stage, pq)
+            net = setup.build_net(stage, shunts, blocks[stage])
             n_rebuilds += 1
 
         a = k * h
@@ -418,7 +435,7 @@ def run_simulation(
             x = step_fn(x, net, tb - a)
             enqueue(k // out_stride + 1, net)
             stage = new_stage
-            net = setup.build_net(stage, pq)
+            net = setup.build_net(stage, shunts, blocks[stage])
             n_windows += 1
             n_rebuilds += 1
             a = tb
@@ -433,7 +450,8 @@ def run_simulation(
                 counts[active[j]] = (n_windows, n_rebuilds)
                 bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
-            active, x, pq = active[ok], x[ok], pq[ok]
+            active, x, shunts = active[ok], x[ok], shunts[ok]
+            blocks = {name: block[ok] for name, block in blocks.items()}
             rows = active
             if not active.size:
                 break

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,9 @@ class Trajectory:
     def n_gen(self) -> int:
         return len(self.gen_buses)
 
-    @property
+    @cached_property
     def columns(self) -> list[str]:
+        """Output column names in file order, made once per trajectory."""
         return columns(self.gen_buses, self.monitor_buses)
 
     def value(self, column: str) -> np.ndarray:

@@ -23,6 +23,19 @@ SCENARIO = Scenario(
 )
 
 
+def mean_load_values(setup):
+    """(L, 2) mean P and Q of the load buses, in ``case.load_buses`` order."""
+    return np.array([setup.mean_loads[b] for b in setup.case.load_buses], dtype=float)
+
+
+def perturbed_shunts(setup, rng, n_runs):
+    """(R, L) shunts of the mean loads perturbed by 5%, built from P and Q afresh."""
+    mean = mean_load_values(setup)
+    return setup.stages["pre-fault"].shunts(
+        mean * (1.0 + 0.05 * rng.standard_normal((n_runs,) + mean.shape))
+    )
+
+
 def assert_same_run(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states, equal_nan=True)
@@ -168,21 +181,21 @@ def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
 @pytest.mark.parametrize("name, kind", [("caseC", slice), ("caseA", np.ndarray)])
 def test_stochastic_load_rows_write_as_their_index(ieee39_case, repo_root, name, kind):
     # every load bus in order (caseC) is a slice, so a resample writes the
-    # loads by a view; a subset (caseA, buses 3 and 4) is an index array;
-    # both write the same loads as the index of each stochastic bus
+    # shunts by a view; a subset (caseA, buses 3 and 4) is an index array;
+    # both write the same shunts as the index of each stochastic bus
     setup = SimulationSetup.build(
         ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
     )
     assert isinstance(setup.spec_rows, kind)
     stoch = setup.scenario.resolve_stochastic_buses(ieee39_case)
     index = np.array([ieee39_case.load_buses.index(b) for b in stoch])
-    rows = np.random.default_rng(0).standard_normal((3, setup.n_noise_vars()))
-    got = np.repeat(setup.mean_pq[None], 3, axis=0)
+    rows = np.random.default_rng(0).standard_normal((3, setup.n_noise_vars())).view(complex)
+    got = np.repeat(setup.mean_shunts[None], 3, axis=0)
     want = got.copy()
-    got[:, setup.spec_rows] = rows.reshape(3, -1, 2)
-    want[:, index] = rows.reshape(3, -1, 2)
+    got[:, setup.spec_rows] = rows
+    want[:, index] = rows
     assert np.array_equal(got, want)
-    assert np.array_equal(setup.ou_mean, setup.mean_pq[index].ravel())
+    assert np.array_equal(setup.ou_mean, mean_load_values(setup)[index].ravel())
 
 
 def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
@@ -201,11 +214,12 @@ def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
                 assert np.isnan(tr.voltages[i]).all()
                 continue
             k = i - 1  # the step that ends at this record; -1 for the start
-            pq = setup.mean_pq.copy()
+            pq = mean_load_values(setup)
             if k >= spr:
                 pq[setup.spec_rows] = rows[k // spr].reshape(-1, 2)
             stage = stages[sum(t_ev < (k + 1) * h - 1e-9 for t_ev in events)]
-            recovery = setup.build_net(stage, pq[None]).recovery
+            shunts = setup.stages[stage].shunts(pq[None])
+            recovery = setup.build_net(stage, shunts).recovery
             expected = np.abs(recovery @ scenario_mod._emf(x[None])[..., None])[0, :, 0]
             assert np.array_equal(tr.voltages[i], expected), (i, stage)
 

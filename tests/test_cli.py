@@ -92,6 +92,43 @@ def test_repeated_runs_write_identical_files(repo_root, tmp_path):
         assert m["rebuilds"] == [21] * 3
 
 
+def test_interleaved_calls_in_one_process_repeat_their_stats(repo_root, tmp_path):
+    # caseC and caseA series ensembles (every load bus a slice, two an index
+    # array), caseC with the fault and trip moved to bus 4 (other fault-on
+    # and post-fault networks) and a paper-sde ensemble, 2 s of each, called
+    # four times in turn in one process: no state outlives a call, so each
+    # flag set writes the same stats.csv every time, whatever ran before it
+    case = str(repo_root / "cases" / "ieee39.json")
+    scenarios = {}
+    for name, source, edit in (
+        ("caseC", "caseC", {}),
+        ("caseA", "caseA", {}),
+        ("bus4", "caseC", {"fault_bus": 4, "trip_branches": [[4, 5]]}),
+    ):
+        doc = json.loads((repo_root / "scenarios" / f"{source}.json").read_text())
+        doc.update(horizon_s=2.0, **edit)
+        (tmp_path / name).mkdir()
+        scenarios[name] = write_scenario(tmp_path / name, doc)
+    series = ("--runs", "3", "--order", "6", "--window", "0.05")
+    flag_sets = {
+        "caseC-sas": (scenarios["caseC"], *series),
+        "caseA-sas": (scenarios["caseA"], *series),
+        "paper-sde": (scenarios["caseC"], "--runs", "2", "--solver", "em", "--em-mode",
+                      "paper-sde"),
+        "bus4-sas": (scenarios["bus4"], *series),
+    }
+    written = collections.defaultdict(list)
+    for i in range(4):
+        for name, (scenario, *flags) in flag_sets.items():
+            out = tmp_path / f"{name}-{i}"
+            assert cli.main(run_argv(repo_root, scenario, out, *flags, case=case)) == 0
+            written[name].append((out / "stats.csv").read_bytes())
+    for name, files in written.items():
+        assert len(files[0].splitlines()) > 20, name
+        assert all(f == files[0] for f in files[1:]), name
+    assert len({files[0] for files in written.values()}) == len(flag_sets)
+
+
 def test_scenario_without_horizon_exits_2(repo_root, tmp_path):
     scenario = write_scenario(tmp_path, {"fault_bus": 1})
     assert cli.main(run_argv(repo_root, scenario, tmp_path / "out")) == 2

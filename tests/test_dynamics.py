@@ -31,7 +31,8 @@ def prefault_setup(case):
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
     pq = load_pq(loads)
     cond = NetworkCondition("pre-fault")
-    net = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus)).with_loads(pq)
+    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus))
+    net = first.with_loads(first.shunts(pq))
     x0, machines = init_dynamic_state(case, v, net)
     return v, loads, net, x0, machines
 
@@ -113,7 +114,8 @@ def test_rhs_matches_component_formulas(ieee39_case):
     states = x0 + scale * rng.standard_normal((3, 4 * k))
     pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
-    nets = reduce_to_load_buses(ieee39_case, cond, v, []).with_loads(pq)
+    first = reduce_to_load_buses(ieee39_case, cond, v, [])
+    nets = first.with_loads(first.shunts(pq))
     for x, net in ((states, nets), (states[1], ReducedNetwork(nets.y[1], nets.recovery[1]))):
         want = component_rhs(x, net.y, machines)
         got = derivative(x, net, machines)

@@ -13,6 +13,8 @@ from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 from stochsim.series import series_eval
 from stochsim import smib as sm
 
+from test_batch import mean_load_values, perturbed_shunts
+
 
 def test_em_sde_step_stationary_variance():
     # Euler-Maruyama turns the OU equation into the AR(1) recursion
@@ -75,10 +77,10 @@ def test_euler_step_is_the_order_one_window(ieee39_case, repo_root):
     setup = SimulationSetup.build(ieee39_case, scenario)
     rng = np.random.default_rng(25)
     x = setup.x0 * (1.0 + 0.05 * rng.standard_normal((5, setup.x0.size)))
-    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((5,) + setup.mean_pq.shape))
+    shunts = perturbed_shunts(setup, rng, 5)
     step_work, window_work = WindowWork(setup.machines, 5, 1), WindowWork(setup.machines, 5, 1)
     for stage in ("pre-fault", "fault-on", "post-fault"):
-        net = setup.build_net(stage, pq)
+        net = setup.build_net(stage, shunts)
         for dt in (1e-3, 0.0123):
             step = euler_det_step(x, net, step_work, dt)
             window = series_eval(window_coefficients(x, net, window_work), dt)
@@ -89,7 +91,10 @@ def test_euler_step_is_the_order_one_window(ieee39_case, repo_root):
 def test_em_work_rebuilt_when_runs_leave(smib_case, monkeypatch):
     # a limit just under the largest peak |state| stops one shared-path run
     # of six after the fault; the stepper then builds work arrays for the
-    # five left, and every run keeps the bits of its solo run
+    # five left, and every run keeps the bits of its solo run.  Each network
+    # the driver builds in its per-batch load/load blocks, on all three
+    # stages, at both stage switches and after the run has left, has the
+    # bits of a network built afresh from the run's own P and Q
     sc = Scenario(
         horizon_s=1.0,
         fault_bus=1,
@@ -113,9 +118,40 @@ def test_em_work_rebuilt_when_runs_leave(smib_case, monkeypatch):
             super().__init__(machines, n_runs, order)
 
     monkeypatch.setattr(em, "WindowWork", CountedWork)
+    nets = []
+    build_net = SimulationSetup.build_net
+
+    def recorded(self, stage, shunts, y_ll=None):
+        assert y_ll is not None  # the driver passes its block of the stage
+        net = build_net(self, stage, shunts, y_ll)
+        nets.append((stage, net.y.copy(), net.recovery.copy()))
+        return net
+
+    monkeypatch.setattr(SimulationSetup, "build_net", recorded)
     runs = simulate_em_batch(setup, config, paths)
+    monkeypatch.setattr(SimulationSetup, "build_net", build_net)
     assert built == [6, 5]
     assert [tr.diverged for tr in runs].count(True) == 1
+    # the rebuild steps: the start, one resample, the fault start on a load
+    # instant, the clearing at 0.25 s, then a resample every 0.1 s
+    spr = 100
+    rebuilds = [(0, "pre-fault"), (100, "pre-fault"), (200, "fault-on"), (250, "post-fault")]
+    rebuilds += [(k, "post-fault") for k in range(300, 1000, spr)]
+    assert [stage for stage, _, _ in nets] == [stage for _, stage in rebuilds]
+    rows = [load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, p, euler=False) for p in paths]
+    for (k, stage), (_, y, recovery) in zip(rebuilds, nets):
+        t = k * config.dt  # the runs that diverged at or before t have left
+        here = [i for i, tr in enumerate(runs) if tr.t_diverged is None or tr.t_diverged > t]
+        assert len(here) == (6 if k < 250 else 5)
+        assert y.shape[0] == len(here)
+        for pos, i in enumerate(here):
+            pq = mean_load_values(setup)
+            if k >= spr:
+                pq[setup.spec_rows] = rows[i][k // spr].reshape(-1, 2)
+            first = setup.stages[stage]
+            fresh = first.with_loads(first.shunts(pq[None]))
+            assert np.array_equal(y[pos], fresh.y[0])
+            assert np.array_equal(recovery[pos], fresh.recovery[0])
     for tr, path in zip(runs, paths):
         alone = simulate_em_batch(setup, config, [path])[0]
         assert np.array_equal(tr.states, alone.states, equal_nan=True)

@@ -63,7 +63,7 @@ def load_pq(loads):
 def reduce_all_buses(case, cond, v, loads):
     """Both reduction steps at ``loads``, with the recovery of every bus."""
     first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus))
-    return first.with_loads(load_pq(loads))
+    return first.with_loads(first.shunts(load_pq(loads)))
 
 
 def assert_rel_close(got, want, rel):
@@ -87,7 +87,8 @@ def test_load_shunt_unit_values():
         kcl_l = np.array([[y_ll]])
         vm2 = np.abs([v]).astype(complex) ** 2
         first = LoadBusNetwork(out_k, out_l, np.array([[y_lg]]), kcl_l, vm2)
-        net = first.with_loads(np.array([[p, q]]))
+        assert first.shunts(np.array([[p, q]])) == pytest.approx([shunt], abs=1e-15)
+        net = first.with_loads(first.shunts(np.array([[p, q]])))
         assert -y_lg / net.recovery[0, 0] - y_ll == pytest.approx(shunt, abs=1e-14)
         assert np.array_equal(kcl_l, [[y_ll]])  # the cached block is unchanged
 
@@ -109,7 +110,7 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
     pq = mean * (1.0 + 0.05 * rng.standard_normal((3,) + mean.shape))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
     first = reduce_to_load_buses(ieee39_case, cond, v, np.arange(ieee39_case.n_bus))
-    stack = first.with_loads(pq)
+    stack = first.with_loads(first.shunts(pq))
     assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
     for i in range(3):
         one = reduce_all_buses(ieee39_case, cond, v, dict(zip(buses, pq[i])))
@@ -118,20 +119,47 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
 
 
 def test_loads_of_any_layout_or_dtype_convert(ieee39_case):
-    # the loads are read as the P + jQ pairs of a C-contiguous float array:
-    # a strided view, a reversed view and integer values are converted
-    # first, and give the bits of the contiguous float call
+    # the loads are read as the P + jQ pairs of a C-contiguous float copy:
+    # a strided view, a reversed view, integer values and a contiguous float
+    # array give the bits of the contiguous float call, and stay unchanged
     v = solve_power_flow(ieee39_case)
     first = reduce_to_load_buses(ieee39_case, NetworkCondition("pre-fault"), v, [29])
     rng = np.random.default_rng(5)
     wide = rng.uniform(0.5, 3.0, (3, first.vm2.size, 4))
     ints = rng.integers(1, 4, (3, first.vm2.size, 2))
-    for pq in (wide[..., ::2], wide[::-1, :, 1:3], ints):
-        assert not (pq.flags.c_contiguous and pq.dtype == np.float64)
-        got = first.with_loads(pq)
-        want = first.with_loads(np.ascontiguousarray(pq, dtype=np.float64))
-        assert np.array_equal(got.y, want.y)
-        assert np.array_equal(got.recovery, want.recovery)
+    for pq in (wide[..., ::2], wide[::-1, :, 1:3], ints, wide[..., :2].copy()):
+        before = pq.copy()
+        got = first.shunts(pq)
+        want = first.shunts(np.ascontiguousarray(pq, dtype=np.float64))
+        assert got.shape == (3, first.vm2.size) and got.dtype == complex
+        assert np.array_equal(got, want)
+        assert np.array_equal(pq, before)
+        s_load = pq[..., 0] + 1j * pq[..., 1]
+        np.testing.assert_allclose(got, np.conjugate(s_load) / first.vm2, rtol=1e-15)
+
+
+def test_a_reused_load_block_keeps_the_bits_of_a_fresh_one(ieee39_case):
+    # one caller-owned block per stage serves rebuilds at changing loads,
+    # stages taking turns: each network has the bits of a fresh block's,
+    # and only the block's diagonal ever changes
+    v = solve_power_flow(ieee39_case)
+    firsts = [reduce_to_load_buses(ieee39_case, cond, v, [3, 29]) for cond in CONDITIONS]
+    blocks = [first.load_block((4,)) for first in firsts]
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        for first, block in zip(firsts, blocks):
+            pq = rng.uniform(0.5, 3.0, (4, first.vm2.size, 2))
+            shunts = first.shunts(pq)
+            got = first.with_loads(shunts, block)
+            want = first.with_loads(shunts)
+            assert np.array_equal(got.y, want.y)
+            assert np.array_equal(got.recovery, want.recovery)
+            off = ~np.eye(first.vm2.size, dtype=bool)
+            assert np.array_equal(block[:, off], np.broadcast_to(first.kcl_l[off], (4, off.sum())))
+            diagonal = np.diagonal(block, axis1=1, axis2=2)
+            assert np.array_equal(diagonal, np.diagonal(first.kcl_l) + shunts)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        firsts[0].with_loads(shunts[::2], blocks[0][::2])
 
 
 @pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
@@ -164,14 +192,15 @@ def test_two_step_reduction_matches_full_network_solve(ieee39_case, cond, n_runs
     rows = [case.bus_index(b) for b in (30, 4, 39)]
     assert case.load_at(30) is None and case.load_at(4) and case.load_at(39)
     first = reduce_to_load_buses(case, cond, v, rows)
-    stack = first.with_loads(pq)
+    stack = first.with_loads(first.shunts(pq))
     assert stack.y.shape == (n_runs, 10, 10) and stack.recovery.shape == (n_runs, 3, 10)
     for i in range(n_runs):
         y_full, rec_full = full_network_solve(case, cond, pq[i], v)
         assert_rel_close(stack.y[i], y_full, 1e-12)
         assert_rel_close(stack.recovery[i], rec_full[rows], 1e-12)
         # the run alone, unstacked and as a stack of one, takes the same bits
-        for one in (first.with_loads(pq[i]), first.with_loads(pq[i : i + 1])):
+        for one_pq in (pq[i], pq[i : i + 1]):
+            one = first.with_loads(first.shunts(one_pq))
             assert np.array_equal(one.y.reshape(stack.y[i].shape), stack.y[i])
             assert np.array_equal(one.recovery.reshape(3, 10), stack.recovery[i])
 

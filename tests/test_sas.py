@@ -16,6 +16,8 @@ from stochsim import smib as sm
 from stochsim.dynamics import _injections, rhs, split_state
 from stochsim.network import ReducedNetwork
 
+from test_batch import perturbed_shunts
+
 
 def coefficients(states, net, machines, order):
     """One window of ``states`` in work arrays built for this call."""
@@ -26,7 +28,7 @@ def test_constant_series_static_state(smib_case):
     # at the pre-fault equilibrium every derivative vanishes, so the window
     # series is constant and evaluates to the initial state anywhere
     setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
-    net = setup.build_net("pre-fault", setup.mean_pq[None])
+    net = setup.build_net("pre-fault", setup.mean_shunts[None])
     c = coefficients(setup.x0[None], net, setup.machines, 4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
@@ -142,7 +144,7 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     n = round(sc.horizon_s / h)
     t_fault, t_clear = sc.fault_times(smib_case)
     nets = {
-        stage: setup.build_net(stage, setup.mean_pq[None])
+        stage: setup.build_net(stage, setup.mean_shunts[None])
         for stage in ("pre-fault", "fault-on", "post-fault")
     }
     x = setup.x0[None].copy()
@@ -194,9 +196,9 @@ def ieee39_windows(ieee39_case, repo_root):
     scenario = load_scenario(repo_root / "scenarios" / "caseC.json")
     setup = SimulationSetup.build(ieee39_case, scenario)
     rng = np.random.default_rng(39)
-    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
+    shunts = perturbed_shunts(setup, rng, 17)
     x = setup.x0 * (1.0 + 0.05 * rng.standard_normal((17, setup.x0.size)))
-    return setup, setup.build_net("post-fault", pq), x
+    return setup, setup.build_net("post-fault", shunts), x
 
 
 def runs_of(net: ReducedNetwork, rows) -> ReducedNetwork:
@@ -234,8 +236,8 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
     setup, post, x = ieee39_windows
     machines = setup.machines
     rng = np.random.default_rng(4)
-    pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((17,) + setup.mean_pq.shape))
-    nets = [post, setup.build_net("fault-on", pq), setup.build_net("pre-fault", pq)]
+    shunts = perturbed_shunts(setup, rng, 17)
+    nets = [post, setup.build_net("fault-on", shunts), setup.build_net("pre-fault", shunts)]
     states = [x, x[::-1].copy(), setup.x0 + 0.1 * rng.standard_normal(x.shape)]
     work = WindowWork(machines, 17, 4)
     last = None
@@ -316,8 +318,7 @@ def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
     rng = np.random.default_rng(12)
     work = WindowWork(machines, 3, 1)
     for stage in ("pre-fault", "fault-on", "post-fault"):
-        pq = setup.mean_pq * (1.0 + 0.05 * rng.standard_normal((3,) + setup.mean_pq.shape))
-        net = setup.build_net(stage, pq)
+        net = setup.build_net(stage, perturbed_shunts(setup, rng, 3))
         states = x[:3] + 0.1 * rng.standard_normal((3, x.shape[1]))
         want = injection_derivative(states, net.y, machines)
         assert np.all(np.abs(want) > 1e-6)  # no entry is near a cancellation

@@ -47,6 +47,7 @@ def test_value_is_the_csv_column_of_its_name():
     for name in ("t", "g030.delta", "g32.delta", "g30.speed", "g30", "v30", "v39.x", "x39"):
         with pytest.raises(KeyError):
             tr.value(name)
+    assert tr.columns is tr.columns  # the names are made once per trajectory
 
 
 def test_csv_blocks_write_strings_as_they_are():
