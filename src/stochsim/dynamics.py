@@ -155,7 +155,6 @@ class WindowWork:
     def __init__(self, machines: MachineSet, n_runs: int, order: int):
         m = machines
         k = m.n_gen
-        self.n_runs = n_runs
         rk = n_runs * k
         w_r = m.omega_r
         half_h = w_r / (2.0 * m.H)

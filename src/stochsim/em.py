@@ -63,20 +63,14 @@ def simulate_em_batch(
     Stage scheduling, resampling and divergence handling match the series
     solver exactly; in shared-path mode the identical piecewise-constant
     load series is consumed, enabling pathwise comparison.  The stack steps
-    in one :class:`WindowWork` that is built again only when runs leave.
+    by :func:`euler_det_step` in the order-1 work arrays that
+    :func:`run_simulation` builds.
     """
-    work = None  # the work arrays of the current stack
-
-    def stepper(x, net, dt):
-        nonlocal work
-        if work is None or work.n_runs != len(x):  # first step, or runs left
-            work = WindowWork(setup.machines, len(x), 1)
-        return euler_det_step(x, net, work, dt)
-
     return run_simulation(
         setup,
         config.dt,
-        stepper,
+        euler_det_step,
+        1,
         solver="em",
         paths=paths,
         em_continuous=(config.mode == "paper-sde"),

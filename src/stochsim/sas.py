@@ -12,8 +12,9 @@ Each order is one :func:`~stochsim.dynamics.derivative_coeffs` pass on the
 slabs of a :class:`~stochsim.dynamics.WindowWork`; order 0 is the
 right-hand side that Euler steps on as well.  ``window_coefficients(state0,
 net, work)`` is the kernel's one entry, for the solver's batches and
-``validate``'s oracle alike.  A batch builds its work arrays again only when
-runs leave, so a window allocates nothing but the series kernels' temporaries.
+``validate``'s oracle alike, and :func:`window_step` evaluates one window.
+``run_simulation`` builds a batch's work arrays again only when runs leave,
+so a window allocates nothing but the series kernels' temporaries.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def window_coefficients(
     return work.coeffs
 
 
+def window_step(
+    state0: np.ndarray, net: ReducedNetwork, work: WindowWork, dt: float
+) -> np.ndarray:
+    """The order-N series of a window about ``state0``, evaluated at ``dt``.
+
+    Arguments as for :func:`window_coefficients`; returns a new (R, 4K) stack.
+    """
+    return series_eval(window_coefficients(state0, net, work), dt)
+
+
 def simulate_sas_batch(
     setup: SimulationSetup,
     config: SolverConfig,
@@ -80,25 +91,19 @@ def simulate_sas_batch(
     """Propagate a batch of runs, one per noise path, with series windows.
 
     The windows have a fixed length and all runs take the same windows, so
-    one coefficient recursion advances the whole (R, 4K) stack, in one
-    :class:`WindowWork` that is built again only when runs leave.  Stage
-    boundaries split the enclosing window exactly; stochastic loads are
-    advanced and the networks rebuilt at every resample boundary, so the
-    window must divide the resample interval, which the driver checks.  The
-    output is sampled at the window length.
+    one coefficient recursion advances the whole (R, 4K) stack:
+    :func:`run_simulation` steps it by :func:`window_step` in work arrays of
+    the configured order.  Stage boundaries split the enclosing window
+    exactly; stochastic loads are advanced and the networks rebuilt at every
+    resample boundary, so the window must divide the resample interval,
+    which :func:`run_simulation` checks.  The output is sampled every ``out_stride``
+    windows.
     """
-    work = None  # the work arrays of the current stack
-
-    def stepper(x, net, dt):
-        nonlocal work
-        if work is None or work.n_runs != len(x):  # first window, or runs left
-            work = WindowWork(setup.machines, len(x), config.order)
-        return series_eval(window_coefficients(x, net, work), dt)
-
     return run_simulation(
         setup,
         config.window,
-        stepper,
+        window_step,
+        config.order,
         solver="sas",
         paths=paths,
         out_stride=out_stride,

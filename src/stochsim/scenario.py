@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .case import SystemCase, bus_id, number_keys, read_record
-from .dynamics import MachineSet, init_dynamic_state, split_state
+from .dynamics import MachineSet, WindowWork, init_dynamic_state, split_state
 from .network import (
     LoadBusNetwork,
     NetworkCondition,
@@ -31,8 +31,8 @@ from .powerflow import solve_power_flow
 from .trajectory import Trajectory, packed_column
 
 DIVERGENCE_LIMIT = 1e6  # any state beyond this magnitude marks the run unstable
-# Run records (records times runs in the stack) whose voltages run_simulation
-# queues before it computes them in one pass.  On caseC sizes (K=10, one
+# Run records (records times runs in the stack) that run_simulation lists
+# before it computes their voltages in one pass.  On caseC sizes (K=10, one
 # monitored bus) a pass costs 0.34-0.56 us a run record from 128 to 1,024 run
 # records, against 0.98 us at 64, and each holds about 1.5 KB of temporaries:
 # a bound of 256 records whatever the stack raised the peak RSS of a 20-run
@@ -155,7 +155,7 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationSetup:
     """Pre-fault solution and the network of each stage, shared by all runs.
 
@@ -289,6 +289,7 @@ def run_simulation(
     setup: SimulationSetup,
     h: float,
     step_fn,
+    order: int,
     solver: str,
     paths: Iterable[NoisePath | None],
     em_continuous: bool = False,
@@ -298,18 +299,21 @@ def run_simulation(
 
     The runs share the stage schedule, the step grid and the load instants;
     only their load values differ, so they advance together as an (R, 4K)
-    stack.  ``step_fn(states, net, dt)`` advances the stack across one
-    segment with a frozen (R, K, K) stack of networks.  Stage boundaries are
-    honored exactly by splitting the enclosing step.  Every run's loads come
-    from its :func:`load_schedule`: held for a resample interval, or with
-    ``em_continuous`` stepped by Euler-Maruyama at every step, and the
-    reduced networks are rebuilt whenever they change.  A run whose state
-    turns non-finite or huge is marked diverged, with the time and the first
-    packed-state column past ``DIVERGENCE_LIMIT``, and leaves the stack; its
-    remaining rows stay NaN.  Every operation treats each run's row on its
-    own, so a run's trajectory is bit-identical alone and in any batch.
-    Each trajectory counts the ``step_fn`` calls (``windows``, split segments
-    included) and the network rebuilds while its run was in the stack.
+    stack.  ``step_fn(states, net, work, dt)`` advances the stack across one
+    segment with a frozen (R, K, K) stack of networks, in the stack's
+    :class:`WindowWork` of series order ``order``, which this function owns.
+    Stage boundaries are honored exactly by splitting the enclosing step.
+    Every run's loads come from its :func:`load_schedule`: held for a
+    resample interval, or with ``em_continuous`` stepped by Euler-Maruyama
+    at every step, and the reduced networks are rebuilt whenever they
+    change.  A run whose state turns non-finite or huge is marked diverged,
+    with the time and the first packed-state column past
+    ``DIVERGENCE_LIMIT``, and leaves the stack; its remaining rows stay NaN.
+    Every operation treats each run's row on its own, so a run's trajectory
+    is bit-identical alone and in any batch.  A record is written every
+    ``out_stride`` steps, which must divide the step count.  Each trajectory
+    counts the ``step_fn`` calls (``windows``, split segments included) and
+    the network rebuilds while its run was in the stack.
 
     The shunt rows of the batch are one (R, n, S) complex array: entry
     [i, j] holds the shunts of the S stochastic load buses that run i holds
@@ -318,22 +322,20 @@ def run_simulation(
     (noise-grid order) straight into its slot as (R, n, 2S) rows, which are
     turned into their shunts in place, once per batch; a resample reads the
     rows of the running runs with one index.  Each stage's (R, L, L)
-    load/load block is made once per batch as well, and a rebuild writes
-    only its diagonal (see :meth:`SimulationSetup.build_net`).  The shunts,
-    the blocks and the states are cut together when runs leave.
+    load/load block and the work arrays are made once per batch as well, and
+    a rebuild writes only the block's diagonal (see
+    :meth:`SimulationSetup.build_net`).  The shunts, the blocks, the work
+    arrays and the states are cut together when runs leave.
 
     The voltages recorded at t_{k+1} are those of the state at t_{k+1}
-    under the network of step k, before any rebuild at t_{k+1}.  A step
-    records the states only.  When a network is replaced (a rebuild, a split
-    step's rebuild), its records are queued with its ``recovery``; a paper-sde
-    Euler network serves one record, a series-solver network a resample
-    interval of them.  The queued voltages are computed in one pass, one EMF
-    evaluation of the queued states and one stacked product with their
-    gathered recoveries, once the queued records times the runs in the stack
-    reach ``VOLTAGE_BLOCK`` (the network in force queues its records so far),
-    before runs leave the stack and at the end.  Each voltage is the product
-    of its own record's EMFs and recovery, so it does not depend on the pass
-    it is computed in.
+    under the network of step k, before any rebuild at t_{k+1}.  Each record
+    lists the ``recovery`` of the network in force when it is written, and a
+    step records the states only.  The voltages of the listed records are
+    computed in one pass, one EMF evaluation of their states and one stacked
+    product with their recoveries, once the listed records times the runs in
+    the stack reach ``VOLTAGE_BLOCK``, before runs leave the stack and at
+    the end.  Each voltage is the product of its own record's EMFs and
+    recovery, so it does not depend on the pass it is computed in.
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
@@ -344,6 +346,8 @@ def run_simulation(
     sc = setup.scenario
     case = setup.case
     n_steps = _exact_multiple(sc.horizon_s, h)
+    if out_stride < 1 or n_steps % out_stride:
+        raise ValueError(f"output stride {out_stride} does not divide the {n_steps} steps")
     paths = list(paths)
     r = len(paths)
     if r == 0:
@@ -392,58 +396,48 @@ def run_simulation(
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    queue: list[tuple[np.ndarray, int]] = []  # (recovery, records) per network
-    done = queued = 0  # records before these have their voltages, their network queued
+    recs: list[np.ndarray] = []  # the network recovery of each record from ``done`` on
+    done = 0  # records before this one have their voltages
 
-    def enqueue(n_done: int, current_net: ReducedNetwork) -> None:
-        """Queue the records ``queued`` up to ``n_done``, all under ``current_net``."""
-        nonlocal queued
-        if n_mon and n_done > queued:
-            queue.append((current_net.recovery, n_done - queued))
-        queued = n_done
-
-    def voltages(n_done: int, current_net: ReducedNetwork) -> None:
-        """Queue the records up to ``n_done``, then every queued voltage in one pass."""
+    def voltages() -> None:
+        """The voltages of the listed records, in one pass."""
         nonlocal done
-        enqueue(n_done, current_net)
-        if queue:
-            # (R, m, K) recoveries joined to (R, networks, m, K), then one per record
-            recovery = np.concatenate([rec for rec, _ in queue], axis=1)
-            recovery = recovery.reshape(active.size, len(queue), n_mon, -1)
-            if len(queue) < queued - done:  # a network serves several records
-                recovery = np.repeat(recovery, [n for _, n in queue], axis=1)
-            emf = _emf(states[rows, done:queued])
-            volts[rows, done:queued] = np.abs(bus_voltages(recovery, emf))
-            queue.clear()
-        done = queued
+        end = done + len(recs)
+        if n_mon and recs:
+            # (R, m, K) recoveries joined to (R, records, m, K)
+            recovery = np.concatenate(recs, axis=1).reshape(active.size, len(recs), n_mon, -1)
+            emf = _emf(states[rows, done:end])
+            volts[rows, done:end] = np.abs(bus_voltages(recovery, emf))
+        recs.clear()
+        done = end
 
     x = np.repeat(setup.x0[None], r, axis=0)
+    work = WindowWork(setup.machines, r, order)
     states[:, 0] = x
+    recs.append(net.recovery)
 
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
         if resample:
             shunts[:, spec_rows] = loads[rows, k // spr]
         if resample or k in switch_at:
-            enqueue(k // out_stride + 1, net)
             stage = switch_at.get(k, stage)
             net = setup.build_net(stage, shunts, blocks[stage])
             n_rebuilds += 1
 
         a = k * h
         for tb, new_stage in split_in.get(k, ()):
-            x = step_fn(x, net, tb - a)
-            enqueue(k // out_stride + 1, net)
+            x = step_fn(x, net, work, tb - a)
             stage = new_stage
             net = setup.build_net(stage, shunts, blocks[stage])
             n_windows += 1
             n_rebuilds += 1
             a = tb
-        x = step_fn(x, net, (k + 1) * h - a if k in split_in else h)
+        x = step_fn(x, net, work, (k + 1) * h - a if k in split_in else h)
         n_windows += 1
 
         if not np.abs(x).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
-            voltages(k // out_stride + 1, net)
+            voltages()
             ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = (k + 1) * h
@@ -456,14 +450,15 @@ def run_simulation(
             if not active.size:
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
+            work = WindowWork(setup.machines, active.size, order)
         if (k + 1) % out_stride == 0:
-            n_done = (k + 1) // out_stride + 1
-            states[rows, n_done - 1] = x
-            if (n_done - done) * active.size >= VOLTAGE_BLOCK:
-                voltages(n_done, net)
+            states[rows, (k + 1) // out_stride] = x
+            recs.append(net.recovery)
+            if len(recs) * active.size >= VOLTAGE_BLOCK:
+                voltages()
 
     if active.size:
-        voltages(n_rec, net)
+        voltages()
     for i in active:
         counts[i] = (n_windows, n_rebuilds)
     return [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stochsim import scenario as scenario_mod
+from stochsim.dynamics import WindowWork
 from stochsim.em import EMConfig, simulate_em_batch
 from stochsim.noise import NoisePath, build_noise_path, load_schedule
 from stochsim.sas import SolverConfig, simulate_sas_batch
@@ -138,14 +139,14 @@ def test_em_divergence_inside_a_batch(smib_case, monkeypatch):
             steps = round(tr.t_diverged / config.dt)  # the run took steps 0 .. steps-1
             assert np.isnan(tr.states[steps:]).all()
             assert np.array_equal(tr.states[:steps], ref.states[:steps])
-    # the runs leave with voltages still queued, and the pass before each
+    # the runs leave with records still listed, and the pass before each
     # leave reads the records of the runs still in the stack
     assert_voltage_oracle(setup, config.dt, True, paths, batch)
 
 
 def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
     # a paper-sde network serves one record, but the voltages are computed
-    # in passes: one once the stack's queued run records reach the bound,
+    # in passes: one once the stack's listed run records reach the bound,
     # one before a run leaves (a NaN in run 2's noise at column 500 stops it
     # at t = 0.502) and one at the end, each one _emf call over its records
     setup = SimulationSetup.build(smib_case, SCENARIO)
@@ -171,7 +172,7 @@ def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
     for r, n_rec in records.items():
         sizes = [n for runs_in, n in passes if runs_in == r]
         assert sum(sizes) == n_rec  # every record of the stack once
-        # a pass is due as soon as the queued run records reach the bound
+        # a pass is due as soon as the listed run records reach the bound
         assert all(bound <= r * n < bound + r for n in sizes[:-1])
         assert 0 < r * sizes[-1] < bound + r
     assert len(passes) == sum(math.ceil(n / math.ceil(bound / r)) for r, n in records.items())
@@ -198,10 +199,11 @@ def test_stochastic_load_rows_write_as_their_index(ieee39_case, repo_root, name,
     assert np.array_equal(setup.ou_mean, mean_load_values(setup)[index].ravel())
 
 
-def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
+def assert_voltage_oracle(setup, h, em_continuous, paths, runs, out_stride=1):
     # every recorded voltage at t_{k+1} is |recovery_k @ E(x_{k+1})|, with the
     # network of step k rebuilt here from the run's own load rows and the
-    # stage in force at the end of step k, one run at a time
+    # stage in force at the end of step k, one run at a time; record i is
+    # written at the end of step i * out_stride - 1, and the last at the horizon
     sc = setup.scenario
     spr = 1 if em_continuous else round(sc.resample_dt / h)
     events = sc.fault_times(setup.case) or ()
@@ -209,11 +211,12 @@ def assert_voltage_oracle(setup, h, em_continuous, paths, runs):
     for path, tr in zip(paths, runs):
         rows = load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, path, euler=em_continuous)
         assert tr.voltages.shape == (tr.times.size, len(sc.monitor_buses))
+        assert tr.times[-1] == pytest.approx(sc.horizon_s)
         for i, x in enumerate(tr.states):
             if np.isnan(x).any():
                 assert np.isnan(tr.voltages[i]).all()
                 continue
-            k = i - 1  # the step that ends at this record; -1 for the start
+            k = i * out_stride - 1  # the step that ends at this record; -1 for the start
             pq = mean_load_values(setup)
             if k >= spr:
                 pq[setup.spec_rows] = rows[k // spr].reshape(-1, 2)
@@ -234,6 +237,40 @@ def test_voltages_of_a_split_step(smib_case):
     runs = simulate_sas_batch(setup, SolverConfig(order=2, window=0.02), paths)
     assert runs[0].windows == 52
     assert_voltage_oracle(setup, 0.02, False, paths, runs)
+
+
+@pytest.mark.parametrize("solver, out_stride", [("sas", 2), ("sas", 5), ("em-paper-sde", 3)])
+def test_voltages_at_an_output_stride(smib_case, solver, out_stride):
+    # a record every out_stride steps keeps the network of its own step: the
+    # split-step series case (50 steps of 0.02 s) and paper-sde Euler, whose
+    # every step has its own network, over 900 steps of 1 ms
+    if solver == "sas":
+        sc, h, load_dt = replace(SCENARIO, fault_start_s=0.245), 0.02, SCENARIO.resample_dt
+        simulate, config = simulate_sas_batch, SolverConfig(order=2, window=h)
+    else:
+        sc, h, load_dt = replace(SCENARIO, horizon_s=0.9), 1e-3, 1e-3
+        simulate, config = simulate_em_batch, EMConfig(dt=h, mode="paper-sde")
+    setup = SimulationSetup.build(smib_case, sc)
+    n_vars = setup.n_noise_vars()
+    paths = [build_noise_path((5, i), n_vars, sc.horizon_s, load_dt) for i in range(3)]
+    runs = simulate(setup, config, paths, out_stride)
+    assert runs[0].times.size == round(sc.horizon_s / h) // out_stride + 1
+    assert_voltage_oracle(setup, h, solver != "sas", paths, runs, out_stride)
+
+
+@pytest.mark.parametrize("solver", ["sas", "em"])
+@pytest.mark.parametrize("out_stride", [3, 0])
+def test_output_stride_must_divide_the_steps(smib_case, solver, out_stride):
+    # a stride that leaves steps over would drop the end of the run, and 0
+    # writes no record: both are refused with the stride and the step count
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    if solver == "sas":
+        simulate, config, steps = simulate_sas_batch, SolverConfig(window=0.01), 100
+    else:
+        simulate, config, steps = simulate_em_batch, EMConfig(dt=1e-3), 1000
+    path = build_noise_path((5, 0), setup.n_noise_vars(), 1.0, SCENARIO.resample_dt)
+    with pytest.raises(ValueError, match=f"stride {out_stride} does not divide the {steps} steps"):
+        simulate(setup, config, [path], out_stride)
 
 
 def test_voltages_of_paper_sde_euler(smib_case):
@@ -258,13 +295,81 @@ def test_voltages_when_runs_leave(smib_case, monkeypatch, leave):
     peaks = sorted(np.abs(tr.states).max() for tr in simulate_sas_batch(setup, config, paths))
     limit = 0.5 * (peaks[-2] + peaks[-1]) if leave == "one" else 0.999 * peaks[0]
     monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", limit)
-    runs = simulate_sas_batch(setup, config, paths)
-    left = [tr for tr in runs if tr.diverged]
-    assert len(left) == (1 if leave == "one" else 6)
-    for tr in left:
-        assert round(tr.t_diverged / h) == 25
-        assert np.isfinite(tr.voltages[: round(tr.t_diverged / h)]).all()
-    assert_voltage_oracle(setup, h, False, paths, runs)
+    # a pass per record, the default passes and one pass before each leave
+    # and at the end: the size of a pass never changes a voltage
+    for block in (1, scenario_mod.VOLTAGE_BLOCK, 10**9):
+        monkeypatch.setattr(scenario_mod, "VOLTAGE_BLOCK", block)
+        runs = simulate_sas_batch(setup, config, paths)
+        left = [tr for tr in runs if tr.diverged]
+        assert len(left) == (1 if leave == "one" else 6)
+        for tr in left:
+            assert round(tr.t_diverged / h) == 25
+            assert np.isfinite(tr.voltages[: round(tr.t_diverged / h)]).all()
+        assert_voltage_oracle(setup, h, False, paths, runs)
+
+
+@pytest.mark.parametrize("solver", ["sas", "em-shared-path"])
+def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch, solver):
+    # a limit just under the largest peak |state| stops one run of six
+    # after the fault; run_simulation then builds work arrays for the five
+    # left, and every run keeps the bits of its solo run.  Each network it
+    # builds in its per-batch load/load blocks, on all three stages,
+    # at both stage switches and after the run has left, has the bits of a
+    # network built afresh from the run's own P and Q
+    setup = SimulationSetup.build(smib_case, SCENARIO)
+    sc = setup.scenario
+    if solver == "sas":
+        simulate, config, h, seed = simulate_sas_batch, SolverConfig(order=3, window=0.01), 0.01, 5
+    else:
+        simulate, config, h, seed = simulate_em_batch, EMConfig(dt=1e-3), 1e-3, 7
+    paths = [build_noise_path((seed, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
+    peaks = sorted(np.abs(tr.states).max() for tr in simulate(setup, config, paths))
+    assert peaks[-2] < peaks[-1]
+    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[-2] + peaks[-1]))
+    built = []
+
+    class CountedWork(WindowWork):
+        def __init__(self, machines, n_runs, order):
+            built.append(n_runs)
+            super().__init__(machines, n_runs, order)
+
+    monkeypatch.setattr(scenario_mod, "WindowWork", CountedWork)
+    nets = []
+    build_net = SimulationSetup.build_net
+
+    def recorded(self, stage, shunts, y_ll=None):
+        assert y_ll is not None  # run_simulation passes its block of the stage
+        net = build_net(self, stage, shunts, y_ll)
+        nets.append((stage, net.y.copy(), net.recovery.copy()))
+        return net
+
+    monkeypatch.setattr(SimulationSetup, "build_net", recorded)
+    runs = simulate(setup, config, paths)
+    monkeypatch.setattr(SimulationSetup, "build_net", build_net)
+    assert built == [6, 5]
+    assert [tr.diverged for tr in runs].count(True) == 1
+    # the rebuild times: the start, one resample, the fault start on a load
+    # instant, the clearing at 0.25 s, then a resample every 0.1 s
+    rebuilds = [(0.0, "pre-fault"), (0.1, "pre-fault"), (0.2, "fault-on"), (0.25, "post-fault")]
+    rebuilds += [(0.1 * j, "post-fault") for j in range(3, 10)]
+    assert [stage for stage, _, _ in nets] == [stage for _, stage in rebuilds]
+    spr = round(sc.resample_dt / h)
+    rows = [load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, p, euler=False) for p in paths]
+    for (t, stage), (_, y, recovery) in zip(rebuilds, nets):
+        k = round(t / h)  # the runs that diverged at or before t have left
+        here = [i for i, tr in enumerate(runs) if tr.t_diverged is None or tr.t_diverged > t]
+        assert len(here) == (6 if t < 0.25 else 5)
+        assert y.shape[0] == len(here)
+        for pos, i in enumerate(here):
+            pq = mean_load_values(setup)
+            if k >= spr:
+                pq[setup.spec_rows] = rows[i][k // spr].reshape(-1, 2)
+            first = setup.stages[stage]
+            fresh = first.with_loads(first.shunts(pq[None]))
+            assert np.array_equal(y[pos], fresh.y[0])
+            assert np.array_equal(recovery[pos], fresh.recovery[0])
+    for tr, path in zip(runs, paths):
+        assert_same_run(simulate(setup, config, [path])[0], tr)
 
 
 def test_no_monitored_bus(smib_case):

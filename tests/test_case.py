@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -192,3 +193,10 @@ def test_shipped_case_loads(name):
 )
 def test_shipped_scenario_builds_on_ieee39(ieee39_case, name):
     SimulationSetup.build(ieee39_case, load_scenario(REPO / "scenarios" / name))
+
+
+def test_simulation_setup_is_frozen(smib_case):
+    # workers share one setup, so none of its fields can be rebound
+    setup = SimulationSetup.build(smib_case, Scenario(horizon_s=1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.x0 = setup.x0.copy()

@@ -268,7 +268,7 @@ def test_smib_oracle_checks_the_production_entry(monkeypatch):
     stacks = []
 
     def counted(states, net, work):
-        stacks.append((states.shape, work.n_runs, len(work.orders)))
+        stacks.append((states.shape, len(work.emf), len(work.orders)))
         return exact(states, net, work)
 
     monkeypatch.setattr(validate, "window_coefficients", counted)

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from stochsim import em
-from stochsim import scenario as scenario_mod
 from stochsim.dynamics import WindowWork
-from stochsim.em import EMConfig, euler_det_step, simulate_em, simulate_em_batch
+from stochsim.em import EMConfig, euler_det_step, simulate_em
 from stochsim.noise import build_noise_path, load_schedule
 from stochsim.sas import SolverConfig, simulate_sas, window_coefficients
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 from stochsim.series import series_eval
 from stochsim import smib as sm
 
-from test_batch import mean_load_values, perturbed_shunts
+from test_batch import perturbed_shunts
 
 
 def test_em_sde_step_stationary_variance():
@@ -88,77 +86,6 @@ def test_euler_step_is_the_order_one_window(ieee39_case, repo_root):
             assert not np.array_equal(step, x)
 
 
-def test_em_work_rebuilt_when_runs_leave(smib_case, monkeypatch):
-    # a limit just under the largest peak |state| stops one shared-path run
-    # of six after the fault; the stepper then builds work arrays for the
-    # five left, and every run keeps the bits of its solo run.  Each network
-    # the driver builds in its per-batch load/load blocks, on all three
-    # stages, at both stage switches and after the run has left, has the
-    # bits of a network built afresh from the run's own P and Q
-    sc = Scenario(
-        horizon_s=1.0,
-        fault_bus=1,
-        fault_start_s=0.2,
-        fault_duration_cycles=3,
-        stochastic_buses=(1,),
-        sigma_rel=0.02,
-        monitor_buses=(1,),
-    )
-    setup = SimulationSetup.build(smib_case, sc)
-    config = EMConfig(dt=1e-3)
-    paths = [build_noise_path((7, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
-    peaks = sorted(np.abs(tr.states).max() for tr in simulate_em_batch(setup, config, paths))
-    assert peaks[-2] < peaks[-1]
-    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[-2] + peaks[-1]))
-    built = []
-
-    class CountedWork(WindowWork):
-        def __init__(self, machines, n_runs, order):
-            built.append(n_runs)
-            super().__init__(machines, n_runs, order)
-
-    monkeypatch.setattr(em, "WindowWork", CountedWork)
-    nets = []
-    build_net = SimulationSetup.build_net
-
-    def recorded(self, stage, shunts, y_ll=None):
-        assert y_ll is not None  # the driver passes its block of the stage
-        net = build_net(self, stage, shunts, y_ll)
-        nets.append((stage, net.y.copy(), net.recovery.copy()))
-        return net
-
-    monkeypatch.setattr(SimulationSetup, "build_net", recorded)
-    runs = simulate_em_batch(setup, config, paths)
-    monkeypatch.setattr(SimulationSetup, "build_net", build_net)
-    assert built == [6, 5]
-    assert [tr.diverged for tr in runs].count(True) == 1
-    # the rebuild steps: the start, one resample, the fault start on a load
-    # instant, the clearing at 0.25 s, then a resample every 0.1 s
-    spr = 100
-    rebuilds = [(0, "pre-fault"), (100, "pre-fault"), (200, "fault-on"), (250, "post-fault")]
-    rebuilds += [(k, "post-fault") for k in range(300, 1000, spr)]
-    assert [stage for stage, _, _ in nets] == [stage for _, stage in rebuilds]
-    rows = [load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, p, euler=False) for p in paths]
-    for (k, stage), (_, y, recovery) in zip(rebuilds, nets):
-        t = k * config.dt  # the runs that diverged at or before t have left
-        here = [i for i, tr in enumerate(runs) if tr.t_diverged is None or tr.t_diverged > t]
-        assert len(here) == (6 if k < 250 else 5)
-        assert y.shape[0] == len(here)
-        for pos, i in enumerate(here):
-            pq = mean_load_values(setup)
-            if k >= spr:
-                pq[setup.spec_rows] = rows[i][k // spr].reshape(-1, 2)
-            first = setup.stages[stage]
-            fresh = first.with_loads(first.shunts(pq[None]))
-            assert np.array_equal(y[pos], fresh.y[0])
-            assert np.array_equal(recovery[pos], fresh.recovery[0])
-    for tr, path in zip(runs, paths):
-        alone = simulate_em_batch(setup, config, [path])[0]
-        assert np.array_equal(tr.states, alone.states, equal_nan=True)
-        assert np.array_equal(tr.voltages, alone.voltages, equal_nan=True)
-        assert (tr.diverged, tr.t_diverged) == (alone.diverged, alone.t_diverged)
-
-
 def test_em_equilibrium_preserved(smib_case):
     sc = Scenario(horizon_s=2.0)
     setup = SimulationSetup.build(smib_case, sc)
@@ -167,8 +94,6 @@ def test_em_equilibrium_preserved(smib_case):
 
 
 def test_em_determinism_same_seed(smib_case):
-    import dataclasses
-
     sc = Scenario(horizon_s=1.0, stochastic_buses=(1,), sigma_rel=0.02)
     setup = SimulationSetup.build(smib_case, sc)
     path = build_noise_path((9, 0), setup.n_noise_vars(), 1.0, sc.resample_dt)

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from stochsim import sas
-from stochsim import scenario as scenario_mod
 from stochsim.sas import (
     SolverConfig,
     WindowWork,
     simulate_sas,
-    simulate_sas_batch,
     window_coefficients,
 )
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
@@ -252,44 +249,6 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
     # a stack of another size does not fit the arrays
     with pytest.raises(ValueError):
         window_coefficients(x[:3], runs_of(post, slice(0, 3)), work)
-
-
-def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch):
-    # a limit just under the largest peak |state| stops one run of six at the
-    # clearing; the batch then builds work arrays for the five left, and
-    # every run keeps the bits of its solo run
-    from stochsim.noise import build_noise_path
-
-    sc = Scenario(
-        horizon_s=1.0,
-        fault_bus=1,
-        fault_start_s=0.2,
-        fault_duration_cycles=3,
-        stochastic_buses=(1,),
-        sigma_rel=0.02,
-        monitor_buses=(1,),
-    )
-    setup = SimulationSetup.build(smib_case, sc)
-    config = SolverConfig(order=3, window=0.01)
-    paths = [build_noise_path((5, i), setup.n_noise_vars(), 1.0, 0.1) for i in range(6)]
-    peaks = sorted(np.abs(tr.states).max() for tr in simulate_sas_batch(setup, config, paths))
-    monkeypatch.setattr(scenario_mod, "DIVERGENCE_LIMIT", 0.5 * (peaks[-2] + peaks[-1]))
-    built = []
-
-    class CountedWork(WindowWork):
-        def __init__(self, machines, n_runs, order):
-            built.append(n_runs)
-            super().__init__(machines, n_runs, order)
-
-    monkeypatch.setattr(sas, "WindowWork", CountedWork)
-    runs = simulate_sas_batch(setup, config, paths)
-    assert built == [6, 5]
-    assert [tr.diverged for tr in runs].count(True) == 1
-    for tr, path in zip(runs, paths):
-        alone = simulate_sas_batch(setup, config, [path])[0]
-        assert np.array_equal(tr.states, alone.states, equal_nan=True)
-        assert np.array_equal(tr.voltages, alone.voltages, equal_nan=True)
-        assert (tr.diverged, tr.t_diverged) == (alone.diverged, alone.t_diverged)
 
 
 def injection_derivative(state, y, m):
