@@ -145,10 +145,13 @@ class WindowWork:
     several times slower.
 
     The machine equations are tiled over the R runs.  The time derivative
-    of (delta, omega, e'q, e'd) is one linear map per generator, ``lin``
-    (4, 6, R·K), over (omega, e'q, e'd, p_e, i_d, i_q), plus ``const``
+    of (delta, omega, e'q, e'd) is linear in the fields, plus ``const``
     (4, R·K) at order 0: -omega_r, (omega_r P_m + D omega_r)/2H, E_fd/T'd0
-    and 0.  ``x_t`` (2, R·K) is (x'q, -x'd), which turns (e'd, e'q) and
+    and 0.  Its map holds 7 terms per generator, so it is written sparse:
+    delta' = omega, and (omega', e'q', e'd') = a (omega, e'q, e'd) +
+    b (p_e, i_d, i_q), elementwise.  Both inputs are contiguous (3, R·K)
+    slabs of one order, and ``a_b`` (2, 3, R·K) holds the coefficient slabs
+    a and b.  ``x_t`` (2, R·K) is (x'q, -x'd), which turns (e'd, e'q) and
     (i_q, i_d) into the stator voltages (e_d, e_q).
     """
 
@@ -158,19 +161,18 @@ class WindowWork:
         rk = n_runs * k
         w_r = m.omega_r
         half_h = w_r / (2.0 * m.H)
-        lin = np.zeros((4, 6, k))
-        lin[0, 0] = 1.0
-        lin[1, 0] = -half_h * m.D / w_r
-        lin[1, 3] = -half_h
-        lin[2, 1] = -1.0 / m.Td0p
-        lin[2, 4] = -(m.xd - m.xdp) / m.Td0p
-        lin[3, 2] = -1.0 / m.Tq0p
-        lin[3, 5] = (m.xq - m.xqp) / m.Tq0p
+        # the coefficient slabs a and b of the machine map
+        a_b = np.stack(
+            [
+                [-half_h * m.D / w_r, -1.0 / m.Td0p, -1.0 / m.Tq0p],
+                [-half_h, -(m.xd - m.xdp) / m.Td0p, (m.xq - m.xqp) / m.Tq0p],
+            ]
+        )
         const = np.stack(
             [np.full(k, -w_r), half_h * (m.pm + m.D), m.efd / m.Td0p, np.zeros(k)]
         )
-        self.lin, self.const, self.x_t = (
-            np.tile(a, n_runs) for a in (lin, const, np.stack([m.xqp, -m.xdp]))
+        self.a_b, self.const, self.x_t = (
+            np.tile(a, n_runs) for a in (a_b, const, np.stack([m.xqp, -m.xdp]))
         )
         w = np.empty((order + 1, _N_FIELDS, rk))
         deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
@@ -204,9 +206,13 @@ class WindowWork:
         self.i_net0 = w[0, 11:13, None]
         self.sc0 = w[0, None, 9:11]
         self.p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
+        self.p_term0, self.p_term1 = self.p_terms
+        self.a_b_terms = np.empty((2, 3, rk))  # the two terms of the machine map
+        self.a_term, self.b_term = self.a_b_terms
         self.deriv0 = per_run(deriv[0])
+        # (omega, e'q, e'd) and (p_e, i_d, i_q), the inputs of the machine map
+        machine_in = w[:, 1:7].reshape(order + 1, 2, 3, rk)
         # per order n, the slices of order n that derivative_coeffs writes or reads
-        machine_in = w[:, 1:7]  # omega, e'q, e'd, p_e, i_d, i_q
         self.orders = [
             (
                 self.sc[n],
@@ -217,6 +223,9 @@ class WindowWork:
                 w[n, 3:1:-1],  # e'd, e'q
                 w[n, 4],  # p_e
                 machine_in[n],
+                w[n, 1],  # omega
+                deriv[n, 0],  # delta'
+                deriv[n, 1:],  # omega', e'q', e'd'
                 deriv[n],
             )
             for n in range(order)
@@ -243,8 +252,13 @@ def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
     per-run step: the sign matmul writes the EMFs into the interleaved real
     view of an (R, K, 1) complex buffer, one complex matmul with ``y`` gives
     the currents in a second one, and one copy puts them into their slab.
+    The machine map is a copy of omega into delta', one multiply of the
+    (2, 3, R·K) inputs by the coefficient slabs and one add of its halves.
     """
-    sc_n, i_runs, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n, m_in, d_n = work.orders[n]
+    (
+        sc_n, i_runs, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n,
+        m_in, omega_n, d_delta_n, d_rest_n, d_n,
+    ) = work.orders[n]
     pair = work.pair
     if n:
         sin_cos_coeff(work.d_delta, work.sc, n, out=sc_n)
@@ -267,8 +281,10 @@ def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
         dot_coeff(work.e_t, work.id_iq, n, out=p_e_n)
     else:
         np.multiply(e_t_n, id_iq_n, out=work.p_terms)
-        np.add(*work.p_terms, out=p_e_n)
-    np.einsum("fjk,jk->fk", work.lin, m_in, out=d_n)
+        np.add(work.p_term0, work.p_term1, out=p_e_n)
+    np.copyto(d_delta_n, omega_n)
+    np.multiply(work.a_b, m_in, out=work.a_b_terms)
+    np.add(work.a_term, work.b_term, out=d_rest_n)
     if n == 0:
         d_n += work.const
 

@@ -216,6 +216,11 @@ class LoadBusNetwork:
             y_ll = self.load_block(lead)
         elif not y_ll.flags.c_contiguous:
             raise ValueError("the load/load block must be C-contiguous")
+        elif y_ll.shape != lead + (n_load, n_load):
+            raise ValueError(
+                f"a load/load block of shape {y_ll.shape} does not fit "
+                f"shunts of shape {shunts.shape}"
+            )
         # a C-contiguous block reshapes to a view: its diagonal is every (L+1)-th entry
         diagonal = y_ll.reshape(lead + (-1,))[..., :: n_load + 1]
         np.add(self.kcl_l.diagonal(), shunts, out=diagonal)

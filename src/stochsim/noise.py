@@ -85,7 +85,9 @@ def load_schedule(
 
     A sequence of R paths gives an (R, n_steps, n_vars) stack, n_steps that
     of the shortest path, in one recursion over every path's rows, each at
-    its own step; each path takes the bits it takes alone.  The values are
+    its own step; each path takes the bits it takes alone.  The recursion
+    walks the rows of every path at once, multiplying into one buffer and
+    adding in place, so a row allocates nothing.  The values are
     written into ``out`` when given, of the result's shape but for
     n <= n_steps rows, which take the first n; ``out`` is returned.
     """
@@ -105,8 +107,11 @@ def load_schedule(
     # row k holds its noise term until the recursion reaches it
     for p, s_p, rows in zip(paths, s, eps):
         np.multiply(s_p, p.xi[:, : n - 1].T, out=rows[1:])
-    for k in range(1, n):
-        eps[:, k] += eps[:, k - 1] * d
+    term = np.empty(eps.shape[::2])
+    steps = eps.swapaxes(0, 1)
+    for prev, cur in zip(steps, steps[1:]):
+        np.multiply(prev, d, out=term)
+        np.add(cur, term, out=cur)
     eps += mean
     return out
 

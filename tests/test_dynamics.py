@@ -5,6 +5,7 @@ from stochsim.dynamics import (
     EquilibriumError,
     WindowWork,
     _injections,
+    derivative_coeffs,
     init_dynamic_state,
     rhs,
     solve_equilibrium,
@@ -121,6 +122,37 @@ def test_rhs_matches_component_formulas(ieee39_case):
         got = derivative(x, net, machines)
         assert got.shape == x.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
+    # the dense (4, 6) map per generator over (omega, e'q, e'd, p_e, i_d,
+    # i_q), with the seven entries it holds, against every order of a
+    # 3-run window whose state terms are random
+    v, loads, _, _, m = prefault_setup(ieee39_case)
+    rng = np.random.default_rng(29)
+    pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
+    first = reduce_to_load_buses(ieee39_case, NetworkCondition("pre-fault"), v, [])
+    y = first.with_loads(first.shunts(pq)).y
+    half_h = m.omega_r / (2.0 * m.H)
+    dense = np.zeros((4, 6, m.n_gen))
+    dense[0, 0] = 1.0
+    dense[1, 0] = -half_h * m.D / m.omega_r
+    dense[1, 3] = -half_h
+    dense[2, 1] = -1.0 / m.Td0p
+    dense[2, 4] = -(m.xd - m.xdp) / m.Td0p
+    dense[3, 2] = -1.0 / m.Tq0p
+    dense[3, 5] = (m.xq - m.xqp) / m.Tq0p
+    dense = np.tile(dense, 3)
+    work = WindowWork(m, 3, 6)
+    w = work.eq_ed.base  # (N+1, fields, R·K): every series of the window
+    assert w.shape[::2] == (7, 3 * m.n_gen)
+    w[...] = rng.standard_normal(w.shape)
+    for n, (d_n, _, _) in enumerate(work.integrate):
+        derivative_coeffs(y, work, n)
+        want = np.einsum("fjk,jk->fk", dense, w[n, 1:7])
+        if n == 0:
+            want += work.const
+        assert np.array_equal(d_n, want)
 
 
 def test_single_machine_diagonal_network_scalar_check():

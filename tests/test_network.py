@@ -16,6 +16,7 @@ from stochsim.network import (
     schur_complement,
 )
 from stochsim.powerflow import solve_power_flow
+from stochsim.scenario import SimulationSetup, load_scenario
 from stochsim import smib as sm
 
 CONDITIONS = [
@@ -160,6 +161,30 @@ def test_a_reused_load_block_keeps_the_bits_of_a_fresh_one(ieee39_case):
             assert np.array_equal(diagonal, np.diagonal(first.kcl_l) + shunts)
     with pytest.raises(ValueError, match="C-contiguous"):
         firsts[0].with_loads(shunts[::2], blocks[0][::2])
+    # a block of another stack shape is refused, and left as it was
+    before = blocks[0].copy()
+    with pytest.raises(ValueError, match=r"\(4, 21, 21\).*\(1, 21\)"):
+        firsts[0].with_loads(shunts[:1], blocks[0])
+    assert np.array_equal(blocks[0], before)
+
+
+def test_rebuilt_networks_are_read_only(ieee39_case, repo_root):
+    # every network a rebuild hands out, and one cut down to the runs that
+    # are left, refuses writes into its admittance and its recovery
+    setup = SimulationSetup.build(ieee39_case, load_scenario(repo_root / "scenarios" / "caseC.json"))
+    first = setup.stages["post-fault"]
+    shunts = np.stack([setup.mean_shunts] * 2)
+    net = setup.build_net("post-fault", shunts)
+    nets = [
+        first.with_loads(shunts, first.load_block((2,))),
+        first.with_loads(shunts),
+        net,
+        replace(net, y=net.y[[0]], recovery=net.recovery[[0]]),
+    ]
+    for rebuilt in nets:
+        for a in (rebuilt.y, rebuilt.recovery):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
