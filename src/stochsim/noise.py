@@ -6,7 +6,9 @@ series solver and shared-path Euler resample the values on a fixed interval
 by the exact transition and hold them constant in between, so their
 trajectories are comparable path by path; paper-sde Euler takes an
 Euler-Maruyama step of the load SDE at every integration step instead.
-:func:`load_schedule` runs both by one AR(1) recursion, the only OU update.
+:func:`load_schedule` runs both by one AR(1) recursion, the only OU update,
+and is the one function that turns noise paths into load rows: it takes a
+batch's paths on one step and checks each of them itself.
 A study's loads are vectors in noise-grid order: the means, the drift a and
 the diffusion b = sigma_rel * |mean| * sqrt(2a), which makes the stationary
 deviation sigma_rel * |mean| (see ``SimulationSetup``).
@@ -63,17 +65,18 @@ def load_schedule(
     mean: np.ndarray,
     a: float | np.ndarray,
     b: np.ndarray,
-    path: NoisePath | Sequence[NoisePath],
+    paths: Sequence[NoisePath | None],
+    dt: float,
     euler: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n_steps, n_vars) array of piecewise-constant load values.
+    """(R, n, n_vars) stack of piecewise-constant load values, one slab per path.
 
-    Column j is variable j of the noise grid: its mean ``mean[j]`` plus an
-    OU deviation with drift ``a`` (one rate, or one per variable) and
-    diffusion ``b[j]``, driven by noise row j.  Each deviation starts at
-    zero (load at its mean over the first interval) and row k is the value
-    held on [k*dt, (k+1)*dt), dt = ``path.dt``.  Row k follows from row k-1
+    Column j of a slab is variable j of the noise grid: its mean ``mean[j]``
+    plus an OU deviation with drift ``a`` (one rate, or one per variable)
+    and diffusion ``b[j]``, driven by noise row j of the slab's path.  Each
+    deviation starts at zero (load at its mean over the first interval) and
+    row k is the value held on [k*dt, (k+1)*dt).  Row k follows from row k-1
     and noise column k-1 by one AR(1) recursion
 
         eps_k = d * eps_{k-1} + s * xi_{k-1}.
@@ -81,38 +84,43 @@ def load_schedule(
     By default (d, s) = (exp(-a dt), b * sqrt((1 - exp(-2a dt)) / (2a))),
     the exact transition, which is distributionally exact for any dt.  With
     ``euler``, (d, s) = (1 - a dt, b * sqrt(dt)), the Euler-Maruyama step of
-    the paper's SDE on the integration grid.
+    the paper's SDE on the integration grid.  (d, s) is computed once, for
+    every path.
 
-    A sequence of R paths gives an (R, n_steps, n_vars) stack, n_steps that
-    of the shortest path, in one recursion over every path's rows, each at
-    its own step; each path takes the bits it takes alone.  The recursion
-    walks the rows of every path at once, multiplying into one buffer and
-    adding in place, so a row allocates nothing.  The values are
-    written into ``out`` when given, of the result's shape but for
-    n <= n_steps rows, which take the first n; ``out`` is returned.
+    n is the row count of ``out`` when given, else the first path's
+    ``n_steps``.  Every path must be a :class:`NoisePath` (ValueError
+    "a noise path is required"), hold the ``mean.shape[0]`` variables and
+    cover the n rows ("does not cover"), and step at ``dt`` ("differs from
+    the load step").  One recursion walks the rows of every path at once,
+    multiplying into one buffer and adding in place, so a row allocates
+    nothing, and each path takes the bits it takes alone.  The values are
+    written into ``out`` when given, an (R, n, n_vars) array, which is
+    returned.
     """
-    single = isinstance(path, NoisePath)
-    paths = [path] if single else list(path)
+    if any(path is None for path in paths):
+        raise ValueError("a noise path is required for stochastic runs")
+    n = paths[0].n_steps if out is None else out.shape[1]
+    for path in paths:
+        if path.n_vars != mean.shape[0] or path.n_steps < n:
+            raise ValueError("noise path does not cover this scenario")
+        if abs(path.dt - dt) > 1e-12:
+            raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
     if out is None:
-        out = np.empty((len(paths), min(p.n_steps for p in paths), mean.shape[0]))
-        out = out[0] if single else out
-    eps = out[None] if single else out
-    n = eps.shape[1]
-    dt = np.array([[p.dt] for p in paths])  # (R, 1): each path's own step
+        out = np.empty((len(paths), n, mean.shape[0]))
     if euler:
         d, s = 1.0 - a * dt, b * np.sqrt(dt)
     else:
         d, s = np.exp(-a * dt), b * np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * a))
-    eps[:, 0] = 0.0
+    out[:, 0] = 0.0
     # row k holds its noise term until the recursion reaches it
-    for p, s_p, rows in zip(paths, s, eps):
-        np.multiply(s_p, p.xi[:, : n - 1].T, out=rows[1:])
-    term = np.empty(eps.shape[::2])
-    steps = eps.swapaxes(0, 1)
+    for path, rows in zip(paths, out):
+        np.multiply(s, path.xi[:, : n - 1].T, out=rows[1:])
+    term = np.empty(out.shape[::2])
+    steps = out.swapaxes(0, 1)
     for prev, cur in zip(steps, steps[1:]):
         np.multiply(prev, d, out=term)
         np.add(cur, term, out=cur)
-    eps += mean
+    out += mean
     return out
 
 

@@ -266,25 +266,6 @@ def _emf(state: np.ndarray) -> np.ndarray:
     return (eqp - 1j * edp) * np.exp(1j * delta)
 
 
-def _write_loads(
-    setup: SimulationSetup, paths: list[NoisePath | None], dt: float, euler: bool, out
-) -> None:
-    """Write the :func:`load_schedule` of ``paths`` into the (R, n, 2S) rows ``out``.
-
-    Each path must hold the setup's noise variables on the load step ``dt``
-    and cover the n rows.  One recursion writes the rows of every path.
-    """
-    for path in paths:
-        if path is None:
-            raise ValueError("a noise path is required for stochastic runs")
-        if path.n_vars != setup.n_noise_vars() or path.n_steps < out.shape[1]:
-            raise ValueError("noise path does not cover this scenario")
-        if abs(path.dt - dt) > 1e-12:
-            raise ValueError(f"noise path step {path.dt} differs from the load step {dt}")
-    sc = setup.scenario
-    load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, paths, euler=euler, out=out)
-
-
 def run_simulation(
     setup: SimulationSetup,
     h: float,
@@ -339,8 +320,11 @@ def run_simulation(
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
-    ``em_continuous``).  It is iterated once, into a list that gives R, and
-    the noise paths are released as soon as the load rows are written.
+    ``em_continuous``); :func:`load_schedule` checks that every path is
+    given, holds the setup's noise variables, covers the n load values and
+    steps at the load step.  ``paths`` is iterated once, into a list that
+    gives R, and the noise paths are released as soon as the load rows are
+    written.
     Returns the trajectories in the order of ``paths``.
     """
     sc = setup.scenario
@@ -360,7 +344,9 @@ def run_simulation(
         need = math.ceil(n_steps / spr - 1e-12)  # load values a run consumes
         load_dt = h if em_continuous else sc.resample_dt  # the paths' step
         loads = np.empty((r, need, setup.n_noise_vars()))
-        _write_loads(setup, paths, load_dt, em_continuous, out=loads)
+        load_schedule(
+            setup.ou_mean, sc.drift_a, setup.ou_b, paths, load_dt, euler=em_continuous, out=loads
+        )
         paths = None  # no path outlives its load rows
         # each (P, Q) pair, read as P + jQ, becomes its load's shunt in place
         loads = setup.stages["pre-fault"].to_shunts(loads.view(complex), setup.spec_rows)
@@ -469,7 +455,6 @@ def run_simulation(
             solver=solver,
             monitor_buses=tuple(sc.monitor_buses),
             voltages=volts[i],
-            diverged=t_div[i] is not None,
             t_diverged=t_div[i],
             diverged_column=div_col[i],
             windows=counts[i][0],

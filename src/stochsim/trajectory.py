@@ -61,7 +61,7 @@ class Trajectory:
 
     ``states`` is (T, 4K) in block layout [delta | omega | eqp | edp];
     ``voltages`` holds |V| of the monitored buses, (T, n_mon).  A diverged
-    run keeps NaN rows from the divergence time onward; ``diverged_column``
+    run keeps NaN rows from ``t_diverged`` onward; ``diverged_column``
     names the first packed-state entry that reached the divergence limit or
     turned non-finite.  ``windows`` and ``rebuilds`` count the solver
     steps (a step split at a stage boundary counts each segment) and the
@@ -74,11 +74,15 @@ class Trajectory:
     solver: str
     monitor_buses: tuple[int, ...] = ()
     voltages: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    diverged: bool = False
     t_diverged: float | None = None
     diverged_column: str | None = None
     windows: int = 0
     rebuilds: int = 0
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the run diverged, read from ``t_diverged``."""
+        return self.t_diverged is not None
 
     @property
     def n_gen(self) -> int:

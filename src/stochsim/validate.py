@@ -64,7 +64,7 @@ def _ou_rows(a: float, b: float, seed, n_vars: int, dt: float, burn_in: int, row
     """``rows`` rows of ``n_vars`` OU deviations on a ``dt`` grid, from the
     production update; they start at 0, so ``burn_in`` rows go first."""
     path = build_noise_path(seed, n_vars, (burn_in + rows) * dt, dt)
-    return load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), path)[burn_in:]
+    return load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), [path], dt)[0][burn_in:]
 
 
 def check_ou_moments(quick: bool = False) -> list[CheckResult]:

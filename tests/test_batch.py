@@ -209,7 +209,9 @@ def assert_voltage_oracle(setup, h, em_continuous, paths, runs, out_stride=1):
     events = sc.fault_times(setup.case) or ()
     stages = ("pre-fault", "fault-on", "post-fault")
     for path, tr in zip(paths, runs):
-        rows = load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, path, euler=em_continuous)
+        rows = load_schedule(
+            setup.ou_mean, sc.drift_a, setup.ou_b, [path], path.dt, euler=em_continuous
+        )[0]
         assert tr.voltages.shape == (tr.times.size, len(sc.monitor_buses))
         assert tr.times[-1] == pytest.approx(sc.horizon_s)
         for i, x in enumerate(tr.states):
@@ -354,7 +356,7 @@ def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch, solver):
     rebuilds += [(0.1 * j, "post-fault") for j in range(3, 10)]
     assert [stage for stage, _, _ in nets] == [stage for _, stage in rebuilds]
     spr = round(sc.resample_dt / h)
-    rows = [load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, p, euler=False) for p in paths]
+    rows = load_schedule(setup.ou_mean, sc.drift_a, setup.ou_b, paths, sc.resample_dt)
     for (t, stage), (_, y, recovery) in zip(rebuilds, nets):
         k = round(t / h)  # the runs that diverged at or before t have left
         here = [i for i, tr in enumerate(runs) if tr.t_diverged is None or tr.t_diverged > t]

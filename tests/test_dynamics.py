@@ -15,10 +15,7 @@ from stochsim.network import NetworkCondition, ReducedNetwork, reduce_to_load_bu
 from stochsim.powerflow import PowerFlowError, solve_power_flow
 from stochsim import smib as sm
 
-
-def load_pq(loads):
-    """(L, 2) P and Q of a bus -> (P, Q) mapping, in sorted load-bus order."""
-    return np.array([loads[b] for b in sorted(loads)], dtype=float).reshape(-1, 2)
+from test_network import load_pq
 
 
 def derivative(state, net, machines):

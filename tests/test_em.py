@@ -27,7 +27,7 @@ def test_em_sde_step_stationary_variance():
     a, b, dt = 5.0, math.sqrt(10.0), 0.02
     n_vars, burn_in, rows = 2_000, 50, 600
     path = build_noise_path(42, n_vars, (burn_in + rows) * dt, dt)
-    eps = load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), path, euler=True)
+    eps = load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), [path], dt, euler=True)[0]
     target = b**2 / (2.0 * a - a**2 * dt)
     assert np.var(eps[burn_in:]) == pytest.approx(target, rel=0.02)
 

@@ -184,7 +184,7 @@ def test_quiet_run_passes_and_diverged_run_fails(smib_case):
         assert report["criterion"] == {
             "t_s": 1.0, "r0": 1e-6, "variables": variables, "norm": "inf"
         }
-        assert not run_passes(dataclasses.replace(tr, diverged=True, t_diverged=1.5), crit)
+        assert not run_passes(dataclasses.replace(tr, t_diverged=1.5), crit)
 
 
 def test_stability_probability_grows_with_radius(smib_case):

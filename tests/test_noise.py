@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochsim import scenario as scenario_mod
 from stochsim.noise import NoisePath, build_noise_path, load_schedule, path_to_csv
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario
-
-
-def ou_rows(a, b, seed, n_vars, dt, burn_in, rows):
-    """``rows`` rows of ``n_vars`` exact-transition OU deviations on a ``dt``
-    grid; they start at 0, so ``burn_in`` rows go first."""
-    path = build_noise_path(seed, n_vars, (burn_in + rows) * dt, dt)
-    return load_schedule(np.zeros(n_vars), a, np.full(n_vars, b), path)[burn_in:]
+from stochsim.validate import _ou_rows as ou_rows
 
 
 def test_exact_step_deterministic_decay():
@@ -22,7 +15,7 @@ def test_exact_step_deterministic_decay():
     a, b, dt = 0.5, 0.7, 0.3
     xi = np.zeros((1, 20))
     xi[0, 0] = 1.0
-    vals = load_schedule(np.zeros(1), a, np.array([b]), NoisePath((0,), dt, xi))[:, 0]
+    vals = load_schedule(np.zeros(1), a, np.array([b]), [NoisePath((0,), dt, xi)], dt)[0, :, 0]
     assert vals[0] == 0.0
     assert vals[1] == pytest.approx(b * math.sqrt(-math.expm1(-2 * a * dt) / (2 * a)))
     assert vals[2:] == pytest.approx(vals[1] * np.exp(-a * dt * np.arange(1, 19)))
@@ -32,7 +25,7 @@ def test_exact_step_brownian_limit():
     # a -> 0 reduces each step to a plain Brownian increment b sqrt(dt) xi
     b, dt = 0.7, 0.25
     path = build_noise_path(3, 8, 50.0, dt)
-    vals = load_schedule(np.zeros(8), 1e-12, np.full(8, b), path)
+    vals = load_schedule(np.zeros(8), 1e-12, np.full(8, b), [path], dt)[0]
     walk = np.cumsum(b * math.sqrt(dt) * path.xi[:, :-1], axis=1).T
     assert np.all(vals[0] == 0.0)
     assert np.allclose(vals[1:], walk, rtol=1e-6, atol=1e-9)
@@ -85,7 +78,7 @@ def test_noise_path_seed_sequence_form():
 def test_load_schedule_zero_sigma_constant():
     mean = np.array([3.22, 0.024])
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = load_schedule(mean, 0.5, np.zeros(2), path)
+    vals = load_schedule(mean, 0.5, np.zeros(2), [path], 0.1)[0]
     assert np.all(vals[:, 0] == 3.22)
     assert np.all(vals[:, 1] == 0.024)
 
@@ -93,7 +86,7 @@ def test_load_schedule_zero_sigma_constant():
 def test_load_schedule_first_interval_is_mean():
     mean = np.array([3.22, 0.024])
     path = build_noise_path(1, 2, 5.0, 0.1)
-    vals = load_schedule(mean, 0.5, 0.05 * mean, path)
+    vals = load_schedule(mean, 0.5, 0.05 * mean, [path], 0.1)[0]
     assert vals.shape == (path.n_steps, 2)
     assert vals[0, 0] == 3.22
     assert vals[1, 0] != 3.22
@@ -108,7 +101,7 @@ def test_load_schedule_pooled_std(smib_case):
     pooled = []
     for seed in range(40):
         path = build_noise_path(seed, 2, 100.0, 0.1)
-        vals = load_schedule(setup.ou_mean, setup.scenario.drift_a, setup.ou_b, path)
+        vals = load_schedule(setup.ou_mean, setup.scenario.drift_a, setup.ou_b, [path], 0.1)[0]
         pooled.append(vals[200:])
     pooled = np.concatenate(pooled)
     assert pooled.std(axis=0) == pytest.approx(0.02 * setup.ou_mean, rel=0.05)
@@ -120,7 +113,7 @@ def test_load_schedule_columns_follow_noise_row_order():
     mean = np.array([3.2, 0.4, 5.0, 1.8])
     b = np.array([0.05, 0.05, 0.02, 0.02]) * mean
     path = build_noise_path(2, 4, 3.0, 0.1)
-    vals = load_schedule(mean, 0.5, b, path)
+    vals = load_schedule(mean, 0.5, b, [path], 0.1)[0]
     decay = math.exp(-0.5 * path.dt)
     scale = math.sqrt(-math.expm1(-2 * 0.5 * path.dt) / (2 * 0.5))
     for j in range(4):
@@ -150,7 +143,7 @@ def test_load_schedule_follows_ar1_recursion(euler, coefficients):
     b = np.array([0.05, 0.05, 0.02, 0.02]) * mean * np.sqrt(2.0 * a)
     dt = 1e-3
     path = build_noise_path(6, 4, 0.5, dt)
-    vals = load_schedule(mean, a, b, path, euler=euler)
+    vals = load_schedule(mean, a, b, [path], dt, euler=euler)[0]
     assert vals.shape == (path.n_steps, 4)
     assert np.array_equal(vals[0], mean)
     d, s = coefficients(a, b, dt)
@@ -159,7 +152,7 @@ def test_load_schedule_follows_ar1_recursion(euler, coefficients):
         eps = d * eps + s * path.xi[:, k - 1]
         assert np.array_equal(vals[k], mean + eps)
     # the two (d, s) pairs differ: so do the schedules after row 0
-    other = load_schedule(mean, a, b, path, euler=not euler)
+    other = load_schedule(mean, a, b, [path], dt, euler=not euler)[0]
     assert not np.array_equal(vals[1:], other[1:])
 
 
@@ -169,7 +162,7 @@ def test_stacked_schedules_equal_each_run_alone(ieee39_case, repo_root, name, eu
     # one recursion over a batch's (R, n, 2S) rows gives every run the bits
     # of its own schedule, for every load bus in order (caseC) and for the
     # index rows of a subset (caseA); a stack without ``out`` is as long as
-    # its shortest path
+    # its first path
     setup = SimulationSetup.build(
         ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
     )
@@ -179,26 +172,31 @@ def test_stacked_schedules_equal_each_run_alone(ieee39_case, repo_root, name, eu
     paths = [build_noise_path((11, i), n_vars, (3 + i) * 40 * dt, dt) for i in range(4)]
     args = (setup.ou_mean, sc.drift_a, setup.ou_b)
     rows = np.empty((4, 100, n_vars))
-    scenario_mod._write_loads(setup, paths, dt, euler, out=rows)
-    stack = load_schedule(*args, paths, euler=euler)
+    load_schedule(*args, paths, dt, euler=euler, out=rows)
+    stack = load_schedule(*args, paths, dt, euler=euler)
     assert stack.shape == (4, 120, n_vars)
     for path, got, whole in zip(paths, rows, stack):
-        alone = load_schedule(*args, path, euler=euler)
+        alone = load_schedule(*args, [path], dt, euler=euler)[0]
         assert np.array_equal(got, alone[:100])
         assert np.array_equal(whole, alone[:120])
     assert not np.array_equal(rows[0], rows[1])
 
 
 @pytest.mark.parametrize("euler", [False, True], ids=["exact", "euler"])
-def test_stacked_schedule_paths_keep_their_step(euler):
-    # each path of a stack steps at its own dt, as it does alone
+def test_load_schedule_refuses_bad_paths(euler):
+    # with either (d, s) pair, every path of a stack must step at the one
+    # dt, cover the rows and hold the schedule's variables
     mean, a, b = np.array([1.0, 2.0]), np.array([0.5, 2.0]), np.array([0.1, 0.3])
-    paths = [build_noise_path(1, 2, 1.0, 0.1), build_noise_path(2, 2, 1.0, 0.05)]
-    stack = load_schedule(mean, a, b, paths, euler=euler)
-    assert stack.shape == (2, 10, 2)
-    for path, got in zip(paths, stack):
-        assert np.array_equal(got, load_schedule(mean, a, b, path, euler=euler)[:10])
-    assert not np.array_equal(stack[0, 1:], stack[1, 1:])
+    first = build_noise_path(1, 2, 1.0, 0.1)
+    cases = [
+        ("load step", build_noise_path(2, 2, 1.0, 0.05), None),
+        ("does not cover", build_noise_path(2, 2, 0.5, 0.1), np.empty((2, 10, 2))),
+        ("does not cover", build_noise_path(2, 3, 1.0, 0.1), None),
+        ("required", None, None),
+    ]
+    for match, second, out in cases:
+        with pytest.raises(ValueError, match=match):
+            load_schedule(mean, a, b, [first, second], 0.1, euler=euler, out=out)
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
@@ -208,9 +206,9 @@ def test_affine_shift_independent_of_mean(m1, m2):
     # the mean-zero schedule
     b = np.array([0.03, 0.0])
     path = build_noise_path(5, 2, 3.0, 0.1)
-    base = load_schedule(np.zeros(2), 0.5, b, path)[:, 0]
+    base = load_schedule(np.zeros(2), 0.5, b, [path], 0.1)[0, :, 0]
     for m in (m1, m2):
-        eps = load_schedule(np.array([m, 0.0]), 0.5, b, path)[:, 0] - np.float64(m)
+        eps = load_schedule(np.array([m, 0.0]), 0.5, b, [path], 0.1)[0, :, 0] - np.float64(m)
         assert np.allclose(eps, base, atol=1e-12)
 
 

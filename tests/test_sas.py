@@ -170,6 +170,29 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
     assert err < 1e-3
 
 
+def test_global_order_of_a_staged_run(smib_case):
+    # a whole run, fault and clearing included, has global error O(h^N) at
+    # order N: halving h divides the rotor-angle error against an N = 12,
+    # h = 0.005 reference by 2^N.  At h = 0.02 the fault (0.25 s) and the
+    # clearing (0.35 s) each split a window; at h = 0.01 both fall on the
+    # grid.  Every run records on the same 0.1 s grid
+    sc = Scenario(
+        horizon_s=2.0, fault_bus=1, fault_start_s=0.25, fault_duration_cycles=6
+    )
+    setup = SimulationSetup.build(smib_case, sc)
+    k = smib_case.n_gen
+
+    def angles(order, h, out_stride):
+        config = SolverConfig(order=order, window=h)
+        tr = simulate_sas(smib_case, sc, config, setup=setup, out_stride=out_stride)
+        return tr.states[:, :k]
+
+    ref = angles(12, 0.005, 20)
+    for order in (2, 3, 4):
+        errs = [np.max(np.abs(angles(order, h, s) - ref)) for h, s in ((0.02, 5), (0.01, 10))]
+        assert np.log2(errs[0] / errs[1]) == pytest.approx(order, abs=0.3)
+
+
 def test_window_must_not_exceed_resample(smib_case):
     sc = Scenario(horizon_s=1.0, stochastic_buses=(1,), sigma_rel=0.01, resample_dt=0.1)
     setup = SimulationSetup.build(smib_case, sc)

@@ -22,7 +22,6 @@ def diverged_run() -> Trajectory:
         solver="sas",
         monitor_buses=(39,),
         voltages=np.array([[1.0], [0.9921875], [nan]]),
-        diverged=True,
         t_diverged=0.2,
         diverged_column="g30.delta",
     )
