@@ -375,9 +375,9 @@ def solve_equilibrium(
     mean_loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
     pre_fault = NetworkCondition("pre-fault")
 
-    def network(cond, at):  # both reduction steps, as SimulationSetup.build runs them
+    def network(cond, at):  # both reduction steps, with every load bus varying
         pq = np.array([at[b] for b in case.load_buses], dtype=float).reshape(-1, 2)
-        first = reduce_to_load_buses(case, cond, profile, [])
+        first = reduce_to_load_buses(case, cond, profile, [], case.load_buses)
         return first.with_loads(first.shunts(pq))
 
     net = network(pre_fault, mean_loads)

@@ -6,13 +6,15 @@ as constant shunt impedances computed at the pre-fault solved voltage; a
 three-phase fault is a very large shunt at the faulted bus; clearing removes
 the tripped branches.
 
-The reduction runs in two steps.  :func:`reduce_to_load_buses` eliminates
-the buses that carry no load, once per network condition, which leaves the
-internal nodes and the load buses.  :meth:`LoadBusNetwork.shunts` turns load
-values P + jQ into their shunts, and :meth:`LoadBusNetwork.with_loads` adds
-the shunts to the diagonal of the load/load block and eliminates the load
-buses, so a change of the loads costs one L x L solve per run.  The caller
-may own that block: a (..., L, L) stack made once by
+The reduction runs in two steps.  :func:`reduce_to_load_buses` keeps the
+internal nodes and the S load buses whose loads vary, once per network
+condition: every other load is stamped in as its mean shunt, and those
+buses are eliminated with the buses that carry no load (Kron reduction in
+steps equals Kron reduction at once).  :meth:`LoadBusNetwork.shunts` turns
+load values P + jQ into their shunts, and :meth:`LoadBusNetwork.with_loads`
+adds the shunts to the diagonal of the load/load block and eliminates the
+varying load buses, so a change of the loads costs one S x S solve per run.
+The caller may own that block: a (..., S, S) stack made once by
 :meth:`LoadBusNetwork.load_block`, of which each rebuild writes only the
 diagonal.
 """
@@ -148,19 +150,20 @@ def schur_complement(
 
 @dataclass(frozen=True)
 class LoadBusNetwork:
-    """A stage's network reduced to its K internal nodes and L load buses.
+    """A stage's network reduced to its K internal nodes and S varying load buses.
 
-    The first reduction step: the buses that carry no load are eliminated
-    once per network condition, loads excluded.  What is left is linear in
-    the kept values, the K internal EMFs and then the L load-bus voltages.
-    ``out_k`` (K+m, K) and ``out_l`` (K+m, L) map them to the K
+    The first reduction step: the loads that do not vary are folded in at
+    their mean shunts, and their buses are eliminated once per network
+    condition with the buses that carry no load.  What is left is linear in
+    the kept values, the K internal EMFs and then the S varying load-bus
+    voltages.  ``out_k`` (K+m, K) and ``out_l`` (K+m, S) map them to the K
     internal-node currents, then to the voltages of the m buses the
-    recovery keeps; ``kcl_k`` (L, K) and ``kcl_l`` (L, L) map them to the
-    current each load bus draws from the network, which its load shunt must
-    balance.  ``vm2`` is the |V|^2 of each load bus at which its impedance
-    is fixed, as complex numbers: the divisor of the load shunts.  Safe to
-    share across runs: the load/load blocks that :meth:`with_loads` writes
-    belong to its caller, never to the instance.
+    recovery keeps; ``kcl_k`` (S, K) and ``kcl_l`` (S, S) map them to the
+    current each varying load bus draws from the network, which its load
+    shunt must balance.  ``vm2`` is the |V|^2 of each varying load bus at
+    which its impedance is fixed, as complex numbers: the divisor of the
+    load shunts.  Safe to share across runs: the load/load blocks that
+    :meth:`with_loads` writes belong to its caller, never to the instance.
     """
 
     out_k: np.ndarray
@@ -170,27 +173,23 @@ class LoadBusNetwork:
     vm2: np.ndarray
 
     def shunts(self, pq: np.ndarray) -> np.ndarray:
-        """The constant-impedance shunts (P - jQ) / |V|^2 of load values, (..., L) complex.
+        """The constant-impedance shunts (P - jQ) / |V|^2 of load values, (..., S) complex.
 
-        ``pq`` is (..., L, 2), the P and Q of every load bus for each
+        ``pq`` is (..., S, 2), the P and Q of every varying load bus for each
         leading index, of any layout and real dtype; it is copied, never
         changed.
         """
         s_load = np.array(pq, dtype=float, order="C").view(complex)[..., 0]
         return self.to_shunts(s_load)
 
-    def to_shunts(self, s_load: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Turn complex loads P + jQ into their shunts in place, and return them.
-
-        ``s_load`` is (..., l) complex, the loads of the l load buses that
-        ``rows`` picks (a slice or an index array).
-        """
+    def to_shunts(self, s_load: np.ndarray) -> np.ndarray:
+        """Turn (..., S) complex loads P + jQ into their shunts in place, and return them."""
         np.conjugate(s_load, out=s_load)
-        s_load /= self.vm2[rows]
+        s_load /= self.vm2
         return s_load
 
     def load_block(self, lead: tuple[int, ...]) -> np.ndarray:
-        """A fresh C-contiguous (*lead, L, L) stack of the load/load block ``kcl_l``."""
+        """A fresh C-contiguous (*lead, S, S) stack of the load/load block ``kcl_l``."""
         y_ll = np.empty(lead + self.kcl_l.shape, dtype=complex)
         y_ll[...] = self.kcl_l
         return y_ll
@@ -198,14 +197,14 @@ class LoadBusNetwork:
     def with_loads(self, shunts: np.ndarray, y_ll: np.ndarray | None = None) -> ReducedNetwork:
         """The second reduction step: the reduced network at a stack of load shunts.
 
-        ``shunts`` is (..., L) complex, the :meth:`shunts` of the load
-        buses for each leading index.  They are added to the diagonal of
-        the load/load block, and one stacked L x L solve with K right-hand
-        sides eliminates the load buses from every output at once, as the
-        Schur complement of :func:`schur_complement` without its recovery
-        of the load buses: ``y`` is (..., K, K) and ``recovery`` (..., m, K).
-        This is the exact Schur identity, for any load values.  ``y_ll``,
-        a C-contiguous (..., L, L) block from :meth:`load_block`, is
+        ``shunts`` is (..., S) complex, the :meth:`shunts` of the varying
+        load buses for each leading index.  They are added to the diagonal
+        of the load/load block, and one stacked S x S solve with K
+        right-hand sides eliminates those buses from every output at once,
+        as the Schur complement of :func:`schur_complement` without its
+        recovery of the load buses: ``y`` is (..., K, K) and ``recovery``
+        (..., m, K).  This is the exact Schur identity, for any load values.
+        ``y_ll``, a C-contiguous (..., S, S) block from :meth:`load_block`, is
         written in place: only its diagonal changes, to ``kcl_l``'s
         diagonal plus the shunts, so it serves any number of rebuilds.
         Without it a fresh block is made.
@@ -221,7 +220,7 @@ class LoadBusNetwork:
                 f"a load/load block of shape {y_ll.shape} does not fit "
                 f"shunts of shape {shunts.shape}"
             )
-        # a C-contiguous block reshapes to a view: its diagonal is every (L+1)-th entry
+        # a C-contiguous block reshapes to a view: its diagonal is every (S+1)-th entry
         diagonal = y_ll.reshape(lead + (-1,))[..., :: n_load + 1]
         np.add(self.kcl_l.diagonal(), shunts, out=diagonal)
         out = self.out_l @ _interior_solve(y_ll, self.kcl_k)
@@ -230,38 +229,44 @@ class LoadBusNetwork:
 
 
 def reduce_to_load_buses(
-    case: SystemCase, condition: NetworkCondition, profile: np.ndarray, rows
+    case: SystemCase, condition: NetworkCondition, profile: np.ndarray, rows, varying
 ) -> LoadBusNetwork:
-    """The first reduction step of one network condition, loads excluded.
+    """The first reduction step of one network condition, varying loads excluded.
 
-    The nodes are ordered as the K internal nodes, the case's L load buses
-    in ``case.load_buses`` order, then the other buses.  Each internal node
-    joins its bus through one branch y_s = 1/(Rs + j xdp); with the stage's
-    bus matrix this stamps the (K+n) network, and one
-    :func:`schur_complement` eliminates the buses that carry no load.
-    ``profile`` is the pre-fault solved voltage profile at which load
-    impedances are fixed; ``rows`` are the bus positions whose voltages the
-    recovery gives.
+    ``varying`` are the S load buses whose loads change, in the order the
+    shunts give them.  The nodes are ordered as the K internal nodes, the
+    ``varying`` buses, then the other buses.  Each internal node joins its
+    bus through one branch y_s = 1/(Rs + j xdp); with the stage's bus matrix
+    and the mean shunt (P - jQ)/|V|^2 of every other load this stamps the
+    (K+n) network, and one :func:`schur_complement` eliminates the buses
+    that are not kept.  ``profile`` is the pre-fault solved voltage profile
+    at which load impedances are fixed, nonzero at every load bus; ``rows``
+    are the bus positions whose voltages the recovery gives.
     """
     condition.validate_against(case)
     k, n = case.n_gen, case.n_bus
     loads = np.array([case.bus_index(b) for b in case.load_buses], dtype=int)
-    vm2 = np.abs(profile[loads]) ** 2
-    if not np.all(vm2 > 0.0):
+    if not np.all(np.abs(profile[loads]) > 0.0):
         raise ValueError("load bus voltage magnitude must be nonzero")
-    is_load = np.zeros(n, dtype=bool)
-    is_load[loads] = True
-    order = np.concatenate([loads, np.flatnonzero(~is_load)])  # bus positions
+    kept = np.array([case.bus_index(b) for b in varying], dtype=int)
+    vm2 = (np.abs(profile[kept]) ** 2).astype(complex)
+    is_kept = np.zeros(n, dtype=bool)
+    is_kept[kept] = True
+    order = np.concatenate([kept, np.flatnonzero(~is_kept)])  # bus positions
     at = k + np.argsort(order)  # node of each bus position
     gens = at[[case.bus_index(gen.bus) for gen in case.generators]]
     ys = np.array([1.0 / (gen.Rs + 1j * gen.xdp) for gen in case.generators])
     y = np.zeros((k + n, k + n), dtype=complex)
     y[k:, k:] = assemble_bus_matrix(case, condition)[np.ix_(order, order)]
+    for ld in case.loads:
+        i = case.bus_index(ld.bus)
+        if not is_kept[i]:
+            y[at[i], at[i]] += np.conj(ld.p + 1j * ld.q) / abs(profile[i]) ** 2
     y[gens, gens] += ys  # distinct nodes: a case has one generator per bus
     internal = np.arange(k)
     y[internal, internal] = ys
     y[internal, gens] = y[gens, internal] = -ys
-    m = k + loads.size  # the kept nodes
+    m = k + kept.size  # the kept nodes
     y_red, rec = schur_complement(y[:m, :m], y[:m, m:], y[m:, :m], y[m:, m:])
     # each bus voltage from the kept values (internal EMFs, load-bus voltages)
     to_bus = np.concatenate([np.eye(m)[k:], rec])[at[rows] - k]
@@ -271,6 +276,5 @@ def reduce_to_load_buses(
         out_l=outputs[:, k:],
         kcl_k=y_red[k:, :k],
         kcl_l=y_red[k:, k:],
-        vm2=vm2.astype(complex),
+        vm2=vm2,
     )
-

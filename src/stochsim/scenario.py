@@ -162,13 +162,14 @@ class SimulationSetup:
     Each stage's network is Kron-reduced in two steps (see
     :mod:`stochsim.network`).  ``build`` runs the first once per stage:
     ``stages`` holds the network over the generator internal nodes and the
-    load buses, loads excluded, with the recovery of the monitored buses
-    only.  :meth:`build_net` runs the second at each rebuild, from the load
-    shunts; ``mean_shunts`` are those of the mean loads.  The
-    stochastic loads are the OU means ``ou_mean`` and diffusions ``ou_b``
-    (see :mod:`stochsim.noise`): entry 2*i is the P, entry 2*i+1 the Q of
-    the i-th load bus that ``spec_rows`` picks.  Their drift is the
-    scenario's ``drift_a``, the same for every variable.
+    S stochastic load buses, the other loads folded in at their mean, with
+    the recovery of the monitored buses only.  :meth:`build_net` runs the
+    second at each rebuild, from the stochastic buses' shunts;
+    ``mean_shunts`` are those of their mean loads.  The stochastic loads
+    are the OU means ``ou_mean`` and diffusions ``ou_b`` (see
+    :mod:`stochsim.noise`): entry 2*i is the P, entry 2*i+1 the Q of the
+    i-th stochastic bus of :meth:`Scenario.resolve_stochastic_buses`.
+    Their drift is the scenario's ``drift_a``, the same for every variable.
     Immutable after construction; safe to share across concurrent workers.
     """
 
@@ -177,13 +178,10 @@ class SimulationSetup:
     machines: MachineSet  # with efd/pm inputs
     x0: np.ndarray
     mean_loads: dict[int, tuple[float, float]]
-    # per stage, the network reduced to the internal nodes and the load
-    # buses, with the recovery of the monitored buses only
+    # per stage, the network reduced to the internal nodes and the
+    # stochastic buses, with the recovery of the monitored buses only
     stages: dict[str, LoadBusNetwork]
-    mean_shunts: np.ndarray  # (L,) complex shunts of the load buses' mean P and Q
-    # position of each stochastic bus among the load buses; a slice when they
-    # are every load bus in order, so a resample writes the loads by a view
-    spec_rows: slice | np.ndarray
+    mean_shunts: np.ndarray  # (S,) complex shunts of the stochastic buses' mean P and Q
     ou_mean: np.ndarray  # mean of each noise variable
     ou_b: np.ndarray  # OU diffusion b of each noise variable
 
@@ -203,18 +201,14 @@ class SimulationSetup:
                 "post-fault", removed_branches=scenario.trip_branches
             )
         monitor_rows = [case.bus_index(b) for b in scenario.monitor_buses]
+        stoch = scenario.resolve_stochastic_buses(case)
         stages = {
-            stage: reduce_to_load_buses(case, cond, profile, monitor_rows)
+            stage: reduce_to_load_buses(case, cond, profile, monitor_rows, stoch)
             for stage, cond in conditions.items()
         }
 
-        load_buses = case.load_buses
-        mean_pq = np.array([mean_loads[b] for b in load_buses], dtype=float).reshape(-1, 2)
-        stoch = scenario.resolve_stochastic_buses(case)
-        rows = [load_buses.index(b) for b in stoch]
-        every = rows == list(range(len(load_buses)))
-        spec_rows = slice(0, len(rows)) if every else np.array(rows, dtype=int)
-        ou_mean = mean_pq[spec_rows].flatten()
+        mean_pq = np.array([mean_loads[b] for b in stoch], dtype=float).reshape(-1, 2)
+        ou_mean = mean_pq.flatten()
         mean_shunts = stages["pre-fault"].shunts(mean_pq)
         pre_fault = stages["pre-fault"].with_loads(mean_shunts)
         x0, machines = init_dynamic_state(case, profile, pre_fault)
@@ -226,7 +220,6 @@ class SimulationSetup:
             mean_loads=mean_loads,
             stages=stages,
             mean_shunts=mean_shunts,
-            spec_rows=spec_rows,
             ou_mean=ou_mean,
             ou_b=scenario.sigma_rel * np.abs(ou_mean) * math.sqrt(2.0 * scenario.drift_a),
         )
@@ -236,13 +229,14 @@ class SimulationSetup:
     ) -> ReducedNetwork:
         """Reduced networks of one stage for a stack of load shunts.
 
-        ``shunts`` is (R, L) complex: the shunts of every load bus, in
-        ``case.load_buses`` order, for each of R runs (see
-        :meth:`LoadBusNetwork.shunts`).  ``y_ll`` is the caller's (R, L, L)
-        load/load block of this stage (:meth:`LoadBusNetwork.load_block`),
-        whose diagonal the rebuild overwrites; without it a fresh one is
-        made.  Only the second reduction step runs, on the stage's cached
-        first one: one stacked L x L solve gives (R, K, K) ``y`` and the
+        ``shunts`` is (R, S) complex: the shunts of the stochastic buses,
+        in :meth:`Scenario.resolve_stochastic_buses` order, for each of R
+        runs (see :meth:`LoadBusNetwork.shunts`).  ``y_ll`` is the caller's
+        (R, S, S) load/load block of this stage
+        (:meth:`LoadBusNetwork.load_block`), whose diagonal the rebuild
+        overwrites; without it a fresh one is made.  Only the second
+        reduction step runs, on the stage's cached first one: one stacked
+        S x S solve gives (R, K, K) ``y`` and the
         (R, m, K) ``recovery`` of the m monitored buses, all that the
         recorded voltages need.
         """
@@ -301,12 +295,13 @@ def run_simulation(
     from load instant j, and n is the number of load values a run consumes.
     One :func:`load_schedule` recursion writes every run's P and Q values
     (noise-grid order) straight into its slot as (R, n, 2S) rows, which are
-    turned into their shunts in place, once per batch; a resample reads the
-    rows of the running runs with one index.  Each stage's (R, L, L)
-    load/load block and the work arrays are made once per batch as well, and
-    a rebuild writes only the block's diagonal (see
-    :meth:`SimulationSetup.build_net`).  The shunts, the blocks, the work
-    arrays and the states are cut together when runs leave.
+    turned into their shunts in place, once per batch; a resample takes the
+    running runs' row of the new load instant, by one index, as the held
+    (R, S) shunts.  Each stage's (R, S, S) load/load block and the work
+    arrays are made once per batch as well, and a rebuild writes only the
+    block's diagonal (see :meth:`SimulationSetup.build_net`).  The shunts,
+    the blocks, the work arrays and the states are cut together when runs
+    leave.
 
     The voltages recorded at t_{k+1} are those of the state at t_{k+1}
     under the network of step k, before any rebuild at t_{k+1}.  Each record
@@ -349,8 +344,7 @@ def run_simulation(
         )
         paths = None  # no path outlives its load rows
         # each (P, Q) pair, read as P + jQ, becomes its load's shunt in place
-        loads = setup.stages["pre-fault"].to_shunts(loads.view(complex), setup.spec_rows)
-    spec_rows = setup.spec_rows
+        loads = setup.stages["pre-fault"].to_shunts(loads.view(complex))
 
     # each stage event either switches the stage before step k, when within
     # 1e-9 of the grid point k*h, or splits the step k that contains it
@@ -405,7 +399,7 @@ def run_simulation(
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
         if resample:
-            shunts[:, spec_rows] = loads[rows, k // spr]
+            shunts = loads[rows, k // spr]
         if resample or k in switch_at:
             stage = switch_at.get(k, stage)
             net = setup.build_net(stage, shunts, blocks[stage])

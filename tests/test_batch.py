@@ -1,7 +1,7 @@
 """A run's trajectory does not depend on the batch it is simulated in."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ import pytest
 from stochsim import scenario as scenario_mod
 from stochsim.dynamics import WindowWork
 from stochsim.em import EMConfig, simulate_em_batch
+from stochsim.network import NetworkCondition, reduce_to_load_buses
 from stochsim.noise import NoisePath, build_noise_path, load_schedule
+from stochsim.powerflow import solve_power_flow
 from stochsim.sas import SolverConfig, simulate_sas_batch
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario
 
@@ -24,13 +26,28 @@ SCENARIO = Scenario(
 )
 
 
+# a short caseA: the loads of its two stochastic buses vary, and the other
+# 19 are folded into each stage's network
+CASE_A = Scenario(
+    horizon_s=0.5,
+    fault_bus=3,
+    fault_start_s=0.2,
+    fault_duration_cycles=3,
+    trip_branches=((3, 4),),
+    stochastic_buses=(3, 4),
+    sigma_rel=0.02,
+    monitor_buses=(30, 4),
+)
+
+
 def mean_load_values(setup):
-    """(L, 2) mean P and Q of the load buses, in ``case.load_buses`` order."""
-    return np.array([setup.mean_loads[b] for b in setup.case.load_buses], dtype=float)
+    """(S, 2) mean P and Q of the stochastic buses, in ``resolve_stochastic_buses`` order."""
+    stoch = setup.scenario.resolve_stochastic_buses(setup.case)
+    return np.array([setup.mean_loads[b] for b in stoch], dtype=float).reshape(-1, 2)
 
 
 def perturbed_shunts(setup, rng, n_runs):
-    """(R, L) shunts of the mean loads perturbed by 5%, built from P and Q afresh."""
+    """(R, S) shunts of the mean loads perturbed by 5%, built from P and Q afresh."""
     mean = mean_load_values(setup)
     return setup.stages["pre-fault"].shunts(
         mean * (1.0 + 0.05 * rng.standard_normal((n_runs,) + mean.shape))
@@ -49,10 +66,11 @@ def assert_same_run(a, b):
 
 
 @pytest.mark.parametrize("solver", ["sas", "em-paper-sde", "em-shared-path"])
-def test_run_identical_alone_and_in_any_batch(smib_case, solver):
+def test_run_identical_alone_and_in_any_batch(smib_case, ieee39_case, solver):
     # each stacked operation treats a run's row on its own, so a run gives
-    # the same bits alone (R=1), first in a batch of five and last in it
-    setup = SimulationSetup.build(smib_case, SCENARIO)
+    # the same bits alone (R=1), first in a batch of five and last in it:
+    # on smib, whose one load varies, and on a caseA whose fixed loads are
+    # folded into each stage
     dt = SCENARIO.resample_dt  # the path grid, except for paper-sde
     if solver == "sas":
         simulate, config = simulate_sas_batch, SolverConfig(order=4, window=0.01)
@@ -61,18 +79,21 @@ def test_run_identical_alone_and_in_any_batch(smib_case, solver):
     else:
         simulate, config = simulate_em_batch, EMConfig(dt=1e-3, mode="paper-sde")
         dt = config.dt
-    paths = [build_noise_path((7, i), setup.n_noise_vars(), 1.0, dt) for i in range(5)]
-    batch = simulate(setup, config, paths)
-    backwards = simulate(setup, config, paths[::-1])[::-1]
-    for i, path in enumerate(paths):
-        alone = simulate(setup, config, [path])[0]
-        assert not alone.diverged
-        assert np.isfinite(alone.voltages).all()
-        assert_same_run(alone, batch[i])
-        assert_same_run(alone, backwards[i])
-    # the runs differ from each other, so the comparison has teeth
-    assert not np.array_equal(batch[0].states, batch[1].states)
-    assert not np.array_equal(batch[0].voltages, batch[1].voltages)
+    for case, sc in ((smib_case, SCENARIO), (ieee39_case, CASE_A)):
+        setup = SimulationSetup.build(case, sc)
+        n_vars = setup.n_noise_vars()
+        paths = [build_noise_path((7, i), n_vars, sc.horizon_s, dt) for i in range(5)]
+        batch = simulate(setup, config, paths)
+        backwards = simulate(setup, config, paths[::-1])[::-1]
+        for i, path in enumerate(paths):
+            alone = simulate(setup, config, [path])[0]
+            assert not alone.diverged
+            assert np.isfinite(alone.voltages).all()
+            assert_same_run(alone, batch[i])
+            assert_same_run(alone, backwards[i])
+        # the runs differ from each other, so the comparison has teeth
+        assert not np.array_equal(batch[0].states, batch[1].states)
+        assert not np.array_equal(batch[0].voltages, batch[1].voltages)
 
 
 def test_runs_count_windows_and_rebuilds(smib_case, monkeypatch):
@@ -179,24 +200,37 @@ def test_paper_sde_voltages_a_queue_at_a_time(smib_case, monkeypatch):
     assert len(passes) < 1001 / 50  # far below one pass per record
 
 
-@pytest.mark.parametrize("name, kind", [("caseC", slice), ("caseA", np.ndarray)])
-def test_stochastic_load_rows_write_as_their_index(ieee39_case, repo_root, name, kind):
-    # every load bus in order (caseC) is a slice, so a resample writes the
-    # shunts by a view; a subset (caseA, buses 3 and 4) is an index array;
-    # both write the same shunts as the index of each stochastic bus
-    setup = SimulationSetup.build(
-        ieee39_case, load_scenario(repo_root / "scenarios" / f"{name}.json")
-    )
-    assert isinstance(setup.spec_rows, kind)
-    stoch = setup.scenario.resolve_stochastic_buses(ieee39_case)
-    index = np.array([ieee39_case.load_buses.index(b) for b in stoch])
-    rows = np.random.default_rng(0).standard_normal((3, setup.n_noise_vars())).view(complex)
-    got = np.repeat(setup.mean_shunts[None], 3, axis=0)
-    want = got.copy()
-    got[:, setup.spec_rows] = rows
-    want[:, index] = rows
-    assert np.array_equal(got, want)
-    assert np.array_equal(setup.ou_mean, mean_load_values(setup)[index].ravel())
+def test_stages_keep_the_stochastic_buses_only(ieee39_case, repo_root):
+    # caseA keeps K + 2 nodes per stage, its stochastic buses 3 and 4 in
+    # that order; caseC keeps every load bus, as a reduction that varies
+    # them all
+    def build(name):
+        sc = load_scenario(repo_root / "scenarios" / f"{name}.json")
+        return SimulationSetup.build(ieee39_case, sc)
+
+    setup = build("caseA")
+    assert setup.mean_shunts.shape == (2,)
+    for first in setup.stages.values():
+        assert first.vm2.shape == (2,) and first.load_block((3,)).shape == (3, 2, 2)
+    mean = [(ieee39_case.load_at(b).p, ieee39_case.load_at(b).q) for b in (3, 4)]
+    assert np.array_equal(setup.ou_mean, np.ravel(mean))
+
+    setup = build("caseC")
+    sc = setup.scenario
+    conditions = {
+        "pre-fault": NetworkCondition("pre-fault"),
+        "fault-on": NetworkCondition("fault-on", fault_bus=sc.fault_bus),
+        "post-fault": NetworkCondition("post-fault", removed_branches=sc.trip_branches),
+    }
+    profile = solve_power_flow(ieee39_case)
+    monitor = [ieee39_case.bus_index(b) for b in sc.monitor_buses]
+    assert setup.stages.keys() == conditions.keys()
+    for name, first in setup.stages.items():
+        want = reduce_to_load_buses(
+            ieee39_case, conditions[name], profile, monitor, ieee39_case.load_buses
+        )
+        for field in fields(first):
+            assert np.array_equal(getattr(first, field.name), getattr(want, field.name))
 
 
 def assert_voltage_oracle(setup, h, em_continuous, paths, runs, out_stride=1):
@@ -219,9 +253,7 @@ def assert_voltage_oracle(setup, h, em_continuous, paths, runs, out_stride=1):
                 assert np.isnan(tr.voltages[i]).all()
                 continue
             k = i * out_stride - 1  # the step that ends at this record; -1 for the start
-            pq = mean_load_values(setup)
-            if k >= spr:
-                pq[setup.spec_rows] = rows[k // spr].reshape(-1, 2)
+            pq = rows[k // spr].reshape(-1, 2) if k >= spr else mean_load_values(setup)
             stage = stages[sum(t_ev < (k + 1) * h - 1e-9 for t_ev in events)]
             shunts = setup.stages[stage].shunts(pq[None])
             recovery = setup.build_net(stage, shunts).recovery
@@ -363,9 +395,7 @@ def test_work_arrays_rebuilt_when_runs_leave(smib_case, monkeypatch, solver):
         assert len(here) == (6 if t < 0.25 else 5)
         assert y.shape[0] == len(here)
         for pos, i in enumerate(here):
-            pq = mean_load_values(setup)
-            if k >= spr:
-                pq[setup.spec_rows] = rows[i][k // spr].reshape(-1, 2)
+            pq = rows[i][k // spr].reshape(-1, 2) if k >= spr else mean_load_values(setup)
             first = setup.stages[stage]
             fresh = first.with_loads(first.shunts(pq[None]))
             assert np.array_equal(y[pos], fresh.y[0])

@@ -29,7 +29,7 @@ def prefault_setup(case):
     loads = {ld.bus: (ld.p, ld.q) for ld in case.loads}
     pq = load_pq(loads)
     cond = NetworkCondition("pre-fault")
-    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus))
+    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus), case.load_buses)
     net = first.with_loads(first.shunts(pq))
     x0, machines = init_dynamic_state(case, v, net)
     return v, loads, net, x0, machines
@@ -112,7 +112,7 @@ def test_rhs_matches_component_formulas(ieee39_case):
     states = x0 + scale * rng.standard_normal((3, 4 * k))
     pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
-    first = reduce_to_load_buses(ieee39_case, cond, v, [])
+    first = reduce_to_load_buses(ieee39_case, cond, v, [], ieee39_case.load_buses)
     nets = first.with_loads(first.shunts(pq))
     for x, net in ((states, nets), (states[1], ReducedNetwork(nets.y[1], nets.recovery[1]))):
         want = component_rhs(x, net.y, machines)
@@ -128,7 +128,8 @@ def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
     v, loads, _, _, m = prefault_setup(ieee39_case)
     rng = np.random.default_rng(29)
     pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
-    first = reduce_to_load_buses(ieee39_case, NetworkCondition("pre-fault"), v, [])
+    cond = NetworkCondition("pre-fault")
+    first = reduce_to_load_buses(ieee39_case, cond, v, [], ieee39_case.load_buses)
     y = first.with_loads(first.shunts(pq)).y
     half_h = m.omega_r / (2.0 * m.H)
     dense = np.zeros((4, 6, m.n_gen))

@@ -63,7 +63,7 @@ def load_pq(loads):
 
 def reduce_all_buses(case, cond, v, loads):
     """Both reduction steps at ``loads``, with the recovery of every bus."""
-    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus))
+    first = reduce_to_load_buses(case, cond, v, np.arange(case.n_bus), case.load_buses)
     return first.with_loads(first.shunts(load_pq(loads)))
 
 
@@ -95,10 +95,12 @@ def test_load_shunt_unit_values():
 
 
 def test_zero_load_voltage_rejected(smib_case):
+    # a load at a zero voltage has no impedance, whether it varies or is folded
     v = solve_power_flow(smib_case)
     v[smib_case.bus_index(smib_case.loads[0].bus)] = 0.0
-    with pytest.raises(ValueError, match="nonzero"):
-        reduce_to_load_buses(smib_case, NetworkCondition("pre-fault"), v, [])
+    for varying in (smib_case.load_buses, ()):
+        with pytest.raises(ValueError, match="nonzero"):
+            reduce_to_load_buses(smib_case, NetworkCondition("pre-fault"), v, [], varying)
 
 
 def test_stacked_loads_match_one_network_each(ieee39_case):
@@ -110,7 +112,7 @@ def test_stacked_loads_match_one_network_each(ieee39_case):
     rng = np.random.default_rng(4)
     pq = mean * (1.0 + 0.05 * rng.standard_normal((3,) + mean.shape))
     cond = NetworkCondition("post-fault", removed_branches=((3, 4),))
-    first = reduce_to_load_buses(ieee39_case, cond, v, np.arange(ieee39_case.n_bus))
+    first = reduce_to_load_buses(ieee39_case, cond, v, np.arange(ieee39_case.n_bus), buses)
     stack = first.with_loads(first.shunts(pq))
     assert stack.y.shape == (3, 10, 10) and stack.recovery.shape == (3, 39, 10)
     for i in range(3):
@@ -124,7 +126,8 @@ def test_loads_of_any_layout_or_dtype_convert(ieee39_case):
     # a strided view, a reversed view, integer values and a contiguous float
     # array give the bits of the contiguous float call, and stay unchanged
     v = solve_power_flow(ieee39_case)
-    first = reduce_to_load_buses(ieee39_case, NetworkCondition("pre-fault"), v, [29])
+    cond = NetworkCondition("pre-fault")
+    first = reduce_to_load_buses(ieee39_case, cond, v, [29], ieee39_case.load_buses)
     rng = np.random.default_rng(5)
     wide = rng.uniform(0.5, 3.0, (3, first.vm2.size, 4))
     ints = rng.integers(1, 4, (3, first.vm2.size, 2))
@@ -144,7 +147,8 @@ def test_a_reused_load_block_keeps_the_bits_of_a_fresh_one(ieee39_case):
     # stages taking turns: each network has the bits of a fresh block's,
     # and only the block's diagonal ever changes
     v = solve_power_flow(ieee39_case)
-    firsts = [reduce_to_load_buses(ieee39_case, cond, v, [3, 29]) for cond in CONDITIONS]
+    buses = ieee39_case.load_buses
+    firsts = [reduce_to_load_buses(ieee39_case, cond, v, [3, 29], buses) for cond in CONDITIONS]
     blocks = [first.load_block((4,)) for first in firsts]
     rng = np.random.default_rng(26)
     for _ in range(3):
@@ -206,28 +210,37 @@ def test_stage_network_matches_full_network_solve(ieee39_case, cond):
 @pytest.mark.parametrize("n_runs", [1, 3])
 @pytest.mark.parametrize("cond", CONDITIONS, ids=lambda cond: cond.stage)
 def test_two_step_reduction_matches_full_network_solve(ieee39_case, cond, n_runs):
-    # random loads on every load bus; the monitored buses are a generator bus
-    # without load (30), a load bus (4) and a generator bus with a load (39)
+    # random loads on the varying buses and the case's mean loads on the
+    # others, which the first step folds in: caseA's buses, 8 of the 21 load
+    # buses in shuffled order, none and all; the monitored buses are a
+    # generator bus without load (30), a load bus (4) and a generator bus
+    # with a load (39)
     case = ieee39_case
     v = solve_power_flow(case)
-    buses = sorted(ld.bus for ld in case.loads)
-    mean = np.array([(case.load_at(b).p, case.load_at(b).q) for b in buses])
+    buses = case.load_buses
     rng = np.random.default_rng(12 + n_runs)
-    pq = mean * rng.uniform(0.5, 1.5, (n_runs,) + mean.shape)
+    shuffled = tuple(rng.permutation(buses)[:8].tolist())
+    assert list(shuffled) != sorted(shuffled)
+    mean = np.array([(case.load_at(b).p, case.load_at(b).q) for b in buses])
     rows = [case.bus_index(b) for b in (30, 4, 39)]
     assert case.load_at(30) is None and case.load_at(4) and case.load_at(39)
-    first = reduce_to_load_buses(case, cond, v, rows)
-    stack = first.with_loads(first.shunts(pq))
-    assert stack.y.shape == (n_runs, 10, 10) and stack.recovery.shape == (n_runs, 3, 10)
-    for i in range(n_runs):
-        y_full, rec_full = full_network_solve(case, cond, pq[i], v)
-        assert_rel_close(stack.y[i], y_full, 1e-12)
-        assert_rel_close(stack.recovery[i], rec_full[rows], 1e-12)
-        # the run alone, unstacked and as a stack of one, takes the same bits
-        for one_pq in (pq[i], pq[i : i + 1]):
-            one = first.with_loads(first.shunts(one_pq))
-            assert np.array_equal(one.y.reshape(stack.y[i].shape), stack.y[i])
-            assert np.array_equal(one.recovery.reshape(3, 10), stack.recovery[i])
+    for varying in ((3, 4), shuffled, (), buses):
+        at = [buses.index(b) for b in varying]
+        pq = np.repeat(mean[None], n_runs, axis=0)
+        pq[:, at] *= rng.uniform(0.5, 1.5, (n_runs, len(at), 2))
+        first = reduce_to_load_buses(case, cond, v, rows, varying)
+        assert first.kcl_l.shape == (len(varying),) * 2
+        stack = first.with_loads(first.shunts(pq[:, at]))
+        assert stack.y.shape == (n_runs, 10, 10) and stack.recovery.shape == (n_runs, 3, 10)
+        for i in range(n_runs):
+            y_full, rec_full = full_network_solve(case, cond, pq[i], v)
+            assert_rel_close(stack.y[i], y_full, 1e-12)
+            assert_rel_close(stack.recovery[i], rec_full[rows], 1e-12)
+            # the run alone, unstacked and as a stack of one, takes the same bits
+            for one_pq in (pq[i, at], pq[i : i + 1, at]):
+                one = first.with_loads(first.shunts(one_pq))
+                assert np.array_equal(one.y.reshape(stack.y[i].shape), stack.y[i])
+                assert np.array_equal(one.recovery.reshape(3, 10), stack.recovery[i])
 
 
 @pytest.mark.parametrize("where", ["none", "every bus"])
