@@ -25,7 +25,7 @@ import numpy as np
 from .case import SystemCase
 from .network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from .powerflow import injected_power, solve_power_flow
-from .series import dot_coeff, product_coeffs, sin_cos_coeff
+from .series import cauchy_operands, dot_coeff, product_coeffs, sin_cos_coeff, sin_cos_operands
 
 
 class EquilibriumError(RuntimeError):
@@ -125,7 +125,7 @@ def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
 # pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
 _DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
 _NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
-_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_dt, e_qt, s, c, i_r, i_i
+_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_qt, e_dt, s, c, i_r, i_i
 
 
 class WindowWork:
@@ -135,7 +135,9 @@ class WindowWork:
     :class:`MachineSet` with its inputs set) at series order ``order`` N
     >= 1; :func:`rhs` uses only the order-0 arrays.  Every series lives in
     one (N+1, 13, R·K) array: order, field, then one flat axis of runs ×
-    generators whose entry r·K + k is generator k of run r.  A field, or a
+    generators whose entry r·K + k is generator k of run r.  The fields are
+    delta, omega, e'q, e'd, p_e, i_d, i_q, the stator pair (e_qt, e_dt),
+    (sin, cos) of delta and the network currents (i_r, i_i).  A field, or a
     pair of adjacent fields, of one order is one contiguous (2, R·K) slab.
     The (N, 4, R·K) derivative array, the product and network buffers and
     the packed (N+1, R, 4K) result buffer complete the set, with every view
@@ -151,8 +153,13 @@ class WindowWork:
     delta' = omega, and (omega', e'q', e'd') = a (omega, e'q, e'd) +
     b (p_e, i_d, i_q), elementwise.  Both inputs are contiguous (3, R·K)
     slabs of one order, and ``a_b`` (2, 3, R·K) holds the coefficient slabs
-    a and b.  ``x_t`` (2, R·K) is (x'q, -x'd), which turns (e'd, e'q) and
-    (i_q, i_d) into the stator voltages (e_d, e_q).
+    a and b.  ``x_t`` (2, R·K) is (-x'd, x'q), which turns the forward
+    slabs (i_d, i_q) and (e'q, e'd) into the stator pair (e_qt, e_dt).
+
+    ``orders[n]`` holds the views of order n that :func:`derivative_coeffs`
+    reads or writes, and its series kernels' operands, cut once here: sin/cos
+    of (d_delta, sc), the rotations' pair products of (eq_ed, sc) and
+    (i_net, sc), and p_e = e_dt i_d + e_qt i_q of the reversed stator pair.
     """
 
     def __init__(self, machines: MachineSet, n_runs: int, order: int):
@@ -172,7 +179,7 @@ class WindowWork:
             [np.full(k, -w_r), half_h * (m.pm + m.D), m.efd / m.Td0p, np.zeros(k)]
         )
         self.a_b, self.const, self.x_t = (
-            np.tile(a, n_runs) for a in (a_b, const, np.stack([m.xqp, -m.xdp]))
+            np.tile(a, n_runs) for a in (a_b, const, np.stack([-m.xdp, m.xqp]))
         )
         w = np.empty((order + 1, _N_FIELDS, rk))
         deriv = np.empty((order, 4, rk))  # deriv[n] = (n+1) * state[n+1]
@@ -183,7 +190,7 @@ class WindowWork:
         # the pair stacks the series kernels read, order first
         self.eq_ed = w[:, 2:4]
         self.id_iq = w[:, 5:7]
-        self.e_t = w[:, 7:9]  # e_dt, e_qt
+        self.e_t = w[:, 7:9]  # e_qt, e_dt
         self.sc = w[:, 9:11]  # sin, cos of delta
         self.i_net = w[:, 11:13]
         self.d_delta = deriv[:, 0]  # the coefficients of delta'
@@ -198,13 +205,10 @@ class WindowWork:
         self.emf_pairs, self.cur_pairs = (
             a.view(float).reshape(n_runs, k, 2).swapaxes(1, 2) for a in (self.emf, self.cur)
         )
-        # order 0: the window start and the operands of the one-term products
+        # order 0: the window start and its sin/cos
         self.x0 = per_run(w[0, 0:4])
         self.delta0 = w[0, 0]
         self.s0, self.c0 = w[0, 9], w[0, 10]
-        self.eq_ed0 = w[0, 2:4, None]
-        self.i_net0 = w[0, 11:13, None]
-        self.sc0 = w[0, None, 9:11]
         self.p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
         self.p_term0, self.p_term1 = self.p_terms
         self.a_b_terms = np.empty((2, 3, rk))  # the two terms of the machine map
@@ -212,15 +216,21 @@ class WindowWork:
         self.deriv0 = per_run(deriv[0])
         # (omega, e'q, e'd) and (p_e, i_d, i_q), the inputs of the machine map
         machine_in = w[:, 1:7].reshape(order + 1, 2, 3, rk)
-        # per order n, the slices of order n that derivative_coeffs writes or reads
+        # per order n, the operands of sin/cos, the two pair products and p_e
+        # (one-term products at n = 0), then the other slices of order n
+        e_t_rev = self.e_t[:, ::-1]  # e_dt, e_qt
+        sc0 = w[0, None, 9:11]
         self.orders = [
             (
+                sin_cos_operands(self.d_delta, self.sc, n) if n else None,
+                cauchy_operands(self.eq_ed, self.sc, n) if n else (w[0, 2:4, None], sc0),
+                cauchy_operands(self.i_net, self.sc, n) if n else (w[0, 11:13, None], sc0),
+                cauchy_operands(e_t_rev, self.id_iq, n) if n else (e_t_rev[0], self.id_iq[0]),
                 self.sc[n],
                 per_run(self.i_net[n]),
                 self.id_iq[n],
-                w[n, 6:4:-1],  # i_q, i_d
                 self.e_t[n],
-                w[n, 3:1:-1],  # e'd, e'q
+                self.eq_ed[n],
                 w[n, 4],  # p_e
                 machine_in[n],
                 w[n, 1],  # omega
@@ -246,41 +256,39 @@ def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
     Reads the state's terms of orders 0 to n and the other fields' below n,
     and writes every field of order n and the derivative's order-n terms.
     ``y`` is the reduced admittance, (R, K, K) or one (K, K) for every run.
-    At n = 0 this is the model at the window start: sin/cos are ufuncs and
-    each Cauchy product a broadcast multiply.  Each frame rotation is a sign
-    matmul of the (2, 2, R·K) pair products.  The network product is the one
-    per-run step: the sign matmul writes the EMFs into the interleaved real
-    view of an (R, K, 1) complex buffer, one complex matmul with ``y`` gives
-    the currents in a second one, and one copy puts them into their slab.
-    The machine map is a copy of omega into delta', one multiply of the
-    (2, 3, R·K) inputs by the coefficient slabs and one add of its halves.
+    Every operand is a view in ``work.orders[n]``.  At n = 0, the model at
+    the window start, sin/cos are ufuncs and each Cauchy product a broadcast
+    multiply.  Each frame rotation is a sign matmul of the (2, 2, R·K) pair
+    products.  The network product is the one per-run step: the sign matmul
+    writes the EMFs into the interleaved real view of an (R, K, 1) complex
+    buffer, one complex matmul with ``y`` gives the currents in a second
+    one, and one copy puts them into their slab.  The stator pair is one
+    multiply and one add on forward slabs.  The machine map is a copy of
+    omega into delta', one multiply of the (2, 3, R·K) inputs by the
+    coefficient slabs and one add of its halves.
     """
     (
-        sc_n, i_runs, id_iq_n, iq_id_n, e_t_n, ed_eq_n, p_e_n,
-        m_in, omega_n, d_delta_n, d_rest_n, d_n,
+        sin_cos_in, eq_ed_sc, i_net_sc, e_t_id_iq, sc_n, i_runs, id_iq_n, e_t_n,
+        eq_ed_n, p_e_n, m_in, omega_n, d_delta_n, d_rest_n, d_n,
     ) = work.orders[n]
-    pair = work.pair
+    pair, pair_coeffs = work.pair, product_coeffs if n else np.multiply
     if n:
-        sin_cos_coeff(work.d_delta, work.sc, n, out=sc_n)
-        product_coeffs(work.eq_ed, work.sc, n, out=pair)
+        sin_cos_coeff(*sin_cos_in, out=sc_n)
     else:
         np.sin(work.delta0, out=work.s0)
         np.cos(work.delta0, out=work.c0)
-        np.multiply(work.eq_ed0, work.sc0, out=pair)
+    pair_coeffs(*eq_ed_sc, out=pair)
     np.matmul(_DQ_TO_NET, work.pair_runs, out=work.emf_pairs)
     np.matmul(y, work.emf, out=work.cur)
     np.copyto(i_runs, work.cur_pairs)
-    if n:
-        product_coeffs(work.i_net, work.sc, n, out=pair)
-    else:
-        np.multiply(work.i_net0, work.sc0, out=pair)
+    pair_coeffs(*i_net_sc, out=pair)
     np.matmul(_NET_TO_DQ, work.pair_flat, out=id_iq_n)
-    np.multiply(work.x_t, iq_id_n, out=e_t_n)
-    np.add(e_t_n, ed_eq_n, out=e_t_n)
+    np.multiply(work.x_t, id_iq_n, out=e_t_n)
+    np.add(e_t_n, eq_ed_n, out=e_t_n)
     if n:
-        dot_coeff(work.e_t, work.id_iq, n, out=p_e_n)
+        dot_coeff(*e_t_id_iq, out=p_e_n)
     else:
-        np.multiply(e_t_n, id_iq_n, out=work.p_terms)
+        np.multiply(*e_t_id_iq, out=work.p_terms)
         np.add(work.p_term0, work.p_term1, out=p_e_n)
     np.copyto(d_delta_n, omega_n)
     np.multiply(work.a_b, m_in, out=work.a_b_terms)

@@ -78,7 +78,7 @@ class StabilityCriterion:
     variables: str = "speed"
 
     def __post_init__(self):
-        if self.r0 <= 0:
+        if not self.r0 > 0:  # NaN fails too
             raise ValueError("r0 must be positive")
         if self.variables not in ("speed", "angle"):
             raise ValueError(f"variables must be 'speed' or 'angle', not {self.variables!r}")

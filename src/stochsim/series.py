@@ -13,9 +13,11 @@ The solver builds its series one order at a time, so the kernels return the
 order-n coefficient of a composition from the coefficients of orders below
 n (or up to n for products): Cauchy products for multiplications and the
 coupled recurrences for sin/cos.  Each is one two-operand einsum, written
-into ``out`` when given.  :func:`series_eval` takes the other layout,
-(..., N+1), order last, which the transpose of an order-major stack gives
-without a copy.
+into ``out`` when given, on the views of one order that
+:func:`cauchy_operands` or :func:`sin_cos_operands` cut; the solver cuts
+them once per order for all its windows.  :func:`series_eval` takes the
+other layout, (..., N+1), order last, which the transpose of an
+order-major stack gives without a copy.
 """
 
 from __future__ import annotations
@@ -27,54 +29,62 @@ import numpy as np
 # a coefficient array of gigabytes.
 MAX_ORDER = 50
 
-# entry n holds the divisors (n, -n) of the sin/cos recurrences at order n:
-# s' = x' c, c' = -x' s
-_SIN_COS_DIVISORS = np.array([[1.0], [-1.0]]) * np.arange(MAX_ORDER + 1)[:, None, None]
+
+def cauchy_operands(a: np.ndarray, b: np.ndarray, n: int):
+    """Orders 0..n of ``a`` and n..0 of ``b``: the order-n Cauchy operands."""
+    return a[: n + 1], b[n::-1]
 
 
-def product_coeffs(a: np.ndarray, b: np.ndarray, n: int, out=None) -> np.ndarray:
+def sin_cos_operands(dx: np.ndarray, sc: np.ndarray, n: int):
+    """Operands of :func:`sin_cos_coeff` at order n >= 1: orders below n of
+    ``dx``, the terms (j+1) x_{j+1} of x', orders n-1..0 of the (sin x, cos x)
+    pair stack ``sc`` with the pair reversed to (cos, sin), and (n, -n)."""
+    return dx[:n], sc[n - 1 :: -1, ..., ::-1, :], np.array([[n], [-n]], dtype=float)
+
+
+def product_coeffs(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Order-n Cauchy coefficients of every product a_i * b_j.
 
-    ``a`` is (N+1, ..., P, K) and ``b`` (N+1, ..., Q, K); the result is
-    (..., P, Q, K), entry [..., i, j, k] the order-n coefficient of
-    a[:, ..., i, k] * b[:, ..., j, k].  Reads orders 0..n of both.
+    ``(a, b)`` are :func:`cauchy_operands` of (N+1, ..., P, K) and
+    (N+1, ..., Q, K) stacks; the result is (..., P, Q, K), entry
+    [..., i, j, k] the order-n coefficient of a[:, ..., i, k] * b[:, ..., j, k].
     """
-    return np.einsum("m...ak,m...bk->...abk", a[: n + 1], b[n::-1], out=out)
+    return np.einsum("m...ak,m...bk->...abk", a, b, out=out)
 
 
-def dot_coeff(a: np.ndarray, b: np.ndarray, n: int, out=None) -> np.ndarray:
-    """Order-n coefficient of sum_j a_j * b_j for (N+1, ..., P, K) stacks.
-
-    The result is (..., K); reads orders 0..n of both.
-    """
-    return np.einsum("m...jk,m...jk->...k", a[: n + 1], b[n::-1], out=out)
+def dot_coeff(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Order-n coefficient of sum_j a_j * b_j, from the :func:`cauchy_operands`
+    of two (N+1, ..., P, K) stacks; the result is (..., K)."""
+    return np.einsum("m...jk,m...jk->...k", a, b, out=out)
 
 
-def sin_cos_coeff(dx: np.ndarray, sc: np.ndarray, n: int, out=None) -> np.ndarray:
+def sin_cos_coeff(dx: np.ndarray, cs: np.ndarray, divisors: np.ndarray, out=None) -> np.ndarray:
     """Order-n coefficients (s_n, c_n) of sin x and cos x, for n >= 1.
 
-    ``dx`` holds the coefficients of the derivative x', dx[j] =
-    (j+1) x_{j+1}, order first like ``sc``, the (N+1, ..., 2, K) pair stack
-    of (sin x, cos x).  From s' = x' c and c' = -x' s,
-    s_n = sum(dx_j c_{n-1-j}) / n and c_n = -sum(dx_j s_{n-1-j}) / n over
-    j < n <= ``MAX_ORDER``.  Returns the (..., 2, K) pair; reads dx below
-    order n and sc below order n.
+    ``(dx, cs, divisors)`` are the :func:`sin_cos_operands` of order n.
+    From s' = x' c and c' = -x' s, s_n = sum(dx_j c_{n-1-j}) / n and
+    c_n = -sum(dx_j s_{n-1-j}) / n over j < n: the einsum writes the sums
+    into ``out``, which the divide then scales in place.  Returns the
+    (..., 2, K) pair.
     """
-    t = np.einsum("m...k,m...jk->...jk", dx[:n], sc[n - 1 :: -1])
-    return np.divide(t[..., ::-1, :], _SIN_COS_DIVISORS[n], out=out)
+    out = np.einsum("m...k,m...jk->...jk", dx, cs, out=out)
+    return np.divide(out, divisors, out=out)
 
 
 def series_eval(c: np.ndarray, t: float):
     """Horner evaluation of sum(c_n t^n) on a float (..., N+1) stack.
 
-    The sum is formed in one new (...) array, in place: out = c_N, then
-    out *= t; out += c_n for n = N-1 down to 0.  On the order-last view of
-    an order-major stack, as the window kernel returns it, each c[..., n]
-    is the slab of order n.
+    The sum is formed in one new (...) array, in place: out = c_N t, then
+    out += c_n; out *= t for n = N-1 down to 1, and out += c_0 (a copy of
+    c_0 at N = 0).  On the order-last view of an order-major stack, as the
+    window kernel returns it, each c[..., n] is the slab of order n.
     """
     c = np.asarray(c)
-    out = c[..., -1].copy()
-    for k in range(c.shape[-1] - 2, -1, -1):
-        out *= t
+    if c.shape[-1] == 1:
+        return c[..., 0].copy()
+    out = c[..., -1] * t
+    for k in range(c.shape[-1] - 2, 0, -1):
         out += c[..., k]
+        out *= t
+    out += c[..., 0]
     return out

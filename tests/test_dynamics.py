@@ -13,6 +13,7 @@ from stochsim.dynamics import (
 )
 from stochsim.network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from stochsim.powerflow import PowerFlowError, solve_power_flow
+from stochsim.series import dot_coeff, product_coeffs
 from stochsim import smib as sm
 
 from test_network import load_pq
@@ -151,6 +152,87 @@ def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
         if n == 0:
             want += work.const
         assert np.array_equal(d_n, want)
+
+
+def reference_order(w, deriv, y, m, n_runs, n):
+    """Order n of the model on fresh slices of (N+1, 13, R·K) terms ``w``
+    and (N, 4, R·K) derivative terms ``deriv``, written into both.
+
+    Each series kernel slices its operands here for this order alone; the
+    fields are laid out as in WindowWork, the stator pair as (e_qt, e_dt).
+    """
+    sc, eq_ed, id_iq, i_net, d_delta = w[:, 9:11], w[:, 2:4], w[:, 5:7], w[:, 11:13], deriv[:, 0]
+    ed_eq = eq_ed[:, ::-1]
+    if n:
+        t = np.einsum("m...k,m...jk->...jk", d_delta[:n], sc[n - 1 :: -1])
+        sc[n] = t[::-1] / np.array([[n], [-n]])
+        p = np.einsum("m...ak,m...bk->...abk", eq_ed[: n + 1], sc[n::-1])
+    else:
+        sc[0] = np.sin(w[0, 0]), np.cos(w[0, 0])
+        p = eq_ed[0, :, None] * sc[0, None]
+    emf = (p[0, 1] + p[1, 0]) + 1j * (p[0, 0] - p[1, 1])  # e'q c + e'd s, e'q s - e'd c
+    cur = (y @ emf.reshape(n_runs, -1, 1)).reshape(-1)
+    i_net[n] = cur.real, cur.imag
+    if n:
+        q = np.einsum("m...ak,m...bk->...abk", i_net[: n + 1], sc[n::-1])
+    else:
+        q = i_net[0, :, None] * sc[0, None]
+    id_iq[n] = q[0, 0] - q[1, 1], q[0, 1] + q[1, 0]  # i_r s - i_i c, i_r c + i_i s
+    # the stator voltages (e_d, e_q) = (x'q, -x'd) (i_q, i_d) + (e'd, e'q)
+    x_t = np.tile(np.stack([m.xqp, -m.xdp]), n_runs)
+    e_d_e_q = w[n, 8:6:-1]
+    e_d_e_q[...] = x_t * id_iq[n, ::-1] + ed_eq[n]
+    if n:
+        w[n, 4] = np.einsum("m...jk,m...jk->...k", w[: n + 1, 8:6:-1], id_iq[n::-1])
+    else:
+        w[0, 4] = e_d_e_q[0] * id_iq[0, 0] + e_d_e_q[1] * id_iq[0, 1]
+    half_h = m.omega_r / (2.0 * m.H)
+    a_b = np.tile(
+        np.stack(
+            [
+                [-half_h * m.D / m.omega_r, -1.0 / m.Td0p, -1.0 / m.Tq0p],
+                [-half_h, -(m.xd - m.xdp) / m.Td0p, (m.xq - m.xqp) / m.Tq0p],
+            ]
+        ),
+        n_runs,
+    )
+    deriv[n, 0] = w[n, 1]
+    deriv[n, 1:] = a_b[0] * w[n, 1:4] + a_b[1] * w[n, 4:7]
+    return p, q
+
+
+def test_prepared_views_keep_the_slicing_kernels_bits(ieee39_case):
+    # every order of a 3-run window of order 8 whose every slab is random,
+    # against a pass that slices each kernel's operands afresh; NaN in every
+    # order above n must not reach order n
+    v, loads, _, _, m = prefault_setup(ieee39_case)
+    rng = np.random.default_rng(32)
+    pq = load_pq(loads) * rng.uniform(0.8, 1.2, (3, len(loads), 2))
+    first = reduce_to_load_buses(
+        ieee39_case, NetworkCondition("pre-fault"), v, [], ieee39_case.load_buses
+    )
+    y = first.with_loads(first.shunts(pq)).y
+    order = 8
+    work = WindowWork(m, 3, order)
+    w, deriv = work.eq_ed.base, work.d_delta.base
+    terms, deriv_terms = rng.standard_normal(w.shape), rng.standard_normal(deriv.shape)
+    for n in range(order):
+        w[...], deriv[...] = terms, deriv_terms
+        w[n + 1 :] = deriv[n + 1 :] = np.nan
+        derivative_coeffs(y, work, n)
+        want_w, want_deriv = terms.copy(), deriv_terms.copy()
+        p, q = reference_order(want_w, want_deriv, y, m, 3, n)
+        if n == 0:
+            want_deriv[0] += work.const
+        assert np.array_equal(w[n], want_w[n])  # sc, i_net, id_iq, e_t and p_e
+        assert np.array_equal(deriv[n], want_deriv[n])
+        assert np.array_equal(work.pair, q)
+        if n:
+            _, eq_ed_sc, i_net_sc, e_t_id_iq = work.orders[n][:4]
+            assert np.array_equal(product_coeffs(*eq_ed_sc), p)
+            assert np.array_equal(product_coeffs(*i_net_sc), q)
+            assert np.array_equal(dot_coeff(*e_t_id_iq), want_w[n, 4])
+        assert not np.isnan(w[: n + 1]).any() and not np.isnan(deriv[: n + 1]).any()
 
 
 def test_single_machine_diagonal_network_scalar_check():

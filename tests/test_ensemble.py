@@ -267,3 +267,10 @@ def test_confidence_envelope_is_the_90_percent_band():
 def test_stability_variables_are_speed_or_angle():
     with pytest.raises(ValueError, match="speed"):
         StabilityCriterion(t_s=1.0, r0=0.1, x_eq=np.zeros(8), variables="eqp")
+
+
+@pytest.mark.parametrize("r0", [0.0, -0.1, float("nan")])
+def test_stability_radius_must_be_positive(r0):
+    # NaN compares false both ways: accepted, every run would fail and P read 0
+    with pytest.raises(ValueError, match="r0"):
+        StabilityCriterion(t_s=1.0, r0=r0, x_eq=np.zeros(8))

@@ -8,7 +8,7 @@ from stochsim.sas import (
     window_coefficients,
 )
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
-from stochsim.series import series_eval
+from stochsim.series import MAX_ORDER, series_eval
 from stochsim import smib as sm
 from stochsim.dynamics import _injections, rhs, split_state
 from stochsim.network import ReducedNetwork
@@ -247,6 +247,20 @@ def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
         reused = window_coefficients(x[one], runs_of(net, one), work_one)
         assert np.array_equal(reused[0], batch[i])
     assert not np.array_equal(batch[0], batch[1])
+
+
+def test_window_at_the_highest_order(ieee39_windows):
+    # the per-order tables at their last entry: a 2-run window at MAX_ORDER
+    # builds, is finite and gives each run the bits it has alone
+    setup, net, x = ieee39_windows
+    two = slice(0, 2)
+    batch = coefficients(x[two], runs_of(net, two), setup.machines, MAX_ORDER)
+    assert batch.shape == (2, x.shape[1], MAX_ORDER + 1)
+    assert np.isfinite(batch).all()
+    for i in range(2):
+        one = slice(i, i + 1)
+        alone = coefficients(x[one], runs_of(net, one), setup.machines, MAX_ORDER)
+        assert np.array_equal(alone[0], batch[i])
 
 
 def test_work_arrays_keep_nothing_between_windows(ieee39_windows):

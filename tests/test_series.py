@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochsim.series import dot_coeff, product_coeffs, series_eval, sin_cos_coeff
+from stochsim.series import (
+    cauchy_operands,
+    dot_coeff,
+    product_coeffs,
+    series_eval,
+    sin_cos_coeff,
+    sin_cos_operands,
+)
 
 # Series here are order-major (N+1, K) stacks, one column per machine; a
 # pair stack (N+1, 2, K) holds two series side by side.
@@ -19,7 +26,10 @@ def stack(a, order: int) -> np.ndarray:
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two (N+1, K) stacks, built one order at a time."""
     return np.stack(
-        [product_coeffs(a[:, None], b[:, None], n)[0, 0] for n in range(a.shape[0])]
+        [
+            product_coeffs(*cauchy_operands(a[:, None], b[:, None], n))[0, 0]
+            for n in range(a.shape[0])
+        ]
     )
 
 
@@ -36,7 +46,7 @@ def sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sc[0] = np.sin(x[0]), np.cos(x[0])
     dx = derivative(x)
     for n in range(1, x.shape[0]):
-        sin_cos_coeff(dx, sc, n, out=sc[n])
+        sin_cos_coeff(*sin_cos_operands(dx, sc, n), out=sc[n])
     return sc[:, 0], sc[:, 1]
 
 
@@ -48,7 +58,7 @@ def test_product_coeffs_gives_every_pair():
     # (1 + t, 2 - t) x (1 - t, 3): entry [i, j] is the product of a_i and b_j
     a = np.stack([stack([1, 1], 2), stack([2, -1], 2)], axis=1)
     b = np.stack([stack([1, -1], 2), stack([3], 2)], axis=1)
-    pairs = np.stack([product_coeffs(a, b, n) for n in range(3)])
+    pairs = np.stack([product_coeffs(*cauchy_operands(a, b, n)) for n in range(3)])
     assert pairs.shape == (3, 2, 2, 1)
     assert np.allclose(pairs[:, 0, 0, 0], [1, 0, -1])
     assert np.allclose(pairs[:, 1, 0, 0], [2, -3, 1])
@@ -59,7 +69,7 @@ def test_product_coeffs_gives_every_pair():
 def test_dot_coeff_sums_the_pair_products():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((2, 4, 2, 3))
-    dot = np.stack([dot_coeff(a, b, n) for n in range(4)])
+    dot = np.stack([dot_coeff(*cauchy_operands(a, b, n)) for n in range(4)])
     assert np.allclose(dot, mul(a[:, 0], b[:, 0]) + mul(a[:, 1], b[:, 1]), atol=1e-14)
 
 
@@ -89,13 +99,14 @@ def test_kernels_read_only_the_orders_they_need():
     for n in range(5):
         a_n, b_n, x_n = a.copy(), b.copy(), x.copy()
         a_n[n + 1 :] = b_n[n + 1 :] = x_n[n + 1 :] = np.nan
-        assert np.array_equal(product_coeffs(a_n, b_n, n), product_coeffs(a, b, n))
-        assert np.array_equal(dot_coeff(a_n, b_n, n), dot_coeff(a, b, n))
+        ops, ops_n = cauchy_operands(a, b, n), cauchy_operands(a_n, b_n, n)
+        assert np.array_equal(product_coeffs(*ops_n), product_coeffs(*ops))
+        assert np.array_equal(dot_coeff(*ops_n), dot_coeff(*ops))
         if n == 0:
             continue
         sc_n = sc.copy()
         sc_n[n:] = np.nan
-        assert np.array_equal(sin_cos_coeff(derivative(x_n), sc_n, n), sc[n])
+        assert np.array_equal(sin_cos_coeff(*sin_cos_operands(derivative(x_n), sc_n, n)), sc[n])
 
 
 def test_eval_horner_matches_polyval():
