@@ -14,11 +14,18 @@ call per operation and order, on flat operands.  A run-major layout would
 make every operand R strided pieces, and the time would go into numpy's
 per-piece overhead.  Only the network couples the generators of a run, so
 the network product is the one step done per run.
+
+The work arrays hold the stack's state as well: it is written into their
+order-0 state slab once, and each window or Euler step leaves the new
+state there, so no step copies the state in or out.  Each order's numpy
+calls are bound to their operands once, when the work arrays are made, and
+a pass runs them with no Python frame or lookup of its own per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -125,7 +132,7 @@ def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
 # pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
 _DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
 _NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
-_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_qt, e_dt, s, c, i_r, i_i
+_N_FIELDS = 11  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_qt, e_dt, s, c
 
 
 class WindowWork:
@@ -133,18 +140,30 @@ class WindowWork:
 
     Built for ``n_runs`` runs R of ``machines`` (K generators, a
     :class:`MachineSet` with its inputs set) at series order ``order`` N
-    >= 1; :func:`rhs` uses only the order-0 arrays.  Every series lives in
-    one (N+1, 13, R·K) array: order, field, then one flat axis of runs ×
-    generators whose entry r·K + k is generator k of run r.  The fields are
-    delta, omega, e'q, e'd, p_e, i_d, i_q, the stator pair (e_qt, e_dt),
-    (sin, cos) of delta and the network currents (i_r, i_i).  A field, or a
-    pair of adjacent fields, of one order is one contiguous (2, R·K) slab.
-    The (N, 4, R·K) derivative array, the product and network buffers and
-    the packed (N+1, R, 4K) result buffer complete the set, with every view
-    of them that is read or written.  The real arrays start uninitialized,
-    as every entry is written before it is read; the complex network
-    buffers start at zero, as a complex matmul on arbitrary bits can run
-    several times slower.
+    >= 1; :func:`rhs` uses only the order-0 arrays.  The work owns the
+    stack's state: :meth:`set_state` writes it into the order-0 state slab
+    ``state_slab``, (4, R·K), and a window or an Euler step leaves the new
+    state there, where the next one starts.
+
+    Every real series lives in one (N+1, 11, R·K) array: order, field, then
+    one flat axis of runs × generators whose entry r·K + k is generator k
+    of run r.  The fields are delta, omega, e'q, e'd, p_e, i_d, i_q, the
+    stator pair (e_qt, e_dt) and (sin, cos) of delta.  A field, or a pair
+    of adjacent fields, of one order is one contiguous (2, R·K) slab.  The
+    network currents are an (N+1, R, K, 1) complex series ``currents``, so
+    each order's network product writes them in place; ``i_net``, their
+    interleaved real view as an (N+1, 2, R·K) pair stack, is the (i_r, i_i)
+    operand of the series kernels.  The (N, 4, R·K) derivative array, the
+    pair products and the (R, K, 1) complex EMFs complete the set.  The
+    state's terms are read order last: ``terms`` (4, R·K, N+1), whose
+    order-n entry is a contiguous slab for the Horner sum, and per run
+    ``coeffs`` (R, 4, K, N+1) in the packed state layout.  Likewise
+    ``state`` and ``derivative`` are the (R, 4, K) per-run views of
+    ``state_slab`` and of the derivative's order-0 slab ``derivative_slab``.
+    Elementwise work runs on the slabs, as numpy takes about twice as long
+    on a per-run view.  The real arrays start uninitialized, as every entry
+    is written before it is read; the complex ones start at zero, as a
+    complex matmul on arbitrary bits can run several times slower.
 
     The machine equations are tiled over the R runs.  The time derivative
     of (delta, omega, e'q, e'd) is linear in the fields, plus ``const``
@@ -156,10 +175,15 @@ class WindowWork:
     a and b.  ``x_t`` (2, R·K) is (-x'd, x'q), which turns the forward
     slabs (i_d, i_q) and (e'q, e'd) into the stator pair (e_qt, e_dt).
 
-    ``orders[n]`` holds the views of order n that :func:`derivative_coeffs`
-    reads or writes, and its series kernels' operands, cut once here: sin/cos
-    of (d_delta, sc), the rotations' pair products of (eq_ed, sc) and
-    (i_net, sc), and p_e = e_dt i_d + e_qt i_q of the reversed stator pair.
+    ``orders[n]`` is order n of :func:`derivative_coeffs` bound once: the
+    calls before the network product, the EMFs and the order-n currents
+    it reads and writes, and the calls after it.  Each call is a numpy
+    function with every operand and buffer bound, the series kernels' among
+    them (sin/cos of (d_delta, sc), the rotations' pair products of (eq_ed,
+    sc) and (i_net, sc), and p_e = e_dt i_d + e_qt i_q of the reversed
+    stator pair); at n = 0 sin/cos are ufuncs and each product a broadcast
+    multiply.  ``integrate[n]`` is the multiply by 1/(n+1) that turns the
+    derivative's order-n terms into the state's of order n+1.
     """
 
     def __init__(self, machines: MachineSet, n_runs: int, order: int):
@@ -192,62 +216,73 @@ class WindowWork:
         self.id_iq = w[:, 5:7]
         self.e_t = w[:, 7:9]  # e_qt, e_dt
         self.sc = w[:, 9:11]  # sin, cos of delta
-        self.i_net = w[:, 11:13]
+        self.currents = np.zeros((order + 1, n_runs, k, 1), dtype=complex)
+        self.i_net = self.currents.view(float).reshape(order + 1, rk, 2).swapaxes(1, 2)
         self.d_delta = deriv[:, 0]  # the coefficients of delta'
         # the pair products of one order, also read per run
         self.pair = np.empty((2, 2, rk))
-        self.pair_flat = self.pair.reshape(4, rk)
-        self.pair_runs = per_run(self.pair_flat)
-        # the network product's EMFs and currents: (R, K, 1) complex columns,
-        # written and read through their interleaved (R, 2, K) real views
+        pair_flat = self.pair.reshape(4, rk)
+        # the network product's EMFs, (R, K, 1) complex, written through
+        # their interleaved (R, 2, K) real view
         self.emf = np.zeros((n_runs, k, 1), dtype=complex)
-        self.cur = np.zeros((n_runs, k, 1), dtype=complex)
-        self.emf_pairs, self.cur_pairs = (
-            a.view(float).reshape(n_runs, k, 2).swapaxes(1, 2) for a in (self.emf, self.cur)
-        )
-        # order 0: the window start and its sin/cos
-        self.x0 = per_run(w[0, 0:4])
-        self.delta0 = w[0, 0]
-        self.s0, self.c0 = w[0, 9], w[0, 10]
-        self.p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
-        self.p_term0, self.p_term1 = self.p_terms
-        self.a_b_terms = np.empty((2, 3, rk))  # the two terms of the machine map
-        self.a_term, self.b_term = self.a_b_terms
-        self.deriv0 = per_run(deriv[0])
+        emf_pairs = self.emf.view(float).reshape(n_runs, k, 2).swapaxes(1, 2)
+        to_emf = partial(np.matmul, _DQ_TO_NET, per_run(pair_flat), emf_pairs)  # every order's
+        # the state and its derivative at order 0, and the state's terms
+        # order last: each as (4, R·K) slabs, and per run in the packed layout
+        self.state_slab, self.derivative_slab = w[0, 0:4], deriv[0]
+        self.terms = np.moveaxis(w[:, 0:4], 0, -1)
+        self.state, self.derivative = per_run(self.state_slab), per_run(deriv[0])
+        self.coeffs = np.moveaxis(per_run(w[:, 0:4]), 0, -1)
+        p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
+        a_b_terms = np.empty((2, 3, rk))  # the two terms of the machine map
         # (omega, e'q, e'd) and (p_e, i_d, i_q), the inputs of the machine map
         machine_in = w[:, 1:7].reshape(order + 1, 2, 3, rk)
-        # per order n, the operands of sin/cos, the two pair products and p_e
-        # (one-term products at n = 0), then the other slices of order n
         e_t_rev = self.e_t[:, ::-1]  # e_dt, e_qt
         sc0 = w[0, None, 9:11]
-        self.orders = [
-            (
-                sin_cos_operands(self.d_delta, self.sc, n) if n else None,
-                cauchy_operands(self.eq_ed, self.sc, n) if n else (w[0, 2:4, None], sc0),
-                cauchy_operands(self.i_net, self.sc, n) if n else (w[0, 11:13, None], sc0),
-                cauchy_operands(e_t_rev, self.id_iq, n) if n else (e_t_rev[0], self.id_iq[0]),
-                self.sc[n],
-                per_run(self.i_net[n]),
-                self.id_iq[n],
-                self.e_t[n],
-                self.eq_ed[n],
-                w[n, 4],  # p_e
-                machine_in[n],
-                w[n, 1],  # omega
-                deriv[n, 0],  # delta'
-                deriv[n, 1:],  # omega', e'q', e'd'
-                deriv[n],
+
+        def bound(n):  # order n's calls around the network product
+            sc_n, id_iq_n, e_t_n = self.sc[n], self.id_iq[n], self.e_t[n]
+            if n:
+                sin_cos = sin_cos_coeff(*sin_cos_operands(self.d_delta, self.sc, n), sc_n)
+                eq_ed_sc = product_coeffs(*cauchy_operands(self.eq_ed, self.sc, n), self.pair)
+                i_net_sc = product_coeffs(*cauchy_operands(self.i_net, self.sc, n), self.pair)
+                p_e = (dot_coeff(*cauchy_operands(e_t_rev, self.id_iq, n), w[n, 4]),)
+                const = ()
+            else:
+                sin_cos = (partial(np.sin, w[0, 0], sc_n[0]), partial(np.cos, w[0, 0], sc_n[1]))
+                eq_ed_sc = partial(np.multiply, w[0, 2:4, None], sc0, self.pair)
+                i_net_sc = partial(np.multiply, self.i_net[0, :, None], sc0, self.pair)
+                p_e = (
+                    partial(np.multiply, e_t_rev[0], id_iq_n, p_terms),
+                    partial(np.add, p_terms[0], p_terms[1], w[0, 4]),
+                )
+                const = (partial(np.add, deriv[0], self.const, deriv[0]),)
+            before = (*sin_cos, eq_ed_sc, to_emf)
+            after = (
+                i_net_sc,
+                partial(np.matmul, _NET_TO_DQ, pair_flat, id_iq_n),
+                partial(np.multiply, self.x_t, id_iq_n, e_t_n),
+                partial(np.add, e_t_n, self.eq_ed[n], e_t_n),
+                *p_e,
+                partial(np.copyto, deriv[n, 0], w[n, 1]),  # delta' = omega
+                partial(np.multiply, self.a_b, machine_in[n], a_b_terms),
+                partial(np.add, a_b_terms[0], a_b_terms[1], deriv[n, 1:]),
+                *const,
             )
-            for n in range(order)
+            return before, self.emf, self.currents[n], after
+
+        self.orders = [bound(n) for n in range(order)]
+        self.integrate = [
+            partial(np.multiply, deriv[n], 1.0 / (n + 1), w[n + 1, 0:4]) for n in range(order)
         ]
-        # per order n, the derivative's terms, the state's of order n+1 and
-        # the factor 1/(n+1) between them
-        self.integrate = [(deriv[n], w[n + 1, 0:4], 1.0 / (n + 1)) for n in range(order)]
-        # the state coefficients leave per run, packed, and are read order last
-        packed = np.empty((order + 1, n_runs, 4 * k))
-        self.packed_runs = packed.reshape(order + 1, n_runs, 4, k)
-        self.state_runs = per_run(w[:, 0:4])
-        self.coeffs = packed.transpose(1, 2, 0)
+
+    def set_state(self, states: np.ndarray) -> None:
+        """Write an (R, 4K) stack of packed states into the order-0 state slab.
+
+        The stack may have any shape that holds R·4K values; another size
+        raises ``ValueError``.
+        """
+        np.copyto(self.state, np.reshape(states, self.state.shape))
 
 
 def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
@@ -256,63 +291,39 @@ def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
     Reads the state's terms of orders 0 to n and the other fields' below n,
     and writes every field of order n and the derivative's order-n terms.
     ``y`` is the reduced admittance, (R, K, K) or one (K, K) for every run.
-    Every operand is a view in ``work.orders[n]``.  At n = 0, the model at
-    the window start, sin/cos are ufuncs and each Cauchy product a broadcast
-    multiply.  Each frame rotation is a sign matmul of the (2, 2, R·K) pair
-    products.  The network product is the one per-run step: the sign matmul
-    writes the EMFs into the interleaved real view of an (R, K, 1) complex
-    buffer, one complex matmul with ``y`` gives the currents in a second
-    one, and one copy puts them into their slab.  The stator pair is one
-    multiply and one add on forward slabs.  The machine map is a copy of
-    omega into delta', one multiply of the (2, 3, R·K) inputs by the
-    coefficient slabs and one add of its halves.
+    Every call but one is bound in ``work.orders[n]``: sin/cos, the pair
+    products of (e'q, e'd) and (sin, cos), and a sign matmul of them that
+    writes the EMFs into the interleaved real view of their complex
+    column.  The network product, the one step done per run, is one
+    complex matmul with ``y`` into the order-n currents.  Then the pair
+    products of the currents and (sin, cos) and a second sign matmul give
+    (i_d, i_q); the stator pair is one multiply and one add on forward
+    slabs, and p_e its dot product with (i_d, i_q).  The machine map is a
+    copy of omega into delta', one multiply of the (2, 3, R·K) inputs by
+    the coefficient slabs and one add of its halves, plus ``const`` at
+    order 0.
     """
-    (
-        sin_cos_in, eq_ed_sc, i_net_sc, e_t_id_iq, sc_n, i_runs, id_iq_n, e_t_n,
-        eq_ed_n, p_e_n, m_in, omega_n, d_delta_n, d_rest_n, d_n,
-    ) = work.orders[n]
-    pair, pair_coeffs = work.pair, product_coeffs if n else np.multiply
-    if n:
-        sin_cos_coeff(*sin_cos_in, out=sc_n)
-    else:
-        np.sin(work.delta0, out=work.s0)
-        np.cos(work.delta0, out=work.c0)
-    pair_coeffs(*eq_ed_sc, out=pair)
-    np.matmul(_DQ_TO_NET, work.pair_runs, out=work.emf_pairs)
-    np.matmul(y, work.emf, out=work.cur)
-    np.copyto(i_runs, work.cur_pairs)
-    pair_coeffs(*i_net_sc, out=pair)
-    np.matmul(_NET_TO_DQ, work.pair_flat, out=id_iq_n)
-    np.multiply(work.x_t, id_iq_n, out=e_t_n)
-    np.add(e_t_n, eq_ed_n, out=e_t_n)
-    if n:
-        dot_coeff(*e_t_id_iq, out=p_e_n)
-    else:
-        np.multiply(*e_t_id_iq, out=work.p_terms)
-        np.add(work.p_term0, work.p_term1, out=p_e_n)
-    np.copyto(d_delta_n, omega_n)
-    np.multiply(work.a_b, m_in, out=work.a_b_terms)
-    np.add(work.a_term, work.b_term, out=d_rest_n)
-    if n == 0:
-        d_n += work.const
+    before, emf, currents, after = work.orders[n]
+    for call in before:
+        call()
+    np.matmul(y, emf, currents)
+    for call in after:
+        call()
 
 
-def rhs(state: np.ndarray, net: ReducedNetwork, work: WindowWork) -> np.ndarray:
-    """Time derivative of the packed dynamic state, in a new array of its shape.
+def rhs(net: ReducedNetwork, work: WindowWork) -> np.ndarray:
+    """Time derivative of the state in ``work``, as a view of its work arrays.
 
-    ``state`` is an (R, 4K) stack, or one (4K,) state with R = 1, and
-    ``work`` a :class:`WindowWork` built for R runs; another stack size
-    raises ``ValueError``.  ``net.y`` is (R, K, K), or one (K, K) network
-    for every run.  The state enters the order-0 slabs by one transposed
-    copy, :func:`derivative_coeffs` evaluates the model at order 0, the pass
-    that starts every series window, and the derivative leaves by a second
-    copy.  Each run's derivative has the same bits alone and in any stack.
+    ``work`` holds an (R, 4K) stack (see :meth:`WindowWork.set_state`) and
+    ``net.y`` is (R, K, K), or one (K, K) network for every run.
+    :func:`derivative_coeffs` evaluates the model at order 0, the pass that
+    starts every series window, and the derivative is returned in place:
+    ``work.derivative``, (R, 4, K) in the packed state layout, a view of
+    the slab ``work.derivative_slab`` that the next pass overwrites.  Each
+    run's derivative has the same bits alone and in any stack.
     """
-    np.copyto(work.x0, state.reshape(work.x0.shape))
     derivative_coeffs(net.y, work, 0)
-    out = np.empty(state.shape)
-    np.copyto(out.reshape(work.deriv0.shape), work.deriv0)
-    return out
+    return work.derivative
 
 
 def init_dynamic_state(
@@ -392,7 +403,9 @@ def solve_equilibrium(
     state, machines = init_dynamic_state(case, profile, net)
     if (condition, loads) != (pre_fault, mean_loads):
         net = network(condition, loads)
-    residual = float(np.max(np.abs(rhs(state, net, WindowWork(machines, 1, 1)))))
+    work = WindowWork(machines, 1, 1)
+    work.set_state(state)
+    residual = float(np.max(np.abs(rhs(net, work))))
     if residual < 1e-9:
         return state
     raise EquilibriumError(

@@ -38,18 +38,17 @@ class EMConfig:
             raise ValueError(f"mode must be one of {EM_MODES}")
 
 
-def euler_det_step(
-    state: np.ndarray, net: ReducedNetwork, work: WindowWork, dt: float
-) -> np.ndarray:
+def euler_det_step(net: ReducedNetwork, work: WindowWork, dt: float) -> None:
     """Forward-Euler step x + dt f(x) of the deterministic machine dynamics.
 
-    ``state``, ``net`` and ``work`` are as for :func:`rhs`: an (R, 4K)
-    stack or one (4K,) state, and work arrays built for R runs.
+    ``net`` and ``work`` are as for :func:`rhs`.  The derivative is scaled
+    in its slab and added to the state slab in place, so the new state is
+    where the next step starts.
     """
-    out = rhs(state, net, work)
-    out *= dt
-    out += state
-    return out
+    rhs(net, work)
+    f, x = work.derivative_slab, work.state_slab
+    np.multiply(f, dt, f)
+    np.add(f, x, x)
 
 
 def simulate_em_batch(
@@ -63,7 +62,7 @@ def simulate_em_batch(
     Stage scheduling, resampling and divergence handling match the series
     solver exactly; in shared-path mode the identical piecewise-constant
     load series is consumed, enabling pathwise comparison.  The stack steps
-    by :func:`euler_det_step` in the order-1 work arrays that
+    by :func:`euler_det_step`, in place, in the order-1 work arrays that
     :func:`run_simulation` builds.
     """
     return run_simulation(

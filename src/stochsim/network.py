@@ -80,8 +80,9 @@ class ReducedNetwork:
     recovery: np.ndarray
 
     def __post_init__(self):
-        self.y.setflags(write=False)
-        self.recovery.setflags(write=False)
+        for a in (self.y, self.recovery):
+            if a.flags.writeable:
+                a.setflags(write=False)
 
 
 def bus_voltages(recovery: np.ndarray, emf: np.ndarray) -> np.ndarray:
@@ -225,6 +226,7 @@ class LoadBusNetwork:
         np.add(self.kcl_l.diagonal(), shunts, out=diagonal)
         out = self.out_l @ _interior_solve(y_ll, self.kcl_k)
         np.subtract(self.out_k, out, out=out)
+        out.setflags(write=False)  # once, for both of its views
         return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])
 
 

@@ -10,11 +10,14 @@ partial sum across the window reproduces the semi-analytical solution.
 
 Each order is one :func:`~stochsim.dynamics.derivative_coeffs` pass on the
 slabs of a :class:`~stochsim.dynamics.WindowWork`; order 0 is the
-right-hand side that Euler steps on as well.  ``window_coefficients(state0,
-net, work)`` is the kernel's one entry, for the solver's batches and
-``validate``'s oracle alike, and :func:`window_step` evaluates one window.
-``run_simulation`` builds a batch's work arrays again only when runs leave,
-so a window allocates nothing but the series kernels' temporaries.
+right-hand side that Euler steps on as well.  The work arrays own the
+stack's state: ``window_coefficients(net, work)`` expands the series about
+the state in their order-0 slab, for the solver's batches and
+``validate``'s oracle alike, and :func:`window_step` evaluates one window
+back into that slab, where the next window starts.  ``run_simulation``
+writes the state in once per batch and builds the work arrays again only
+when runs leave, so a window allocates nothing but the einsum kernels'
+temporaries.
 """
 
 from __future__ import annotations
@@ -47,39 +50,37 @@ class SolverConfig:
             raise ValueError("window length must be positive")
 
 
-def window_coefficients(
-    state0: np.ndarray, net: ReducedNetwork, work: WindowWork
-) -> np.ndarray:
-    """Series coefficients of the machine states about ``state0``.
+def window_coefficients(net: ReducedNetwork, work: WindowWork) -> np.ndarray:
+    """Series coefficients of the machine states about the state in ``work``.
 
-    ``state0`` is an (R, 4K) stack and ``work`` the :class:`WindowWork`
-    built for R runs, whose order and tiled machine equations the window
-    takes; another stack size raises ``ValueError``.  ``net.y`` is
-    (R, K, K), or one (K, K) network for every run; runs do not mix.
-    ``state0`` enters the order-0 slabs by one transposed copy; per order n,
-    :func:`derivative_coeffs` gives the derivative's terms and a multiply by
-    1/(n+1) the state's of order n+1, which leave by one transposed copy.
-    Returns the (R, 4K, N+1) stack in the packed state layout, order last,
-    on a local clock that starts at 0: a view of ``work``, which the next
-    window overwrites.
+    ``work`` is the :class:`WindowWork` of an (R, 4K) stack, whose order,
+    tiled machine equations and order-0 state slab (see
+    :meth:`WindowWork.set_state`) the window takes.  ``net.y`` is
+    (R, K, K), or one (K, K) network for every run; runs do not mix.  Per
+    order n, :func:`derivative_coeffs` gives the derivative's terms and a
+    multiply by 1/(n+1) the state's of order n+1.  Returns ``work.coeffs``,
+    the (R, 4, K, N+1) view of the state's terms in the packed state
+    layout, order last, on a local clock that starts at 0; the next window
+    overwrites it.
     """
     y = net.y
-    np.copyto(work.x0, state0.reshape(work.x0.shape))
-    for n, (d_n, x_next, inv) in enumerate(work.integrate):
+    for n, integrate in enumerate(work.integrate):
         derivative_coeffs(y, work, n)
-        np.multiply(d_n, inv, out=x_next)
-    np.copyto(work.packed_runs, work.state_runs)
+        integrate()
     return work.coeffs
 
 
-def window_step(
-    state0: np.ndarray, net: ReducedNetwork, work: WindowWork, dt: float
-) -> np.ndarray:
-    """The order-N series of a window about ``state0``, evaluated at ``dt``.
+def window_step(net: ReducedNetwork, work: WindowWork, dt: float) -> None:
+    """Advance the state in ``work`` by the order-N series of one window, at ``dt``.
 
-    Arguments as for :func:`window_coefficients`; returns a new (R, 4K) stack.
+    The Horner sum reads the terms as the (4, R·K) slabs of ``work.terms``
+    (``work.coeffs``, which :func:`window_coefficients` returns, is their
+    per-run view) and writes the new state into the order-0 state slab,
+    where the next window starts.
+    Arguments as for :func:`window_coefficients`.
     """
-    return series_eval(window_coefficients(state0, net, work), dt)
+    window_coefficients(net, work)
+    series_eval(work.terms, dt, work.state_slab)
 
 
 def simulate_sas_batch(
@@ -92,8 +93,8 @@ def simulate_sas_batch(
 
     The windows have a fixed length and all runs take the same windows, so
     one coefficient recursion advances the whole (R, 4K) stack:
-    :func:`run_simulation` steps it by :func:`window_step` in work arrays of
-    the configured order.  Stage boundaries split the enclosing window
+    :func:`run_simulation` steps it by :func:`window_step` in the work arrays
+    of the configured order, which hold it.  Stage boundaries split the enclosing window
     exactly; stochastic loads are advanced and the networks rebuilt at every
     resample boundary, so the window must divide the resample interval,
     which :func:`run_simulation` checks.  The output is sampled every ``out_stride``

@@ -274,9 +274,13 @@ def run_simulation(
 
     The runs share the stage schedule, the step grid and the load instants;
     only their load values differ, so they advance together as an (R, 4K)
-    stack.  ``step_fn(states, net, work, dt)`` advances the stack across one
-    segment with a frozen (R, K, K) stack of networks, in the stack's
-    :class:`WindowWork` of series order ``order``, which this function owns.
+    stack.  The stack lives in the order-0 state slab of its
+    :class:`WindowWork` of series order ``order``, which this function owns:
+    the states are written in once per batch and again when runs leave.
+    ``step_fn(net, work, dt)`` advances them across one segment with a
+    frozen (R, K, K) stack of networks and leaves the new states in that
+    slab.  Each record copies them from there, and the divergence test
+    reads their magnitudes into one buffer made with the work arrays.
     Stage boundaries are honored exactly by splitting the enclosing step.
     Every run's loads come from its :func:`load_schedule`: held for a
     resample interval, or with ``em_continuous`` stepped by Euler-Maruyama
@@ -304,14 +308,17 @@ def run_simulation(
     leave.
 
     The voltages recorded at t_{k+1} are those of the state at t_{k+1}
-    under the network of step k, before any rebuild at t_{k+1}.  Each record
-    lists the ``recovery`` of the network in force when it is written, and a
-    step records the states only.  The voltages of the listed records are
-    computed in one pass, one EMF evaluation of their states and one stacked
-    product with their recoveries, once the listed records times the runs in
-    the stack reach ``VOLTAGE_BLOCK``, before runs leave the stack and at
-    the end.  Each voltage is the product of its own record's EMFs and
-    recovery, so it does not depend on the pass it is computed in.
+    under the network of step k, before any rebuild at t_{k+1}.  A step
+    records the states only, and lists the ``recovery`` of the network in
+    force once for the consecutive records it serves, with their count: a
+    series network serves a resample interval of records, a paper-sde one a
+    single record.  The voltages of the listed records are computed in one
+    pass, one EMF evaluation of their states and one stacked product with
+    their recoveries, each repeated over its records, once the listed
+    records times the runs in the stack reach ``VOLTAGE_BLOCK``, before
+    runs leave the stack and at the end.  Each voltage is the product of
+    its own record's EMFs and recovery, so it does not depend on the pass
+    it is computed in.
 
     ``paths`` holds one entry per run (None serves a deterministic
     scenario), each on the load step (``resample_dt``, or ``h`` with
@@ -376,25 +383,37 @@ def run_simulation(
     div_col: list[str | None] = [None] * r
     gen_buses = tuple(g.bus for g in case.generators)
 
-    recs: list[np.ndarray] = []  # the network recovery of each record from ``done`` on
+    listed: list[np.ndarray] = []  # the network recoveries of the records from ``done`` on
+    spans: list[int] = []  # how many consecutive records each listed recovery serves
     done = 0  # records before this one have their voltages
 
     def voltages() -> None:
         """The voltages of the listed records, in one pass."""
         nonlocal done
-        end = done + len(recs)
-        if n_mon and recs:
-            # (R, m, K) recoveries joined to (R, records, m, K)
-            recovery = np.concatenate(recs, axis=1).reshape(active.size, len(recs), n_mon, -1)
+        end = done + sum(spans)
+        if n_mon and spans:
+            # (R, m, K) recoveries, each repeated over its records: (R, records, m, K)
+            recovery = np.repeat(np.stack(listed, axis=1), spans, axis=1)
             emf = _emf(states[rows, done:end])
             volts[rows, done:end] = np.abs(bus_voltages(recovery, emf))
-        recs.clear()
+        listed.clear()
+        spans.clear()
         done = end
 
-    x = np.repeat(setup.x0[None], r, axis=0)
+    def record(j: int) -> None:
+        """Record the state at row ``j`` and list the network it is recorded under."""
+        states_4k[rows, j] = work.state
+        if listed and listed[-1] is net.recovery:
+            spans[-1] += 1
+        else:
+            listed.append(net.recovery)
+            spans.append(1)
+
     work = WindowWork(setup.machines, r, order)
-    states[:, 0] = x
-    recs.append(net.recovery)
+    work.set_state(np.repeat(setup.x0[None], r, axis=0))
+    magnitude = np.empty_like(work.state_slab)  # |state|, for the divergence test
+    states_4k = states.reshape(r, n_rec, 4, -1)  # (R, records, 4, K) view of the records
+    record(0)
 
     for k in range(n_steps):
         resample = spr is not None and k > 0 and k % spr == 0
@@ -407,36 +426,38 @@ def run_simulation(
 
         a = k * h
         for tb, new_stage in split_in.get(k, ()):
-            x = step_fn(x, net, work, tb - a)
+            step_fn(net, work, tb - a)
             stage = new_stage
             net = setup.build_net(stage, shunts, blocks[stage])
             n_windows += 1
             n_rebuilds += 1
             a = tb
-        x = step_fn(x, net, work, (k + 1) * h - a if k in split_in else h)
+        step_fn(net, work, (k + 1) * h - a if k in split_in else h)
         n_windows += 1
 
-        if not np.abs(x).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
+        if not np.abs(work.state_slab, magnitude).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
             voltages()
-            ok = np.abs(x).max(axis=-1) < DIVERGENCE_LIMIT
+            per_run = magnitude.reshape(4, active.size, -1).swapaxes(0, 1)
+            ok = per_run.max(axis=(1, 2)) < DIVERGENCE_LIMIT
             for j in np.flatnonzero(~ok):
                 t_div[active[j]] = (k + 1) * h
                 counts[active[j]] = (n_windows, n_rebuilds)
-                bad = np.flatnonzero(~(np.abs(x[j]) < DIVERGENCE_LIMIT))[0]
+                bad = np.flatnonzero(~(per_run[j].ravel() < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
-            active, x, shunts = active[ok], x[ok], shunts[ok]
+            active, shunts = active[ok], shunts[ok]
             blocks = {name: block[ok] for name, block in blocks.items()}
             rows = active
             if not active.size:
                 break
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
-            work = WindowWork(setup.machines, active.size, order)
+            left = WindowWork(setup.machines, active.size, order)
+            left.set_state(work.state[ok])
+            work, magnitude = left, np.empty_like(left.state_slab)
         if (k + 1) % out_stride == 0:
-            states[rows, (k + 1) // out_stride] = x
-            recs.append(net.recovery)
-            if len(recs) * active.size >= VOLTAGE_BLOCK:
+            j = (k + 1) // out_stride
+            record(j)
+            if (j + 1 - done) * active.size >= VOLTAGE_BLOCK:
                 voltages()
-
     if active.size:
         voltages()
     for i in active:

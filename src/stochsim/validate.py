@@ -48,7 +48,8 @@ def check_smib_coefficients() -> CheckResult:
     ]
     states = np.stack([smib.smib_state(p, d0, w0) for d0, w0 in starts])
     work = WindowWork(machines, len(states), 2)
-    coeffs = window_coefficients(states, net, work)
+    work.set_state(states)
+    coeffs = window_coefficients(net, work).reshape(len(states), -1, 3)  # (R, 4K, N+1)
     worst = 0.0
     for (d0, w0), eng in zip(starts, coeffs):
         for hand, eng_row in zip(smib.smib_window_coefficients(p, d0, w0), eng[[0, 2]]):

@@ -61,7 +61,9 @@ def test_50_hz_case_runs_at_its_rated_speed():
     assert setup.machines.omega_r == 2 * math.pi * 50
     assert np.all(split_state(setup.x0)[1] == 100 * math.pi)
     net = setup.build_net("pre-fault", setup.mean_shunts)
-    assert np.max(np.abs(rhs(setup.x0, net, WindowWork(setup.machines, 1, 1)))) < 1e-9
+    work = WindowWork(setup.machines, 1, 1)
+    work.set_state(setup.x0)
+    assert np.max(np.abs(rhs(net, work))) < 1e-9
     assert scenario.fault_times(case) == pytest.approx((0.2, 0.4))
 
 

@@ -267,9 +267,10 @@ def test_smib_oracle_checks_the_production_entry(monkeypatch):
     exact = validate.window_coefficients
     stacks = []
 
-    def counted(states, net, work):
+    def counted(net, work):
+        states = work.state.reshape(len(work.emf), -1)  # the (R, 4K) stack written in
         stacks.append((states.shape, len(work.emf), len(work.orders)))
-        return exact(states, net, work)
+        return exact(net, work)
 
     monkeypatch.setattr(validate, "window_coefficients", counted)
     assert check_smib_coefficients().passed

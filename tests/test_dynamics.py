@@ -13,16 +13,18 @@ from stochsim.dynamics import (
 )
 from stochsim.network import NetworkCondition, ReducedNetwork, reduce_to_load_buses
 from stochsim.powerflow import PowerFlowError, solve_power_flow
-from stochsim.series import dot_coeff, product_coeffs
+from stochsim.series import cauchy_operands, dot_coeff, product_coeffs
 from stochsim import smib as sm
 
 from test_network import load_pq
 
 
 def derivative(state, net, machines):
-    """``rhs`` of one (4K,) state or an (R, 4K) stack, in work arrays built for it."""
-    runs = 1 if state.ndim == 1 else len(state)
-    return rhs(state, net, WindowWork(machines, runs, 1))
+    """``rhs`` of one (4K,) state or an (R, 4K) stack, in work arrays built for
+    it, in the shape of ``state``."""
+    work = WindowWork(machines, 1 if state.ndim == 1 else len(state), 1)
+    work.set_state(state)
+    return rhs(net, work).reshape(state.shape)
 
 
 def prefault_setup(case):
@@ -146,7 +148,7 @@ def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
     w = work.eq_ed.base  # (N+1, fields, R·K): every series of the window
     assert w.shape[::2] == (7, 3 * m.n_gen)
     w[...] = rng.standard_normal(w.shape)
-    for n, (d_n, _, _) in enumerate(work.integrate):
+    for n, d_n in enumerate(work.d_delta.base):
         derivative_coeffs(y, work, n)
         want = np.einsum("fjk,jk->fk", dense, w[n, 1:7])
         if n == 0:
@@ -154,14 +156,15 @@ def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
         assert np.array_equal(d_n, want)
 
 
-def reference_order(w, deriv, y, m, n_runs, n):
-    """Order n of the model on fresh slices of (N+1, 13, R·K) terms ``w``
-    and (N, 4, R·K) derivative terms ``deriv``, written into both.
+def reference_order(w, i_net, deriv, y, m, n_runs, n):
+    """Order n of the model on fresh slices of (N+1, 11, R·K) terms ``w``,
+    (N+1, 2, R·K) network currents ``i_net`` and (N, 4, R·K) derivative
+    terms ``deriv``, written into all three.
 
     Each series kernel slices its operands here for this order alone; the
     fields are laid out as in WindowWork, the stator pair as (e_qt, e_dt).
     """
-    sc, eq_ed, id_iq, i_net, d_delta = w[:, 9:11], w[:, 2:4], w[:, 5:7], w[:, 11:13], deriv[:, 0]
+    sc, eq_ed, id_iq, d_delta = w[:, 9:11], w[:, 2:4], w[:, 5:7], deriv[:, 0]
     ed_eq = eq_ed[:, ::-1]
     if n:
         t = np.einsum("m...k,m...jk->...jk", d_delta[:n], sc[n - 1 :: -1])
@@ -214,25 +217,31 @@ def test_prepared_views_keep_the_slicing_kernels_bits(ieee39_case):
     y = first.with_loads(first.shunts(pq)).y
     order = 8
     work = WindowWork(m, 3, order)
-    w, deriv = work.eq_ed.base, work.d_delta.base
+    w, i_net, deriv = work.eq_ed.base, work.i_net, work.d_delta.base
+    assert w.shape[1] == 11 and np.shares_memory(i_net, work.currents)
     terms, deriv_terms = rng.standard_normal(w.shape), rng.standard_normal(deriv.shape)
+    currents = rng.standard_normal(i_net.shape)
     for n in range(order):
-        w[...], deriv[...] = terms, deriv_terms
-        w[n + 1 :] = deriv[n + 1 :] = np.nan
+        w[...], i_net[...], deriv[...] = terms, currents, deriv_terms
+        w[n + 1 :] = i_net[n + 1 :] = deriv[n + 1 :] = np.nan
         derivative_coeffs(y, work, n)
-        want_w, want_deriv = terms.copy(), deriv_terms.copy()
-        p, q = reference_order(want_w, want_deriv, y, m, 3, n)
+        want_w, want_i_net, want_deriv = terms.copy(), currents.copy(), deriv_terms.copy()
+        p, q = reference_order(want_w, want_i_net, want_deriv, y, m, 3, n)
         if n == 0:
             want_deriv[0] += work.const
-        assert np.array_equal(w[n], want_w[n])  # sc, i_net, id_iq, e_t and p_e
+        assert np.array_equal(w[n], want_w[n])  # sc, id_iq, e_t and p_e
+        assert np.array_equal(i_net[n], want_i_net[n])
         assert np.array_equal(deriv[n], want_deriv[n])
         assert np.array_equal(work.pair, q)
         if n:
-            _, eq_ed_sc, i_net_sc, e_t_id_iq = work.orders[n][:4]
-            assert np.array_equal(product_coeffs(*eq_ed_sc), p)
-            assert np.array_equal(product_coeffs(*i_net_sc), q)
-            assert np.array_equal(dot_coeff(*e_t_id_iq), want_w[n, 4])
-        assert not np.isnan(w[: n + 1]).any() and not np.isnan(deriv[: n + 1]).any()
+            # the kernels on the operands WindowWork binds, i_net read through
+            # its interleaved view of the complex current series
+            e_t_id_iq = cauchy_operands(work.e_t[:, ::-1], work.id_iq, n)
+            assert np.array_equal(product_coeffs(*cauchy_operands(work.eq_ed, work.sc, n))(), p)
+            assert np.array_equal(product_coeffs(*cauchy_operands(i_net, work.sc, n))(), q)
+            assert np.array_equal(dot_coeff(*e_t_id_iq)(), want_w[n, 4])
+        assert not np.isnan(w[: n + 1]).any() and not np.isnan(i_net[: n + 1]).any()
+        assert not np.isnan(deriv[: n + 1]).any()
 
 
 def test_single_machine_diagonal_network_scalar_check():

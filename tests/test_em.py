@@ -6,12 +6,19 @@ import pytest
 from stochsim.dynamics import WindowWork
 from stochsim.em import EMConfig, euler_det_step, simulate_em
 from stochsim.noise import build_noise_path, load_schedule
-from stochsim.sas import SolverConfig, simulate_sas, window_coefficients
+from stochsim.sas import SolverConfig, simulate_sas, window_step
 from stochsim.scenario import Scenario, SimulationSetup, load_scenario
-from stochsim.series import series_eval
 from stochsim import smib as sm
 
 from test_batch import perturbed_shunts
+
+
+def euler(state, net, work, dt):
+    """One Euler step of a (4K,) state or an (R, 4K) stack in ``work``, as a
+    copy of its shape."""
+    work.set_state(state)
+    euler_det_step(net, work, dt)
+    return work.state.reshape(np.shape(state)).copy()
 
 
 def test_em_sde_step_stationary_variance():
@@ -51,7 +58,7 @@ def test_euler_det_step_scalar_decay():
     )
     # e'_q decays as de'_q/dt = (efd - e'_q)/Td0p = -e'_q here
     x = pack_state([0.0], [1.0], [1.0], [0.0])
-    out = euler_det_step(x, net, WindowWork(m, 1, 1), 0.1)
+    out = euler(x, net, WindowWork(m, 1, 1), 0.1)
     assert out[2] == pytest.approx(0.9)
 
 
@@ -61,7 +68,7 @@ def test_euler_step_matches_smib_hand_update():
     d0, w0 = 0.8, p.omega_r + 1.2
     state = sm.smib_state(p, d0, w0)
     dt = 1e-3
-    out = euler_det_step(state, net, WindowWork(machines, 1, 1), dt)
+    out = euler(state, net, WindowWork(machines, 1, 1), dt)
     dd, dw = sm.smib_rhs(p, d0, w0)
     assert out[0] == pytest.approx(d0 + dt * dd, rel=1e-12)
     assert out[2] == pytest.approx(w0 + dt * dw, rel=1e-10)
@@ -80,8 +87,10 @@ def test_euler_step_is_the_order_one_window(ieee39_case, repo_root):
     for stage in ("pre-fault", "fault-on", "post-fault"):
         net = setup.build_net(stage, shunts)
         for dt in (1e-3, 0.0123):
-            step = euler_det_step(x, net, step_work, dt)
-            window = series_eval(window_coefficients(x, net, window_work), dt)
+            step = euler(x, net, step_work, dt)
+            window_work.set_state(x)
+            window_step(net, window_work, dt)
+            window = window_work.state.reshape(x.shape)
             assert np.array_equal(step, window)
             assert not np.array_equal(step, x)
 

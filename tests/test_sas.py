@@ -8,17 +8,31 @@ from stochsim.sas import (
     window_coefficients,
 )
 from stochsim.scenario import SimulationSetup, load_scenario, Scenario
-from stochsim.series import MAX_ORDER, series_eval
+from stochsim.series import MAX_ORDER
 from stochsim import smib as sm
 from stochsim.dynamics import _injections, rhs, split_state
 from stochsim.network import ReducedNetwork
 
 from test_batch import perturbed_shunts
+from test_series import evaluate
+
+
+def window(work, states, net):
+    """The coefficients of one window of an (R, 4K) stack ``states`` in
+    ``work``, as a packed (R, 4K, N+1) copy."""
+    work.set_state(states)
+    return window_coefficients(net, work).reshape(states.shape + (-1,)).copy()
 
 
 def coefficients(states, net, machines, order):
     """One window of ``states`` in work arrays built for this call."""
-    return window_coefficients(states, net, WindowWork(machines, len(states), order))
+    return window(WindowWork(machines, len(states), order), states, net)
+
+
+def derivative(states, net, work):
+    """``rhs`` of an (R, 4K) stack in ``work``, as a copy of its shape."""
+    work.set_state(states)
+    return rhs(net, work).reshape(states.shape).copy()
 
 
 def test_constant_series_static_state(smib_case):
@@ -29,7 +43,7 @@ def test_constant_series_static_state(smib_case):
     c = coefficients(setup.x0[None], net, setup.machines, 4)[0]
     assert np.max(np.abs(c[:, 1:])) < 1e-9
     for t in (0.0, 0.1, 0.5):
-        assert np.allclose(series_eval(c, t), setup.x0, rtol=0, atol=1e-9)
+        assert np.allclose(evaluate(c, t), setup.x0, rtol=0, atol=1e-9)
 
 
 def test_local_error_order_scaling():
@@ -43,7 +57,7 @@ def test_local_error_order_scaling():
     for order in (1, 2, 3, 4):
         c = coefficients(state, net, machines, order)
         errs = [
-            np.max(np.abs(series_eval(c, h) - series_eval(ref, h)))
+            np.max(np.abs(evaluate(c, h) - evaluate(ref, h)))
             for h in (0.01, 0.005)
         ]
         measured = np.log2(errs[0] / errs[1])
@@ -85,7 +99,7 @@ def test_window_evaluation_restores_initial_state():
     net, machines = sm.smib_embedding(p)
     state = sm.smib_state(p, 0.3, p.omega_r - 0.5)[None]
     c = coefficients(state, net, machines, 2)
-    assert np.array_equal(series_eval(c, 0.0), state)
+    assert np.array_equal(evaluate(c, 0.0), state)
 
 
 def test_simulate_equilibrium_preserved(smib_case):
@@ -155,10 +169,10 @@ def test_simulate_converges_to_reference_on_fault(smib_case):
             else ("fault-on" if t < t_clear - 1e-12 else "post-fault")
         )
         net = nets[stage]
-        k1 = rhs(x, net, work)
-        k2 = rhs(x + 0.5 * h * k1, net, work)
-        k3 = rhs(x + 0.5 * h * k2, net, work)
-        k4 = rhs(x + h * k3, net, work)
+        k1 = derivative(x, net, work)
+        k2 = derivative(x + 0.5 * h * k1, net, work)
+        k3 = derivative(x + 0.5 * h * k2, net, work)
+        k4 = derivative(x + h * k3, net, work)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ref.append(x[0].copy())
     ref = np.array(ref)
@@ -234,8 +248,8 @@ def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
     batch = coefficients(x, net, machines, order)
     reverse = slice(None, None, -1)
     work = WindowWork(machines, 17, order)
-    backwards = window_coefficients(x[reverse], runs_of(net, reverse), work).copy()
-    in_work = window_coefficients(x, net, work)  # the arrays the reversed batch wrote
+    backwards = window(work, x[reverse], runs_of(net, reverse))
+    in_work = window(work, x, net)  # the arrays the reversed batch wrote
     assert batch.shape == (17, x.shape[1], order + 1)
     assert np.array_equal(in_work, batch)
     work_one = WindowWork(machines, 1, order)
@@ -244,7 +258,7 @@ def test_ieee39_window_identical_alone_and_in_any_batch(ieee39_windows, order):
         alone = coefficients(x[one], runs_of(net, one), machines, order)
         assert np.array_equal(alone[0], batch[i])
         assert np.array_equal(backwards[16 - i], batch[i])
-        reused = window_coefficients(x[one], runs_of(net, one), work_one)
+        reused = window(work_one, x[one], runs_of(net, one))
         assert np.array_equal(reused[0], batch[i])
     assert not np.array_equal(batch[0], batch[1])
 
@@ -277,15 +291,16 @@ def test_work_arrays_keep_nothing_between_windows(ieee39_windows):
     last = None
     for i in range(9):
         args = (states[i % 3], nets[(i * 2) % 3])
-        got = window_coefficients(*args, work)
+        work.set_state(args[0])
+        got = window_coefficients(args[1], work)
         assert np.shares_memory(got, work.coeffs)
         if last is not None:
             assert not np.array_equal(got, last)  # overwritten in place
-        assert np.array_equal(got, coefficients(*args, machines, 4))
+        assert np.array_equal(got.reshape(17, -1, 5), coefficients(*args, machines, 4))
         last = got.copy()
     # a stack of another size does not fit the arrays
     with pytest.raises(ValueError):
-        window_coefficients(x[:3], runs_of(post, slice(0, 3)), work)
+        work.set_state(x[:3])
 
 
 def injection_derivative(state, y, m):
@@ -318,7 +333,7 @@ def test_ieee39_order_one_is_the_right_hand_side(ieee39_windows):
         states = x[:3] + 0.1 * rng.standard_normal((3, x.shape[1]))
         want = injection_derivative(states, net.y, machines)
         assert np.all(np.abs(want) > 1e-6)  # no entry is near a cancellation
-        f = rhs(states, net, work)
+        f = derivative(states, net, work)
         c = coefficients(states, net, machines, 3)
         assert np.array_equal(c[..., 0], states)
         assert np.max(np.abs(f - want) / np.abs(want)) < 1e-12

@@ -27,10 +27,22 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two (N+1, K) stacks, built one order at a time."""
     return np.stack(
         [
-            product_coeffs(*cauchy_operands(a[:, None], b[:, None], n))[0, 0]
+            product_coeffs(*cauchy_operands(a[:, None], b[:, None], n))()[0, 0]
             for n in range(a.shape[0])
         ]
     )
+
+
+def run(calls) -> None:
+    """Run a kernel's bound calls in turn."""
+    for call in calls:
+        call()
+
+
+def evaluate(c, t):
+    """sum(c_n t^n) of a (..., N+1) stack, on a copy that ``series_eval`` may overwrite."""
+    c = np.array(c, dtype=float)
+    return series_eval(c, t, c[..., 0])
 
 
 def derivative(x: np.ndarray) -> np.ndarray:
@@ -46,7 +58,7 @@ def sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sc[0] = np.sin(x[0]), np.cos(x[0])
     dx = derivative(x)
     for n in range(1, x.shape[0]):
-        sin_cos_coeff(*sin_cos_operands(dx, sc, n), out=sc[n])
+        run(sin_cos_coeff(*sin_cos_operands(dx, sc, n), sc[n]))
     return sc[:, 0], sc[:, 1]
 
 
@@ -58,7 +70,7 @@ def test_product_coeffs_gives_every_pair():
     # (1 + t, 2 - t) x (1 - t, 3): entry [i, j] is the product of a_i and b_j
     a = np.stack([stack([1, 1], 2), stack([2, -1], 2)], axis=1)
     b = np.stack([stack([1, -1], 2), stack([3], 2)], axis=1)
-    pairs = np.stack([product_coeffs(*cauchy_operands(a, b, n)) for n in range(3)])
+    pairs = np.stack([product_coeffs(*cauchy_operands(a, b, n))() for n in range(3)])
     assert pairs.shape == (3, 2, 2, 1)
     assert np.allclose(pairs[:, 0, 0, 0], [1, 0, -1])
     assert np.allclose(pairs[:, 1, 0, 0], [2, -3, 1])
@@ -69,7 +81,7 @@ def test_product_coeffs_gives_every_pair():
 def test_dot_coeff_sums_the_pair_products():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((2, 4, 2, 3))
-    dot = np.stack([dot_coeff(*cauchy_operands(a, b, n)) for n in range(4)])
+    dot = np.stack([dot_coeff(*cauchy_operands(a, b, n))() for n in range(4)])
     assert np.allclose(dot, mul(a[:, 0], b[:, 0]) + mul(a[:, 1], b[:, 1]), atol=1e-14)
 
 
@@ -100,25 +112,49 @@ def test_kernels_read_only_the_orders_they_need():
         a_n, b_n, x_n = a.copy(), b.copy(), x.copy()
         a_n[n + 1 :] = b_n[n + 1 :] = x_n[n + 1 :] = np.nan
         ops, ops_n = cauchy_operands(a, b, n), cauchy_operands(a_n, b_n, n)
-        assert np.array_equal(product_coeffs(*ops_n), product_coeffs(*ops))
-        assert np.array_equal(dot_coeff(*ops_n), dot_coeff(*ops))
+        assert np.array_equal(product_coeffs(*ops_n)(), product_coeffs(*ops)())
+        assert np.array_equal(dot_coeff(*ops_n)(), dot_coeff(*ops)())
         if n == 0:
             continue
         sc_n = sc.copy()
         sc_n[n:] = np.nan
-        assert np.array_equal(sin_cos_coeff(*sin_cos_operands(derivative(x_n), sc_n, n)), sc[n])
+        got = np.empty_like(sc[n])
+        run(sin_cos_coeff(*sin_cos_operands(derivative(x_n), sc_n, n), got))
+        assert np.array_equal(got, sc[n])
 
 
 def test_eval_horner_matches_polyval():
     c = np.array([0.3, -1.2, 0.05, 2.0])
     t = 0.37
-    assert series_eval(c, t) == pytest.approx(np.polyval(c[::-1], t))
+    assert evaluate(c, t) == pytest.approx(np.polyval(c[::-1], t))
 
 
 def test_eval_on_stack():
     c = np.array([[1.0, 1.0, 0.5], [2.0, 0.0, -1.0]])
-    out = series_eval(c, 0.1)
+    out = evaluate(c, 0.1)
     assert out == pytest.approx([1.105, 1.99])
+
+
+def test_eval_writes_out_and_may_alias_the_constant_term():
+    # the partial sums overwrite c_N only, and the sum lands in out, which
+    # may be c_0 itself (the window kernel's order-0 state slab), with the
+    # bits of the same Horner steps written out here
+    rng = np.random.default_rng(3)
+    t = 0.37
+    for n_terms in (1, 2, 5):
+        c = rng.standard_normal((4, 3, n_terms))
+        want = c[..., -1] * t if n_terms > 1 else c[..., 0].copy()
+        for k in range(n_terms - 2, 0, -1):
+            want = (want + c[..., k]) * t
+        if n_terms > 1:
+            want = want + c[..., 0]
+        apart, aliased = c.copy(), c.copy()
+        out = np.empty(c.shape[:-1])
+        assert series_eval(apart, t, out) is out
+        c_0 = aliased[..., 0]
+        assert series_eval(aliased, t, c_0) is c_0
+        assert np.array_equal(out, want) and np.array_equal(c_0, want)
+        assert np.array_equal(apart[..., :-1], c[..., :-1])  # below c_N, c is kept
 
 
 coeffs = st.lists(
@@ -161,4 +197,4 @@ def test_truncated_product_evaluates_consistently(a, t):
     n = len(a) - 1
     sq = mul(stack(a, n), stack(a, n))
     bound = (np.sum(np.abs(a)) ** 2 + 1.0) * abs(t) ** (n + 1) + 1e-12
-    assert abs(series_eval(sq[:, 0], t) - series_eval(np.array(a), t) ** 2) <= bound
+    assert abs(evaluate(sq[:, 0], t) - evaluate(a, t) ** 2) <= bound

@@ -63,7 +63,8 @@ def test_series_engine_matches_oracle_coefficientwise():
     for _ in range(25):
         d0 = rng.uniform(-1.2, 1.2)
         w0 = p.omega_r + rng.uniform(-3.0, 3.0)
-        coeffs = window_coefficients(sm.smib_state(p, d0, w0)[None], net, work)[0]
+        work.set_state(sm.smib_state(p, d0, w0)[None])
+        coeffs = window_coefficients(net, work).reshape(1, -1, 3)[0]
         d_hand, w_hand = sm.smib_window_coefficients(p, d0, w0)
         assert np.allclose(coeffs[0], d_hand, rtol=1e-10, atol=1e-12)
         assert np.allclose(coeffs[2], w_hand, rtol=1e-10, atol=1e-12)
