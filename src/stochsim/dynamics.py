@@ -19,7 +19,14 @@ The work arrays hold the stack's state as well: it is written into their
 order-0 state slab once, and each window or Euler step leaves the new
 state there, so no step copies the state in or out.  Each order's numpy
 calls are bound to their operands once, when the work arrays are made, and
-a pass runs them with no Python frame or lookup of its own per call.
+a pass runs them with no Python frame or lookup of its own per call; a
+series window runs every order's calls from one flat list.
+
+At the stack sizes the solver runs, a numpy call costs 0.3-3 us, mostly
+fixed overhead, so each bound call is given operands that keep numpy on
+its fast path: 0-d float64 constants, one object for an output that is
+also an input, forward operands, and tiles where a broadcast would do.
+The operations are those of the plain form, so are the bits.
 """
 
 from __future__ import annotations
@@ -127,12 +134,16 @@ def _injections(delta, eqp, edp, y: np.ndarray, machines: MachineSet):
     return emf, it, i_q, i_d, e_q, e_d, e_q * i_q + e_d * i_d
 
 
-# Frame rotations by delta: 2x4 maps from the four Cauchy products of a pair
-# with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the rotated
-# pair.  (e'q, e'd) -> (e_re, e_im) and (i_r, i_i) -> (i_d, i_q).
+# Frame rotations by delta: sign maps from the four Cauchy products of a
+# pair with (sin, cos), flattened as [a_0 s, a_0 c, a_1 s, a_1 c], to the
+# rotated pair.  (e'q, e'd) -> (e_re, e_im), and (i_r, i_i) -> (i_d, i_q,
+# i_q, i_d): the first two rows at every order, all four at order 0, whose
+# p_e product reads (i_q, i_d) forward.
 _DQ_TO_NET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
-_NET_TO_DQ = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
-_N_FIELDS = 11  # delta, omega, e'q, e'd, p_e, i_d, i_q, e_qt, e_dt, s, c
+_NET_TO_DQ = np.array(
+    [[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]
+)
+_N_FIELDS = 13  # delta, omega, e'q, e'd, p_e, i_d, i_q, i_q, i_d, e_qt, e_dt, s, c
 
 
 class WindowWork:
@@ -145,25 +156,27 @@ class WindowWork:
     ``state_slab``, (4, R·K), and a window or an Euler step leaves the new
     state there, where the next one starts.
 
-    Every real series lives in one (N+1, 11, R·K) array: order, field, then
+    Every real series lives in one (N+1, 13, R·K) array: order, field, then
     one flat axis of runs × generators whose entry r·K + k is generator k
     of run r.  The fields are delta, omega, e'q, e'd, p_e, i_d, i_q, the
-    stator pair (e_qt, e_dt) and (sin, cos) of delta.  A field, or a pair
-    of adjacent fields, of one order is one contiguous (2, R·K) slab.  The
-    network currents are an (N+1, R, K, 1) complex series ``currents``, so
-    each order's network product writes them in place; ``i_net``, their
-    interleaved real view as an (N+1, 2, R·K) pair stack, is the (i_r, i_i)
-    operand of the series kernels.  The (N, 4, R·K) derivative array, the
-    pair products and the (R, K, 1) complex EMFs complete the set.  The
-    state's terms are read order last: ``terms`` (4, R·K, N+1), whose
-    order-n entry is a contiguous slab for the Horner sum, and per run
-    ``coeffs`` (R, 4, K, N+1) in the packed state layout.  Likewise
-    ``state`` and ``derivative`` are the (R, 4, K) per-run views of
-    ``state_slab`` and of the derivative's order-0 slab ``derivative_slab``.
-    Elementwise work runs on the slabs, as numpy takes about twice as long
-    on a per-run view.  The real arrays start uninitialized, as every entry
-    is written before it is read; the complex ones start at zero, as a
-    complex matmul on arbitrary bits can run several times slower.
+    pair (i_q, i_d) again, the stator pair (e_qt, e_dt) and (sin, cos) of
+    delta; the second (i_q, i_d) is written at order 0 only, where p_e
+    reads it.  A field, or a pair of adjacent fields, of one order is one
+    contiguous (2, R·K) slab.  The network currents are an (N+1, R, K, 1)
+    complex series ``currents``, so each order's network product writes
+    them in place; ``i_net``, their interleaved real view as an
+    (N+1, 2, R·K) pair stack, is the (i_r, i_i) operand of the series
+    kernels.  The (N, 4, R·K) derivative array, the pair products and the
+    (R, K, 1) complex EMFs ``emf`` complete the set.  The state's terms are
+    read order last: ``terms`` (4, R·K, N+1), whose order-n entry is a
+    contiguous slab for the Horner sum, and per run ``coeffs``
+    (R, 4, K, N+1) in the packed state layout.  Likewise ``state`` and
+    ``derivative`` are the (R, 4, K) per-run views of ``state_slab`` and of
+    the derivative's order-0 slab ``derivative_slab``.  Elementwise work
+    runs on the slabs, as numpy takes about twice as long on a per-run
+    view.  The real arrays start uninitialized, as every entry is written
+    before it is read; the complex ones start at zero, as a complex matmul
+    on arbitrary bits can run several times slower.
 
     The machine equations are tiled over the R runs.  The time derivative
     of (delta, omega, e'q, e'd) is linear in the fields, plus ``const``
@@ -181,9 +194,24 @@ class WindowWork:
     function with every operand and buffer bound, the series kernels' among
     them (sin/cos of (d_delta, sc), the rotations' pair products of (eq_ed,
     sc) and (i_net, sc), and p_e = e_dt i_d + e_qt i_q of the reversed
-    stator pair); at n = 0 sin/cos are ufuncs and each product a broadcast
-    multiply.  ``integrate[n]`` is the multiply by 1/(n+1) that turns the
-    derivative's order-n terms into the state's of order n+1.
+    stator pair); at n = 0 sin/cos are ufuncs, each pair product a
+    broadcast multiply and p_e the sum of the forward product
+    (e_qt, e_dt)(i_q, i_d).  Two sign matmuls join the products on their
+    (4, R·K) slab: one writes the EMFs into the (2, R·K) real view of
+    their complex column, the other (i_d, i_q), and at n = 0 the 4-row
+    map (i_d, i_q, i_q, i_d).  ``integrate[n]`` is the multiply by 1/(n+1)
+    that turns the derivative's order-n terms into the state's of order
+    n+1.  ``window`` is every order's calls, network products and
+    integrations in one flat list, which :meth:`bind_network` binds to an
+    admittance ``y``.
+
+    Every bound call is on numpy's fast path, which saves a fixed 0.2-0.5
+    us a call: its constants are 0-d float64 arrays, not Python floats; an
+    output that is also an input is one object, not two views of its
+    memory; no elementwise operand is reversed; and no operand broadcasts
+    but the order-0 pair products', so the sin/cos divisors are (2, R·K)
+    tiles.  Each call keeps the operation, and so the bits, of the plain
+    form.
     """
 
     def __init__(self, machines: MachineSet, n_runs: int, order: int):
@@ -214,31 +242,31 @@ class WindowWork:
         # the pair stacks the series kernels read, order first
         self.eq_ed = w[:, 2:4]
         self.id_iq = w[:, 5:7]
-        self.e_t = w[:, 7:9]  # e_qt, e_dt
-        self.sc = w[:, 9:11]  # sin, cos of delta
+        self.e_t = w[:, 9:11]  # e_qt, e_dt
+        self.sc = w[:, 11:13]  # sin, cos of delta
         self.currents = np.zeros((order + 1, n_runs, k, 1), dtype=complex)
         self.i_net = self.currents.view(float).reshape(order + 1, rk, 2).swapaxes(1, 2)
         self.d_delta = deriv[:, 0]  # the coefficients of delta'
-        # the pair products of one order, also read per run
+        # the pair products of one order, also read as one (4, R·K) slab
         self.pair = np.empty((2, 2, rk))
         pair_flat = self.pair.reshape(4, rk)
         # the network product's EMFs, (R, K, 1) complex, written through
-        # their interleaved (R, 2, K) real view
+        # the (2, R·K) real view of their interleaved parts
         self.emf = np.zeros((n_runs, k, 1), dtype=complex)
-        emf_pairs = self.emf.view(float).reshape(n_runs, k, 2).swapaxes(1, 2)
-        to_emf = partial(np.matmul, _DQ_TO_NET, per_run(pair_flat), emf_pairs)  # every order's
+        emf_pair = self.emf.view(float).reshape(rk, 2).T
+        to_emf = partial(np.matmul, _DQ_TO_NET, pair_flat, emf_pair)  # every order's
         # the state and its derivative at order 0, and the state's terms
         # order last: each as (4, R·K) slabs, and per run in the packed layout
         self.state_slab, self.derivative_slab = w[0, 0:4], deriv[0]
         self.terms = np.moveaxis(w[:, 0:4], 0, -1)
         self.state, self.derivative = per_run(self.state_slab), per_run(deriv[0])
         self.coeffs = np.moveaxis(per_run(w[:, 0:4]), 0, -1)
-        p_terms = np.empty((2, rk))  # e_dt i_d and e_qt i_q
+        p_terms = np.empty((2, rk))  # e_qt i_q and e_dt i_d
         a_b_terms = np.empty((2, 3, rk))  # the two terms of the machine map
         # (omega, e'q, e'd) and (p_e, i_d, i_q), the inputs of the machine map
         machine_in = w[:, 1:7].reshape(order + 1, 2, 3, rk)
         e_t_rev = self.e_t[:, ::-1]  # e_dt, e_qt
-        sc0 = w[0, None, 9:11]
+        sc0 = w[0, None, 11:13]
 
         def bound(n):  # order n's calls around the network product
             sc_n, id_iq_n, e_t_n = self.sc[n], self.id_iq[n], self.e_t[n]
@@ -246,21 +274,24 @@ class WindowWork:
                 sin_cos = sin_cos_coeff(*sin_cos_operands(self.d_delta, self.sc, n), sc_n)
                 eq_ed_sc = product_coeffs(*cauchy_operands(self.eq_ed, self.sc, n), self.pair)
                 i_net_sc = product_coeffs(*cauchy_operands(self.i_net, self.sc, n), self.pair)
+                to_dq = partial(np.matmul, _NET_TO_DQ[:2], pair_flat, id_iq_n)
                 p_e = (dot_coeff(*cauchy_operands(e_t_rev, self.id_iq, n), w[n, 4]),)
                 const = ()
             else:
                 sin_cos = (partial(np.sin, w[0, 0], sc_n[0]), partial(np.cos, w[0, 0], sc_n[1]))
                 eq_ed_sc = partial(np.multiply, w[0, 2:4, None], sc0, self.pair)
                 i_net_sc = partial(np.multiply, self.i_net[0, :, None], sc0, self.pair)
+                to_dq = partial(np.matmul, _NET_TO_DQ, pair_flat, w[0, 5:9])
                 p_e = (
-                    partial(np.multiply, e_t_rev[0], id_iq_n, p_terms),
-                    partial(np.add, p_terms[0], p_terms[1], w[0, 4]),
+                    partial(np.multiply, e_t_n, w[0, 7:9], p_terms),
+                    partial(np.add, p_terms[1], p_terms[0], w[0, 4]),
                 )
-                const = (partial(np.add, deriv[0], self.const, deriv[0]),)
+                d_0 = self.derivative_slab  # one object as addend and output
+                const = (partial(np.add, d_0, self.const, d_0),)
             before = (*sin_cos, eq_ed_sc, to_emf)
             after = (
                 i_net_sc,
-                partial(np.matmul, _NET_TO_DQ, pair_flat, id_iq_n),
+                to_dq,
                 partial(np.multiply, self.x_t, id_iq_n, e_t_n),
                 partial(np.add, e_t_n, self.eq_ed[n], e_t_n),
                 *p_e,
@@ -273,8 +304,27 @@ class WindowWork:
 
         self.orders = [bound(n) for n in range(order)]
         self.integrate = [
-            partial(np.multiply, deriv[n], 1.0 / (n + 1), w[n + 1, 0:4]) for n in range(order)
+            partial(np.multiply, deriv[n], np.array(1.0 / (n + 1)), w[n + 1, 0:4])
+            for n in range(order)
         ]
+        # every order in turn, with a slot for its network product
+        self.window: list = []
+        self._network_slots = []
+        for (before, _, _, after), integrate in zip(self.orders, self.integrate):
+            self.window += before
+            self._network_slots.append(len(self.window))
+            self.window += (None, *after, integrate)
+        self.y = None  # the admittance the network products are bound to
+
+    def bind_network(self, y: np.ndarray) -> None:
+        """Bind the network product of every order in ``window`` to ``y``.
+
+        ``y`` is the reduced admittance, (R, K, K) or one (K, K) for every
+        run; each order's product is np.matmul(y, emf, currents[n]).
+        """
+        for (_, emf, currents, _), slot in zip(self.orders, self._network_slots):
+            self.window[slot] = partial(np.matmul, y, emf, currents)
+        self.y = y
 
     def set_state(self, states: np.ndarray) -> None:
         """Write an (R, 4K) stack of packed states into the order-0 state slab.
@@ -297,8 +347,9 @@ def derivative_coeffs(y: np.ndarray, work: WindowWork, n: int) -> None:
     column.  The network product, the one step done per run, is one
     complex matmul with ``y`` into the order-n currents.  Then the pair
     products of the currents and (sin, cos) and a second sign matmul give
-    (i_d, i_q); the stator pair is one multiply and one add on forward
-    slabs, and p_e its dot product with (i_d, i_q).  The machine map is a
+    (i_d, i_q), and at order 0 (i_q, i_d) beside them; the stator pair is
+    one multiply and one add on forward slabs, and p_e its dot product with
+    (i_d, i_q).  The machine map is a
     copy of omega into delta', one multiply of the (2, 3, R·K) inputs by
     the coefficient slabs and one add of its halves, plus ``const`` at
     order 0.

@@ -38,11 +38,12 @@ class EMConfig:
             raise ValueError(f"mode must be one of {EM_MODES}")
 
 
-def euler_det_step(net: ReducedNetwork, work: WindowWork, dt: float) -> None:
+def euler_det_step(net: ReducedNetwork, work: WindowWork, dt) -> None:
     """Forward-Euler step x + dt f(x) of the deterministic machine dynamics.
 
-    ``net`` and ``work`` are as for :func:`rhs`.  The derivative is scaled
-    in its slab and added to the state slab in place, so the new state is
+    ``net`` and ``work`` are as for :func:`rhs`, and ``dt`` is a float or
+    the 0-d float64 array that run_simulation passes.  The derivative is scaled in
+    its slab and added to the state slab in place, so the new state is
     where the next step starts.
     """
     rhs(net, work)

@@ -14,14 +14,15 @@ steps equals Kron reduction at once).  :meth:`LoadBusNetwork.shunts` turns
 load values P + jQ into their shunts, and :meth:`LoadBusNetwork.with_loads`
 adds the shunts to the diagonal of the load/load block and eliminates the
 varying load buses, so a change of the loads costs one S x S solve per run.
-The caller may own that block: a (..., S, S) stack made once by
-:meth:`LoadBusNetwork.load_block`, of which each rebuild writes only the
-diagonal.
+The caller may own that block: a :class:`LoadBlock` made once by
+:meth:`LoadBusNetwork.load_block`, a (..., S, S) stack of which each
+rebuild writes only the diagonal, with the stacked operands the rebuild
+reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,9 +131,10 @@ def _interior_solve(y_bb: np.ndarray, y_ba: np.ndarray) -> np.ndarray:
     ``y_ba`` gets as many axes as ``y_bb`` before the solve: numpy 1.x
     reads a right-hand side with one axis fewer as a stack of vectors.
     """
-    lead = (None,) * max(y_bb.ndim - y_ba.ndim, 0)
+    if y_ba.ndim < y_bb.ndim:
+        y_ba = y_ba[(None,) * (y_bb.ndim - y_ba.ndim)]
     try:
-        return np.linalg.solve(y_bb, y_ba[lead])
+        return np.linalg.solve(y_bb, y_ba)
     except np.linalg.LinAlgError as exc:
         raise ReductionError("interior admittance block is singular") from exc
 
@@ -189,13 +191,20 @@ class LoadBusNetwork:
         s_load /= self.vm2
         return s_load
 
-    def load_block(self, lead: tuple[int, ...]) -> np.ndarray:
-        """A fresh C-contiguous (*lead, S, S) stack of the load/load block ``kcl_l``."""
+    def load_block(self, lead: tuple[int, ...]) -> "LoadBlock":
+        """A fresh :class:`LoadBlock` of this network for a (*lead) stack of runs.
+
+        It holds ``kcl_l``, ``kcl_k`` and ``out_k`` stacked over ``lead``,
+        made once so that :meth:`with_loads` reads them as they are.  A
+        batch makes one per stage, and fresh ones for the runs left when
+        runs leave.
+        """
         y_ll = np.empty(lead + self.kcl_l.shape, dtype=complex)
         y_ll[...] = self.kcl_l
-        return y_ll
+        rhs, out_k = (np.broadcast_to(a, lead + a.shape).copy() for a in (self.kcl_k, self.out_k))
+        return LoadBlock(y_ll, rhs, out_k)
 
-    def with_loads(self, shunts: np.ndarray, y_ll: np.ndarray | None = None) -> ReducedNetwork:
+    def with_loads(self, shunts: np.ndarray, block: "LoadBlock | None" = None) -> ReducedNetwork:
         """The second reduction step: the reduced network at a stack of load shunts.
 
         ``shunts`` is (..., S) complex, the :meth:`shunts` of the varying
@@ -205,29 +214,66 @@ class LoadBusNetwork:
         as the Schur complement of :func:`schur_complement` without its
         recovery of the load buses: ``y`` is (..., K, K) and ``recovery``
         (..., m, K).  This is the exact Schur identity, for any load values.
-        ``y_ll``, a C-contiguous (..., S, S) block from :meth:`load_block`, is
-        written in place: only its diagonal changes, to ``kcl_l``'s
-        diagonal plus the shunts, so it serves any number of rebuilds.
+        ``block``, a :class:`LoadBlock` of this network from
+        :meth:`load_block`, is written in place: only its diagonal changes,
+        to ``kcl_l``'s diagonal plus the shunts, so it serves any number of
+        rebuilds.  Its diagonal view and its stacks are read as they are,
+        with no slice or index made per rebuild and no operand broadcast.
+        A block whose diagonal is not the shape of ``shunts`` is refused.
         Without it a fresh block is made.
         """
-        n_load, k = self.kcl_k.shape
-        lead = shunts.shape[:-1]
-        if y_ll is None:
-            y_ll = self.load_block(lead)
-        elif not y_ll.flags.c_contiguous:
-            raise ValueError("the load/load block must be C-contiguous")
-        elif y_ll.shape != lead + (n_load, n_load):
+        if block is None:
+            block = self.load_block(shunts.shape[:-1])
+        elif block.diagonal.shape != shunts.shape:
             raise ValueError(
-                f"a load/load block of shape {y_ll.shape} does not fit "
+                f"a load/load block of shape {block.y_ll.shape} does not fit "
                 f"shunts of shape {shunts.shape}"
             )
-        # a C-contiguous block reshapes to a view: its diagonal is every (S+1)-th entry
-        diagonal = y_ll.reshape(lead + (-1,))[..., :: n_load + 1]
-        np.add(self.kcl_l.diagonal(), shunts, out=diagonal)
-        out = self.out_l @ _interior_solve(y_ll, self.kcl_k)
-        np.subtract(self.out_k, out, out=out)
+        np.add(block.fixed, shunts, out=block.diagonal)
+        out = self.out_l @ _interior_solve(block.y_ll, block.rhs)
+        np.subtract(block.out_k, out, out=out)
         out.setflags(write=False)  # once, for both of its views
+        k = out.shape[-1]
         return ReducedNetwork(y=out[..., :k, :], recovery=out[..., k:, :])
+
+
+@dataclass(frozen=True)
+class LoadBlock:
+    """A caller's load/load block of one stage for a stack of runs.
+
+    ``y_ll`` is a C-contiguous (..., S, S) complex stack of
+    :class:`LoadBusNetwork`'s ``kcl_l``, ``rhs`` the (..., S, K) stack of
+    its ``kcl_k``, the right-hand sides of a rebuild's solve, and ``out_k``
+    the (..., K+m, K) stack of its ``out_k``, so that no operand of a
+    rebuild broadcasts.  ``diagonal`` is the (..., S) view of ``y_ll``'s
+    diagonal, every (S+1)-th entry of the contiguous block, and ``fixed`` a
+    copy of the values it holds when the block is made.
+    :meth:`LoadBusNetwork.with_loads` writes ``fixed`` plus the load shunts
+    into ``diagonal`` and nowhere else, so the rest of the block keeps what
+    it was made with.  A block of another layout, or whose stacks do not
+    fit it, raises ``ValueError``.
+    """
+
+    y_ll: np.ndarray
+    rhs: np.ndarray
+    out_k: np.ndarray
+    diagonal: np.ndarray = field(init=False)
+    fixed: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not self.y_ll.flags.c_contiguous:
+            raise ValueError("the load/load block must be C-contiguous")
+        lead, n_load = self.y_ll.shape[:-2], self.y_ll.shape[-1]
+        k = self.rhs.shape[-1]
+        fits = self.rhs.shape[:-1] == lead + (n_load,)
+        if not fits or self.out_k.shape[: len(lead)] + self.out_k.shape[-1:] != lead + (k,):
+            raise ValueError(
+                f"stacks of shape {self.rhs.shape} and {self.out_k.shape} do not fit "
+                f"a load/load block of shape {self.y_ll.shape}"
+            )
+        diagonal = self.y_ll.reshape(lead + (n_load * n_load,))[..., :: n_load + 1]
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "fixed", diagonal.copy())
 
 
 def reduce_to_load_buses(

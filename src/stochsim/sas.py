@@ -8,9 +8,10 @@ time integration.  For the analytic right-hand side used here the terms
 coincide with the decomposition-method terms, so evaluating the order-N
 partial sum across the window reproduces the semi-analytical solution.
 
-Each order is one :func:`~stochsim.dynamics.derivative_coeffs` pass on the
-slabs of a :class:`~stochsim.dynamics.WindowWork`; order 0 is the
-right-hand side that Euler steps on as well.  The work arrays own the
+Each order is the calls of one :func:`~stochsim.dynamics.derivative_coeffs`
+pass on the slabs of a :class:`~stochsim.dynamics.WindowWork`, which a
+window runs for every order from one flat list; order 0 is the right-hand
+side that Euler steps on as well.  The work arrays own the
 stack's state: ``window_coefficients(net, work)`` expands the series about
 the state in their order-0 slab, for the solver's batches and
 ``validate``'s oracle alike, and :func:`window_step` evaluates one window
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import SystemCase
-from .dynamics import WindowWork, derivative_coeffs
+from .dynamics import WindowWork
 from .network import ReducedNetwork
 from .noise import NoisePath
 from .scenario import Scenario, SimulationSetup, run_simulation
@@ -57,30 +58,35 @@ def window_coefficients(net: ReducedNetwork, work: WindowWork) -> np.ndarray:
     tiled machine equations and order-0 state slab (see
     :meth:`WindowWork.set_state`) the window takes.  ``net.y`` is
     (R, K, K), or one (K, K) network for every run; runs do not mix.  Per
-    order n, :func:`derivative_coeffs` gives the derivative's terms and a
-    multiply by 1/(n+1) the state's of order n+1.  Returns ``work.coeffs``,
-    the (R, 4, K, N+1) view of the state's terms in the packed state
-    layout, order last, on a local clock that starts at 0; the next window
-    overwrites it.
+    order n, the calls of :func:`~stochsim.dynamics.derivative_coeffs` give
+    the derivative's terms and a multiply by 1/(n+1) the state's of order
+    n+1.  Every order's calls run from the one flat list ``work.window``,
+    whose N network products are bound again
+    (:meth:`~stochsim.dynamics.WindowWork.bind_network`) only when
+    ``net.y`` is another array than the last window's.  Returns
+    ``work.coeffs``, the (R, 4, K, N+1) view of the state's terms in the
+    packed state layout, order last, on a local clock that starts at 0; the
+    next window overwrites it.
     """
-    y = net.y
-    for n, integrate in enumerate(work.integrate):
-        derivative_coeffs(y, work, n)
-        integrate()
+    if net.y is not work.y:
+        work.bind_network(net.y)
+    for call in work.window:
+        call()
     return work.coeffs
 
 
-def window_step(net: ReducedNetwork, work: WindowWork, dt: float) -> None:
+def window_step(net: ReducedNetwork, work: WindowWork, dt) -> None:
     """Advance the state in ``work`` by the order-N series of one window, at ``dt``.
 
     The Horner sum reads the terms as the (4, R·K) slabs of ``work.terms``
     (``work.coeffs``, which :func:`window_coefficients` returns, is their
-    per-run view) and writes the new state into the order-0 state slab,
-    where the next window starts.
+    per-run view) and writes the new state into their order-0 slab, the
+    state slab, in place, where the next window starts.  ``dt`` is a float
+    or a 0-d float64 array, as run_simulation passes it.
     Arguments as for :func:`window_coefficients`.
     """
     window_coefficients(net, work)
-    series_eval(work.terms, dt, work.state_slab)
+    series_eval(work.terms, dt)
 
 
 def simulate_sas_batch(

@@ -14,12 +14,14 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .case import SystemCase, bus_id, number_keys, read_record
 from .dynamics import MachineSet, WindowWork, init_dynamic_state, split_state
 from .network import (
+    LoadBlock,
     LoadBusNetwork,
     NetworkCondition,
     ReducedNetwork,
@@ -225,14 +227,14 @@ class SimulationSetup:
         )
 
     def build_net(
-        self, stage: str, shunts: np.ndarray, y_ll: np.ndarray | None = None
+        self, stage: str, shunts: np.ndarray, block: LoadBlock | None = None
     ) -> ReducedNetwork:
         """Reduced networks of one stage for a stack of load shunts.
 
         ``shunts`` is (R, S) complex: the shunts of the stochastic buses,
         in :meth:`Scenario.resolve_stochastic_buses` order, for each of R
-        runs (see :meth:`LoadBusNetwork.shunts`).  ``y_ll`` is the caller's
-        (R, S, S) load/load block of this stage
+        runs (see :meth:`LoadBusNetwork.shunts`).  ``block`` is the caller's
+        :class:`LoadBlock` of this stage for the R runs
         (:meth:`LoadBusNetwork.load_block`), whose diagonal the rebuild
         overwrites; without it a fresh one is made.  Only the second
         reduction step runs, on the stage's cached first one: one stacked
@@ -240,7 +242,7 @@ class SimulationSetup:
         (R, m, K) ``recovery`` of the m monitored buses, all that the
         recorded voltages need.
         """
-        return self.stages[stage].with_loads(shunts, y_ll)
+        return self.stages[stage].with_loads(shunts, block)
 
     def n_noise_vars(self) -> int:
         return self.ou_mean.size
@@ -279,8 +281,11 @@ def run_simulation(
     the states are written in once per batch and again when runs leave.
     ``step_fn(net, work, dt)`` advances them across one segment with a
     frozen (R, K, K) stack of networks and leaves the new states in that
-    slab.  Each record copies them from there, and the divergence test
-    reads their magnitudes into one buffer made with the work arrays.
+    slab; ``dt`` is a 0-d float64 array, made once for the full step ``h``,
+    so numpy multiplies by it without converting a Python float per call.
+    Each record copies the states from there.  The divergence test is two
+    calls bound with the work arrays: np.abs of the state slab into one
+    buffer, and np.maximum.reduce of that buffer.
     Stage boundaries are honored exactly by splitting the enclosing step.
     Every run's loads come from its :func:`load_schedule`: held for a
     resample interval, or with ``em_continuous`` stepped by Euler-Maruyama
@@ -301,11 +306,12 @@ def run_simulation(
     (noise-grid order) straight into its slot as (R, n, 2S) rows, which are
     turned into their shunts in place, once per batch; a resample takes the
     running runs' row of the new load instant, by one index, as the held
-    (R, S) shunts.  Each stage's (R, S, S) load/load block and the work
-    arrays are made once per batch as well, and a rebuild writes only the
-    block's diagonal (see :meth:`SimulationSetup.build_net`).  The shunts,
-    the blocks, the work arrays and the states are cut together when runs
-    leave.
+    (R, S) shunts.  Each stage's :class:`LoadBlock` and the work arrays
+    are made once per batch as well, and a rebuild writes only the block's
+    diagonal (see :meth:`SimulationSetup.build_net`).  When runs leave, the
+    shunts and the states are cut to the runs left, and fresh blocks and
+    work arrays are made for them: no rebuild writes off a block's
+    diagonal, so a fresh block holds what the cut one would.
 
     The voltages recorded at t_{k+1} are those of the state at t_{k+1}
     under the network of step k, before any rebuild at t_{k+1}.  A step
@@ -366,7 +372,11 @@ def run_simulation(
 
     stage = "pre-fault"
     shunts = np.repeat(setup.mean_shunts[None], r, axis=0)
-    blocks = {name: first.load_block((r,)) for name, first in setup.stages.items()}
+
+    def load_blocks(n_runs: int) -> dict[str, LoadBlock]:  # one per stage
+        return {name: first.load_block((n_runs,)) for name, first in setup.stages.items()}
+
+    blocks = load_blocks(r)
     net = setup.build_net(stage, shunts, blocks[stage])
     n_windows, n_rebuilds = 0, 1  # step_fn and build_net calls so far
     counts = [(0, 0)] * r  # per run, (n_windows, n_rebuilds) when it leaves
@@ -409,9 +419,16 @@ def run_simulation(
             listed.append(net.recovery)
             spans.append(1)
 
+    def divergence_test(work: WindowWork):
+        """A buffer of |state| and two bound calls: one fills it, one gives its peak."""
+        magnitude = np.empty_like(work.state_slab)
+        fill = partial(np.abs, work.state_slab, magnitude)
+        return magnitude, fill, partial(np.maximum.reduce, magnitude, None)  # over every axis
+
     work = WindowWork(setup.machines, r, order)
     work.set_state(np.repeat(setup.x0[None], r, axis=0))
-    magnitude = np.empty_like(work.state_slab)  # |state|, for the divergence test
+    magnitude, fill_magnitude, peak = divergence_test(work)
+    h_0d = np.array(h, dtype=float)  # the step as numpy multiplies by it
     states_4k = states.reshape(r, n_rec, 4, -1)  # (R, records, 4, K) view of the records
     record(0)
 
@@ -426,16 +443,17 @@ def run_simulation(
 
         a = k * h
         for tb, new_stage in split_in.get(k, ()):
-            step_fn(net, work, tb - a)
+            step_fn(net, work, np.array(tb - a))
             stage = new_stage
             net = setup.build_net(stage, shunts, blocks[stage])
             n_windows += 1
             n_rebuilds += 1
             a = tb
-        step_fn(net, work, (k + 1) * h - a if k in split_in else h)
+        step_fn(net, work, np.array((k + 1) * h - a) if k in split_in else h_0d)
         n_windows += 1
 
-        if not np.abs(work.state_slab, magnitude).max() < DIVERGENCE_LIMIT:  # NaN trips it as well
+        fill_magnitude()
+        if not peak() < DIVERGENCE_LIMIT:  # NaN trips it as well
             voltages()
             per_run = magnitude.reshape(4, active.size, -1).swapaxes(0, 1)
             ok = per_run.max(axis=(1, 2)) < DIVERGENCE_LIMIT
@@ -445,14 +463,15 @@ def run_simulation(
                 bad = np.flatnonzero(~(per_run[j].ravel() < DIVERGENCE_LIMIT))[0]
                 div_col[active[j]] = packed_column(gen_buses, bad)
             active, shunts = active[ok], shunts[ok]
-            blocks = {name: block[ok] for name, block in blocks.items()}
             rows = active
             if not active.size:
                 break
+            blocks = load_blocks(active.size)
             net = replace(net, y=net.y[ok], recovery=net.recovery[ok])
             left = WindowWork(setup.machines, active.size, order)
             left.set_state(work.state[ok])
-            work, magnitude = left, np.empty_like(left.state_slab)
+            work = left
+            magnitude, fill_magnitude, peak = divergence_test(work)
         if (k + 1) % out_stride == 0:
             j = (k + 1) // out_stride
             record(j)

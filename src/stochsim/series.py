@@ -14,7 +14,8 @@ order-n coefficient of a composition from the coefficients of orders below
 n (or up to n for products): Cauchy products for multiplications and the
 coupled recurrences for sin/cos.  Each is one two-operand einsum on the
 views of one order that :func:`cauchy_operands` or :func:`sin_cos_operands`
-cut.  A kernel returns its numpy calls with every operand bound, ``out``
+cut, and sin/cos divides its sums by a tile of (n, -n) the shape of its
+output.  A kernel returns its numpy calls with every operand bound, ``out``
 included, so the solver binds each order once for all its windows and runs
 it with no Python frame of the kernel's own.  :func:`series_eval` takes the
 other layout, (..., N+1), order last, which the transpose of an
@@ -41,8 +42,12 @@ def cauchy_operands(a: np.ndarray, b: np.ndarray, n: int):
 def sin_cos_operands(dx: np.ndarray, sc: np.ndarray, n: int):
     """Operands of :func:`sin_cos_coeff` at order n >= 1: orders below n of
     ``dx``, the terms (j+1) x_{j+1} of x', orders n-1..0 of the (sin x, cos x)
-    pair stack ``sc`` with the pair reversed to (cos, sin), and (n, -n)."""
-    return dx[:n], sc[n - 1 :: -1, ..., ::-1, :], np.array([[n], [-n]], dtype=float)
+    pair stack ``sc`` with the pair reversed to (cos, sin), and the divisors
+    (n, -n) tiled to one order's (..., 2, K) pair, so that the divide
+    broadcasts nothing."""
+    divisors = np.empty(sc.shape[1:])
+    divisors[..., 0, :], divisors[..., 1, :] = n, -n
+    return dx[:n], sc[n - 1 :: -1, ..., ::-1, :], divisors
 
 
 def product_coeffs(a: np.ndarray, b: np.ndarray, out=None) -> partial:
@@ -79,18 +84,24 @@ def sin_cos_coeff(dx: np.ndarray, cs: np.ndarray, divisors: np.ndarray, out: np.
     )
 
 
-def series_eval(c: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+def series_eval(c: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
     """Horner evaluation of sum(c_n t^n) on a float (..., N+1) stack, into ``out``.
 
     The partial sums are formed in place of the top term c_N, which they
     overwrite: c_N t, then += c_n and *= t for n = N-1 down to 1.  The last
-    add, of c_0, writes into ``out``, which may be c_0 itself: the window
-    kernel evaluates into the order-0 state slab, where the next window
-    starts.  At N = 0, c_0 is copied into ``out``.  On the order-last view
-    of an order-major stack, as the window kernel reads it, each c[..., n]
-    is the slab of order n.  Returns ``out``.
+    add, of c_0, writes into ``out``, which may be c_0 itself.  Without
+    ``out`` the sum lands in c_0, with one view of c_0 as both the addend
+    and the output, numpy's in-place form: the window kernel evaluates so
+    into the order-0 state slab, where the next window starts.  At N = 0,
+    c_0 is copied into ``out``.  ``t`` is a float, or a 0-d float64 array,
+    which numpy multiplies by without converting a Python scalar each call.
+    On the order-last view of an order-major stack, as the window kernel
+    reads it, each c[..., n] is the slab of order n.  Returns ``out``, or
+    c_0 without it.
     """
-    top = c[..., -1]
+    top, c_0 = c[..., -1], c[..., 0]
+    if out is None:
+        out = c_0
     if c.shape[-1] == 1:
         np.copyto(out, top)
         return out
@@ -98,4 +109,4 @@ def series_eval(c: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     for k in range(c.shape[-1] - 2, 0, -1):
         top += c[..., k]
         top *= t
-    return np.add(top, c[..., 0], out)
+    return np.add(top, c_0, out)

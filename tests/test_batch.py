@@ -211,7 +211,7 @@ def test_stages_keep_the_stochastic_buses_only(ieee39_case, repo_root):
     setup = build("caseA")
     assert setup.mean_shunts.shape == (2,)
     for first in setup.stages.values():
-        assert first.vm2.shape == (2,) and first.load_block((3,)).shape == (3, 2, 2)
+        assert first.vm2.shape == (2,) and first.load_block((3,)).y_ll.shape == (3, 2, 2)
     mean = [(ieee39_case.load_at(b).p, ieee39_case.load_at(b).q) for b in (3, 4)]
     assert np.array_equal(setup.ou_mean, np.ravel(mean))
 

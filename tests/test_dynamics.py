@@ -157,14 +157,15 @@ def test_sparse_machine_map_keeps_the_dense_maps_bits(ieee39_case):
 
 
 def reference_order(w, i_net, deriv, y, m, n_runs, n):
-    """Order n of the model on fresh slices of (N+1, 11, R·K) terms ``w``,
+    """Order n of the model on fresh slices of (N+1, 13, R·K) terms ``w``,
     (N+1, 2, R·K) network currents ``i_net`` and (N, 4, R·K) derivative
     terms ``deriv``, written into all three.
 
     Each series kernel slices its operands here for this order alone; the
-    fields are laid out as in WindowWork, the stator pair as (e_qt, e_dt).
+    fields are laid out as in WindowWork, the stator pair as (e_qt, e_dt),
+    and order 0 holds (i_q, i_d) again in fields 7 and 8.
     """
-    sc, eq_ed, id_iq, d_delta = w[:, 9:11], w[:, 2:4], w[:, 5:7], deriv[:, 0]
+    sc, eq_ed, id_iq, d_delta = w[:, 11:13], w[:, 2:4], w[:, 5:7], deriv[:, 0]
     ed_eq = eq_ed[:, ::-1]
     if n:
         t = np.einsum("m...k,m...jk->...jk", d_delta[:n], sc[n - 1 :: -1])
@@ -183,12 +184,13 @@ def reference_order(w, i_net, deriv, y, m, n_runs, n):
     id_iq[n] = q[0, 0] - q[1, 1], q[0, 1] + q[1, 0]  # i_r s - i_i c, i_r c + i_i s
     # the stator voltages (e_d, e_q) = (x'q, -x'd) (i_q, i_d) + (e'd, e'q)
     x_t = np.tile(np.stack([m.xqp, -m.xdp]), n_runs)
-    e_d_e_q = w[n, 8:6:-1]
+    e_d_e_q = w[n, 10:8:-1]
     e_d_e_q[...] = x_t * id_iq[n, ::-1] + ed_eq[n]
     if n:
-        w[n, 4] = np.einsum("m...jk,m...jk->...k", w[: n + 1, 8:6:-1], id_iq[n::-1])
+        w[n, 4] = np.einsum("m...jk,m...jk->...k", w[: n + 1, 10:8:-1], id_iq[n::-1])
     else:
         w[0, 4] = e_d_e_q[0] * id_iq[0, 0] + e_d_e_q[1] * id_iq[0, 1]
+        w[0, 7:9] = id_iq[0, ::-1]
     half_h = m.omega_r / (2.0 * m.H)
     a_b = np.tile(
         np.stack(
@@ -218,7 +220,7 @@ def test_prepared_views_keep_the_slicing_kernels_bits(ieee39_case):
     order = 8
     work = WindowWork(m, 3, order)
     w, i_net, deriv = work.eq_ed.base, work.i_net, work.d_delta.base
-    assert w.shape[1] == 11 and np.shares_memory(i_net, work.currents)
+    assert w.shape[1] == 13 and np.shares_memory(i_net, work.currents)
     terms, deriv_terms = rng.standard_normal(w.shape), rng.standard_normal(deriv.shape)
     currents = rng.standard_normal(i_net.shape)
     for n in range(order):
@@ -242,6 +244,76 @@ def test_prepared_views_keep_the_slicing_kernels_bits(ieee39_case):
             assert np.array_equal(dot_coeff(*e_t_id_iq)(), want_w[n, 4])
         assert not np.isnan(w[: n + 1]).any() and not np.isnan(i_net[: n + 1]).any()
         assert not np.isnan(deriv[: n + 1]).any()
+
+
+# The bound calls whose operands may be reversed views: the series kernels'
+# einsums read orders n..0 and the (cos, sin) pair backwards by design.
+REVERSED_OPERANDS_OK = ("einsum",)
+
+
+def call_operands(call):
+    """(inputs, out) of one bound numpy call of a WindowWork."""
+    func, args = call.func, call.args
+    if func is np.einsum:
+        return list(args[1:]), call.keywords["out"]
+    if func is np.copyto:
+        return [args[1]], args[0]
+    assert isinstance(func, np.ufunc) and not call.keywords, func
+    return list(args[: func.nin]), args[func.nin]
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])
+@pytest.mark.parametrize("order", [1, 2, 6])
+def test_every_bound_call_is_on_numpys_fast_path(ieee39_case, n_runs, order):
+    # each call numpy runs per window or per Euler step is given operands
+    # that take no slow path: arrays only, no reversed elementwise operand,
+    # an in-place output as the very object that is read, and no broadcast
+    # but the order-0 pair products of (e'q, e'd) and (i_r, i_i) with
+    # (sin, cos)
+    v, loads, _, _, m = prefault_setup(ieee39_case)
+    first = reduce_to_load_buses(
+        ieee39_case, NetworkCondition("pre-fault"), v, [], ieee39_case.load_buses
+    )
+    pq = np.broadcast_to(load_pq(loads), (n_runs,) + load_pq(loads).shape)
+    work = WindowWork(m, n_runs, order)
+    y = first.with_loads(first.shunts(pq)).y
+    work.bind_network(y)
+    assert work.y is y
+    # the window is every order's calls in turn, with its network product
+    # and its integration
+    want = []
+    for n, ((before, emf, currents, after), integrate) in enumerate(
+        zip(work.orders, work.integrate)
+    ):
+        assert emf is work.emf and np.array_equal(currents, work.currents[n])
+        want += [*before, (y, emf, currents), *after, integrate]
+    assert len(work.window) == len(want)
+    for call, expected in zip(work.window, want):
+        if isinstance(expected, tuple):  # the network product of its order
+            assert call.func is np.matmul
+            assert all(a is b for a, b in zip(call.args, expected, strict=True))
+        else:
+            assert call is expected
+    broadcasting = []
+    for call in work.window:
+        inputs, out = call_operands(call)
+        name = call.func.__name__
+        for a in (*inputs, out):
+            assert isinstance(a, np.ndarray), (name, a)  # no Python or NumPy scalar
+            if name not in REVERSED_OPERANDS_OK:
+                assert all(s >= 0 for s in a.strides), name
+        for a in inputs:
+            assert a is out or not np.shares_memory(a, out), name
+        if call.func is np.matmul:
+            loop = [a.shape[:-2] for a in (*inputs, out)]
+        elif call.func is not np.einsum:  # a 0-d constant is no broadcast
+            loop = [a.shape for a in (*inputs, out) if a.ndim]
+        else:
+            continue
+        if any(shape != loop[-1] for shape in loop):
+            broadcasting.append(call)
+    (before, _, _, after) = work.orders[0]
+    assert broadcasting == [before[2], after[0]]
 
 
 def test_single_machine_diagonal_network_scalar_check():

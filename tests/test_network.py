@@ -6,6 +6,7 @@ import pytest
 from stochsim.case import Load
 
 from stochsim.network import (
+    LoadBlock,
     LoadBusNetwork,
     NetworkCondition,
     ReducedNetwork,
@@ -160,16 +161,24 @@ def test_a_reused_load_block_keeps_the_bits_of_a_fresh_one(ieee39_case):
             assert np.array_equal(got.y, want.y)
             assert np.array_equal(got.recovery, want.recovery)
             off = ~np.eye(first.vm2.size, dtype=bool)
-            assert np.array_equal(block[:, off], np.broadcast_to(first.kcl_l[off], (4, off.sum())))
-            diagonal = np.diagonal(block, axis1=1, axis2=2)
+            y_ll = block.y_ll
+            assert np.array_equal(y_ll[:, off], np.broadcast_to(first.kcl_l[off], (4, off.sum())))
+            diagonal = np.diagonal(y_ll, axis1=1, axis2=2)
             assert np.array_equal(diagonal, np.diagonal(first.kcl_l) + shunts)
+            assert np.shares_memory(block.diagonal, y_ll)
+            for stack, a in ((block.rhs, first.kcl_k), (block.out_k, first.out_k)):
+                assert np.array_equal(stack, np.broadcast_to(a, (4,) + a.shape))
+    # a block is made on a C-contiguous stack only, as its diagonal is a
+    # view of every (S+1)-th entry
     with pytest.raises(ValueError, match="C-contiguous"):
-        firsts[0].with_loads(shunts[::2], blocks[0][::2])
+        LoadBlock(blocks[0].y_ll[::2], blocks[0].rhs[::2], blocks[0].out_k[::2])
+    with pytest.raises(ValueError, match="do not fit"):
+        LoadBlock(blocks[0].y_ll, blocks[0].rhs[:1], blocks[0].out_k)
     # a block of another stack shape is refused, and left as it was
-    before = blocks[0].copy()
+    before = blocks[0].y_ll.copy()
     with pytest.raises(ValueError, match=r"\(4, 21, 21\).*\(1, 21\)"):
         firsts[0].with_loads(shunts[:1], blocks[0])
-    assert np.array_equal(blocks[0], before)
+    assert np.array_equal(blocks[0].y_ll, before)
 
 
 def test_rebuilt_networks_are_read_only(ieee39_case, repo_root):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochsim import smib as sm
+from stochsim.dynamics import WindowWork
+from stochsim.sas import window_step
 from stochsim.series import (
     cauchy_operands,
     dot_coeff,
@@ -155,6 +158,41 @@ def test_eval_writes_out_and_may_alias_the_constant_term():
         assert series_eval(aliased, t, c_0) is c_0
         assert np.array_equal(out, want) and np.array_equal(c_0, want)
         assert np.array_equal(apart[..., :-1], c[..., :-1])  # below c_N, c is kept
+
+
+def test_eval_without_out_sums_into_the_constant_term():
+    # series_eval(c, t) is the in-place form of series_eval(c, t, out): its
+    # sum lands in c_0 with the bits the sum into out has, at a float t and
+    # at the 0-d t that run_simulation passes
+    rng = np.random.default_rng(4)
+    for n_terms in (1, 2, 5):
+        c = rng.standard_normal((4, 3, n_terms))
+        apart = c.copy()
+        out = np.empty(c.shape[:-1])
+        series_eval(apart, 0.37, out)
+        for t in (0.37, np.array(0.37)):
+            in_place = c.copy()
+            got = series_eval(in_place, t)
+            assert got.base is in_place and np.shares_memory(got, in_place[..., 0])
+            assert np.array_equal(in_place[..., 0], out)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_window_step_takes_a_float_or_a_0d_length(order):
+    # three windows of a 3-run SMIB stack: a window length given as the
+    # 0-d float64 array that run_simulation passes steps to the bits of the float
+    p = sm.SMIBParams()
+    net, machines = sm.smib_embedding(p)
+    states = np.stack([sm.smib_state(p, d, p.omega_r + 1.0) for d in (0.3, 0.7, 1.1)])
+    stepped = []
+    for dt in (0.01, np.array(0.01)):
+        work = WindowWork(machines, len(states), order)
+        work.set_state(states)
+        for _ in range(3):
+            window_step(net, work, dt)
+        stepped.append(work.state.copy())
+    assert not np.array_equal(stepped[0], states.reshape(stepped[0].shape))
+    assert np.array_equal(*stepped)
 
 
 coeffs = st.lists(
